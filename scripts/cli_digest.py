@@ -1,0 +1,107 @@
+"""Digest of the CLI's output on a fixed command set.
+
+Runs every subcommand on five parameter files (the scalar fixture fix_a,
+the critical two-type d2_critical, the two-type jump_d2, an inadmissible
+tuple and a degenerate-critical tuple whose Perron eigenvectors are not
+strictly positive), plus one command each for exit codes 64, 65 and 66.
+All commands run in-process from one fresh working directory with
+relative file names, so the output does not depend on where the script
+runs. Each line is
+
+    <label> exit=<code> stdout=<sha256> stderr=<sha256> out=<sha256 or ->
+
+with digests cut to 16 hex digits. Two checkouts produce identical
+output iff their CLI output is byte-identical on this set:
+
+    python scripts/cli_digest.py > digest.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cbi import cli  # noqa: E402
+
+FIXTURES = {
+    "fix_a": {"d": 1, "c": [1.0], "beta": [1.0], "B": [[0.0]], "nu": [], "mu": [[]]},
+    "d2_critical": {"d": 2, "c": [1.0, 1.0], "beta": [1.0, 0.0],
+                    "B": [[-1.0, 1.0], [1.0, -1.0]], "nu": [], "mu": [[], []]},
+    "jump_d2": {
+        "d": 2, "c": [0.3, 0.6], "beta": [0.2, 0.1], "B": [[-0.8, 0.4], [0.3, -0.9]],
+        "nu": [{"weight": 0.5, "z": [0.5, 0.2]}],
+        "mu": [[{"weight": 0.4, "z": [1.0, 0.3]}],
+               [{"weight": 0.6, "z": [0.2, 0.7]}, {"weight": 0.1, "z": [2.0, 1.0]}]],
+    },
+    "inadmissible": {"d": 2, "c": [1.0, -1.0], "beta": [0.0, 0.0],
+                     "B": [[0.0, -1.0], [1.0, 0.0]], "nu": [], "mu": [[], []]},
+    "degenerate_critical": {"d": 2, "c": [1.0, 1.0], "beta": [0.5, 0.0],
+                            "B": [[-1e-300, 1e-300], [1.0, -1.0]], "nu": [], "mu": [[], []]},
+}
+
+SIM = ["--t", "0.5", "--dt", "0.01", "--n-paths", "20", "--seed", "3"]
+
+
+def commands() -> list[tuple[str, list[str], str | None]]:
+    """(label, argv, --out file name or None) for every command of the set."""
+    cmds = []
+    for name, doc in FIXTURES.items():
+        d = doc["d"]
+        x = ",".join(["1.0", "0.5"][:d])
+        lam = ",".join(["0.7", "1.2"][:d])
+        base = ["--params", f"{name}.json"]
+        per_command = {
+            "validate": [],
+            "derive": [],
+            "vsolve": ["--t", "1", "--lambda", lam],
+            "laplace": ["--t", "1", "--x", x, "--lambda", lam],
+            "dgen": ["--n", "10", "--x", x, "--lambda", lam],
+            "prop31": ["--x", x, "--lambda", lam, "--n-list", "10,100,1000"],
+            "cgen": ["--x", x, "--n-list", "1,10,100"],
+            "simulate": ["--x", x, *SIM],
+            "simulate-scaled": ["--x", x, "--n", "5", *SIM],
+            "simulate-limit": ["--x", x, *SIM],
+        }
+        for command, extra in per_command.items():
+            out = None if command in ("validate", "derive", "vsolve", "laplace", "dgen") \
+                else f"{command}_{name}.csv"
+            cmds.append((f"{command}:{name}", [command, *base, *extra], out))
+    cmds.append(("exit64:missing-t", ["vsolve", "--params", "fix_a.json", "--lambda", "1"], None))
+    cmds.append(("exit65:malformed-json", ["validate", "--params", "broken.json"], None))
+    cmds.append(("exit66:wrong-dimension",
+                 ["laplace", "--params", "fix_a.json", "--t", "1", "--x", "1,2",
+                  "--lambda", "1"], None))
+    return cmds
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for name, doc in FIXTURES.items():
+            Path(f"{name}.json").write_text(json.dumps(doc))
+        Path("broken.json").write_text("{not json")
+        for label, argv, out in commands():
+            if out is not None:
+                argv = [*argv, "--out", out]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.run(argv)
+            out_digest = _sha(Path(out).read_bytes()) if out and Path(out).exists() else "-"
+            print(f"{label} exit={code} stdout={_sha(stdout.getvalue().encode())} "
+                  f"stderr={_sha(stderr.getvalue().encode())} out={out_digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

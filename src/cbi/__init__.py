@@ -8,7 +8,7 @@ Carlo simulation of CBI paths and the limiting squared-Bessel ray
 diffusion.
 """
 from .errors import (CbiError, ClassificationError, ConsistencyError,
-                     NumericRangeError, SolverError)
+                     InadmissibleError, NumericRangeError, SolverError)
 from .model import CbiParams, JumpMeasure, ValidationReport, dump_params, load_params, validate
 from .matops import (PerronPair, SpectralSummary, exp_integral, exp_integral_vec,
                      gauss_legendre, is_irreducible, mat_exp, perron_pair, spectral)

@@ -48,7 +48,8 @@ from scipy.integrate import solve_ivp
 
 from . import matops, moments
 from .errors import SolverError
-from .model import CbiParams, validate
+from .model import CbiParams
+from .moments import DerivedQuantities
 
 #: Default ODE tolerances; the systems here are smooth and non-stiff.
 DEFAULT_RTOL = 1e-10
@@ -57,19 +58,12 @@ DEFAULT_ATOL = 1e-12
 CLIP_BUDGET = 1e-8
 
 
-def _beta_tilde(params: CbiParams) -> np.ndarray:
-    return params.beta + params.nu.integrate(lambda z: z)
-
-
-def _phi_closure(params: CbiParams) -> Callable[[np.ndarray], np.ndarray]:
+def _phi_closure(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
     """Branching mechanism with per-measure constants hoisted out."""
-    c = params.c
-    BT = params.B.T.copy()
-    atom_terms = []
-    for i, m in enumerate(params.mu):
-        if m.natoms:
-            kappa = float(m.weights @ np.minimum(1.0, m.points[:, i]))
-            atom_terms.append((i, m.weights, m.points, kappa))
+    c = dq.params.c
+    BT = dq.params.B.T.copy()
+    atom_terms = [(i, m.weights, m.points, dq.kappa[i])
+                  for i, m in enumerate(dq.params.mu) if m.natoms]
 
     def phi_fn(lam: np.ndarray) -> np.ndarray:
         out = c * lam * lam - BT @ lam
@@ -80,43 +74,45 @@ def _phi_closure(params: CbiParams) -> Callable[[np.ndarray], np.ndarray]:
     return phi_fn
 
 
-def phi(params: CbiParams, lam: np.ndarray) -> np.ndarray:
+def phi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """Branching mechanism phi(lam), one component per type."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return _phi_closure(params)(lam)
+    return _phi_closure(moments.derive(params))(lam)
 
 
-def psi(params: CbiParams, lam: np.ndarray) -> float:
+def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     """Immigration mechanism psi(lam) = <beta, lam> - int (e^{-<lam,z>} - 1) nu(dz)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    val = float(params.beta @ lam)
-    if params.nu.natoms:
-        val -= float(params.nu.weights @ (np.exp(-(params.nu.points @ lam)) - 1.0))
-    return val
+    return float(_psi_columns(moments.derive(params).params, lam))
 
 
-def psi_compensated(params: CbiParams, lam: np.ndarray) -> float:
+def psi_compensated(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     """The equivalent compensated form of psi, written against beta_tilde."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    val = float(_beta_tilde(params) @ lam)
-    if params.nu.natoms:
-        inner = params.nu.points @ lam
-        val -= float(params.nu.weights @ (np.exp(-inner) - 1.0 + inner))
+    dq = moments.derive(params)
+    nu = dq.params.nu
+    val = float(dq.beta_tilde @ lam)
+    if nu.natoms:
+        inner = nu.points @ lam
+        val -= float(nu.weights @ (np.exp(-inner) - 1.0 + inner))
     return val
 
 
-def psi_grad(params: CbiParams, lam: np.ndarray) -> np.ndarray:
+def psi_grad(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """Analytic gradient of psi on lam > 0; tends to beta_tilde as lam -> 0."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    grad = _beta_tilde(params).astype(float)
-    if params.nu.natoms:
-        factor = np.exp(-(params.nu.points @ lam)) - 1.0  # (m,)
-        grad += (params.nu.weights * factor) @ params.nu.points
+    dq = moments.derive(params)
+    nu = dq.params.nu
+    grad = dq.beta_tilde.copy()
+    if nu.natoms:
+        factor = np.exp(-(nu.points @ lam)) - 1.0  # (m,)
+        grad += (nu.weights * factor) @ nu.points
     return grad
 
 
 def _psi_columns(params: CbiParams, V: np.ndarray) -> np.ndarray:
-    """psi evaluated at each column of V (shape (d, m)) -> (m,)."""
+    """psi evaluated at each column of V (shape (d, m)) -> (m,), or at one
+    point V (shape (d,)) -> a scalar."""
     vals = params.beta @ V
     if params.nu.natoms:
         vals = vals - params.nu.weights @ (np.exp(-(params.nu.points @ V)) - 1.0)
@@ -150,7 +146,7 @@ class VSolution:
         return self.dense_values(self.t_max)
 
 
-def solve_v(params: CbiParams, t: float, lam: np.ndarray, *,
+def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
             rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
             quad_order: int = 32, clip_budget: float = CLIP_BUDGET) -> VSolution:
     """Integrate the Riccati system on [0, t] and attach the psi-integral."""
@@ -158,12 +154,10 @@ def solve_v(params: CbiParams, t: float, lam: np.ndarray, *,
         raise ValueError(f"time must be >= 0, got {t}")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    report = validate(params)
-    if not report.admissible:
-        raise ValueError("inadmissible parameters: " + "; ".join(report.violations))
+    dq = moments.derive(params)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (params.d,):
-        raise ValueError(f"lam must have length d={params.d}, got shape {lam.shape}")
+    if lam.shape != (dq.params.d,):
+        raise ValueError(f"lam must have length d={dq.params.d}, got shape {lam.shape}")
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("lam must be componentwise >= 0 and finite")
 
@@ -172,7 +166,7 @@ def solve_v(params: CbiParams, t: float, lam: np.ndarray, *,
         return VSolution(lam=lam, t_max=0.0, psi_integral=0.0,
                          solver_stats=stats, _dense=None)
 
-    phi_fn = _phi_closure(params)
+    phi_fn = _phi_closure(dq)
     sol = solve_ivp(lambda s, v: -phi_fn(v), (0.0, float(t)), lam,
                     method="RK45", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
@@ -189,31 +183,32 @@ def solve_v(params: CbiParams, t: float, lam: np.ndarray, *,
             f"negative undershoot {clip_total:.3e} exceeds clip budget {clip_budget:.1e}")
 
     Vq = np.clip(sol.sol(nodes), 0.0, None)
-    psi_int = float(weights @ _psi_columns(params, Vq))
+    psi_int = float(weights @ _psi_columns(dq.params, Vq))
     stats = {"steps": len(sol.t) - 1, "nfev": int(sol.nfev),
              "clip_total": clip_total, "rtol": rtol, "atol": atol}
     return VSolution(lam=lam, t_max=float(t), psi_integral=psi_int,
                      solver_stats=stats, _dense=sol.sol)
 
 
-def laplace_transform(params: CbiParams, t: float, x: np.ndarray, lam: np.ndarray,
-                      **solver_kwargs) -> float:
+def laplace_transform(params: CbiParams | DerivedQuantities, t: float, x: np.ndarray,
+                      lam: np.ndarray, **solver_kwargs) -> float:
     """exp(-<x, v(t, lam)> - int_0^t psi(v(s, lam)) ds); always in (0, 1]."""
+    dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (params.d,):
-        raise ValueError(f"x must have length d={params.d}, got shape {x.shape}")
-    sol = solve_v(params, t, lam, **solver_kwargs)
+    if x.shape != (dq.params.d,):
+        raise ValueError(f"x must have length d={dq.params.d}, got shape {x.shape}")
+    sol = solve_v(dq, t, lam, **solver_kwargs)
     return float(np.exp(-float(x @ sol.v_final) - sol.psi_integral))
 
 
-def v_jacobian_limit(params: CbiParams, t: float) -> np.ndarray:
+def v_jacobian_limit(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray:
     """The lam -> 0 limit of the Jacobian [d v_k / d lam_i]: exp(t btilde),
     indexed [i, k]."""
     dq = moments.derive(params)
     return matops.mat_exp(dq.btilde, t)
 
 
-def v_jacobian_fd(params: CbiParams, t: float, eps: float = 1e-4, *,
+def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float, eps: float = 1e-4, *,
                   richardson: bool = True, rtol: float = 1e-12,
                   atol: float = 1e-14) -> np.ndarray:
     """Finite-difference probe of the Jacobian limit.
@@ -222,7 +217,8 @@ def v_jacobian_fd(params: CbiParams, t: float, eps: float = 1e-4, *,
     base offset contributes an O(eps) bias, removed by Richardson
     extrapolation of the estimates at eps and eps/2.
     """
-    d = params.d
+    dq = moments.derive(params)
+    d = dq.params.d
 
     def jac_at(e: float) -> np.ndarray:
         base = np.full(d, e)
@@ -230,8 +226,8 @@ def v_jacobian_fd(params: CbiParams, t: float, eps: float = 1e-4, *,
         J = np.empty((d, d))
         for i in range(d):
             step = h * np.eye(d)[i]
-            vp = solve_v(params, t, base + step, rtol=rtol, atol=atol).v_final
-            vm = solve_v(params, t, base - step, rtol=rtol, atol=atol).v_final
+            vp = solve_v(dq, t, base + step, rtol=rtol, atol=atol).v_final
+            vm = solve_v(dq, t, base - step, rtol=rtol, atol=atol).v_final
             J[i, :] = (vp - vm) / (2.0 * h)
         return J
 
@@ -241,8 +237,8 @@ def v_jacobian_fd(params: CbiParams, t: float, eps: float = 1e-4, *,
     return 2.0 * jac_at(0.5 * eps) - J1
 
 
-def v_hessian_limit(params: CbiParams, t: float, i: int, j: int, k: int,
-                    order: int = 32) -> float:
+def v_hessian_limit(params: CbiParams | DerivedQuantities, t: float, i: int, j: int,
+                    k: int, order: int = 32) -> float:
     """The lam -> 0 limit of d^2 v_k / d lam_i d lam_j (t, lam); always <= 0.
 
     Evaluates -e_k . exp(t btilde^T) int_0^t exp(-u btilde^T)
@@ -251,7 +247,7 @@ def v_hessian_limit(params: CbiParams, t: float, i: int, j: int, k: int,
     """
     dq = moments.derive(params)
     bt = dq.btilde
-    d = params.d
+    d = dq.params.d
     nodes, weights = matops.gauss_legendre(0.0, float(t), order)
     acc = np.zeros(d)
     for u, w in zip(nodes, weights):
@@ -263,7 +259,7 @@ def v_hessian_limit(params: CbiParams, t: float, i: int, j: int, k: int,
     return float(-(matops.mat_exp(bt.T, t) @ acc)[k])
 
 
-def v_hessian_fd(params: CbiParams, t: float, i: int, j: int, k: int,
+def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int, k: int,
                  eps: float = 1e-3, *, richardson: bool = True,
                  rtol: float = 1e-12, atol: float = 1e-14) -> float:
     """Finite-difference probe of the Hessian limit.
@@ -272,10 +268,11 @@ def v_hessian_fd(params: CbiParams, t: float, i: int, j: int, k: int,
     extreme evaluation points touch the boundary lam = 0, which is in the
     domain), Richardson-extrapolated in eps as in v_jacobian_fd.
     """
-    d = params.d
+    dq = moments.derive(params)
+    d = dq.params.d
 
     def vk(lam: np.ndarray) -> float:
-        return float(solve_v(params, t, lam, rtol=rtol, atol=atol).v_final[k])
+        return float(solve_v(dq, t, lam, rtol=rtol, atol=atol).v_final[k])
 
     def second_at(e: float) -> float:
         base = np.full(d, e)

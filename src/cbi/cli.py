@@ -32,8 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import affine, generators, moments, simulate
-from .errors import ClassificationError, ConsistencyError, NumericRangeError, SolverError
+from .errors import (ClassificationError, ConsistencyError, InadmissibleError,
+                     NumericRangeError, SolverError)
 from .model import CbiParams, validate
+from .moments import DerivedQuantities
 from .testfunctions import bump
 
 EXIT_OK = 0
@@ -65,8 +67,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cbi", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-    for name in ("validate", "derive", "vsolve", "laplace", "dgen", "prop31",
-                 "cgen", "simulate", "simulate-scaled", "simulate-limit"):
+    for name in ("validate", *_HANDLERS):
         p = sub.add_parser(name)
         p.add_argument("--params", required=True)
         p.add_argument("--t", type=float, default=None)
@@ -143,15 +144,6 @@ def _config(args, **extra) -> dict:
     return base
 
 
-def _require_admissible(args, params) -> dict | None:
-    """Returns the failure report when inadmissible, else None."""
-    report = validate(params)
-    if report.admissible:
-        return None
-    return {"command": args.command, "config": _config(args),
-            "result": {"admissible": False, "violations": report.violations}}
-
-
 def _write_csv(args, header: str, rows: list[str]) -> None:
     text = header + "\n" + "\n".join(rows) + "\n"
     if args.out:
@@ -160,8 +152,7 @@ def _write_csv(args, header: str, rows: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_validate(args) -> int:
-    params = _load_params(args.params)
+def _cmd_validate(args, params: CbiParams) -> int:
     report = validate(params)
     _emit({"command": "validate", "config": _config(args),
            "result": {"admissible": report.admissible,
@@ -171,13 +162,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.admissible else EXIT_VALIDATION
 
 
-def _cmd_derive(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
-    dq = moments.derive(params)
+def _cmd_derive(args, dq: DerivedQuantities) -> int:
     result = {
         "btilde": dq.btilde,
         "beta_tilde": dq.beta_tilde,
@@ -194,16 +179,11 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _cmd_vsolve(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_vsolve(args, dq: DerivedQuantities) -> int:
     if args.t is None:
         raise _UsageError("--t is required for vsolve")
-    lam = _vec(args.lam, params.d, "lambda")
-    sol = affine.solve_v(params, args.t, lam, rtol=args.tol, atol=args.tol * 1e-2,
+    lam = _vec(args.lam, dq.params.d, "lambda")
+    sol = affine.solve_v(dq, args.t, lam, rtol=args.tol, atol=args.tol * 1e-2,
                          quad_order=args.quad_order)
     _emit({"command": "vsolve",
            "config": _config(args, t=args.t, **{"lambda": lam}),
@@ -212,17 +192,12 @@ def _cmd_vsolve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_laplace(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_laplace(args, dq: DerivedQuantities) -> int:
     if args.t is None:
         raise _UsageError("--t is required for laplace")
-    x = _vec(args.x, params.d, "x")
-    lam = _vec(args.lam, params.d, "lambda")
-    value = affine.laplace_transform(params, args.t, x, lam, rtol=args.tol,
+    x = _vec(args.x, dq.params.d, "x")
+    lam = _vec(args.lam, dq.params.d, "lambda")
+    value = affine.laplace_transform(dq, args.t, x, lam, rtol=args.tol,
                                      atol=args.tol * 1e-2, quad_order=args.quad_order)
     _emit({"command": "laplace",
            "config": _config(args, t=args.t, x=x, **{"lambda": lam}),
@@ -230,17 +205,12 @@ def _cmd_laplace(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dgen(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_dgen(args, dq: DerivedQuantities) -> int:
     if args.n is None:
         raise _UsageError("--n is required for dgen")
-    x = _vec(args.x, params.d, "x")
-    lam = _vec(args.lam, params.d, "lambda")
-    value = generators.discrete_gen_exp(params, args.n, x, lam,
+    x = _vec(args.x, dq.params.d, "x")
+    lam = _vec(args.lam, dq.params.d, "lambda")
+    value = generators.discrete_gen_exp(dq, args.n, x, lam,
                                         quad_order=args.quad_order)
     _emit({"command": "dgen",
            "config": _config(args, n=args.n, x=x, **{"lambda": lam}),
@@ -248,16 +218,11 @@ def _cmd_dgen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_prop31(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
-    x = _vec(args.x, params.d, "x")
-    lam = _vec(args.lam, params.d, "lambda")
+def _cmd_prop31(args, dq: DerivedQuantities) -> int:
+    x = _vec(args.x, dq.params.d, "x")
+    lam = _vec(args.lam, dq.params.d, "lambda")
     n_list = _int_list(args.n_list)
-    table = generators.discrete_gen_table(params, x, lam, n_list,
+    table = generators.discrete_gen_table(dq, x, lam, n_list,
                                           quad_order=args.quad_order)
     rows = [f"{n},{float(raw)!r},{float(corr)!r},{float(table.limit_formula)!r},{float(gap)!r}"
             for n, raw, corr, gap in zip(table.n_values, table.raw,
@@ -271,25 +236,20 @@ def _cmd_prop31(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cgen(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
-    x = _vec(args.x, params.d, "x")
+def _cmd_cgen(args, dq: DerivedQuantities) -> int:
+    d = dq.params.d
+    x = _vec(args.x, d, "x")
     n_list = _int_list(args.n_list)
     radius = args.bump_radius if args.bump_radius is not None else 2.0 * (1.0 + float(np.max(np.abs(x))))
-    center = (_vec(args.bump_center, params.d, "bump-center")
-              if args.bump_center is not None else np.zeros(params.d))
+    center = (_vec(args.bump_center, d, "bump-center")
+              if args.bump_center is not None else np.zeros(d))
     f = bump(center, radius, args.bump_amplitude)
-    dq = moments.derive(params)
     grad = f.gradient(x)
     drift_rate = float((dq.btilde @ x) @ grad)
-    limit = generators.scaled_gen_limit(params, f, x)
+    limit = generators.scaled_gen_limit(dq, f, x)
     rows = []
     for n in n_list:
-        val = generators.scaled_gen_apply(params, n, f, x)
+        val = generators.scaled_gen_apply(dq, n, f, x)
         corrected = val - n * drift_rate
         rows.append(f"{n},{float(val)!r},{float(n * drift_rate)!r},{float(corrected)!r},"
                     f"{float(limit)!r},{float(abs(corrected - limit))!r}")
@@ -301,15 +261,15 @@ def _cmd_cgen(args) -> int:
                                  bump_amplitude=args.bump_amplitude),
                "result": {"limit": limit, "drift_rate": drift_rate,
                           "converges_uncorrected":
-                              generators.drift_convergence_criterion(params, f, x),
+                              generators.drift_convergence_criterion(dq, f, x),
                           "csv": args.out}})
     return EXIT_OK
 
 
-def _path_config(args, params) -> simulate.PathConfig:
+def _path_config(args, dq: DerivedQuantities) -> simulate.PathConfig:
     if args.t is None:
         raise _UsageError("--t (horizon) is required for simulation commands")
-    x0 = _vec(args.x, params.d, "x")
+    x0 = _vec(args.x, dq.params.d, "x")
     return simulate.PathConfig(x0=x0, horizon=args.t, dt=args.dt,
                                seed=args.seed, n_paths=args.n_paths)
 
@@ -322,20 +282,15 @@ def _moment_summary(states_end: np.ndarray, reference: np.ndarray) -> dict:
             "within_3se": bool(np.all(np.abs(emp - reference) <= 3.0 * se + 1e-12))}
 
 
-def _cmd_simulate(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_simulate(args, dq: DerivedQuantities) -> int:
     if args.out is None:
         raise _UsageError("--out is required for simulation commands")
-    cfg = _path_config(args, params)
-    paths = simulate.simulate_cbi(params, cfg)
+    cfg = _path_config(args, dq)
+    paths = simulate.simulate_cbi(dq, cfg)
     with open(args.out, "w") as fh:
         simulate.paths_to_csv(paths, fh)
     ends = np.stack([p.states[-1] for p in paths])
-    ref = moments.mean(params, cfg.x0, cfg.horizon, order=args.quad_order)
+    ref = moments.mean(dq, cfg.x0, cfg.horizon, order=args.quad_order)
     _emit({"command": "simulate",
            "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
                              n_paths=cfg.n_paths),
@@ -343,23 +298,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_scaled(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
     if args.out is None:
         raise _UsageError("--out is required for simulation commands")
     if args.n is None:
         raise _UsageError("--n (scale) is required for simulate-scaled")
-    cfg = _path_config(args, params)
-    paths = simulate.simulate_scaled_step(params, args.n, cfg)
+    cfg = _path_config(args, dq)
+    paths = simulate.simulate_scaled_step(dq, args.n, cfg)
     with open(args.out, "w") as fh:
         simulate.paths_to_csv(paths, fh)
     ends = np.stack([p.states[-1] for p in paths])
     m = int(np.floor(args.n * cfg.horizon + 1e-9))
-    ref = moments.mean(params, args.n * cfg.x0, float(m), order=args.quad_order) / args.n
+    ref = moments.mean(dq, args.n * cfg.x0, float(m), order=args.quad_order) / args.n
     _emit({"command": "simulate-scaled",
            "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
                              n=args.n, n_paths=cfg.n_paths),
@@ -367,19 +317,13 @@ def _cmd_simulate_scaled(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_limit(args) -> int:
-    params = _load_params(args.params)
-    fail = _require_admissible(args, params)
-    if fail:
-        _emit(fail)
-        return EXIT_VALIDATION
+def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
     if args.out is None:
         raise _UsageError("--out is required for simulation commands")
-    cfg = _path_config(args, params)
-    paths = simulate.simulate_limit_diffusion(params, cfg)
+    cfg = _path_config(args, dq)
+    paths = simulate.simulate_limit_diffusion(dq, cfg)
     with open(args.out, "w") as fh:
         simulate.paths_to_csv(paths, fh)
-    dq = moments.derive(params)
     ends = np.array([p.scalar[-1] for p in paths])[:, None]
     ref = np.array([float(dq.perron.u_left @ cfg.x0)
                     + cfg.horizon * float(dq.perron.u_left @ dq.beta_tilde)])
@@ -390,8 +334,8 @@ def _cmd_simulate_limit(args) -> int:
     return EXIT_OK
 
 
+#: Every command but `validate` runs on the model `run` has derived.
 _HANDLERS = {
-    "validate": _cmd_validate,
     "derive": _cmd_derive,
     "vsolve": _cmd_vsolve,
     "laplace": _cmd_laplace,
@@ -410,7 +354,16 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
-        return _HANDLERS[args.command](args)
+        params = _load_params(args.params)
+        if args.command == "validate":
+            return _cmd_validate(args, params)
+        try:
+            dq = moments.derive(params)
+        except InadmissibleError as exc:
+            _emit({"command": args.command, "config": _config(args),
+                   "result": {"admissible": False, "violations": exc.violations}})
+            return EXIT_VALIDATION
+        return _HANDLERS[args.command](args, dq)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

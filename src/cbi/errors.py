@@ -22,3 +22,12 @@ class ClassificationError(CbiError):
 class ConsistencyError(CbiError):
     """Two mathematically equivalent evaluation routes disagreed beyond
     tolerance; indicates a numerics bug, not bad input."""
+
+
+class InadmissibleError(CbiError, ValueError):
+    """A parameter tuple failed admissibility validation; `violations`
+    lists every violated condition as `model.validate` words it."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("inadmissible parameters: " + "; ".join(self.violations))

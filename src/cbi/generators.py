@@ -25,7 +25,7 @@ The full generator itself is evaluated in two equivalent forms (the
 defining one with (1 ^ z_i) compensation, and a rewritten one with full
 second-order compensation against the C_i matrices); both are computed on
 every call and must agree, which is a strong internal consistency check
-on btilde, beta_tilde and the C_i.
+on kappa, btilde and the C_i.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ import numpy as np
 from . import affine, matops, moments
 from .errors import ConsistencyError
 from .model import CbiParams
+from .moments import DerivedQuantities
 from .testfunctions import TestFunction, scaled_argument
 
 #: Default n sweep for convergence tables.
@@ -68,7 +69,7 @@ class ConvergenceTable:
         return np.abs(self.corrected - self.limit_formula)
 
 
-def discrete_gen_exp(params: CbiParams, n: int, x, lam, *,
+def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam, *,
                      rtol: float = 1e-12, atol: float = 1e-14,
                      quad_order: int = 32) -> float:
     """Discrete generator of the step-scaled chain on e_lam, exactly.
@@ -81,15 +82,17 @@ def discrete_gen_exp(params: CbiParams, n: int, x, lam, *,
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    sol = affine.solve_v(params, 1.0, lam / n, rtol=rtol, atol=atol,
+    sol = affine.solve_v(dq, 1.0, lam / n, rtol=rtol, atol=atol,
                          quad_order=quad_order)
     one_step = np.exp(-float((n * x) @ sol.v_final) - sol.psi_integral)
     return float(n * (one_step - np.exp(-float(lam @ x))))
 
 
-def discrete_gen_limit(params: CbiParams, x, lam, order: int = 32) -> float:
+def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam,
+                       order: int = 32) -> float:
     """Closed-form limit of the corrected discrete-generator sequence on e_lam."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -108,7 +111,8 @@ def discrete_gen_limit(params: CbiParams, x, lam, order: int = 32) -> float:
     return float(front * (0.5 * quad - drift))
 
 
-def exp_convergence_criterion(params: CbiParams, x, lam, tol: float = 1e-10) -> bool:
+def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam,
+                              tol: float = 1e-10) -> bool:
     """Whether the raw discrete-generator sequence on e_lam converges:
     <lam, x> = <lam, exp(btilde) x> within tol."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -117,7 +121,7 @@ def exp_convergence_criterion(params: CbiParams, x, lam, tol: float = 1e-10) -> 
     return abs(float(lam @ x) - float(lam @ (matops.mat_exp(bt, 1.0) @ x))) <= tol
 
 
-def discrete_gen_table(params: CbiParams, x, lam,
+def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
                        n_list: tuple[int, ...] = DEFAULT_N_LIST, *,
                        conv_tol: float = CONVERGENCE_TOL,
                        slope_tol: float = SLOPE_TOL,
@@ -138,14 +142,14 @@ def discrete_gen_table(params: CbiParams, x, lam,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
-    bt = moments.derive(params).btilde
+    dq = moments.derive(params)
     correction_rate = float(np.exp(-float(lam @ x))
-                            - np.exp(-float(lam @ (matops.mat_exp(bt, 1.0) @ x))))
+                            - np.exp(-float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))))
 
-    raw = np.array([discrete_gen_exp(params, n, x, lam, quad_order=quad_order)
+    raw = np.array([discrete_gen_exp(dq, n, x, lam, quad_order=quad_order)
                     for n in n_values])
     corrected = raw + np.array(n_values, dtype=float) * correction_rate
-    limit = discrete_gen_limit(params, x, lam, order=quad_order)
+    limit = discrete_gen_limit(dq, x, lam, order=quad_order)
 
     per_n = raw / np.array(n_values, dtype=float)
     top = per_n[len(per_n) // 2:]
@@ -167,7 +171,10 @@ def discrete_gen_table(params: CbiParams, x, lam,
                             fitted_slope=fitted_slope)
 
 
-def _generator_defining_form(params: CbiParams, f: TestFunction, x: np.ndarray) -> float:
+def _generator_defining_form(params: CbiParams | DerivedQuantities, f: TestFunction,
+                             x: np.ndarray) -> float:
+    dq = moments.derive(params)
+    params = dq.params
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
@@ -179,14 +186,15 @@ def _generator_defining_form(params: CbiParams, f: TestFunction, x: np.ndarray) 
                      @ np.array([f.value(x + z) - fx for z in params.nu.points]))
     for i, m in enumerate(params.mu):
         if m.natoms and x[i] != 0.0:
-            jump = np.array([f.value(x + z) - fx - grad[i] * min(1.0, z[i])
-                             for z in m.points])
-            val += x[i] * float(m.weights @ jump)
+            jump = np.array([f.value(x + z) - fx for z in m.points])
+            val += x[i] * (float(m.weights @ jump) - grad[i] * dq.kappa[i])
     return val
 
 
-def _generator_compensated_form(params: CbiParams, f: TestFunction, x: np.ndarray) -> float:
+def _generator_compensated_form(params: CbiParams | DerivedQuantities, f: TestFunction,
+                                x: np.ndarray) -> float:
     dq = moments.derive(params)
+    params = dq.params
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
@@ -204,32 +212,35 @@ def _generator_compensated_form(params: CbiParams, f: TestFunction, x: np.ndarra
     return val
 
 
-def generator_apply(params: CbiParams, f: TestFunction, x, *,
+def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x, *,
                     check_tol: float = 1e-10) -> float:
     """The CBI generator applied to f at x, with integrals as exact atom sums.
 
     Both equivalent forms are evaluated and must agree within check_tol
     (absolute plus relative); the defining form's value is returned.
     """
+    dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    primary = _generator_defining_form(params, f, x)
-    other = _generator_compensated_form(params, f, x)
+    primary = _generator_defining_form(dq, f, x)
+    other = _generator_compensated_form(dq, f, x)
     if abs(primary - other) > check_tol * (1.0 + max(abs(primary), abs(other))):
         raise ConsistencyError(
             f"generator forms disagree: {primary!r} vs {other!r}")
     return primary
 
 
-def scaled_gen_apply(params: CbiParams, n: int, f: TestFunction, x) -> float:
+def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunction,
+                     x) -> float:
     """Generator of the continuously scaled process t -> X_{nt} / n at x:
     n (A f_n)(n x) with f_n(y) = f(y / n)."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(n) * generator_apply(params, scaled_argument(f, n), float(n) * x)
+    return float(n) * generator_apply(dq, scaled_argument(f, n), float(n) * x)
 
 
-def scaled_gen_limit(params: CbiParams, f: TestFunction, x) -> float:
+def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
     """Limit of the drift-corrected scaled generators:
     1/2 sum_i x_i sum_{k,l} (C_i)_{k,l} f''_{k,l}(x) + <beta_tilde, grad f(x)>.
 
@@ -244,7 +255,7 @@ def scaled_gen_limit(params: CbiParams, f: TestFunction, x) -> float:
     return val + float(dq.beta_tilde @ grad)
 
 
-def drift_convergence_criterion(params: CbiParams, f: TestFunction, x,
+def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction, x,
                                 tol: float = 1e-10) -> bool:
     """Whether the scaled generator sequence converges without correction:
     <btilde x, grad f(x)> = 0 within tol."""

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ClassificationError, NumericRangeError, SolverError
 
@@ -74,19 +72,19 @@ def is_irreducible(A: np.ndarray) -> bool:
 
     True iff the directed graph with an edge i -> j whenever i != j and
     A[i, j] > 0 is strongly connected. Every 1x1 matrix is irreducible.
+    Boolean squaring of the reflexive adjacency matrix doubles the path
+    length it covers, so ceil(log2 d) squarings reach every path of length
+    up to d - 1.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = A.shape[0]
-    if d == 1:
-        return True
-    adj = (A > 0).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    ncomp, _ = connected_components(
-        scipy.sparse.csr_matrix(adj), directed=True, connection="strong")
-    return ncomp == 1
+    reach = (A > 0) | np.eye(d, dtype=bool)
+    for _ in range((d - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
-def perron_pair(btilde: np.ndarray, crit_tol: float = CRITICAL_TOL) -> PerronPair:
+def perron_pair(btilde: np.ndarray) -> PerronPair:
     """Perron pair of exp(btilde) for an irreducible critical btilde.
 
     Computed from the eigenvalue-0 kernel / left kernel of btilde itself
@@ -97,9 +95,9 @@ def perron_pair(btilde: np.ndarray, crit_tol: float = CRITICAL_TOL) -> PerronPai
     if not is_irreducible(A):
         raise ClassificationError("btilde is reducible; no Perron pair")
     s = spectral(A).spectral_abscissa
-    if abs(s) > crit_tol:
+    if abs(s) > CRITICAL_TOL:
         raise ClassificationError(
-            f"btilde is not critical: spectral abscissa {s:.3e} (tol {crit_tol:.1e})")
+            f"btilde is not critical: spectral abscissa {s:.3e} (tol {CRITICAL_TOL:.1e})")
 
     def _positive_eigvec(M: np.ndarray) -> np.ndarray:
         w, V = np.linalg.eig(M)
@@ -114,6 +112,8 @@ def perron_pair(btilde: np.ndarray, crit_tol: float = CRITICAL_TOL) -> PerronPai
     u_left = _positive_eigvec(A.T)
     u_right = u_right / u_right.sum()
     u_left = u_left / float(u_left @ u_right)
+    u_right.setflags(write=False)
+    u_left.setflags(write=False)
     return PerronPair(u_right=u_right, u_left=u_left)
 
 

@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of `a`, so that no caller's array is shared."""
+    a = np.array(a, dtype=float, ndmin=ndmin)
     a.setflags(write=False)
     return a
 
@@ -40,14 +42,14 @@ class JumpMeasure:
     points: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        z = np.asarray(self.points, dtype=float)
+        w = _frozen(self.weights, ndmin=1)
+        z = _frozen(self.points)
         if z.ndim == 0:
             z = z.reshape(1, 1)
         elif z.ndim == 1:
             z = z.reshape(len(w), -1) if len(w) else z.reshape(0, 1)
-        object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "points", _frozen(z))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", z)
 
     @classmethod
     def empty(cls, dim: int) -> "JumpMeasure":
@@ -92,8 +94,10 @@ class CbiParams:
     """Candidate CBI parameter tuple; see `validate` for admissibility.
 
     No value checks happen at construction (the validator must be able to
-    hold and describe inadmissible tuples); fields are only coerced to
-    read-only arrays.
+    hold and describe inadmissible tuples); fields are only copied into
+    read-only arrays. Without `mu`, each type gets an empty branching
+    measure, but only when `d` agrees with `len(c)`: an untrusted `d`
+    never sizes an allocation before `validate` has seen it.
     """
 
     d: int
@@ -106,14 +110,15 @@ class CbiParams:
     def __post_init__(self):
         d = int(self.d)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c", _frozen(np.atleast_1d(np.asarray(self.c, dtype=float))))
-        object.__setattr__(self, "beta", _frozen(np.atleast_1d(np.asarray(self.beta, dtype=float))))
-        object.__setattr__(self, "B", _frozen(np.atleast_2d(np.asarray(self.B, dtype=float))))
+        c = _frozen(self.c, ndmin=1)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "beta", _frozen(self.beta, ndmin=1))
+        object.__setattr__(self, "B", _frozen(self.B, ndmin=2))
         nu = self.nu if self.nu is not None else JumpMeasure.empty(d)
         object.__setattr__(self, "nu", nu)
-        mu = tuple(self.mu) if self.mu else tuple(JumpMeasure.empty(d) for _ in range(d))
-        mu = tuple(m if m is not None else JumpMeasure.empty(d) for m in mu)
-        object.__setattr__(self, "mu", mu)
+        mu = self.mu or ([None] * d if d == len(c) else ())
+        object.__setattr__(self, "mu", tuple(m if m is not None else JumpMeasure.empty(d)
+                                             for m in mu))
 
     @classmethod
     def no_jumps(cls, c, beta, B) -> "CbiParams":
@@ -148,7 +153,7 @@ class CbiParams:
         try:
             d = int(data["d"])
             nu_raw = data.get("nu", [])
-            mu_raw = data.get("mu", [[] for _ in range(d)])
+            mu_raw = data.get("mu", ())
             nu = JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in nu_raw], dim=d)
             mu = tuple(JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in lst], dim=d)
                        for lst in mu_raw)

@@ -2,12 +2,13 @@
 
 From an admissible tuple this module builds the effective drift matrix
 btilde, the effective immigration vector beta_tilde, the second-moment
-matrices C_k, and (in the critical irreducible case) the ray-averaged
-cbar = sum_k u_right[k] C_k:
+matrices C_k, the branching-jump compensators kappa_i, and (in the
+critical irreducible case) the ray-averaged cbar = sum_k u_right[k] C_k:
 
     btilde[i, j] = B[i, j] + int (z_i - delta_ij)^+ mu_j(dz)
     beta_tilde   = beta + int z nu(dz)
     C_k          = 2 c_k e_k e_k^T + int z z^T mu_k(dz)
+    kappa_i      = int (1 ^ z_i) mu_i(dz)
 
 The conditional first moment of the process is
 E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du,
@@ -18,16 +19,23 @@ var(Z_t | Z_0 = z) = sum_l int_0^t (e_l . exp((t-u) btilde) z)
 
 Criticality is classified from the spectral abscissa of btilde and
 depends only on the branching data (B, mu, c), never on beta or nu.
+
+`derive` is the package's one admissibility gate: its result, a
+`DerivedQuantities`, is the validated model. Every public function that
+takes parameters accepts either a raw `CbiParams` (derived once on entry)
+or that result (used as it is), and hands the model on to what it calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import matops
+from .errors import InadmissibleError
 from .matops import CRITICAL_TOL, PerronPair, SpectralSummary
-from .model import CbiParams, validate
+from .model import CbiParams, _frozen, validate
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -37,74 +45,84 @@ NOT_IRREDUCIBLE = "not-irreducible"
 
 @dataclass(frozen=True, eq=False)
 class DerivedQuantities:
+    """An admissible parameter tuple with its derived quantities, all
+    read-only. The Perron pair and cbar are None unless the model is
+    critical and irreducible; they are computed on first access, which
+    raises ClassificationError when no strictly positive pair exists."""
+
+    params: CbiParams
     btilde: np.ndarray
     beta_tilde: np.ndarray
     big_c: tuple[np.ndarray, ...]
-    cbar: np.ndarray | None
+    kappa: np.ndarray
     classification: str
     spectral: SpectralSummary
-    perron: PerronPair | None
+
+    @cached_property
+    def perron(self) -> PerronPair | None:
+        if self.classification != CRITICAL:
+            return None
+        return matops.perron_pair(self.btilde)
+
+    @cached_property
+    def cbar(self) -> np.ndarray | None:
+        if self.perron is None:
+            return None
+        return _frozen(sum(u * C for u, C in zip(self.perron.u_right, self.big_c)))
 
 
-def _require_admissible(params: CbiParams) -> None:
+def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
+    """Validate once and compute every derived quantity with the
+    criticality classification; a `DerivedQuantities` is returned as it is.
+
+    Raises InadmissibleError, carrying every violation, when the tuple is
+    not admissible.
+    """
+    if isinstance(params, DerivedQuantities):
+        return params
     report = validate(params)
     if not report.admissible:
-        raise ValueError("inadmissible parameters: " + "; ".join(report.violations))
-
-
-def derive(params: CbiParams, crit_tol: float = CRITICAL_TOL) -> DerivedQuantities:
-    """All derived quantities plus the criticality classification.
-
-    cbar (and the Perron pair) are only defined in the critical
-    irreducible case; otherwise those fields are None.
-    """
-    _require_admissible(params)
+        raise InadmissibleError(report.violations)
     d = params.d
 
     btilde = params.B.copy()
+    kappa = np.zeros(d)
+    big_c = []
     for j, m in enumerate(params.mu):
+        C = np.zeros((d, d))
+        C[j, j] = 2.0 * params.c[j]
         if m.natoms:
             btilde[:, j] += m.integrate(
                 lambda z: np.maximum(z - np.eye(d)[j], 0.0))
+            kappa[j] = m.weights @ np.minimum(1.0, m.points[:, j])
+            C = C + m.integrate(lambda z: z[:, :, None] * z[:, None, :])
+        big_c.append(_frozen(C))
 
     beta_tilde = params.beta + params.nu.integrate(lambda z: z)
-
-    big_c = []
-    for k, m in enumerate(params.mu):
-        C = np.zeros((d, d))
-        C[k, k] = 2.0 * params.c[k]
-        if m.natoms:
-            C = C + m.integrate(lambda z: z[:, :, None] * z[:, None, :])
-        big_c.append(C)
 
     summary = matops.spectral(btilde)
     if not matops.is_irreducible(btilde):
         classification = NOT_IRREDUCIBLE
-    elif summary.spectral_abscissa < -crit_tol:
+    elif summary.spectral_abscissa < -CRITICAL_TOL:
         classification = SUBCRITICAL
-    elif summary.spectral_abscissa > crit_tol:
+    elif summary.spectral_abscissa > CRITICAL_TOL:
         classification = SUPERCRITICAL
     else:
         classification = CRITICAL
 
-    cbar = None
-    perron = None
-    if classification == CRITICAL:
-        perron = matops.perron_pair(btilde, crit_tol=crit_tol)
-        cbar = sum(perron.u_right[k] * big_c[k] for k in range(d))
-
     return DerivedQuantities(
-        btilde=btilde,
-        beta_tilde=beta_tilde,
+        params=params,
+        btilde=_frozen(btilde),
+        beta_tilde=_frozen(beta_tilde),
         big_c=tuple(big_c),
-        cbar=cbar,
+        kappa=_frozen(kappa),
         classification=classification,
         spectral=summary,
-        perron=perron,
     )
 
 
-def mean(params: CbiParams, x: np.ndarray, t: float, order: int = 32) -> np.ndarray:
+def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float,
+         order: int = 32) -> np.ndarray:
     """E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -116,8 +134,8 @@ def mean(params: CbiParams, x: np.ndarray, t: float, order: int = 32) -> np.ndar
         dq.btilde, dq.beta_tilde, t, order=order)
 
 
-def variance_no_immigration(params: CbiParams, z: np.ndarray, t: float,
-                            order: int = 32) -> np.ndarray:
+def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray,
+                            t: float, order: int = 32) -> np.ndarray:
     """Conditional covariance var(Z_t | Z_0 = z) of the pure-branching process.
 
     Only defined for parameters without immigration (beta = 0, nu empty);
@@ -125,11 +143,11 @@ def variance_no_immigration(params: CbiParams, z: np.ndarray, t: float,
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if np.any(params.beta != 0) or params.nu.natoms:
+    dq = derive(params)
+    if np.any(dq.params.beta != 0) or dq.params.nu.natoms:
         raise ValueError("variance_no_immigration requires beta = 0 and an empty nu")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    dq = derive(params)
-    d = params.d
+    d = dq.params.d
     nodes, weights = matops.gauss_legendre(0.0, float(t), order)
     out = np.zeros((d, d))
     for u, w in zip(nodes, weights):

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import moments
 from .errors import ClassificationError
-from .model import CbiParams, validate
+from .model import CbiParams
+from .moments import DerivedQuantities
 
 #: Steps per randomness window (fixed so stream layout never depends on batching).
 WINDOW = 1024
@@ -121,10 +122,7 @@ def _measure_tables(params: CbiParams):
     for i, m in enumerate(params.mu):
         if m.natoms:
             mu_data.append((i, m.total_mass, np.cumsum(m.weights) / m.total_mass, m.points))
-    kappa = np.array([
-        float(m.weights @ np.minimum(1.0, m.points[:, i])) if m.natoms else 0.0
-        for i, m in enumerate(params.mu)])
-    return nu_cum, mu_data, kappa
+    return nu_cum, mu_data
 
 
 def _pick_atom(rng: np.random.Generator, cum: np.ndarray) -> int:
@@ -132,13 +130,14 @@ def _pick_atom(rng: np.random.Generator, cum: np.ndarray) -> int:
     return min(a, len(cum) - 1)
 
 
-def _simulate_grid(params: CbiParams, x0: np.ndarray, K: int, h: float,
+def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                    seed: int, n_paths: int, record_idx: np.ndarray):
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
 
     Returns states recorded at the grid indices `record_idx` (shape
     (n_paths, len(record_idx), d)) and per-path jump logs.
     """
+    params = dq.params
     d = params.d
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -146,7 +145,8 @@ def _simulate_grid(params: CbiParams, x0: np.ndarray, K: int, h: float,
     c2 = 2.0 * params.c
     B_T = params.B.T.copy()
     beta = params.beta
-    nu_cum, mu_data, kappa = _measure_tables(params)
+    kappa = dq.kappa
+    nu_cum, mu_data = _measure_tables(params)
     nu_mass = params.nu.total_mass
     sqrt_h = math.sqrt(h)
 
@@ -224,23 +224,18 @@ def _grid(horizon: float, dt: float) -> tuple[int, float, np.ndarray]:
     return K, h, np.linspace(0.0, horizon, K + 1)
 
 
-def _require_admissible(params: CbiParams) -> None:
-    report = validate(params)
-    if not report.admissible:
-        raise ValueError("inadmissible parameters: " + "; ".join(report.violations))
-
-
-def simulate_cbi(params: CbiParams, cfg: PathConfig) -> list[SamplePath]:
+def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list[SamplePath]:
     """Simulate CBI paths on the grid 0, dt, ..., horizon."""
-    _require_admissible(params)
+    dq = moments.derive(params)
     K, h, times = _grid(cfg.horizon, cfg.dt)
-    states, logs = _simulate_grid(params, cfg.x0, K, h, cfg.seed, cfg.n_paths,
+    states, logs = _simulate_grid(dq, cfg.x0, K, h, cfg.seed, cfg.n_paths,
                                   np.arange(K + 1))
     return [SamplePath(times=times, states=states[p], jump_log=tuple(logs[p]))
             for p in range(cfg.n_paths)]
 
 
-def simulate_scaled_step(params: CbiParams, n: int, cfg: PathConfig) -> list[SamplePath]:
+def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
+                         cfg: PathConfig) -> list[SamplePath]:
     """Simulate the step-scaled chain t -> X_{floor(nt)} / n on [0, horizon].
 
     cfg.x0 is the *scaled* start, so the base chain starts at n * x0 and
@@ -250,14 +245,14 @@ def simulate_scaled_step(params: CbiParams, n: int, cfg: PathConfig) -> list[Sam
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    _require_admissible(params)
+    dq = moments.derive(params)
     base_T = n * cfg.horizon
     K_base = max(1, int(round(base_T / cfg.dt)))
     h = base_T / K_base
     M = int(math.floor(n * cfg.horizon + 1e-9))
     int_idx = np.minimum(np.round(np.arange(M + 1) / h).astype(int), K_base)
     record_idx = np.unique(int_idx)
-    base_states, _ = _simulate_grid(params, float(n) * cfg.x0, K_base, h,
+    base_states, _ = _simulate_grid(dq, float(n) * cfg.x0, K_base, h,
                                     cfg.seed, cfg.n_paths, record_idx)
     slot_of_m = np.searchsorted(record_idx, int_idx)
 
@@ -268,8 +263,8 @@ def simulate_scaled_step(params: CbiParams, n: int, cfg: PathConfig) -> list[Sam
             for p in range(cfg.n_paths)]
 
 
-def simulate_limit_diffusion(params: CbiParams, cfg: PathConfig,
-                             crit_tol: float = 1e-9) -> list[SamplePath]:
+def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
+                             cfg: PathConfig) -> list[SamplePath]:
     """Simulate the limiting ray diffusion of a critical irreducible model.
 
     The scalar component solves dY = <u_left, beta_tilde> dt
@@ -277,17 +272,18 @@ def simulate_limit_diffusion(params: CbiParams, cfg: PathConfig,
     the canonical start); states carry the embedding Y_t * u_right and
     `scalar` the 1-d path.
     """
-    dq = moments.derive(params, crit_tol=crit_tol)
-    if dq.classification != moments.CRITICAL or dq.perron is None:
+    dq = moments.derive(params)
+    if dq.classification != moments.CRITICAL:
         raise ClassificationError(
             f"limit diffusion requires a critical irreducible model, got "
             f"'{dq.classification}'")
-    if cfg.x0.shape != (params.d,):
-        raise ValueError(f"x0 must have length d={params.d}, got shape {cfg.x0.shape}")
+    if cfg.x0.shape != (dq.params.d,):
+        raise ValueError(f"x0 must have length d={dq.params.d}, got shape {cfg.x0.shape}")
 
-    drift = float(dq.perron.u_left @ dq.beta_tilde)
-    diff2 = float(dq.perron.u_left @ (dq.cbar @ dq.perron.u_left))
-    y0 = float(dq.perron.u_left @ cfg.x0)
+    u_left = dq.perron.u_left
+    drift = float(u_left @ dq.beta_tilde)
+    diff2 = float(u_left @ (dq.cbar @ u_left))
+    y0 = float(u_left @ cfg.x0)
 
     K, h, times = _grid(cfg.horizon, cfg.dt)
     sqrt_h = math.sqrt(h)

@@ -39,6 +39,14 @@ def make_branching_jump() -> CbiParams:
         mu=(JumpMeasure.from_atoms([(0.4, [1.5])]),))
 
 
+def make_degenerate_critical() -> CbiParams:
+    """Critical and irreducible, but the left Perron vector is (1, 1e-300)
+    up to scale, which rounds to a vector with a zero entry: derive succeeds
+    while the Perron pair (and so cbar) raises ClassificationError."""
+    return CbiParams.no_jumps(c=[1.0, 1.0], beta=[0.5, 0.0],
+                              B=[[-1e-300, 1e-300], [1.0, -1.0]])
+
+
 ALL_FIXTURES = {
     "fix_a": make_fix_a,
     "d2_critical": make_d2_critical,

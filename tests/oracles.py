@@ -3,12 +3,15 @@
 Everything here deliberately avoids the production code paths it checks:
 matrix integrals via Van Loan block exponentials (production uses
 Gauss-Legendre), the psi-integral via an augmented ODE state (production
-quadratures the dense output), and phi/psi re-derived from raw atom data
-with explicit Python loops.
+quadratures the dense output), phi/psi re-derived from raw atom data
+with explicit Python loops, and irreducibility from scipy's strongly
+connected components (production squares a boolean reachability matrix).
 """
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 
 def van_loan_sandwich(A, M, t):
@@ -99,3 +102,13 @@ def fd_hessian(fn, x, h=1e-4):
                 H[i, j] = (fn(x + ei + ej) - fn(x + ei - ej)
                            - fn(x - ei + ej) + fn(x - ei - ej)) / (4 * h**2)
     return H
+
+
+def irreducible_csgraph(A):
+    """Irreducibility as one strongly connected component of the graph with
+    an edge i -> j whenever i != j and A[i, j] > 0."""
+    adj = (np.atleast_2d(np.asarray(A, float)) > 0).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    ncomp, _ = connected_components(scipy.sparse.csr_matrix(adj), directed=True,
+                                    connection="strong")
+    return ncomp == 1

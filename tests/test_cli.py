@@ -10,7 +10,7 @@ import pytest
 from cbi import cli
 from cbi.model import dump_params
 
-from conftest import make_d2_critical, make_fix_a, make_jump_mixed
+from conftest import make_d2_critical, make_degenerate_critical, make_fix_a, make_jump_mixed
 
 
 @pytest.fixture
@@ -153,6 +153,48 @@ def test_simulate_limit_noncritical_exits_2(tmp_path, capsys):
     dump_params(make_jump_mixed(), path)  # subcritical
     code, _ = run_cli(capsys, ["simulate-limit", "--params", str(path), "--t", "0.5",
                                "--x", "0", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+def test_inadmissible_reports_violations_for_every_command(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 2, "c": [1.0, 1.0], "beta": [0.0, 0.0],
+                                "B": [[0.0, -1.0], [1.0, 0.0]], "nu": [],
+                                "mu": [[], []]}))
+    for command in ("derive", "laplace", "simulate"):
+        code, out = run_cli(capsys, [command, "--params", str(path)])
+        assert code == 2
+        report = json.loads(out)
+        assert report["command"] == command
+        assert report["result"]["admissible"] is False
+        assert any("essentially non-negative" in v for v in report["result"]["violations"])
+
+
+def test_huge_d_document_exits_2_with_report(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 10**5, "c": [1.0], "beta": [0.0], "B": [[0.0]]}))
+    code, out = run_cli(capsys, ["derive", "--params", str(path)])
+    assert code == 2
+    assert "c must have length d=100000, got shape (1,)" in json.loads(out)["result"]["violations"]
+
+
+def test_degenerate_critical_runs_all_but_perron_commands(tmp_path, capsys):
+    path = tmp_path / "degenerate.json"
+    dump_params(make_degenerate_critical(), path)
+    base = ["--params", str(path), "--x", "1,0.5"]
+    sim = ["--t", "0.2", "--dt", "0.02", "--n-paths", "5"]
+    cases = {
+        "prop31": (["--lambda", "0.7,1.2", "--n-list", "10,100"], 0),
+        "cgen": (["--n-list", "1,10"], 0),
+        "simulate": (sim, 0),
+        "simulate-scaled": (["--n", "3", *sim], 0),
+        "simulate-limit": (sim, 2),
+    }
+    for command, (extra, expected) in cases.items():
+        out_csv = tmp_path / f"{command}.csv"
+        code, _ = run_cli(capsys, [command, *base, *extra, "--out", str(out_csv)])
+        assert code == expected, command
+    code, _ = run_cli(capsys, ["derive", "--params", str(path)])
     assert code == 2
 
 

@@ -9,7 +9,7 @@ from cbi.matops import (exp_integral, exp_integral_vec, gauss_legendre,
                         is_irreducible, mat_exp, perron_pair, spectral)
 
 from conftest import assert_close
-from oracles import van_loan_sandwich, van_loan_vec
+from oracles import irreducible_csgraph, van_loan_sandwich, van_loan_vec
 
 TWO_CYCLE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -107,6 +107,24 @@ def test_three_state_cycle_only():
     assert is_irreducible(A)
     A[2, 0] = 0.0  # break the cycle
     assert not is_irreducible(A)
+
+
+def test_irreducibility_matches_strong_components_oracle():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(2000):
+        d = int(rng.integers(1, 9))
+        density = rng.uniform(0.05, 0.6)
+        A = np.where(rng.random((d, d)) < density, rng.uniform(0.1, 2.0, (d, d)), 0.0)
+        np.fill_diagonal(A, -rng.uniform(0.0, 3.0, d))
+        verdicts.append(is_irreducible(A))
+        assert verdicts[-1] == irreducible_csgraph(A), A
+    assert 0 < sum(verdicts) < len(verdicts)
+    for d in range(2, 9):  # one long cycle: the longest path has d - 1 edges
+        A = np.roll(np.eye(d), 1, axis=1)
+        assert is_irreducible(A) and irreducible_csgraph(A)
+        A[d - 1, 0] = 0.0
+        assert not is_irreducible(A) and not irreducible_csgraph(A)
 
 
 # --- Perron pair -----------------------------------------------------------

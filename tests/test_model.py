@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,3 +136,34 @@ def test_params_are_immutable():
         params.nu.weights[0] = 2.0
     with pytest.raises(ValueError):
         params.mu[0].points[0, 0] = 9.0
+
+
+def test_params_copy_caller_arrays():
+    base = np.array([[-1.0, 0.5], [0.5, -1.0]])
+    w, z = np.array([0.3]), np.array([[1.0, 0.2]])
+    params = CbiParams(d=2, c=[1.0, 1.0], beta=[0.0, 0.0], B=base[:],
+                       nu=JumpMeasure(weights=w, points=z))
+    assert base.flags.writeable and w.flags.writeable and z.flags.writeable
+    base[0, 0] = -5.0
+    w[0] = 9.0
+    z[0, 0] = 9.0
+    assert params.B[0, 0] == -1.0
+    assert params.nu.weights[0] == 0.3
+    assert params.nu.points[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": 10**5, "c": [1.0], "beta": [0.0], "B": [[0.0]]},
+    {"d": 10**5, "c": [1.0], "beta": [0.0], "B": [[0.0]], "mu": [[]]},
+])
+def test_huge_d_disagreeing_with_c_allocates_nothing(doc):
+    tracemalloc.start()
+    try:
+        rep = validate(CbiParams.from_dict(doc))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert not rep.admissible
+    assert "c must have length d=100000, got shape (1,)" in rep.violations
+    assert any("mu must contain exactly d=100000 measures" in v for v in rep.violations)

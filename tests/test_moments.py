@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from cbi import matops
+from cbi.errors import CbiError, InadmissibleError
 from cbi.model import CbiParams, JumpMeasure
 from cbi.moments import (CRITICAL, NOT_IRREDUCIBLE, SUBCRITICAL, SUPERCRITICAL,
                          derive, mean, variance_no_immigration)
@@ -49,6 +50,9 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2):
             assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14)
     expected_beta = jump_d2.beta + sum(w * z for w, z in jump_d2.nu.atoms())
     assert_close(dq.beta_tilde, expected_beta, 1e-14)
+    expected_kappa = [sum(w * min(1.0, z[i]) for w, z in jump_d2.mu[i].atoms())
+                      for i in range(d)]
+    assert_close(dq.kappa, expected_kappa, 1e-15)
     for k in range(d):
         expected_c = 2.0 * jump_d2.c[k] * np.outer(np.eye(d)[k], np.eye(d)[k]) + sum(
             w * np.outer(z, z) for w, z in jump_d2.mu[k].atoms())
@@ -81,8 +85,21 @@ def test_classification_ignores_immigration(jump_mixed):
 
 def test_derive_rejects_inadmissible():
     bad = CbiParams.no_jumps(c=[-1.0], beta=[0.0], B=[[0.0]])
-    with pytest.raises(ValueError, match="inadmissible"):
+    with pytest.raises(ValueError, match="inadmissible") as info:
         derive(bad)
+    assert isinstance(info.value, InadmissibleError) and isinstance(info.value, CbiError)
+    assert info.value.violations == ["c must be componentwise >= 0"]
+
+
+def test_derive_returns_read_only_model(d2_critical):
+    dq = derive(d2_critical)
+    assert derive(dq) is dq
+    assert dq.params is d2_critical
+    arrays = [dq.btilde, dq.beta_tilde, dq.kappa, dq.cbar, *dq.big_c,
+              dq.perron.u_right, dq.perron.u_left]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_mean_at_zero_and_scalar_drift(fix_a):
