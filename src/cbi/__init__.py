@@ -10,8 +10,9 @@ diffusion.
 from .errors import (CbiError, ClassificationError, ConsistencyError,
                      InadmissibleError, NumericRangeError, SolverError)
 from .model import CbiParams, JumpMeasure, ValidationReport, dump_params, load_params, validate
-from .matops import (PerronPair, SpectralSummary, exp_integral, exp_integral_vec,
-                     gauss_legendre, is_irreducible, mat_exp, perron_pair, spectral)
+from .matops import (PerronPair, SpectralSummary, branching_integral,
+                     exp_and_integral_vec, exp_integral, exp_integral_vec, gauss_legendre,
+                     is_irreducible, mat_exp, perron_pair, perron_vectors, spectral)
 from .moments import DerivedQuantities, derive, mean, variance_no_immigration
 from .affine import (VSolution, laplace_transform, phi, psi, psi_compensated,
                      psi_grad, solve_v, v_hessian_fd, v_hessian_limit,

@@ -237,26 +237,23 @@ def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float, eps: float = 
     return 2.0 * jac_at(0.5 * eps) - J1
 
 
+def _check_types(d: int, *types: int) -> None:
+    if not all(0 <= i < d for i in types):
+        raise ValueError(f"type indices {types} must lie in [0, {d})")
+
+
 def v_hessian_limit(params: CbiParams | DerivedQuantities, t: float, i: int, j: int,
-                    k: int, order: int = 32) -> float:
+                    k: int) -> float:
     """The lam -> 0 limit of d^2 v_k / d lam_i d lam_j (t, lam); always <= 0.
 
-    Evaluates -e_k . exp(t btilde^T) int_0^t exp(-u btilde^T)
-    sum_l e_l ( e_i . exp(u btilde) C_l exp(u btilde)^T e_j ) du by
-    Gauss-Legendre quadrature.
+    Substituting u -> t - u turns the module formula into -V(t; e_k)[i, j]
+    with V = matops.branching_integral, the covariance of the pure-branching
+    companion started at e_k.
     """
     dq = moments.derive(params)
-    bt = dq.btilde
     d = dq.params.d
-    nodes, weights = matops.gauss_legendre(0.0, float(t), order)
-    acc = np.zeros(d)
-    for u, w in zip(nodes, weights):
-        Eu = matops.mat_exp(bt, u)
-        row_i = Eu[i, :]
-        row_j = Eu[j, :]
-        wvec = np.array([row_i @ C @ row_j for C in dq.big_c])
-        acc += w * (matops.mat_exp(bt.T, -u) @ wvec)
-    return float(-(matops.mat_exp(bt.T, t) @ acc)[k])
+    _check_types(d, i, j, k)
+    return float(-matops.branching_integral(dq.btilde, dq.big_c, np.eye(d)[k], t)[i, j])
 
 
 def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int, k: int,
@@ -270,6 +267,7 @@ def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int
     """
     dq = moments.derive(params)
     d = dq.params.d
+    _check_types(d, i, j, k)
 
     def vk(lam: np.ndarray) -> float:
         return float(solve_v(dq, t, lam, rtol=rtol, atol=atol).v_final[k])

@@ -282,20 +282,27 @@ def _moment_summary(states_end: np.ndarray, reference: np.ndarray) -> dict:
             "within_3se": bool(np.all(np.abs(emp - reference) <= 3.0 * se + 1e-12))}
 
 
+def _report_paths(args, command: str, cfg: simulate.PathConfig, paths, ends: np.ndarray,
+                  reference: np.ndarray, **extra) -> int:
+    """Write the paths CSV once every number of the report is computed
+    (a failed run leaves no file), then emit the report."""
+    summary = _moment_summary(ends, reference)
+    with open(args.out, "w") as fh:
+        simulate.paths_to_csv(paths, fh)
+    _emit({"command": command,
+           "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
+                             n_paths=cfg.n_paths, **extra),
+           "result": {"csv": args.out, "moment_check": summary}})
+    return EXIT_OK
+
+
 def _cmd_simulate(args, dq: DerivedQuantities) -> int:
     if args.out is None:
         raise _UsageError("--out is required for simulation commands")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_cbi(dq, cfg)
-    with open(args.out, "w") as fh:
-        simulate.paths_to_csv(paths, fh)
-    ends = np.stack([p.states[-1] for p in paths])
-    ref = moments.mean(dq, cfg.x0, cfg.horizon, order=args.quad_order)
-    _emit({"command": "simulate",
-           "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
-                             n_paths=cfg.n_paths),
-           "result": {"csv": args.out, "moment_check": _moment_summary(ends, ref)}})
-    return EXIT_OK
+    return _report_paths(args, "simulate", cfg, paths, np.stack([p.states[-1] for p in paths]),
+                         moments.mean(dq, cfg.x0, cfg.horizon))
 
 
 def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
@@ -305,16 +312,10 @@ def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
         raise _UsageError("--n (scale) is required for simulate-scaled")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_scaled_step(dq, args.n, cfg)
-    with open(args.out, "w") as fh:
-        simulate.paths_to_csv(paths, fh)
-    ends = np.stack([p.states[-1] for p in paths])
     m = int(np.floor(args.n * cfg.horizon + 1e-9))
-    ref = moments.mean(dq, args.n * cfg.x0, float(m), order=args.quad_order) / args.n
-    _emit({"command": "simulate-scaled",
-           "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
-                             n=args.n, n_paths=cfg.n_paths),
-           "result": {"csv": args.out, "moment_check": _moment_summary(ends, ref)}})
-    return EXIT_OK
+    return _report_paths(args, "simulate-scaled", cfg, paths,
+                         np.stack([p.states[-1] for p in paths]),
+                         moments.mean(dq, args.n * cfg.x0, float(m)) / args.n, n=args.n)
 
 
 def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
@@ -322,16 +323,11 @@ def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
         raise _UsageError("--out is required for simulation commands")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_limit_diffusion(dq, cfg)
-    with open(args.out, "w") as fh:
-        simulate.paths_to_csv(paths, fh)
-    ends = np.array([p.scalar[-1] for p in paths])[:, None]
-    ref = np.array([float(dq.perron.u_left @ cfg.x0)
-                    + cfg.horizon * float(dq.perron.u_left @ dq.beta_tilde)])
-    _emit({"command": "simulate-limit",
-           "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
-                             n_paths=cfg.n_paths),
-           "result": {"csv": args.out, "moment_check": _moment_summary(ends, ref)}})
-    return EXIT_OK
+    u_left = dq.perron.u_left
+    return _report_paths(args, "simulate-limit", cfg, paths,
+                         np.array([p.scalar[-1] for p in paths])[:, None],
+                         np.array([float(u_left @ cfg.x0)
+                                   + cfg.horizon * float(u_left @ dq.beta_tilde)]))
 
 
 #: Every command but `validate` runs on the model `run` has derived.

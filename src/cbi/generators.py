@@ -91,24 +91,20 @@ def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam, *,
     return float(n * (one_step - np.exp(-float(lam @ x))))
 
 
-def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam,
-                       order: int = 32) -> float:
-    """Closed-form limit of the corrected discrete-generator sequence on e_lam."""
+def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
+    """Closed-form limit of the corrected discrete-generator sequence on e_lam.
+
+    The quadrature term is lam . V(1; x) lam with V = matops.branching_integral
+    (substitute s -> 1 - s in the module formula).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     dq = moments.derive(params)
     bt = dq.btilde
-
-    nodes, weights = matops.gauss_legendre(0.0, 1.0, order)
-    quad = 0.0
-    for s, w in zip(nodes, weights):
-        g = matops.mat_exp(bt, 1.0 - s) @ x          # e_l . exp((1-s) bt) x
-        y = matops.mat_exp(bt, s).T @ lam            # exp(s bt)^T lam
-        quad += w * sum(g[ell] * float(y @ C @ y) for ell, C in enumerate(dq.big_c))
-
-    drift = float(lam @ matops.exp_integral_vec(bt, dq.beta_tilde, 1.0, order=order))
-    front = np.exp(-float(lam @ (matops.mat_exp(bt, 1.0) @ x)))
-    return float(front * (0.5 * quad - drift))
+    quad = float(lam @ matops.branching_integral(bt, dq.big_c, x, 1.0) @ lam)
+    flow, integral = matops.exp_and_integral_vec(bt, dq.beta_tilde, 1.0)
+    front = np.exp(-float(lam @ (flow @ x)))
+    return float(front * (0.5 * quad - float(lam @ integral)))
 
 
 def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam,
@@ -149,7 +145,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     raw = np.array([discrete_gen_exp(dq, n, x, lam, quad_order=quad_order)
                     for n in n_values])
     corrected = raw + np.array(n_values, dtype=float) * correction_rate
-    limit = discrete_gen_limit(dq, x, lam, order=quad_order)
+    limit = discrete_gen_limit(dq, x, lam)
 
     per_n = raw / np.array(n_values, dtype=float)
     top = per_n[len(per_n) // 2:]

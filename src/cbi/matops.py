@@ -1,11 +1,14 @@
 """Dense small-dimension matrix utilities.
 
 Matrix exponentials, spectra, irreducibility of essentially non-negative
-matrices, the critical-case Perron pair of exp(btilde), and fixed-order
-Gauss-Legendre evaluation of the time-ordered matrix integrals
-int_0^t exp(sA) M exp(sA)^T ds and int_0^t exp(sA) w ds. The integrands
-are entire, so fixed-order Gauss quadrature converges spectrally; 32
-nodes is far past machine precision for every desk-scale fixture here.
+matrices, the critical-case Perron pair of exp(btilde), and the
+time-ordered matrix integrals of exp(sA), each read off one block
+exponential exp(t [[A, W], [0, D]]), whose top-right block is
+int_0^t exp((t-s)A) W exp(sD) ds (Van Loan, IEEE TAC 23(3), 1978; nested
+as in Carbonell, Jimenez & Pedroso, J. Comput. Appl. Math. 213, 2008). The
+Kronecker sum A (+) A = A x I + I x A, with exp(s A (+) A) = exp(sA) x
+exp(sA), turns each sandwich exp(sA) M exp(sA)^T into a vector. No block
+holds -A, so a stiff A forms no growing exponential.
 """
 from __future__ import annotations
 
@@ -85,12 +88,8 @@ def is_irreducible(A: np.ndarray) -> bool:
 
 
 def perron_pair(btilde: np.ndarray) -> PerronPair:
-    """Perron pair of exp(btilde) for an irreducible critical btilde.
-
-    Computed from the eigenvalue-0 kernel / left kernel of btilde itself
-    (eigenvalue 1 of exp(btilde)); exp(btilde) is never formed. The sum
-    normalization of u_right is applied last.
-    """
+    """Perron pair of exp(btilde) for an irreducible critical btilde; both
+    conditions are checked here, then `perron_vectors` computes the pair."""
     A = np.atleast_2d(np.asarray(btilde, dtype=float))
     if not is_irreducible(A):
         raise ClassificationError("btilde is reducible; no Perron pair")
@@ -98,6 +97,15 @@ def perron_pair(btilde: np.ndarray) -> PerronPair:
     if abs(s) > CRITICAL_TOL:
         raise ClassificationError(
             f"btilde is not critical: spectral abscissa {s:.3e} (tol {CRITICAL_TOL:.1e})")
+    return perron_vectors(A)
+
+
+def perron_vectors(btilde: np.ndarray) -> PerronPair:
+    """Perron pair of exp(btilde) for a btilde already known to be
+    irreducible and critical, from the eigenvalue-0 kernel / left kernel of
+    btilde itself (eigenvalue 1 of exp(btilde)); exp(btilde) is never
+    formed. The sum normalization of u_right is applied last."""
+    A = np.atleast_2d(np.asarray(btilde, dtype=float))
 
     def _positive_eigvec(M: np.ndarray) -> np.ndarray:
         w, V = np.linalg.eig(M)
@@ -127,28 +135,43 @@ def gauss_legendre(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarr
     return a + half * (x + 1.0), half * w
 
 
-def exp_integral(A: np.ndarray, M: np.ndarray, t: float, order: int = 32) -> np.ndarray:
-    """int_0^t exp(sA) M exp(sA)^T ds by Gauss-Legendre quadrature."""
+def _kron_sum(A) -> np.ndarray:
+    """A (+) A acting on row-major vec: vec(A X + X A^T)."""
+    eye = np.eye(len(A))
+    return np.kron(A, eye) + np.kron(eye, A)
+
+
+def _block_exp(A: np.ndarray, W: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
+    """exp(t [[A, W], [0, D]]) for t >= 0."""
     if t < 0:
         raise ValueError(f"integration horizon must be >= 0, got {t}")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return mat_exp(np.block([[A, W], [np.zeros((len(D), len(A))), D]]), t)
+
+
+def exp_integral(A: np.ndarray, M: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t exp(sA) M exp(sA)^T ds from one (d^2 + 1)-square block exponential."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    nodes, weights = gauss_legendre(0.0, float(t), order)
-    out = np.zeros_like(M)
-    for s, w in zip(nodes, weights):
-        E = mat_exp(A, s)
-        out += w * (E @ M @ E.T)
-    return out
+    return exp_integral_vec(_kron_sum(A), M.ravel(), t).reshape(M.shape)
 
 
-def exp_integral_vec(A: np.ndarray, w_vec: np.ndarray, t: float, order: int = 32) -> np.ndarray:
-    """int_0^t exp(sA) w ds by Gauss-Legendre quadrature."""
-    if t < 0:
-        raise ValueError(f"integration horizon must be >= 0, got {t}")
+def exp_integral_vec(A: np.ndarray, w_vec: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t exp(sA) w ds from one (d + 1)-square block exponential."""
+    return exp_and_integral_vec(A, w_vec, t)[1]
+
+
+def exp_and_integral_vec(A: np.ndarray, w_vec: np.ndarray,
+                         t: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(tA) and int_0^t exp(sA) w ds, the top row of blocks of one
+    (d + 1)-square block exponential."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    w_vec = np.atleast_1d(np.asarray(w_vec, dtype=float))
-    nodes, weights = gauss_legendre(0.0, float(t), order)
-    out = np.zeros_like(w_vec)
-    for s, w in zip(nodes, weights):
-        out += w * (mat_exp(A, s) @ w_vec)
-    return out
+    E = _block_exp(A, np.reshape(w_vec, (-1, 1)), np.zeros((1, 1)), t)
+    return E[:-1, :-1], E[:-1, -1]
+
+
+def branching_integral(A: np.ndarray, big_c, z: np.ndarray, t: float) -> np.ndarray:
+    """V(t; z) = sum_l int_0^t [exp(uA) z]_l exp((t-u)A) C_l exp((t-u)A)^T du
+    from one (d^2 + d)-square block exponential."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    d = len(A)
+    vec_c = np.stack([np.ravel(C) for C in big_c], axis=1)
+    return (_block_exp(_kron_sum(A), vec_c, A, t)[:d * d, d * d:] @ np.ravel(z)).reshape(d, d)

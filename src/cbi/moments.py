@@ -62,7 +62,7 @@ class DerivedQuantities:
     def perron(self) -> PerronPair | None:
         if self.classification != CRITICAL:
             return None
-        return matops.perron_pair(self.btilde)
+        return matops.perron_vectors(self.btilde)
 
     @cached_property
     def cbar(self) -> np.ndarray | None:
@@ -121,40 +121,25 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     )
 
 
-def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float,
-         order: int = 32) -> np.ndarray:
+def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float) -> np.ndarray:
     """E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dq = derive(params)
-    if t == 0:
-        return x.copy()
-    return matops.mat_exp(dq.btilde, t) @ x + matops.exp_integral_vec(
-        dq.btilde, dq.beta_tilde, t, order=order)
+    flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, t)
+    return flow @ x + integral
 
 
 def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray,
-                            t: float, order: int = 32) -> np.ndarray:
-    """Conditional covariance var(Z_t | Z_0 = z) of the pure-branching process.
+                            t: float) -> np.ndarray:
+    """Conditional covariance var(Z_t | Z_0 = z) of the pure-branching process,
+    the symmetrized matops.branching_integral (substitute u -> t - u in the
+    module formula).
 
     Only defined for parameters without immigration (beta = 0, nu empty);
     anything else is rejected.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     dq = derive(params)
     if np.any(dq.params.beta != 0) or dq.params.nu.natoms:
         raise ValueError("variance_no_immigration requires beta = 0 and an empty nu")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = dq.params.d
-    nodes, weights = matops.gauss_legendre(0.0, float(t), order)
-    out = np.zeros((d, d))
-    for u, w in zip(nodes, weights):
-        g = matops.mat_exp(dq.btilde, t - u) @ z
-        Eu = matops.mat_exp(dq.btilde, u)
-        S = np.zeros((d, d))
-        for ell in range(d):
-            S += g[ell] * (Eu @ dq.big_c[ell] @ Eu.T)
-        out += w * S
-    return 0.5 * (out + out.T)
+    V = matops.branching_integral(dq.btilde, dq.big_c, z, t)
+    return 0.5 * (V + V.T)

@@ -1,42 +1,87 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the production code paths it checks:
-matrix integrals via Van Loan block exponentials (production uses
-Gauss-Legendre), the psi-integral via an augmented ODE state (production
+matrix integrals by adaptive quadrature of each integral's defining
+formula over scipy's expm (production reads them off one block
+exponential), the psi-integral via an augmented ODE state (production
 quadratures the dense output), phi/psi re-derived from raw atom data
 with explicit Python loops, and irreducibility from scipy's strongly
 connected components (production squares a boolean reachability matrix).
 """
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad_vec, solve_ivp
+from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
 
-def van_loan_sandwich(A, M, t):
-    """int_0^t exp(sA) M exp(sA)^T ds from one block exponential."""
+def _integral(fn, t):
+    """int_0^t fn(s) ds by adaptive Gauss-Kronrod (scipy quad_vec) to ~1e-13."""
+    if t == 0:
+        return np.zeros_like(fn(0.0))
+    return quad_vec(fn, 0.0, t, epsabs=1e-300, epsrel=1e-13, norm="max")[0]
+
+
+def sandwich_integral(A, M, t):
+    """int_0^t exp(sA) M exp(sA)^T ds."""
     A = np.atleast_2d(np.asarray(A, float))
     M = np.atleast_2d(np.asarray(M, float))
-    d = A.shape[0]
-    Z = np.zeros((2 * d, 2 * d))
-    Z[:d, :d] = -A
-    Z[:d, d:] = M
-    Z[d:, d:] = A.T
-    E = scipy.linalg.expm(Z * t)
-    return scipy.linalg.expm(A * t) @ E[:d, d:]
+    return _integral(lambda s: expm(s * A) @ M @ expm(s * A).T, t)
 
 
-def van_loan_vec(A, w, t):
-    """int_0^t exp(sA) w ds from one block exponential."""
+def vec_integral(A, w, t):
+    """int_0^t exp(sA) w ds."""
     A = np.atleast_2d(np.asarray(A, float))
-    w = np.atleast_1d(np.asarray(w, float))
-    d = A.shape[0]
-    Z = np.zeros((d + 1, d + 1))
-    Z[:d, :d] = A
-    Z[:d, d] = w
-    E = scipy.linalg.expm(Z * t)
-    return E[:d, d]
+    return _integral(lambda s: expm(s * A) @ np.asarray(w, float), t)
+
+
+def mean_quad(btilde, beta_tilde, x, t):
+    """exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
+    return expm(t * btilde) @ np.asarray(x, float) + vec_integral(btilde, beta_tilde, t)
+
+
+def variance_quad(btilde, big_c, z, t):
+    """sum_l int_0^t (e_l . exp((t-u) btilde) z) exp(u btilde) C_l exp(u btilde)^T du,
+    the pure-branching covariance as the moments module states it."""
+    bt, z = np.asarray(btilde, float), np.asarray(z, float)
+
+    def integrand(u):
+        g = expm((t - u) * bt) @ z
+        E = expm(u * bt)
+        return sum(g[l] * (E @ C @ E.T) for l, C in enumerate(big_c))
+
+    return _integral(integrand, t)
+
+
+def hessian_limit_quad(btilde, big_c, t):
+    """H[i, j, k] = -e_k . exp(t btilde^T) int_0^t exp(-u btilde^T)
+    sum_l e_l (e_i . exp(u btilde) C_l exp(u btilde)^T e_j) du, as the affine
+    module states it, with exp(t btilde^T) exp(-u btilde^T) merged into
+    exp((t-u) btilde^T) so that a stiff btilde forms no growing exponential."""
+    bt = np.asarray(btilde, float)
+
+    def integrand(u):
+        E = expm(u * bt)
+        inner = np.stack([E @ C @ E.T for C in big_c], axis=-1)  # [i, j, l]
+        return -inner @ expm((t - u) * bt.T).T                      # [i, j, k]
+
+    return _integral(integrand, t)
+
+
+def discrete_gen_limit_quad(btilde, beta_tilde, big_c, x, lam):
+    """e_lam(exp(btilde) x) [1/2 sum_l int_0^1 (e_l . exp((1-s) btilde) x)
+    lam . exp(s btilde) C_l exp(s btilde)^T lam ds - lam . int_0^1 exp(s btilde)
+    beta_tilde ds], as the generators module states it."""
+    bt, x, lam = np.asarray(btilde, float), np.asarray(x, float), np.asarray(lam, float)
+
+    def integrand(s):
+        g = expm((1.0 - s) * bt) @ x
+        y = expm(s * bt).T @ lam
+        return np.array([sum(g[l] * (y @ C @ y) for l, C in enumerate(big_c))])
+
+    quad = float(_integral(integrand, 1.0)[0])
+    drift = float(lam @ vec_integral(bt, beta_tilde, 1.0))
+    return float(np.exp(-float(lam @ (expm(bt) @ x))) * (0.5 * quad - drift))
 
 
 def phi_loops(params, lam):

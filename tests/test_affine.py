@@ -11,7 +11,7 @@ from cbi.affine import (laplace_transform, phi, psi, psi_compensated, psi_grad,
 from cbi.model import CbiParams, JumpMeasure
 
 from conftest import assert_close, make_jump_d2, make_jump_mixed
-from oracles import phi_loops, psi_loops, v_with_psi_state
+from oracles import phi_loops, psi_loops, v_with_psi_state, variance_quad
 
 
 # --- phi / psi -------------------------------------------------------------
@@ -246,17 +246,27 @@ def test_hessian_limit_is_nonpositive_diagonal(jump_d2):
 
 def test_hessian_limit_matches_variance_route(jump_d2, fix_a):
     # the limit equals -cov(Z_{t,i}, Z_{t,j} | Z_0 = e_k) of the
-    # pure-branching companion process
+    # pure-branching companion process, here by quadrature of the
+    # covariance formula
     for params in (fix_a, jump_d2):
-        pure = params.without_immigration()
+        dq = moments.derive(params)
         t = 0.9
         d = params.d
         for k in range(d):
-            V = moments.variance_no_immigration(pure, np.eye(d)[k], t)
+            V = variance_quad(dq.btilde, dq.big_c, np.eye(d)[k], t)
             for i in range(d):
                 for j in range(d):
                     assert v_hessian_limit(params, t, i, j, k) == pytest.approx(
                         -V[i, j], rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("i,j,k", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 0, 0), (0, 2, 1),
+                                   (1, 1, 2)])
+def test_hessian_rejects_type_indices_outside_range(jump_d2, i, j, k):
+    with pytest.raises(ValueError, match="type indices"):
+        v_hessian_limit(jump_d2, 1.0, i, j, k)
+    with pytest.raises(ValueError, match="type indices"):
+        v_hessian_fd(jump_d2, 1.0, i, j, k)
 
 
 def test_hessian_fd_matches_limit(fix_a):

@@ -148,6 +148,19 @@ def test_simulate_scaled_and_limit(d2_file, tmp_path, capsys):
     assert header == "path_id,t,x_1,x_2"
 
 
+def test_failed_moment_reference_leaves_no_csv(tmp_path, capsys):
+    # the paths simulate, but the mean reference overflows exp(t btilde)
+    path = tmp_path / "explosive.json"
+    path.write_text(json.dumps({"d": 1, "c": [1], "beta": [1], "B": [[400]]}))
+    base = ["--params", str(path), "--t", "2", "--x", "1", "--dt", "0.01", "--n-paths", "3"]
+    for command, extra in (("simulate", []), ("simulate-scaled", ["--n", "1"])):
+        out_csv = tmp_path / f"{command}.csv"
+        with np.errstate(over="ignore"):
+            code, _ = run_cli(capsys, [command, *base, *extra, "--out", str(out_csv)])
+        assert code == 3, command
+        assert not out_csv.exists(), command
+
+
 def test_simulate_limit_noncritical_exits_2(tmp_path, capsys):
     path = tmp_path / "sub.json"
     dump_params(make_jump_mixed(), path)  # subcritical

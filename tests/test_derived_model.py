@@ -4,13 +4,14 @@ function that does not need it."""
 import numpy as np
 import pytest
 
-from cbi import affine, cli, generators, moments, simulate
+from cbi import affine, cli, generators, matops, moments, simulate
 from cbi.errors import ClassificationError
 from cbi.model import dump_params
 from cbi.moments import CRITICAL
 from cbi.testfunctions import bump
 
-from conftest import make_degenerate_critical, make_fix_a, make_jump_d2
+from conftest import (assert_close, make_d2_critical, make_degenerate_critical, make_fix_a,
+                      make_jump_d2)
 
 SMALL_PATHS = simulate.PathConfig(x0=[1.0, 0.5], horizon=0.1, dt=0.02, seed=1, n_paths=3)
 
@@ -71,3 +72,18 @@ CALLS = {
 def test_public_call_validates_once(name, validate_calls, tmp_path):
     CALLS[name](tmp_path)
     assert len(validate_calls) == 1
+
+
+def test_perron_reuses_the_classification(monkeypatch):
+    calls = {"spectral": 0, "is_irreducible": 0}
+    for name in calls:
+        inner = getattr(matops, name)
+
+        def counting(A, name=name, inner=inner):
+            calls[name] += 1
+            return inner(A)
+
+        monkeypatch.setattr(matops, name, counting)
+    pp = moments.derive(make_d2_critical()).perron
+    assert_close(pp.u_right, [0.5, 0.5], 1e-12)
+    assert calls == {"spectral": 1, "is_irreducible": 1}

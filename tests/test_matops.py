@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbi.errors import ClassificationError, NumericRangeError
-from cbi.matops import (exp_integral, exp_integral_vec, gauss_legendre,
-                        is_irreducible, mat_exp, perron_pair, spectral)
+from cbi.matops import (branching_integral, exp_integral, exp_integral_vec,
+                        gauss_legendre, is_irreducible, mat_exp, perron_pair, spectral)
 
 from conftest import assert_close
-from oracles import irreducible_csgraph, van_loan_sandwich, van_loan_vec
+from oracles import irreducible_csgraph, sandwich_integral, variance_quad, vec_integral
 
 TWO_CYCLE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -161,8 +161,6 @@ def test_perron_pair_rejects_noncritical_and_reducible():
 def test_gauss_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_legendre(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        exp_integral(np.zeros((2, 2)), np.eye(2), 1.0, order=0)
 
 
 def test_gauss_legendre_exact_on_polynomial():
@@ -182,27 +180,56 @@ def test_exp_integral_scalar_closed_form():
     assert val[0, 0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
 
 
-def test_exp_integral_matches_van_loan_oracle():
+def test_exp_integral_rejects_negative_horizon():
+    for call in (lambda: exp_integral(np.zeros((2, 2)), np.eye(2), -1.0),
+                 lambda: exp_integral_vec(np.zeros((2, 2)), np.ones(2), -1.0),
+                 lambda: branching_integral(np.zeros((2, 2)), [np.eye(2)] * 2, np.ones(2), -1.0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_exp_integral_matches_quadrature_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         A = rng.normal(size=(3, 3))
         M = rng.normal(size=(3, 3))
         M = M @ M.T
         t = float(rng.uniform(0.1, 2.0))
-        oracle = van_loan_sandwich(A, M, t)
+        oracle = sandwich_integral(A, M, t)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
         assert_close(exp_integral(A, M, t), oracle, tol,
-                     "sandwich integral vs Van Loan")
+                     "sandwich integral vs quadrature")
         w = rng.normal(size=3)
-        oracle_v = van_loan_vec(A, w, t)
+        oracle_v = vec_integral(A, w, t)
         tol_v = 1e-12 * max(1.0, float(np.max(np.abs(oracle_v))))
         assert_close(exp_integral_vec(A, w, t), oracle_v, tol_v,
-                     "vector integral vs Van Loan")
+                     "vector integral vs quadrature")
 
 
-def test_exp_integral_order_stability():
-    A = np.array([[-1.0, 1.0], [0.5, -0.7]])
-    M = np.array([[2.0, 0.1], [0.1, 1.0]])
-    lo = exp_integral(A, M, 1.5, order=20)
-    hi = exp_integral(A, M, 1.5, order=40)
-    assert_close(lo, hi, 1e-10, "order 20 vs 40")
+def test_exp_integral_stiff_and_growing():
+    # One eigenvalue near -40 over t = 2, and a supercritical matrix over
+    # t = 3: a Van Loan block with -A^T beside A would form exp(80) for the
+    # first and lose every digit.
+    M = np.array([[2.0, 0.3], [0.3, 1.0]])
+    w = np.array([0.4, 1.1])
+    for A, t in ((np.array([[-40.0, 1.0], [2.0, -1.0]]), 2.0),
+                 (np.array([[0.3, 0.5], [0.2, 0.1]]), 3.0)):
+        oracle = sandwich_integral(A, M, t)
+        assert_close(exp_integral(A, M, t), oracle, 1e-12 * np.max(np.abs(oracle)),
+                     "stiff/growing sandwich")
+        oracle_v = vec_integral(A, w, t)
+        assert_close(exp_integral_vec(A, w, t), oracle_v, 1e-12 * np.max(np.abs(oracle_v)),
+                     "stiff/growing vector")
+
+
+def test_branching_integral_matches_quadrature_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        A = rng.normal(size=(3, 3))
+        big_c = [G @ G.T for G in rng.normal(size=(3, 3, 3))]
+        z = rng.uniform(0.0, 2.0, size=3)
+        t = float(rng.uniform(0.1, 2.0))
+        oracle = variance_quad(A, big_c, z, t)
+        assert_close(branching_integral(A, big_c, z, t), oracle,
+                     1e-12 * max(1.0, float(np.max(np.abs(oracle)))),
+                     "branching integral vs quadrature")
