@@ -24,10 +24,12 @@ and immigration mechanism
 
 Both psi forms are implemented (they agree identically on finite atomic
 measures). The Riccati system is integrated by an adaptive embedded
-Runge-Kutta 4(5) pair with dense output; the psi-integral is evaluated by
-Gauss-Legendre quadrature against the dense output so that the ODE state
-stays exactly the Riccati system. The small-lam limits of the first two
-lam-derivatives of v are available in closed form,
+Runge-Kutta 4(5) pair with dense output; the psi-integral is a 3-node
+Gauss-Legendre sum on each accepted step of the dense output (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), so the ODE state stays exactly
+the Riccati system and the integral's error follows the solver's
+tolerance. The small-lam limits of the first two lam-derivatives of v are
+available in closed form,
 
     lim_{lam->0} d v_k / d lam_i (t, lam) = [exp(t btilde)]_{i,k},
     lim_{lam->0} d^2 v_k / d lam_i d lam_j (t, lam)
@@ -54,6 +56,10 @@ from .moments import DerivedQuantities
 #: Default ODE tolerances; the systems here are smooth and non-stiff.
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+#: Tolerances where solver error is amplified: finite differences divide
+#: it by their step, the discrete generator multiplies it by n.
+TIGHT_RTOL = 1e-12
+TIGHT_ATOL = 1e-14
 #: Run fails if the summed negative undershoot of v exceeds this.
 CLIP_BUDGET = 1e-8
 
@@ -124,8 +130,8 @@ class VSolution:
     """Dense-output Riccati solution on [0, t_max] with its psi-integral.
 
     dense_values clips tiny negative solver undershoot to 0; the summed
-    undershoot over the solver and quadrature nodes is accounted at
-    construction and must stay below CLIP_BUDGET.
+    undershoot over the solver's steps and the quadrature nodes is
+    accounted at construction and must stay below CLIP_BUDGET.
     """
 
     lam: np.ndarray
@@ -147,9 +153,9 @@ class VSolution:
 
 
 def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
-            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-            quad_order: int = 32, clip_budget: float = CLIP_BUDGET) -> VSolution:
-    """Integrate the Riccati system on [0, t] and attach the psi-integral."""
+            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> VSolution:
+    """Integrate the Riccati system on [0, t] at (rtol, atol) and attach the
+    psi-integral, summed step by step over the solver's accepted steps."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if rtol <= 0 or atol <= 0:
@@ -174,16 +180,17 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     if not np.all(np.isfinite(sol.y)):
         raise SolverError("Riccati solve produced non-finite state")
 
-    nodes, weights = matops.gauss_legendre(0.0, float(t), quad_order)
-    grid = np.union1d(sol.t, nodes)
-    V = sol.sol(grid)
+    # 3 Gauss-Legendre nodes per accepted step [t_k, t_k+1] are exact on the
+    # degree-4 RK45 interpolant when nu has no atoms (psi is then linear).
+    nodes, weights = matops.gauss_legendre(sol.t[:-1, None], sol.t[1:, None], 3)
+    V = sol.sol(np.concatenate([sol.t, nodes.ravel()]))
     clip_total = float(np.clip(-V, 0.0, None).sum())
-    if clip_total > clip_budget:
+    if clip_total > CLIP_BUDGET:
         raise SolverError(
-            f"negative undershoot {clip_total:.3e} exceeds clip budget {clip_budget:.1e}")
+            f"negative undershoot {clip_total:.3e} exceeds clip budget {CLIP_BUDGET:.1e}")
 
-    Vq = np.clip(sol.sol(nodes), 0.0, None)
-    psi_int = float(weights @ _psi_columns(dq.params, Vq))
+    Vq = np.clip(V[:, len(sol.t):], 0.0, None)
+    psi_int = float(weights.ravel() @ _psi_columns(dq.params, Vq))
     stats = {"steps": len(sol.t) - 1, "nfev": int(sol.nfev),
              "clip_total": clip_total, "rtol": rtol, "atol": atol}
     return VSolution(lam=lam, t_max=float(t), psi_integral=psi_int,
@@ -208,33 +215,26 @@ def v_jacobian_limit(params: CbiParams | DerivedQuantities, t: float) -> np.ndar
     return matops.mat_exp(dq.btilde, t)
 
 
-def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float, eps: float = 1e-4, *,
-                  richardson: bool = True, rtol: float = 1e-12,
-                  atol: float = 1e-14) -> np.ndarray:
+def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float,
+                  eps: float = 1e-4) -> np.ndarray:
     """Finite-difference probe of the Jacobian limit.
 
-    Central differences (step eps/2) around the base point eps*ones; the
-    base offset contributes an O(eps) bias, removed by Richardson
-    extrapolation of the estimates at eps and eps/2.
+    Central differences (step eps/2) around the base point eps*ones, each
+    solve at (TIGHT_RTOL, TIGHT_ATOL); the base offset contributes an O(eps)
+    bias, removed by Richardson extrapolation of the estimates at eps and
+    eps/2.
     """
     dq = moments.derive(params)
     d = dq.params.d
 
-    def jac_at(e: float) -> np.ndarray:
-        base = np.full(d, e)
-        h = 0.5 * e
-        J = np.empty((d, d))
-        for i in range(d):
-            step = h * np.eye(d)[i]
-            vp = solve_v(dq, t, base + step, rtol=rtol, atol=atol).v_final
-            vm = solve_v(dq, t, base - step, rtol=rtol, atol=atol).v_final
-            J[i, :] = (vp - vm) / (2.0 * h)
-        return J
+    def v_at(lam: np.ndarray) -> np.ndarray:
+        return solve_v(dq, t, lam, rtol=TIGHT_RTOL, atol=TIGHT_ATOL).v_final
 
-    J1 = jac_at(eps)
-    if not richardson:
-        return J1
-    return 2.0 * jac_at(0.5 * eps) - J1
+    def jac_at(e: float) -> np.ndarray:
+        base, h = np.full(d, e), 0.5 * e
+        return np.array([(v_at(base + s) - v_at(base - s)) / (2.0 * h) for s in h * np.eye(d)])
+
+    return 2.0 * jac_at(0.5 * eps) - jac_at(eps)
 
 
 def _check_types(d: int, *types: int) -> None:
@@ -257,8 +257,7 @@ def v_hessian_limit(params: CbiParams | DerivedQuantities, t: float, i: int, j: 
 
 
 def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int, k: int,
-                 eps: float = 1e-3, *, richardson: bool = True,
-                 rtol: float = 1e-12, atol: float = 1e-14) -> float:
+                 eps: float = 1e-3) -> float:
     """Finite-difference probe of the Hessian limit.
 
     Second central differences with step eps around the base eps*ones (the
@@ -270,19 +269,13 @@ def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int
     _check_types(d, i, j, k)
 
     def vk(lam: np.ndarray) -> float:
-        return float(solve_v(dq, t, lam, rtol=rtol, atol=atol).v_final[k])
+        return float(solve_v(dq, t, lam, rtol=TIGHT_RTOL, atol=TIGHT_ATOL).v_final[k])
 
-    def second_at(e: float) -> float:
-        base = np.full(d, e)
-        h = e
-        ei = h * np.eye(d)[i]
-        ej = h * np.eye(d)[j]
+    def second_at(h: float) -> float:
+        base, ei, ej = np.full(d, h), h * np.eye(d)[i], h * np.eye(d)[j]
         if i == j:
             return (vk(base + ei) - 2.0 * vk(base) + vk(base - ei)) / h**2
         return (vk(base + ei + ej) - vk(base + ei - ej)
                 - vk(base - ei + ej) + vk(base - ei - ej)) / (4.0 * h**2)
 
-    A1 = second_at(eps)
-    if not richardson:
-        return A1
-    return 2.0 * second_at(0.5 * eps) - A1
+    return 2.0 * second_at(0.5 * eps) - second_at(eps)

@@ -18,9 +18,10 @@ B, nu, mu):
 
 Exit codes: 0 success, 2 validation/classification failure, 3 solver
 failure, 64 usage error or unknown command, 65 unreadable or malformed
-params JSON, 66 dimension mismatch. Every JSON report embeds the fully
-resolved configuration so a run is reproducible from the report alone;
-CSV output is byte-stable for a fixed config and seed.
+params JSON, 66 dimension mismatch. A command accepts only the flags it
+reads (`_COMMANDS`); every JSON report embeds them, resolved, so a run is
+reproducible from the report alone; CSV output is byte-stable for a fixed
+config and seed.
 """
 from __future__ import annotations
 
@@ -63,27 +64,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: argparse keywords per flag; an unlisted flag is a plain string, and a
+#: flag absent from the command line without a default reads None.
+_FLAGS = {
+    "--t": {"type": float},
+    "--lambda": {"dest": "lam"},
+    "--n": {"type": int},
+    "--n-list": {"default": "10,100,1000,10000"},
+    "--seed": {"type": int, "default": 0},
+    "--tol": {"type": float, "default": 1e-10},
+    "--dt": {"type": float, "default": 1e-3},
+    "--n-paths": {"type": int, "default": 100},
+    "--bump-radius": {"type": float},
+    "--bump-amplitude": {"type": float, "default": 1.0},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cbi", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-    for name in ("validate", *_HANDLERS):
-        p = sub.add_parser(name)
+    for name, (_, flags) in _COMMANDS.items():
+        # no abbreviations: `simulate --n 5` must not become --n-paths 5
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--params", required=True)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--x", default=None)
-        p.add_argument("--lambda", dest="lam", default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--n-list", dest="n_list", default="10,100,1000,10000")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--quad-order", dest="quad_order", type=int, default=32)
-        p.add_argument("--dt", type=float, default=1e-3)
-        p.add_argument("--n-paths", dest="n_paths", type=int, default=100)
-        p.add_argument("--bump-center", dest="bump_center", default=None)
-        p.add_argument("--bump-radius", dest="bump_radius", type=float, default=None)
-        p.add_argument("--bump-amplitude", dest="bump_amplitude", type=float, default=1.0)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS.get(flag, {}))
     return parser
 
 
@@ -137,11 +143,10 @@ def _emit(report: dict) -> None:
     print(json.dumps(_jsonify(report), indent=2, sort_keys=True))
 
 
-def _config(args, **extra) -> dict:
-    base = {"params_file": args.params, "tol": args.tol,
-            "quad_order": args.quad_order, "seed": args.seed}
-    base.update(extra)
-    return base
+def _config(args, **read) -> dict:
+    """The params file and the resolved flags a command read (its report
+    names the --out CSV)."""
+    return {"params_file": args.params, **read}
 
 
 def _write_csv(args, header: str, rows: list[str]) -> None:
@@ -183,10 +188,9 @@ def _cmd_vsolve(args, dq: DerivedQuantities) -> int:
     if args.t is None:
         raise _UsageError("--t is required for vsolve")
     lam = _vec(args.lam, dq.params.d, "lambda")
-    sol = affine.solve_v(dq, args.t, lam, rtol=args.tol, atol=args.tol * 1e-2,
-                         quad_order=args.quad_order)
+    sol = affine.solve_v(dq, args.t, lam, rtol=args.tol, atol=args.tol * 1e-2)
     _emit({"command": "vsolve",
-           "config": _config(args, t=args.t, **{"lambda": lam}),
+           "config": _config(args, t=args.t, tol=args.tol, **{"lambda": lam}),
            "result": {"v": sol.v_final, "psi_integral": sol.psi_integral,
                       "solver_stats": sol.solver_stats}})
     return EXIT_OK
@@ -198,9 +202,9 @@ def _cmd_laplace(args, dq: DerivedQuantities) -> int:
     x = _vec(args.x, dq.params.d, "x")
     lam = _vec(args.lam, dq.params.d, "lambda")
     value = affine.laplace_transform(dq, args.t, x, lam, rtol=args.tol,
-                                     atol=args.tol * 1e-2, quad_order=args.quad_order)
+                                     atol=args.tol * 1e-2)
     _emit({"command": "laplace",
-           "config": _config(args, t=args.t, x=x, **{"lambda": lam}),
+           "config": _config(args, t=args.t, tol=args.tol, x=x, **{"lambda": lam}),
            "result": {"laplace_transform": value}})
     return EXIT_OK
 
@@ -210,8 +214,7 @@ def _cmd_dgen(args, dq: DerivedQuantities) -> int:
         raise _UsageError("--n is required for dgen")
     x = _vec(args.x, dq.params.d, "x")
     lam = _vec(args.lam, dq.params.d, "lambda")
-    value = generators.discrete_gen_exp(dq, args.n, x, lam,
-                                        quad_order=args.quad_order)
+    value = generators.discrete_gen_exp(dq, args.n, x, lam)
     _emit({"command": "dgen",
            "config": _config(args, n=args.n, x=x, **{"lambda": lam}),
            "result": {"discrete_generator": value}})
@@ -222,8 +225,7 @@ def _cmd_prop31(args, dq: DerivedQuantities) -> int:
     x = _vec(args.x, dq.params.d, "x")
     lam = _vec(args.lam, dq.params.d, "lambda")
     n_list = _int_list(args.n_list)
-    table = generators.discrete_gen_table(dq, x, lam, n_list,
-                                          quad_order=args.quad_order)
+    table = generators.discrete_gen_table(dq, x, lam, n_list)
     rows = [f"{n},{float(raw)!r},{float(corr)!r},{float(table.limit_formula)!r},{float(gap)!r}"
             for n, raw, corr, gap in zip(table.n_values, table.raw,
                                          table.corrected, table.gaps)]
@@ -267,6 +269,8 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> int:
 
 
 def _path_config(args, dq: DerivedQuantities) -> simulate.PathConfig:
+    if args.out is None:
+        raise _UsageError("--out is required for simulation commands")
     if args.t is None:
         raise _UsageError("--t (horizon) is required for simulation commands")
     x0 = _vec(args.x, dq.params.d, "x")
@@ -291,14 +295,12 @@ def _report_paths(args, command: str, cfg: simulate.PathConfig, paths, ends: np.
         simulate.paths_to_csv(paths, fh)
     _emit({"command": command,
            "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
-                             n_paths=cfg.n_paths, **extra),
+                             n_paths=cfg.n_paths, seed=cfg.seed, **extra),
            "result": {"csv": args.out, "moment_check": summary}})
     return EXIT_OK
 
 
 def _cmd_simulate(args, dq: DerivedQuantities) -> int:
-    if args.out is None:
-        raise _UsageError("--out is required for simulation commands")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_cbi(dq, cfg)
     return _report_paths(args, "simulate", cfg, paths, np.stack([p.states[-1] for p in paths]),
@@ -306,8 +308,6 @@ def _cmd_simulate(args, dq: DerivedQuantities) -> int:
 
 
 def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
-    if args.out is None:
-        raise _UsageError("--out is required for simulation commands")
     if args.n is None:
         raise _UsageError("--n (scale) is required for simulate-scaled")
     cfg = _path_config(args, dq)
@@ -319,8 +319,6 @@ def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
 
 
 def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
-    if args.out is None:
-        raise _UsageError("--out is required for simulation commands")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_limit_diffusion(dq, cfg)
     u_left = dq.perron.u_left
@@ -330,17 +328,22 @@ def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
                                    + cfg.horizon * float(u_left @ dq.beta_tilde)]))
 
 
-#: Every command but `validate` runs on the model `run` has derived.
-_HANDLERS = {
-    "derive": _cmd_derive,
-    "vsolve": _cmd_vsolve,
-    "laplace": _cmd_laplace,
-    "dgen": _cmd_dgen,
-    "prop31": _cmd_prop31,
-    "cgen": _cmd_cgen,
-    "simulate": _cmd_simulate,
-    "simulate-scaled": _cmd_simulate_scaled,
-    "simulate-limit": _cmd_simulate_limit,
+_SIM_FLAGS = ("--t", "--x", "--dt", "--n-paths", "--seed", "--out")
+
+#: command -> (handler, the flags it reads besides --params). Every handler
+#: but `validate`'s runs on the model `run` has derived.
+_COMMANDS = {
+    "validate": (_cmd_validate, ()),
+    "derive": (_cmd_derive, ()),
+    "vsolve": (_cmd_vsolve, ("--t", "--lambda", "--tol")),
+    "laplace": (_cmd_laplace, ("--t", "--x", "--lambda", "--tol")),
+    "dgen": (_cmd_dgen, ("--n", "--x", "--lambda")),
+    "prop31": (_cmd_prop31, ("--x", "--lambda", "--n-list", "--out")),
+    "cgen": (_cmd_cgen, ("--x", "--n-list", "--bump-center", "--bump-radius",
+                         "--bump-amplitude", "--out")),
+    "simulate": (_cmd_simulate, _SIM_FLAGS),
+    "simulate-scaled": (_cmd_simulate_scaled, (*_SIM_FLAGS, "--n")),
+    "simulate-limit": (_cmd_simulate_limit, _SIM_FLAGS),
 }
 
 
@@ -351,15 +354,16 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
         params = _load_params(args.params)
+        handler = _COMMANDS[args.command][0]
         if args.command == "validate":
-            return _cmd_validate(args, params)
+            return handler(args, params)
         try:
             dq = moments.derive(params)
         except InadmissibleError as exc:
             _emit({"command": args.command, "config": _config(args),
                    "result": {"admissible": False, "violations": exc.violations}})
             return EXIT_VALIDATION
-        return _HANDLERS[args.command](args, dq)
+        return handler(args, dq)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,6 +47,8 @@ SLOPE_TOL = 1e-6
 CONVERGENCE_TOL = 1e-3
 #: raw(n)/n must drift less than this (relatively) across the top two n.
 STABILIZE_DRIFT = 0.10
+#: Absolute tolerance of the two convergence criteria.
+CRITERION_TOL = 1e-10
 
 VERDICT_CONVERGES = "converges"
 VERDICT_DIVERGES = "diverges-linearly"
@@ -69,24 +71,21 @@ class ConvergenceTable:
         return np.abs(self.corrected - self.limit_formula)
 
 
-def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam, *,
-                     rtol: float = 1e-12, atol: float = 1e-14,
-                     quad_order: int = 32) -> float:
+def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> float:
     """Discrete generator of the step-scaled chain on e_lam, exactly.
 
     n [ exp(-<n x, v(1, lam/n)> - int_0^1 psi(v(s, lam/n)) ds)
         - exp(-<lam, x>) ].
 
-    Tolerances default tighter than solve_v's because the leading n
-    amplifies solver error n-fold.
+    Solved at affine's TIGHT_RTOL/TIGHT_ATOL, tighter than solve_v's
+    defaults, because the leading n amplifies solver error n-fold.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    sol = affine.solve_v(dq, 1.0, lam / n, rtol=rtol, atol=atol,
-                         quad_order=quad_order)
+    sol = affine.solve_v(dq, 1.0, lam / n, rtol=affine.TIGHT_RTOL, atol=affine.TIGHT_ATOL)
     one_step = np.exp(-float((n * x) @ sol.v_final) - sol.psi_integral)
     return float(n * (one_step - np.exp(-float(lam @ x))))
 
@@ -107,30 +106,25 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     return float(front * (0.5 * quad - float(lam @ integral)))
 
 
-def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam,
-                              tol: float = 1e-10) -> bool:
+def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam) -> bool:
     """Whether the raw discrete-generator sequence on e_lam converges:
-    <lam, x> = <lam, exp(btilde) x> within tol."""
+    <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     bt = moments.derive(params).btilde
-    return abs(float(lam @ x) - float(lam @ (matops.mat_exp(bt, 1.0) @ x))) <= tol
+    return abs(float(lam @ x) - float(lam @ (matops.mat_exp(bt, 1.0) @ x))) <= CRITERION_TOL
 
 
 def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
-                       n_list: tuple[int, ...] = DEFAULT_N_LIST, *,
-                       conv_tol: float = CONVERGENCE_TOL,
-                       slope_tol: float = SLOPE_TOL,
-                       drift_tol: float = STABILIZE_DRIFT,
-                       quad_order: int = 32) -> ConvergenceTable:
+                       n_list: tuple[int, ...] = DEFAULT_N_LIST) -> ConvergenceTable:
     """Tabulate raw(n), corrected(n) and the limit, with a verdict.
 
     corrected(n) = raw(n) + n (exp(-<lam,x>) - exp(-<lam, exp(btilde) x>)).
     Verdict rules: "diverges-linearly" when raw(n)/n stabilizes (relative
-    drift < drift_tol across the top two n) to a constant above slope_tol
-    in magnitude; otherwise "converges" when the gaps |corrected - limit|
-    are non-increasing and the final gap is below conv_tol; otherwise
-    "indeterminate".
+    drift < STABILIZE_DRIFT across the top two n) to a constant above
+    SLOPE_TOL in magnitude; otherwise "converges" when the gaps
+    |corrected - limit| are non-increasing and the final gap is below
+    CONVERGENCE_TOL; otherwise "indeterminate".
     """
     n_values = tuple(int(n) for n in n_list)
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -142,8 +136,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     correction_rate = float(np.exp(-float(lam @ x))
                             - np.exp(-float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))))
 
-    raw = np.array([discrete_gen_exp(dq, n, x, lam, quad_order=quad_order)
-                    for n in n_values])
+    raw = np.array([discrete_gen_exp(dq, n, x, lam) for n in n_values])
     corrected = raw + np.array(n_values, dtype=float) * correction_rate
     limit = discrete_gen_limit(dq, x, lam)
 
@@ -155,9 +148,9 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     gaps = np.abs(corrected - limit)
     decreasing = bool(np.all(gaps[1:] <= gaps[:-1] * 1.05 + 1e-12))
 
-    if abs(fitted_slope) > slope_tol and drift < drift_tol:
+    if abs(fitted_slope) > SLOPE_TOL and drift < STABILIZE_DRIFT:
         verdict = VERDICT_DIVERGES
-    elif decreasing and gaps[-1] < conv_tol:
+    elif decreasing and gaps[-1] < CONVERGENCE_TOL:
         verdict = VERDICT_CONVERGES
     else:
         verdict = VERDICT_INDETERMINATE
@@ -251,10 +244,10 @@ def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) 
     return val + float(dq.beta_tilde @ grad)
 
 
-def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction, x,
-                                tol: float = 1e-10) -> bool:
+def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction,
+                                x) -> bool:
     """Whether the scaled generator sequence converges without correction:
-    <btilde x, grad f(x)> = 0 within tol."""
+    <btilde x, grad f(x)> = 0 within CRITERION_TOL."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bt = moments.derive(params).btilde
-    return abs(float((bt @ x) @ np.asarray(f.gradient(x), dtype=float))) <= tol
+    return abs(float((bt @ x) @ np.asarray(f.gradient(x), dtype=float))) <= CRITERION_TOL

@@ -49,7 +49,8 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise NumericRangeError("matrix exponential of non-finite matrix")
-    out = scipy.linalg.expm(float(t) * A)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        out = scipy.linalg.expm(float(t) * A)
     if not np.all(np.isfinite(out)):
         raise NumericRangeError(
             f"exp(t*A) overflowed for t={t}, ||A||={np.linalg.norm(A):.3g}")
@@ -125,8 +126,9 @@ def perron_vectors(btilde: np.ndarray) -> PerronPair:
     return PerronPair(u_right=u_right, u_left=u_left)
 
 
-def gauss_legendre(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
+def gauss_legendre(a, b, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [a, b]; interval ends of shape
+    (k, 1) give (k, order) arrays, one row per interval."""
     order = int(order)
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")

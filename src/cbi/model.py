@@ -158,7 +158,7 @@ class CbiParams:
             mu = tuple(JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in lst], dim=d)
                        for lst in mu_raw)
             return cls(d=d, c=data["c"], beta=data["beta"], B=data["B"], nu=nu, mu=mu)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed parameter document: {exc!r}") from exc
 
 
@@ -185,6 +185,9 @@ def _norm(z: np.ndarray) -> np.ndarray:
 def _measure_structure(name: str, m: JumpMeasure, d: int, violations: list[str]) -> bool:
     """Structural atom checks; returns True when integrals can be evaluated."""
     ok = True
+    if m.weights.ndim != 1:
+        violations.append(f"{name}: atom weights must be numbers, got shape {m.weights.shape}")
+        return False
     if m.points.ndim != 2 or (m.natoms and m.points.shape[1] != d):
         violations.append(f"{name}: atom points must lie in R^{d}, got shape {m.points.shape}")
         return False

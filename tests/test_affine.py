@@ -177,6 +177,20 @@ def test_psi_integral_matches_augmented_oracle(fix_a, jump_mixed, jump_d2):
         assert sol.psi_integral == pytest.approx(integral, abs=1e-9)
 
 
+@pytest.mark.parametrize("t, lam", [(1.0, 50.0), (10.0, 50.0), (50.0, 50.0), (200.0, 5.0)])
+def test_psi_integral_long_horizon_closed_form(fix_a, t, lam):
+    # psi(v) = v with v = lam / (1 + lam s): the integral is log(1 + lam t)
+    got = solve_v(fix_a, t, [lam]).psi_integral
+    assert got == pytest.approx(math.log1p(lam * t), rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [10.0, 50.0])
+def test_psi_integral_long_horizon_augmented_oracle(jump_d2, t):
+    lam = [40.0, 40.0]
+    _, integral = v_with_psi_state(jump_d2, t, lam)
+    assert solve_v(jump_d2, t, lam).psi_integral == pytest.approx(integral, rel=1e-9)
+
+
 # --- Laplace transform -----------------------------------------------------
 
 def test_laplace_is_one_at_zero(jump_d2):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def test_vsolve_and_laplace_values(fix_a_file, capsys):
     assert code == 0
     value = json.loads(out)["result"]["laplace_transform"]
     assert value == pytest.approx(math.exp(-0.5) / 2.0, abs=1e-9)
+
+    # a long horizon: the psi-integral error follows --tol at any t
+    code, out = run_cli(capsys, ["laplace", "--params", fix_a_file, "--t", "50",
+                                 "--x", "1", "--lambda", "50"])
+    assert code == 0
+    value = json.loads(out)["result"]["laplace_transform"]
+    assert value == pytest.approx(math.exp(-50.0 / 2501.0) / 2501.0, rel=1e-9)
 
 
 def test_dgen_value(fix_a_file, capsys):
@@ -155,10 +163,15 @@ def test_failed_moment_reference_leaves_no_csv(tmp_path, capsys):
     base = ["--params", str(path), "--t", "2", "--x", "1", "--dt", "0.01", "--n-paths", "3"]
     for command, extra in (("simulate", []), ("simulate-scaled", ["--n", "1"])):
         out_csv = tmp_path / f"{command}.csv"
-        with np.errstate(over="ignore"):
-            code, _ = run_cli(capsys, [command, *base, *extra, "--out", str(out_csv)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run([command, *base, *extra, "--out", str(out_csv)])
+        err = capsys.readouterr().err
         assert code == 3, command
         assert not out_csv.exists(), command
+        # the one documented line, with no numpy/scipy warning above it
+        assert [str(w.message) for w in caught] == [], command
+        assert len(err.splitlines()) == 1 and err.startswith("solver error: "), command
 
 
 def test_simulate_limit_noncritical_exits_2(tmp_path, capsys):
@@ -181,6 +194,24 @@ def test_inadmissible_reports_violations_for_every_command(tmp_path, capsys):
         assert report["command"] == command
         assert report["result"]["admissible"] is False
         assert any("essentially non-negative" in v for v in report["result"]["violations"])
+
+
+@pytest.mark.parametrize("measure", ["nu", "mu"])
+def test_nested_atom_weight_is_a_violation(tmp_path, capsys, measure):
+    doc = {"d": 1, "c": [1.0], "beta": [1.0], "B": [[0.0]], "nu": [], "mu": [[]]}
+    atoms = [{"weight": [1, 2], "z": [1]}]
+    doc[measure] = atoms if measure == "nu" else [atoms]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    name = "nu" if measure == "nu" else "mu[1]"
+    for command in ("validate", "derive"):
+        code, out = run_cli(capsys, [command, "--params", str(path)])
+        assert code == 2, command
+        assert (f"{name}: atom weights must be numbers, got shape (1, 2)"
+                in json.loads(out)["result"]["violations"])
+    code, _ = run_cli(capsys, ["laplace", "--params", str(path), "--t", "1", "--x", "1",
+                               "--lambda", "1"])
+    assert code == 2
 
 
 def test_huge_d_document_exits_2_with_report(tmp_path, capsys):
@@ -230,6 +261,58 @@ def test_exit_codes_for_bad_input(fix_a_file, tmp_path, capsys):
     code, _ = run_cli(capsys, ["laplace", "--params", fix_a_file, "--t", "1",
                                "--x", "1,2", "--lambda", "1"])
     assert code == 66  # x has wrong dimension
+
+
+#: The flags each command accepts besides --params.
+COMMAND_FLAGS = {
+    "validate": set(),
+    "derive": set(),
+    "vsolve": {"--t", "--lambda", "--tol"},
+    "laplace": {"--t", "--x", "--lambda", "--tol"},
+    "dgen": {"--n", "--x", "--lambda"},
+    "prop31": {"--x", "--lambda", "--n-list", "--out"},
+    "cgen": {"--x", "--n-list", "--bump-center", "--bump-radius", "--bump-amplitude",
+             "--out"},
+    "simulate": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out"},
+    "simulate-limit": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out"},
+    "simulate-scaled": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out", "--n"},
+}
+ALL_FLAGS = set().union(*COMMAND_FLAGS.values()) | {"--quad-order"}
+
+
+def test_each_command_accepts_only_its_own_flags(fix_a_file, capsys):
+    # every foreign flag is a usage error before the params file is read (so
+    # `dgen --tol`, `derive --seed`), abbreviations (`simulate --n` for
+    # --n-paths) and the removed --quad-order included
+    assert sum(len(f) + 1 for f in COMMAND_FLAGS.values()) == 49
+    for command, own in COMMAND_FLAGS.items():
+        for flag in sorted(ALL_FLAGS - own):
+            code = cli.run([command, "--params", fix_a_file, flag, "1"])
+            err = capsys.readouterr().err
+            assert code == 64, (command, flag)
+            assert err.startswith("usage error: unrecognized arguments"), (command, flag)
+
+
+def test_config_echoes_only_what_the_command_reads(fix_a_file, tmp_path, capsys):
+    sim = ["--t", "0.1", "--x", "1", "--dt", "0.05", "--n-paths", "2"]
+    cases = {
+        "validate": [],
+        "derive": [],
+        "vsolve": ["--t", "1", "--lambda", "1"],
+        "laplace": ["--t", "1", "--x", "1", "--lambda", "1"],
+        "dgen": ["--n", "10", "--x", "1", "--lambda", "1"],
+        "prop31": ["--x", "1", "--lambda", "1", "--n-list", "10,100"],
+        "cgen": ["--x", "1", "--n-list", "1,10"],
+        "simulate": sim,
+        "simulate-limit": sim,
+        "simulate-scaled": [*sim, "--n", "2"],
+    }
+    for command, extra in cases.items():
+        out = ["--out", str(tmp_path / "o.csv")] if "--out" in COMMAND_FLAGS[command] else []
+        code, text = run_cli(capsys, [command, "--params", fix_a_file, *extra, *out])
+        assert code == 0, command
+        keys = {"--" + k.replace("_", "-") for k in json.loads(text)["config"]}
+        assert keys == {"--params-file"} | COMMAND_FLAGS[command] - {"--out"}, command
 
 
 def test_entry_point_subprocess(fix_a_file):
