@@ -71,6 +71,18 @@ class ConvergenceTable:
         return np.abs(self.corrected - self.limit_formula)
 
 
+def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
+                  lam: np.ndarray) -> np.ndarray:
+    """discrete_gen_exp at each entry of the array n, the solves at every
+    lam / n as the columns of one solve."""
+    if np.any(n < 1):
+        raise ValueError(f"n must be positive integers, got {n.astype(int).tolist()}")
+    sol = affine.solve_v(dq, 1.0, lam[:, None] / n, rtol=affine.TIGHT_RTOL,
+                         atol=affine.TIGHT_ATOL)
+    one_step = np.exp(-n * (x @ sol.v_final) - sol.psi_integral)
+    return n * (one_step - np.exp(-float(lam @ x)))
+
+
 def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> float:
     """Discrete generator of the step-scaled chain on e_lam, exactly.
 
@@ -80,14 +92,10 @@ def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> f
     Solved at affine's TIGHT_RTOL/TIGHT_ATOL, tighter than solve_v's
     defaults, because the leading n amplifies solver error n-fold.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    sol = affine.solve_v(dq, 1.0, lam / n, rtol=affine.TIGHT_RTOL, atol=affine.TIGHT_ATOL)
-    one_step = np.exp(-float((n * x) @ sol.v_final) - sol.psi_integral)
-    return float(n * (one_step - np.exp(-float(lam @ x))))
+    return float(_discrete_gen(dq, np.array([float(n)]), x, lam)[0])
 
 
 def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
@@ -136,11 +144,12 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     correction_rate = float(np.exp(-float(lam @ x))
                             - np.exp(-float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))))
 
-    raw = np.array([discrete_gen_exp(dq, n, x, lam) for n in n_values])
-    corrected = raw + np.array(n_values, dtype=float) * correction_rate
+    n = np.array(n_values, dtype=float)
+    raw = _discrete_gen(dq, n, x, lam)
+    corrected = raw + n * correction_rate
     limit = discrete_gen_limit(dq, x, lam)
 
-    per_n = raw / np.array(n_values, dtype=float)
+    per_n = raw / n
     top = per_n[len(per_n) // 2:]
     fitted_slope = float(top.mean())
     drift = abs(per_n[-1] - per_n[-2]) / max(abs(per_n[-1]), 1e-300)

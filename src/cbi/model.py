@@ -210,6 +210,9 @@ def _measure_structure(name: str, m: JumpMeasure, d: int, violations: list[str])
     return ok
 
 
+# Atom integrals of huge but finite atoms overflow to inf; validate reports
+# that as a violation or a failed moment order, not as a numpy warning.
+@np.errstate(over="ignore")
 def validate(params: CbiParams) -> ValidationReport:
     """Check every admissibility condition and evaluate all moment integrals.
 

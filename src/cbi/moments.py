@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matops
-from .errors import InadmissibleError
+from .errors import InadmissibleError, NumericRangeError
 from .matops import CRITICAL_TOL, PerronPair, SpectralSummary
 from .model import CbiParams, _frozen, validate
 
@@ -76,7 +76,8 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     criticality classification; a `DerivedQuantities` is returned as it is.
 
     Raises InadmissibleError, carrying every violation, when the tuple is
-    not admissible.
+    not admissible, and NumericRangeError when an admissible tuple's
+    derived quantities overflow.
     """
     if isinstance(params, DerivedQuantities):
         return params
@@ -85,20 +86,24 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         raise InadmissibleError(report.violations)
     d = params.d
 
-    btilde = params.B.copy()
-    kappa = np.zeros(d)
-    big_c = []
-    for j, m in enumerate(params.mu):
-        C = np.zeros((d, d))
-        C[j, j] = 2.0 * params.c[j]
-        if m.natoms:
-            btilde[:, j] += m.integrate(
-                lambda z: np.maximum(z - np.eye(d)[j], 0.0))
-            kappa[j] = m.weights @ np.minimum(1.0, m.points[:, j])
-            C = C + m.integrate(lambda z: z[:, :, None] * z[:, None, :])
-        big_c.append(_frozen(C))
-
-    beta_tilde = params.beta + params.nu.integrate(lambda z: z)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        btilde = params.B.copy()
+        kappa = np.zeros(d)
+        big_c = []
+        for j, m in enumerate(params.mu):
+            C = np.zeros((d, d))
+            C[j, j] = 2.0 * params.c[j]
+            if m.natoms:
+                btilde[:, j] += m.integrate(
+                    lambda z: np.maximum(z - np.eye(d)[j], 0.0))
+                kappa[j] = m.weights @ np.minimum(1.0, m.points[:, j])
+                C = C + m.integrate(lambda z: z[:, :, None] * z[:, None, :])
+            big_c.append(_frozen(C))
+        beta_tilde = params.beta + params.nu.integrate(lambda z: z)
+    if not np.isfinite(np.concatenate([btilde.ravel(), kappa, beta_tilde,
+                                       *map(np.ravel, big_c)])).all():
+        raise NumericRangeError("derived quantities (btilde, beta_tilde, C_k, kappa) "
+                                "overflowed the floating-point range")
 
     summary = matops.spectral(btilde)
     if not matops.is_irreducible(btilde):

@@ -127,8 +127,9 @@ def test_solve_v_t_zero(jump_mixed):
 
 
 def test_solve_v_rejects_bad_input(fix_a):
-    with pytest.raises(ValueError):
-        solve_v(fix_a, -1.0, [1.0])
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_v(fix_a, t, [1.0])
     with pytest.raises(ValueError):
         solve_v(fix_a, 1.0, [-0.5])
     with pytest.raises(ValueError):

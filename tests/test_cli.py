@@ -174,6 +174,27 @@ def test_failed_moment_reference_leaves_no_csv(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("solver error: "), command
 
 
+@pytest.mark.parametrize("doc", [
+    {"d": 1, "c": [1e308], "beta": [1e308], "B": [[1e308]]},
+    {"d": 2, "c": [1, 1], "beta": [0, 0], "B": [[-1, 0], [0, -1]],
+     "nu": [{"weight": 2.0, "z": [1e308, 1e308]}], "mu": [[], []]},
+])
+def test_overflowing_derived_quantities_exit_3_without_warnings(tmp_path, capsys, doc):
+    # 2 c, and the nu integral of z, overflow; the atom norms overflow in validate
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(["validate", "--params", str(path)])
+        err = capsys.readouterr().err
+        assert code == 0 and err == ""
+        code = cli.run(["derive", "--params", str(path)])
+        captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("solver error: ")
+
+
 def test_simulate_limit_noncritical_exits_2(tmp_path, capsys):
     path = tmp_path / "sub.json"
     dump_params(make_jump_mixed(), path)  # subcritical

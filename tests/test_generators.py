@@ -149,6 +149,19 @@ def test_table_fix_a_converges_at_rate(fix_a):
         assert 8.0 <= g_n / g_10n <= 12.0
 
 
+@pytest.mark.parametrize("n_list, message", [((0, 10), "positive"), ((-5, 10), "positive"),
+                                             ((10, 10), "increasing"), ((10,), "increasing")])
+def test_table_rejects_bad_n_list(fix_a, n_list, message):
+    with pytest.raises(ValueError, match=message):
+        discrete_gen_table(fix_a, [2.0], [1.0], n_list)
+
+
+def test_discrete_gen_rejects_n_below_one(fix_a):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            discrete_gen_exp(fix_a, n, [2.0], [1.0])
+
+
 def test_table_d2_ray_converges(d2_critical):
     for lam in ([1.0, 0.0], [0.3, 0.7], [2.0, 1.0]):
         tab = discrete_gen_table(d2_critical, [0.5, 0.5], lam)
