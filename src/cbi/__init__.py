@@ -9,15 +9,13 @@ diffusion.
 """
 from .errors import (CbiError, ClassificationError, ConsistencyError,
                      InadmissibleError, NumericRangeError, SolverError)
-from .model import CbiParams, JumpMeasure, ValidationReport, dump_params, load_params, validate
-from .matops import (PerronPair, SpectralSummary, branching_integral,
-                     exp_and_integral_vec, exp_integral, exp_integral_vec, gauss_legendre,
-                     is_irreducible, mat_exp, perron_pair, perron_vectors, spectral)
+from .model import CbiParams, JumpMeasure, ValidationReport, validate
+from .matops import (PerronPair, SpectralSummary, branching_integral, exp_and_integral_vec,
+                     is_irreducible, mat_exp, perron_vectors, spectral)
 from .moments import DerivedQuantities, derive, mean, variance_no_immigration
-from .affine import (VSolution, laplace_transform, phi, psi, psi_compensated,
-                     psi_grad, solve_v, v_hessian_fd, v_hessian_limit,
-                     v_jacobian_fd, v_jacobian_limit)
-from .testfunctions import TestFunction, bump, linear_bump, scaled_argument
+from .affine import (VSolution, laplace_transform, phi, psi, solve_v, v_hessian_fd,
+                     v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
+from .testfunctions import TestFunction, bump, scaled_argument
 from .generators import (ConvergenceTable, discrete_gen_exp, discrete_gen_limit,
                          discrete_gen_table, drift_convergence_criterion,
                          exp_convergence_criterion, generator_apply,

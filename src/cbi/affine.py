@@ -22,9 +22,9 @@ and immigration mechanism
              = <beta_tilde, lam>
                - int ( exp(-<lam, z>) - 1 + <lam, z> ) nu(dz).
 
-Both psi forms are implemented (they agree identically on finite atomic
-measures). phi is evaluated on a (d, m) block of lam columns at once, the
-atoms of every mu_i stacked into one matrix product.
+The two psi forms agree identically on finite atomic measures; `psi`
+implements the first. phi is evaluated on a (d, m) block of lam columns
+at once, the atoms of every mu_i stacked into one matrix product.
 
 The Riccati system is integrated by an in-repo Dormand-Prince 5(4) stepper
 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-6)
@@ -32,7 +32,8 @@ with scipy's RK45 initial-step rule and step-size controller. It advances
 a (d, m) block of lam columns on one time grid. A step is accepted when
 the largest per-column RMS of the scaled error estimate is below 1: a lone
 column is controlled exactly as by scipy's RK45, and in a batch no column's
-error can hide inside an RMS taken over the whole block. The psi-integral
+error can hide inside an RMS taken over the whole block. A solve that
+needs more than MAX_STEPS accepted steps fails. The psi-integral
 is a 3-node Gauss-Legendre sum on each accepted step of the 4th-order
 continuous extension, evaluated at the nodes of every step in one pass, so
 the ODE state stays exactly the Riccati system and the integral's error
@@ -73,6 +74,10 @@ TIGHT_ATOL = 1e-14
 #: Run fails if the summed negative undershoot of any one column of v
 #: exceeds this.
 CLIP_BUDGET = 1e-8
+#: Run fails once a solve would take more accepted steps than this: far
+#: past its time scale an explicit step is held to the stability limit,
+#: so a huge horizon would otherwise step without end.
+MAX_STEPS = 100_000
 
 # Dormand-Prince 5(4): stage coefficients (row s combines stages 0..s-1),
 # 5th-order weights, error weights (5th minus embedded 4th order, over the
@@ -103,7 +108,8 @@ _POWERS = np.arange(1, 5)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
 #: The 3-node Gauss-Legendre rule on [0, 1], and the continuous extension's
 #: stage weights at its nodes, shape (7, 3).
-_GL_X, _GL_W = matops.gauss_legendre(0.0, 1.0, 3)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(3)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 _GL_STAGES = _DP_P @ (_GL_X ** _POWERS[:, None])
 
 
@@ -137,30 +143,6 @@ def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     """Immigration mechanism psi(lam) = <beta, lam> - int (e^{-<lam,z>} - 1) nu(dz)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     return float(_psi_columns(moments.derive(params).params, lam))
-
-
-def psi_compensated(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
-    """The equivalent compensated form of psi, written against beta_tilde."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    dq = moments.derive(params)
-    nu = dq.params.nu
-    val = float(dq.beta_tilde @ lam)
-    if nu.natoms:
-        inner = nu.points @ lam
-        val -= float(nu.weights @ (np.exp(-inner) - 1.0 + inner))
-    return val
-
-
-def psi_grad(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
-    """Analytic gradient of psi on lam > 0; tends to beta_tilde as lam -> 0."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    dq = moments.derive(params)
-    nu = dq.params.nu
-    grad = dq.beta_tilde.copy()
-    if nu.natoms:
-        factor = np.exp(-(nu.points @ lam)) - 1.0  # (m,)
-        grad += (nu.weights * factor) @ nu.points
-    return grad
 
 
 def _psi_columns(params: CbiParams, V: np.ndarray) -> np.ndarray:
@@ -201,7 +183,8 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, m: int, rtol: float,
 
     Returns the accepted step ends ts (k+1,), the states there (k+1, d*m),
     each step's 7 stages (k, 7, d*m), the number of rhs evaluations and the
-    number of rejected step attempts.
+    number of rejected step attempts. Raises SolverError when t_end is not
+    reached within MAX_STEPS accepted steps.
     """
     f = rhs(y0)
     h_abs = _initial_step(rhs, y0, f, t_end, m, rtol, atol)
@@ -210,6 +193,9 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, m: int, rtol: float,
     ts, ys, ks = [t], [y], []
     K = np.empty((7, len(y0)))
     while t < t_end:
+        if len(ks) == MAX_STEPS:
+            raise SolverError(f"Riccati solve failed: {MAX_STEPS} steps reached only "
+                              f"t = {t:.6g} of {t_end:.6g}")
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False

@@ -64,13 +64,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer flag value; every command scales by it in floating point,
+    so an integer beyond the float range is refused here."""
+    try:
+        n = int(text)
+        float(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"an integer of {len(text)} characters is beyond the floating-point range") from None
+    return n
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(_integer(s) for s in text.split(","))
+
+
 #: argparse keywords per flag; an unlisted flag is a plain string, and a
 #: flag absent from the command line without a default reads None.
 _FLAGS = {
     "--t": {"type": float},
     "--lambda": {"dest": "lam"},
-    "--n": {"type": int},
-    "--n-list": {"default": "10,100,1000,10000"},
+    "--n": {"type": _integer},
+    "--n-list": {"type": _integers, "default": generators.DEFAULT_N_LIST},
     "--seed": {"type": int, "default": 0},
     "--tol": {"type": float, "default": 1e-10},
     "--dt": {"type": float, "default": 1e-3},
@@ -116,13 +134,6 @@ def _vec(text: str | None, d: int, name: str) -> np.ndarray:
     if len(v) != d:
         raise _DimensionError(f"--{name} has length {len(v)}, params require d={d}")
     return v
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--n-list must be comma-separated integers: {exc}") from exc
 
 
 def _jsonify(obj):
@@ -224,15 +235,14 @@ def _cmd_dgen(args, dq: DerivedQuantities) -> int:
 def _cmd_prop31(args, dq: DerivedQuantities) -> int:
     x = _vec(args.x, dq.params.d, "x")
     lam = _vec(args.lam, dq.params.d, "lambda")
-    n_list = _int_list(args.n_list)
-    table = generators.discrete_gen_table(dq, x, lam, n_list)
+    table = generators.discrete_gen_table(dq, x, lam, args.n_list)
     rows = [f"{n},{float(raw)!r},{float(corr)!r},{float(table.limit_formula)!r},{float(gap)!r}"
             for n, raw, corr, gap in zip(table.n_values, table.raw,
                                          table.corrected, table.gaps)]
     _write_csv(args, "n,raw,corrected,limit,gap", rows)
     if args.out:
         _emit({"command": "prop31",
-               "config": _config(args, x=x, n_list=list(n_list), **{"lambda": lam}),
+               "config": _config(args, x=x, n_list=list(args.n_list), **{"lambda": lam}),
                "result": {"verdict": table.verdict, "fitted_slope": table.fitted_slope,
                           "limit": table.limit_formula, "csv": args.out}})
     return EXIT_OK
@@ -241,7 +251,6 @@ def _cmd_prop31(args, dq: DerivedQuantities) -> int:
 def _cmd_cgen(args, dq: DerivedQuantities) -> int:
     d = dq.params.d
     x = _vec(args.x, d, "x")
-    n_list = _int_list(args.n_list)
     radius = args.bump_radius if args.bump_radius is not None else 2.0 * (1.0 + float(np.max(np.abs(x))))
     center = (_vec(args.bump_center, d, "bump-center")
               if args.bump_center is not None else np.zeros(d))
@@ -250,7 +259,7 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> int:
     drift_rate = float((dq.btilde @ x) @ grad)
     limit = generators.scaled_gen_limit(dq, f, x)
     rows = []
-    for n in n_list:
+    for n in args.n_list:
         val = generators.scaled_gen_apply(dq, n, f, x)
         corrected = val - n * drift_rate
         rows.append(f"{n},{float(val)!r},{float(n * drift_rate)!r},{float(corrected)!r},"
@@ -258,7 +267,7 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> int:
     _write_csv(args, "n,scaled,drift_term,corrected,limit,gap", rows)
     if args.out:
         _emit({"command": "cgen",
-               "config": _config(args, x=x, n_list=list(n_list),
+               "config": _config(args, x=x, n_list=list(args.n_list),
                                  bump_center=center, bump_radius=radius,
                                  bump_amplitude=args.bump_amplitude),
                "result": {"limit": limit, "drift_rate": drift_rate,
@@ -312,7 +321,7 @@ def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
         raise _UsageError("--n (scale) is required for simulate-scaled")
     cfg = _path_config(args, dq)
     paths = simulate.simulate_scaled_step(dq, args.n, cfg)
-    m = int(np.floor(args.n * cfg.horizon + 1e-9))
+    m = simulate.scaled_last_index(args.n, cfg.horizon)
     return _report_paths(args, "simulate-scaled", cfg, paths,
                          np.stack([p.states[-1] for p in paths]),
                          moments.mean(dq, args.n * cfg.x0, float(m)) / args.n, n=args.n)

@@ -57,18 +57,16 @@ VERDICT_INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTable:
-    """Per-n raw and corrected discrete-generator values against the limit."""
+    """Per-n raw and corrected discrete-generator values against the limit,
+    with the gaps |corrected - limit|."""
 
     n_values: tuple[int, ...]
     raw: np.ndarray
     corrected: np.ndarray
     limit_formula: float
+    gaps: np.ndarray
     verdict: str
     fitted_slope: float
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.abs(self.corrected - self.limit_formula)
 
 
 def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
@@ -165,7 +163,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
         verdict = VERDICT_INDETERMINATE
 
     return ConvergenceTable(n_values=n_values, raw=raw, corrected=corrected,
-                            limit_formula=limit, verdict=verdict,
+                            limit_formula=limit, gaps=gaps, verdict=verdict,
                             fitted_slope=fitted_slope)
 
 

@@ -1,13 +1,15 @@
 """Dense small-dimension matrix utilities.
 
 Matrix exponentials, spectra, irreducibility of essentially non-negative
-matrices, the critical-case Perron pair of exp(btilde), and the
-time-ordered matrix integrals of exp(sA), each read off one block
-exponential exp(t [[A, W], [0, D]]), whose top-right block is
+matrices, the Perron pair of exp(btilde) for a btilde that `derive` has
+classified critical and irreducible, and two time-ordered integrals of
+exp(sA): the flow with its integral against a vector, and the
+pure-branching covariance. Each is read off one block exponential
+exp(t [[A, W], [0, D]]), whose top-right block is
 int_0^t exp((t-s)A) W exp(sD) ds (Van Loan, IEEE TAC 23(3), 1978; nested
 as in Carbonell, Jimenez & Pedroso, J. Comput. Appl. Math. 213, 2008). The
 Kronecker sum A (+) A = A x I + I x A, with exp(s A (+) A) = exp(sA) x
-exp(sA), turns each sandwich exp(sA) M exp(sA)^T into a vector. No block
+exp(sA), turns each sandwich exp(sA) C exp(sA)^T into a vector. No block
 holds -A, so a stiff A forms no growing exponential.
 """
 from __future__ import annotations
@@ -18,10 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ClassificationError, NumericRangeError, SolverError
-
-#: |s(btilde)| below this counts as critical (floating-point spectra of
-#: exactly-critical matrices are rarely exactly zero).
-CRITICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +86,6 @@ def is_irreducible(A: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def perron_pair(btilde: np.ndarray) -> PerronPair:
-    """Perron pair of exp(btilde) for an irreducible critical btilde; both
-    conditions are checked here, then `perron_vectors` computes the pair."""
-    A = np.atleast_2d(np.asarray(btilde, dtype=float))
-    if not is_irreducible(A):
-        raise ClassificationError("btilde is reducible; no Perron pair")
-    s = spectral(A).spectral_abscissa
-    if abs(s) > CRITICAL_TOL:
-        raise ClassificationError(
-            f"btilde is not critical: spectral abscissa {s:.3e} (tol {CRITICAL_TOL:.1e})")
-    return perron_vectors(A)
-
-
 def perron_vectors(btilde: np.ndarray) -> PerronPair:
     """Perron pair of exp(btilde) for a btilde already known to be
     irreducible and critical, from the eigenvalue-0 kernel / left kernel of
@@ -126,17 +111,6 @@ def perron_vectors(btilde: np.ndarray) -> PerronPair:
     return PerronPair(u_right=u_right, u_left=u_left)
 
 
-def gauss_legendre(a, b, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]; interval ends of shape
-    (k, 1) give (k, order) arrays, one row per interval."""
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def _kron_sum(A) -> np.ndarray:
     """A (+) A acting on row-major vec: vec(A X + X A^T)."""
     eye = np.eye(len(A))
@@ -148,17 +122,6 @@ def _block_exp(A: np.ndarray, W: np.ndarray, D: np.ndarray, t: float) -> np.ndar
     if t < 0:
         raise ValueError(f"integration horizon must be >= 0, got {t}")
     return mat_exp(np.block([[A, W], [np.zeros((len(D), len(A))), D]]), t)
-
-
-def exp_integral(A: np.ndarray, M: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t exp(sA) M exp(sA)^T ds from one (d^2 + 1)-square block exponential."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return exp_integral_vec(_kron_sum(A), M.ravel(), t).reshape(M.shape)
-
-
-def exp_integral_vec(A: np.ndarray, w_vec: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t exp(sA) w ds from one (d + 1)-square block exponential."""
-    return exp_and_integral_vec(A, w_vec, t)[1]
 
 
 def exp_and_integral_vec(A: np.ndarray, w_vec: np.ndarray,

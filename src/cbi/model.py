@@ -15,9 +15,7 @@ All types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -85,9 +83,6 @@ class JumpMeasure:
         vals = np.asarray(fn(self.points), dtype=float)
         return np.tensordot(self.weights, vals, axes=(0, 0))
 
-    def atoms(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(w), z) for w, z in zip(self.weights, self.points)]
-
 
 @dataclass(frozen=True, eq=False)
 class CbiParams:
@@ -135,19 +130,6 @@ class CbiParams:
     # {"d": int, "c": [...], "beta": [...], "B": [[...], ...],
     #  "nu": [{"weight": w, "z": [...]}, ...], "mu": [[...], ... d lists]}
 
-    def to_dict(self) -> dict:
-        def measure(m: JumpMeasure) -> list[dict]:
-            return [{"weight": w, "z": z.tolist()} for w, z in m.atoms()]
-
-        return {
-            "d": self.d,
-            "c": self.c.tolist(),
-            "beta": self.beta.tolist(),
-            "B": self.B.tolist(),
-            "nu": measure(self.nu),
-            "mu": [measure(m) for m in self.mu],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CbiParams":
         try:
@@ -160,14 +142,6 @@ class CbiParams:
             return cls(d=d, c=data["c"], beta=data["beta"], B=data["B"], nu=nu, mu=mu)
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed parameter document: {exc!r}") from exc
-
-
-def load_params(path: str | Path) -> CbiParams:
-    return CbiParams.from_dict(json.loads(Path(path).read_text()))
-
-
-def dump_params(params: CbiParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(params.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True, eq=False)

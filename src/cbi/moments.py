@@ -34,13 +34,16 @@ import numpy as np
 
 from . import matops
 from .errors import InadmissibleError, NumericRangeError
-from .matops import CRITICAL_TOL, PerronPair, SpectralSummary
+from .matops import PerronPair, SpectralSummary
 from .model import CbiParams, _frozen, validate
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 NOT_IRREDUCIBLE = "not-irreducible"
+#: |s(btilde)| below this counts as critical (floating-point spectra of
+#: exactly-critical matrices are rarely exactly zero).
+CRITICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

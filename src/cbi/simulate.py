@@ -234,6 +234,12 @@ def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list
             for p in range(cfg.n_paths)]
 
 
+def scaled_last_index(n: int, horizon: float) -> int:
+    """M = floor(n T): the base chain's last state in the step-scaled chain
+    on [0, T] is X_M."""
+    return int(math.floor(n * horizon + 1e-9))
+
+
 def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
                          cfg: PathConfig) -> list[SamplePath]:
     """Simulate the step-scaled chain t -> X_{floor(nt)} / n on [0, horizon].
@@ -246,10 +252,8 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     dq = moments.derive(params)
-    base_T = n * cfg.horizon
-    K_base = max(1, int(round(base_T / cfg.dt)))
-    h = base_T / K_base
-    M = int(math.floor(n * cfg.horizon + 1e-9))
+    K_base, h, _ = _grid(n * cfg.horizon, cfg.dt)
+    M = scaled_last_index(n, cfg.horizon)
     int_idx = np.minimum(np.round(np.arange(M + 1) / h).astype(int), K_base)
     record_idx = np.unique(int_idx)
     base_states, _ = _simulate_grid(dq, float(n) * cfg.x0, K_base, h,

@@ -6,9 +6,9 @@ derivatives. The built-in family consists of radial smooth bumps
     f(x) = a * exp( -1 / (1 - |(x - x0)/R|^2) )   for |x - x0| < R,
     f(x) = 0                                       otherwise,
 
-plus (affine polynomial) x bump products; both carry analytic gradients
-and Hessians. Evaluations outside the support are valid and return 0, so
-jump displacements x + z may leave the support freely.
+with analytic gradients and Hessians. Evaluations outside the support are
+valid and return 0, so jump displacements x + z may leave the support
+freely.
 """
 from __future__ import annotations
 
@@ -76,31 +76,6 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
 
     return TestFunction(value=value, gradient=gradient, hessian=hessian,
                         support_radius=float(np.linalg.norm(x0)) + R)
-
-
-def linear_bump(center, radius: float, slope, offset: float = 1.0) -> TestFunction:
-    """(offset + <slope, x>) times a bump; still C^2 with compact support."""
-    base = bump(center, radius)
-    slope = np.atleast_1d(np.asarray(slope, dtype=float))
-    d = len(slope)
-
-    def value(x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (offset + float(slope @ x)) * base.value(x)
-
-    def gradient(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = offset + float(slope @ x)
-        return slope * base.value(x) + p * base.gradient(x)
-
-    def hessian(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = offset + float(slope @ x)
-        bg = base.gradient(x)
-        return np.outer(slope, bg) + np.outer(bg, slope) + p * base.hessian(x)
-
-    return TestFunction(value=value, gradient=gradient, hessian=hessian,
-                        support_radius=base.support_radius)
 
 
 def scaled_argument(f: TestFunction, n: float) -> TestFunction:

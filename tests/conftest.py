@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ def jump_d2() -> CbiParams:
 @pytest.fixture
 def branching_jump() -> CbiParams:
     return make_branching_jump()
+
+
+def write_params(params: CbiParams, path) -> None:
+    """Write `params` as the JSON parameter document the CLI reads."""
+    def measure(m: JumpMeasure) -> list[dict]:
+        return [{"weight": float(w), "z": z.tolist()} for w, z in zip(m.weights, m.points)]
+
+    path.write_text(json.dumps({"d": params.d, "c": params.c.tolist(),
+                                "beta": params.beta.tolist(), "B": params.B.tolist(),
+                                "nu": measure(params.nu),
+                                "mu": [measure(m) for m in params.mu]}))
 
 
 def assert_close(a, b, tol, msg=""):

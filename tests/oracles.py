@@ -4,9 +4,10 @@ Everything here deliberately avoids the production code paths it checks:
 matrix integrals by adaptive quadrature of each integral's defining
 formula over scipy's expm (production reads them off one block
 exponential), the psi-integral via an augmented ODE state (production
-quadratures the dense output), phi/psi re-derived from raw atom data
-with explicit Python loops, and irreducibility from scipy's strongly
-connected components (production squares a boolean reachability matrix).
+quadratures the dense output), phi and both forms of psi re-derived from
+raw atom data with explicit Python loops, and irreducibility from scipy's
+strongly connected components (production squares a boolean reachability
+matrix).
 """
 import numpy as np
 import scipy.sparse
@@ -20,13 +21,6 @@ def _integral(fn, t):
     if t == 0:
         return np.zeros_like(fn(0.0))
     return quad_vec(fn, 0.0, t, epsabs=1e-300, epsrel=1e-13, norm="max")[0]
-
-
-def sandwich_integral(A, M, t):
-    """int_0^t exp(sA) M exp(sA)^T ds."""
-    A = np.atleast_2d(np.asarray(A, float))
-    M = np.atleast_2d(np.asarray(M, float))
-    return _integral(lambda s: expm(s * A) @ M @ expm(s * A).T, t)
 
 
 def vec_integral(A, w, t):
@@ -91,7 +85,7 @@ def phi_loops(params, lam):
     out = np.empty(d)
     for i in range(d):
         val = params.c[i] * lam[i] ** 2 - float(params.B[:, i] @ lam)
-        for w, z in params.mu[i].atoms():
+        for w, z in zip(params.mu[i].weights, params.mu[i].points):
             val += w * (np.exp(-float(lam @ z)) - 1.0 + lam[i] * min(1.0, z[i]))
         out[i] = val
     return out
@@ -100,9 +94,23 @@ def phi_loops(params, lam):
 def psi_loops(params, lam):
     lam = np.atleast_1d(np.asarray(lam, float))
     val = float(params.beta @ lam)
-    for w, z in params.nu.atoms():
+    for w, z in zip(params.nu.weights, params.nu.points):
         val -= w * (np.exp(-float(lam @ z)) - 1.0)
     return val
+
+
+def psi_compensated(params, lam):
+    """psi in its compensated form <beta_tilde, lam>
+    - int (exp(-<lam, z>) - 1 + <lam, z>) nu(dz), with beta_tilde =
+    beta + int z nu(dz) summed here from the raw atoms."""
+    lam = np.atleast_1d(np.asarray(lam, float))
+    beta_tilde = np.array(params.beta, float)
+    val = 0.0
+    for w, z in zip(params.nu.weights, params.nu.points):
+        beta_tilde = beta_tilde + w * z
+        inner = float(lam @ z)
+        val -= w * (np.exp(-inner) - 1.0 + inner)
+    return float(beta_tilde @ lam) + val
 
 
 def v_with_psi_state(params, t, lam, rtol=1e-12, atol=1e-14):

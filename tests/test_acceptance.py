@@ -14,7 +14,7 @@ from cbi import affine, moments
 from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES,
                             _generator_compensated_form, _generator_defining_form,
                             discrete_gen_table, scaled_gen_apply, scaled_gen_limit)
-from cbi.matops import is_irreducible, perron_pair, spectral
+from cbi.matops import is_irreducible, perron_vectors, spectral
 from cbi.model import CbiParams
 from cbi.simulate import PathConfig, simulate_cbi
 from cbi.testfunctions import bump
@@ -223,7 +223,7 @@ def test_criterion_8_monte_carlo_consistency():
 def test_criterion_9_spectral_perron():
     btilde = np.array([[-1.0, 1.0], [1.0, -1.0]])
     s = spectral(btilde).spectral_abscissa
-    pp = perron_pair(btilde)
+    pp = perron_vectors(btilde)
     right_err = float(np.max(np.abs(pp.u_right - [0.5, 0.5])))
     left_err = float(np.max(np.abs(pp.u_left - [1.0, 1.0])))
     irr = is_irreducible(btilde)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbi import moments
-from cbi.affine import (laplace_transform, phi, psi, psi_compensated, psi_grad,
-                        solve_v, v_hessian_fd, v_hessian_limit, v_jacobian_fd,
-                        v_jacobian_limit)
+from cbi.affine import (laplace_transform, phi, psi, solve_v, v_hessian_fd,
+                        v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
 from cbi.model import CbiParams, JumpMeasure
 
 from conftest import assert_close, make_jump_d2, make_jump_mixed
-from oracles import phi_loops, psi_loops, v_with_psi_state, variance_quad
+from oracles import phi_loops, psi_compensated, psi_loops, v_with_psi_state, variance_quad
 
 
 # --- phi / psi -------------------------------------------------------------
@@ -63,34 +62,6 @@ def test_psi_forms_agree_on_random_atoms(w, lam):
                        nu=JumpMeasure(weights=np.array(w), points=pts))
     v = np.array([lam, 0.5 * lam])
     assert psi(params, v) == pytest.approx(psi_compensated(params, v), abs=1e-12)
-
-
-def test_psi_grad_without_atoms(fix_a):
-    for lam in (0.2, 1.0, 7.0):
-        assert_close(psi_grad(fix_a, [lam]), fix_a.beta, 1e-15)
-
-
-def test_psi_grad_single_atom():
-    params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
-                       nu=JumpMeasure.from_atoms([(1.0, [1.0])]))
-    assert psi_grad(params, [1.0])[0] == pytest.approx(math.exp(-1.0), rel=1e-13)
-
-
-def test_psi_grad_matches_finite_difference(jump_mixed, jump_d2):
-    h = 1e-5
-    for params in (jump_mixed, jump_d2):
-        lam = 0.8 * np.ones(params.d)
-        g = psi_grad(params, lam)
-        for i in range(params.d):
-            e = np.zeros(params.d)
-            e[i] = h
-            fd = (psi(params, lam + e) - psi(params, lam - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, abs=1e-6)
-
-
-def test_psi_grad_limit_is_beta_tilde(jump_mixed):
-    bt = moments.derive(jump_mixed).beta_tilde
-    assert_close(psi_grad(jump_mixed, [1e-9]), bt, 1e-8)
 
 
 # --- solve_v ---------------------------------------------------------------

@@ -8,23 +8,23 @@ import warnings
 import numpy as np
 import pytest
 
-from cbi import cli
-from cbi.model import dump_params
+from cbi import affine, cli
 
-from conftest import make_d2_critical, make_degenerate_critical, make_fix_a, make_jump_mixed
+from conftest import (make_d2_critical, make_degenerate_critical, make_fix_a, make_jump_mixed,
+                      write_params)
 
 
 @pytest.fixture
 def fix_a_file(tmp_path):
     path = tmp_path / "fix_a.json"
-    dump_params(make_fix_a(), path)
+    write_params(make_fix_a(), path)
     return str(path)
 
 
 @pytest.fixture
 def d2_file(tmp_path):
     path = tmp_path / "d2.json"
-    dump_params(make_d2_critical(), path)
+    write_params(make_d2_critical(), path)
     return str(path)
 
 
@@ -197,7 +197,7 @@ def test_overflowing_derived_quantities_exit_3_without_warnings(tmp_path, capsys
 
 def test_simulate_limit_noncritical_exits_2(tmp_path, capsys):
     path = tmp_path / "sub.json"
-    dump_params(make_jump_mixed(), path)  # subcritical
+    write_params(make_jump_mixed(), path)  # subcritical
     code, _ = run_cli(capsys, ["simulate-limit", "--params", str(path), "--t", "0.5",
                                "--x", "0", "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -243,9 +243,36 @@ def test_huge_d_document_exits_2_with_report(tmp_path, capsys):
     assert "c must have length d=100000, got shape (1,)" in json.loads(out)["result"]["violations"]
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("dgen", ["--n", HUGE, "--lambda", "1"]),
+    ("prop31", ["--n-list", f"10,{HUGE}", "--lambda", "1"]),
+    ("cgen", ["--n-list", f"10,{HUGE}"]),
+    ("simulate-scaled", ["--n", HUGE, "--t", "1", "--out", "unwritten.csv"]),
+])
+def test_integer_beyond_float_range_exits_64(fix_a_file, capsys, command, extra):
+    code = cli.run([command, "--params", fix_a_file, "--x", "1", *extra])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
+    # far past its time scale the solve steps at the stability limit; at
+    # MAX_STEPS it stops with one documented line
+    monkeypatch.setattr(affine, "MAX_STEPS", 500)
+    code = cli.run(["vsolve", "--params", fix_a_file, "--t", "1e20", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("solver error: ") and "500 steps" in captured.err
+
+
 def test_degenerate_critical_runs_all_but_perron_commands(tmp_path, capsys):
     path = tmp_path / "degenerate.json"
-    dump_params(make_degenerate_critical(), path)
+    write_params(make_degenerate_critical(), path)
     base = ["--params", str(path), "--x", "1,0.5"]
     sim = ["--t", "0.2", "--dt", "0.02", "--n-paths", "5"]
     cases = {

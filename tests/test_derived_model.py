@@ -6,12 +6,11 @@ import pytest
 
 from cbi import affine, cli, generators, matops, moments, simulate
 from cbi.errors import ClassificationError
-from cbi.model import dump_params
 from cbi.moments import CRITICAL
 from cbi.testfunctions import bump
 
 from conftest import (assert_close, make_d2_critical, make_degenerate_critical, make_fix_a,
-                      make_jump_d2)
+                      make_jump_d2, write_params)
 
 SMALL_PATHS = simulate.PathConfig(x0=[1.0, 0.5], horizon=0.1, dt=0.02, seed=1, n_paths=3)
 
@@ -47,7 +46,7 @@ def validate_calls(monkeypatch):
 
 def _prop31_cli(tmp_path):
     path = tmp_path / "fix_a.json"
-    dump_params(make_fix_a(), path)
+    write_params(make_fix_a(), path)
     return cli.run(["prop31", "--params", str(path), "--x", "2", "--lambda", "1",
                     "--n-list", "10,100", "--out", str(tmp_path / "t.csv")])
 

@@ -11,7 +11,7 @@ from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES, discrete_gen_ex
                             generator_apply, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import mat_exp
 from cbi.model import CbiParams, JumpMeasure
-from cbi.testfunctions import TestFunction, bump, linear_bump, scaled_argument
+from cbi.testfunctions import TestFunction, bump, scaled_argument
 
 from conftest import assert_close
 from oracles import fd_gradient, fd_hessian
@@ -57,6 +57,30 @@ def _plateau(r_flat: float, r_out: float, d: int) -> TestFunction:
                         support_radius=r_out)
 
 
+def _linear_bump(center, radius: float, slope, offset: float = 1.0) -> TestFunction:
+    """(offset + <slope, x>) times a bump; still C^2 with compact support."""
+    base = bump(center, radius)
+    slope = np.atleast_1d(np.asarray(slope, dtype=float))
+
+    def value(x) -> float:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return (offset + float(slope @ x)) * base.value(x)
+
+    def gradient(x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = offset + float(slope @ x)
+        return slope * base.value(x) + p * base.gradient(x)
+
+    def hessian(x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = offset + float(slope @ x)
+        bg = base.gradient(x)
+        return np.outer(slope, bg) + np.outer(bg, slope) + p * base.hessian(x)
+
+    return TestFunction(value=value, gradient=gradient, hessian=hessian,
+                        support_radius=base.support_radius)
+
+
 # --- test functions ----------------------------------------------------------
 
 def test_bump_vanishes_outside_support():
@@ -71,7 +95,7 @@ def test_bump_vanishes_outside_support():
 @pytest.mark.parametrize("make_f,d,points", [
     (lambda: bump([0.5], 1.5), 1, [[0.1], [0.7], [1.4]]),
     (lambda: bump([0.3, 0.3], 2.0, amplitude=0.8), 2, [[0.1, 0.2], [1.0, 0.5]]),
-    (lambda: linear_bump([0.0, 0.0], 2.0, [0.5, -0.2]), 2, [[0.3, 0.4], [1.0, 0.1]]),
+    (lambda: _linear_bump([0.0, 0.0], 2.0, [0.5, -0.2]), 2, [[0.3, 0.4], [1.0, 0.1]]),
     (lambda: _plateau(1.0, 2.0, 2), 2, [[1.1, 0.5], [0.9, 0.9]]),
 ])
 def test_gradients_and_hessians_match_finite_differences(make_f, d, points):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbi.errors import ClassificationError, NumericRangeError
-from cbi.matops import (branching_integral, exp_integral, exp_integral_vec,
-                        gauss_legendre, is_irreducible, mat_exp, perron_pair, spectral)
+from cbi.affine import _GL_W, _GL_X
+from cbi.errors import NumericRangeError
+from cbi.matops import (branching_integral, exp_and_integral_vec, is_irreducible, mat_exp,
+                        perron_vectors, spectral)
 
 from conftest import assert_close
-from oracles import irreducible_csgraph, sandwich_integral, variance_quad, vec_integral
+from oracles import irreducible_csgraph, variance_quad, vec_integral
 
 TWO_CYCLE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -130,7 +131,7 @@ def test_irreducibility_matches_strong_components_oracle():
 # --- Perron pair -----------------------------------------------------------
 
 def test_perron_pair_two_cycle():
-    pp = perron_pair(TWO_CYCLE)
+    pp = perron_vectors(TWO_CYCLE)
     assert_close(pp.u_right, [0.5, 0.5], 1e-12)
     assert_close(pp.u_left, [1.0, 1.0], 1e-12)
     assert pp.u_right.sum() == pytest.approx(1.0, abs=1e-15)
@@ -139,50 +140,36 @@ def test_perron_pair_two_cycle():
 
 
 def test_perron_pair_scalar():
-    pp = perron_pair([[0.0]])
+    pp = perron_vectors([[0.0]])
     assert pp.u_right[0] == 1.0 and pp.u_left[0] == 1.0
 
 
 def test_perron_pair_asymmetric_critical():
-    pp = perron_pair(np.array([[-2.0, 2.0], [1.0, -1.0]]))
+    pp = perron_vectors(np.array([[-2.0, 2.0], [1.0, -1.0]]))
     assert_close(pp.u_right, [0.5, 0.5], 1e-12)
     assert_close(pp.u_left, [2.0 / 3.0, 4.0 / 3.0], 1e-12)
 
 
-def test_perron_pair_rejects_noncritical_and_reducible():
-    with pytest.raises(ClassificationError):
-        perron_pair(np.array([[-2.0, 1.0], [1.0, -2.0]]))  # s = -1
-    with pytest.raises(ClassificationError):
-        perron_pair(np.array([[0.0, 1.0], [0.0, 0.0]]))  # reducible
-
-
 # --- quadrature ------------------------------------------------------------
 
-def test_gauss_legendre_rejects_bad_order():
-    with pytest.raises(ValueError):
-        gauss_legendre(0.0, 1.0, 0)
-
-
 def test_gauss_legendre_exact_on_polynomial():
-    nodes, weights = gauss_legendre(0.0, 2.0, 6)
-    assert weights @ nodes**5 == pytest.approx(2.0**6 / 6.0, rel=1e-14)
+    # the 3-node rule of the psi-integral is exact through degree 5 on [0, 1]
+    assert _GL_W @ _GL_X**5 == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
 def test_exp_integral_identity_cases():
-    M = np.array([[1.0, 0.3], [0.3, 2.0]])
-    assert_close(exp_integral(np.zeros((2, 2)), M, 1.0), M, 1e-14)
     w = np.array([0.4, 1.1])
-    assert_close(exp_integral_vec(np.zeros((2, 2)), w, 1.0), w, 1e-14)
+    assert_close(exp_and_integral_vec(np.zeros((2, 2)), w, 1.0)[1], w, 1e-14)
 
 
 def test_exp_integral_scalar_closed_form():
-    val = exp_integral([[-1.0]], [[2.0]], 1.0)
-    assert val[0, 0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
+    # int_0^1 exp(-2s) 2 ds, the scalar sandwich int_0^1 e^{-s} 2 e^{-s} ds
+    val = exp_and_integral_vec([[-2.0]], [2.0], 1.0)[1]
+    assert val[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
 
 
 def test_exp_integral_rejects_negative_horizon():
-    for call in (lambda: exp_integral(np.zeros((2, 2)), np.eye(2), -1.0),
-                 lambda: exp_integral_vec(np.zeros((2, 2)), np.ones(2), -1.0),
+    for call in (lambda: exp_and_integral_vec(np.zeros((2, 2)), np.ones(2), -1.0),
                  lambda: branching_integral(np.zeros((2, 2)), [np.eye(2)] * 2, np.ones(2), -1.0)):
         with pytest.raises(ValueError):
             call()
@@ -192,17 +179,12 @@ def test_exp_integral_matches_quadrature_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         A = rng.normal(size=(3, 3))
-        M = rng.normal(size=(3, 3))
-        M = M @ M.T
+        rng.normal(size=(3, 3))  # unused draw: keeps A, t and w the seeded cases
         t = float(rng.uniform(0.1, 2.0))
-        oracle = sandwich_integral(A, M, t)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
-        assert_close(exp_integral(A, M, t), oracle, tol,
-                     "sandwich integral vs quadrature")
         w = rng.normal(size=3)
         oracle_v = vec_integral(A, w, t)
         tol_v = 1e-12 * max(1.0, float(np.max(np.abs(oracle_v))))
-        assert_close(exp_integral_vec(A, w, t), oracle_v, tol_v,
+        assert_close(exp_and_integral_vec(A, w, t)[1], oracle_v, tol_v,
                      "vector integral vs quadrature")
 
 
@@ -210,16 +192,12 @@ def test_exp_integral_stiff_and_growing():
     # One eigenvalue near -40 over t = 2, and a supercritical matrix over
     # t = 3: a Van Loan block with -A^T beside A would form exp(80) for the
     # first and lose every digit.
-    M = np.array([[2.0, 0.3], [0.3, 1.0]])
     w = np.array([0.4, 1.1])
     for A, t in ((np.array([[-40.0, 1.0], [2.0, -1.0]]), 2.0),
                  (np.array([[0.3, 0.5], [0.2, 0.1]]), 3.0)):
-        oracle = sandwich_integral(A, M, t)
-        assert_close(exp_integral(A, M, t), oracle, 1e-12 * np.max(np.abs(oracle)),
-                     "stiff/growing sandwich")
         oracle_v = vec_integral(A, w, t)
-        assert_close(exp_integral_vec(A, w, t), oracle_v, 1e-12 * np.max(np.abs(oracle_v)),
-                     "stiff/growing vector")
+        assert_close(exp_and_integral_vec(A, w, t)[1], oracle_v,
+                     1e-12 * np.max(np.abs(oracle_v)), "stiff/growing vector")
 
 
 def test_branching_integral_matches_quadrature_oracle():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cbi.model import CbiParams, JumpMeasure, dump_params, load_params, validate
+from cbi.cli import _load_params
+from cbi.model import CbiParams, JumpMeasure, validate
 
-from conftest import make_fix_a, make_jump_d2, make_jump_mixed
+from conftest import make_fix_a, make_jump_d2, make_jump_mixed, write_params
 
 
 def test_trivial_no_jump_model_is_admissible():
@@ -74,13 +75,13 @@ def test_integrals_match_loop_oracle():
     params = make_jump_d2()
     rep = validate(params)
     # independent plain-Python summation over atoms
-    tail1 = sum(w * np.linalg.norm(z) for w, z in params.nu.atoms()
+    tail1 = sum(w * np.linalg.norm(z) for w, z in zip(params.nu.weights, params.nu.points)
                 if np.linalg.norm(z) >= 1.0)
     assert rep.computed_integrals["nu.norm1_tail"] == pytest.approx(tail1, rel=1e-14)
     for i, m in enumerate(params.mu):
         adm = sum(w * (min(np.linalg.norm(z), np.linalg.norm(z) ** 2)
                        + sum(z[j] for j in range(params.d) if j != i))
-                  for w, z in m.atoms())
+                  for w, z in zip(m.weights, m.points))
         assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == pytest.approx(adm, rel=1e-14)
 
 
@@ -111,8 +112,8 @@ def test_measure_integrate_matches_weighted_sum():
 def test_params_json_round_trip(tmp_path):
     params = make_jump_d2()
     path = tmp_path / "params.json"
-    dump_params(params, path)
-    loaded = load_params(path)
+    write_params(params, path)
+    loaded = _load_params(str(path))
     assert loaded.d == params.d
     assert np.array_equal(loaded.B, params.B)
     assert np.array_equal(loaded.nu.points, params.nu.points)

@@ -42,20 +42,24 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2):
     dq = derive(jump_d2)
     # manual single-entry checks against the defining sums
     d = jump_d2.d
+
+    def atoms(m):
+        return zip(m.weights, m.points)
+
     for i in range(d):
         for j in range(d):
             expected = jump_d2.B[i, j] + sum(
                 w * max(z[i] - (1.0 if i == j else 0.0), 0.0)
-                for w, z in jump_d2.mu[j].atoms())
+                for w, z in atoms(jump_d2.mu[j]))
             assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14)
-    expected_beta = jump_d2.beta + sum(w * z for w, z in jump_d2.nu.atoms())
+    expected_beta = jump_d2.beta + sum(w * z for w, z in atoms(jump_d2.nu))
     assert_close(dq.beta_tilde, expected_beta, 1e-14)
-    expected_kappa = [sum(w * min(1.0, z[i]) for w, z in jump_d2.mu[i].atoms())
+    expected_kappa = [sum(w * min(1.0, z[i]) for w, z in atoms(jump_d2.mu[i]))
                       for i in range(d)]
     assert_close(dq.kappa, expected_kappa, 1e-15)
     for k in range(d):
         expected_c = 2.0 * jump_d2.c[k] * np.outer(np.eye(d)[k], np.eye(d)[k]) + sum(
-            w * np.outer(z, z) for w, z in jump_d2.mu[k].atoms())
+            w * np.outer(z, z) for w, z in atoms(jump_d2.mu[k]))
         assert_close(dq.big_c[k], expected_c, 1e-14)
         # symmetric positive semidefinite
         assert_close(dq.big_c[k], dq.big_c[k].T, 0.0)
@@ -63,10 +67,13 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2):
 
 
 def test_classification_branches():
+    # only a critical irreducible model carries a Perron pair
     sub = CbiParams.no_jumps(c=[1.0], beta=[0.0], B=[[-0.3]])
     assert derive(sub).classification == SUBCRITICAL
+    assert derive(sub).perron is None
     sup = CbiParams.no_jumps(c=[1.0], beta=[0.0], B=[[0.3]])
     assert derive(sup).classification == SUPERCRITICAL
+    assert derive(sup).perron is None
     red = CbiParams.no_jumps(c=[1.0, 1.0], beta=[0.0, 0.0],
                              B=[[0.0, 1.0], [0.0, 0.0]])
     dq = derive(red)

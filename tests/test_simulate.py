@@ -86,8 +86,8 @@ def test_deterministic_drift_follows_ode_flow():
 def test_states_nonnegative_and_jump_log_structure(jump_mixed):
     cfg = PathConfig(x0=[0.5], horizon=1.0, dt=1e-2, seed=3, n_paths=40)
     paths = simulate_cbi(jump_mixed, cfg)
-    atoms_nu = {float(z[0]) for _, z in jump_mixed.nu.atoms()}
-    atoms_mu = {float(z[0]) for _, z in jump_mixed.mu[0].atoms()}
+    atoms_nu = {float(z[0]) for z in jump_mixed.nu.points}
+    atoms_mu = {float(z[0]) for z in jump_mixed.mu[0].points}
     seen_sources = set()
     for p in paths:
         assert np.all(p.states >= 0.0)
