@@ -330,11 +330,10 @@ def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
 def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
     cfg = _path_config(args, dq)
     paths = simulate.simulate_limit_diffusion(dq, cfg)
-    u_left = dq.perron.u_left
     return _report_paths(args, "simulate-limit", cfg, paths,
                          np.array([p.scalar[-1] for p in paths])[:, None],
-                         np.array([float(u_left @ cfg.x0)
-                                   + cfg.horizon * float(u_left @ dq.beta_tilde)]))
+                         moments.mean(simulate.limit_ray(dq), [float(dq.perron.u_left @ cfg.x0)],
+                                      cfg.horizon))
 
 
 _SIM_FLAGS = ("--t", "--x", "--dt", "--n-paths", "--seed", "--out")

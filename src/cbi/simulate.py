@@ -21,7 +21,11 @@ per-(path, step, source) uniforms.
 Also provided: the step-scaled chain t -> X_{floor(nt)} / n and, for
 critical irreducible models, the limiting scalar squared-Bessel-type
 diffusion dY = <u_left, beta_tilde> dt + sqrt(<cbar u_left, u_left> Y^+) dW
-embedded on the ray spanned by u_right.
+embedded on the ray spanned by u_right. That diffusion is itself a
+one-type CBI (`limit_ray`), so all three run through one Euler kernel.
+
+A run whose grid- and path-sized arrays would exceed MAX_BYTES is refused
+with ValueError before any of them is allocated.
 """
 from __future__ import annotations
 
@@ -40,6 +44,9 @@ from .moments import DerivedQuantities
 WINDOW = 1024
 #: Upper bound on simultaneously held random draws (per path block).
 DRAW_BUDGET = 12_000_000
+#: Upper bound on the estimated bytes of a run's arrays sized by its grid or
+#: path count (see `_check_size`); a larger run is refused up front.
+MAX_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +61,9 @@ class PathConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.dt <= 0 or self.dt >= self.horizon:
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        if not 0 < self.dt < self.horizon:  # False for a NaN dt
             raise ValueError(f"dt must satisfy 0 < dt < horizon, got dt={self.dt}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
@@ -115,21 +122,6 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     return counts
 
 
-def _measure_tables(params: CbiParams):
-    nu = params.nu
-    nu_cum = np.cumsum(nu.weights) / nu.total_mass if nu.natoms else None
-    mu_data = []
-    for i, m in enumerate(params.mu):
-        if m.natoms:
-            mu_data.append((i, m.total_mass, np.cumsum(m.weights) / m.total_mass, m.points))
-    return nu_cum, mu_data
-
-
-def _pick_atom(rng: np.random.Generator, cum: np.ndarray) -> int:
-    a = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(a, len(cum) - 1)
-
-
 def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                    seed: int, n_paths: int, record_idx: np.ndarray):
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
@@ -146,9 +138,14 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     B_T = params.B.T.copy()
     beta = params.beta
     kappa = dq.kappa
-    nu_cum, mu_data = _measure_tables(params)
-    nu_mass = params.nu.total_mass
     sqrt_h = math.sqrt(h)
+    # jump sources in draw order: (label, type i or None for immigration,
+    # per-step rate (per unit of x_i), cumulative atom weights, atoms)
+    sources = [(label, i, m.total_mass * h, np.cumsum(m.weights) / m.total_mass, m.points)
+               for label, i, m in [("immigration", None, params.nu),
+                                   *((f"branching-{i + 1}", i, m)
+                                     for i, m in enumerate(params.mu))]
+               if m.natoms]
 
     record_idx = np.asarray(record_idx, dtype=int)
     rec_flag = np.zeros(K + 1, dtype=bool)
@@ -158,8 +155,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     states_rec = np.empty((n_paths, int(rec_flag.sum()), d))
     jump_logs: list[list] = [[] for _ in range(n_paths)]
 
-    draws_per_step = d + (1 if nu_mass > 0 else 0) + len(mu_data)
-    block = max(1, int(DRAW_BUDGET / (WINDOW * draws_per_step)))
+    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + len(sources)))))
 
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
@@ -172,19 +168,10 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
         for w0 in range(0, K, WINDOW):
             width = min(WINDOW, K - w0)
             normals = np.empty((P, width, d))
+            uniforms = np.empty((P, len(sources), width))
             for pj, rng in enumerate(rngs):
                 normals[pj] = rng.standard_normal((width, d))
-            u_nu = None
-            if nu_mass > 0:
-                u_nu = np.empty((P, width))
-                for pj, rng in enumerate(rngs):
-                    u_nu[pj] = rng.random(width)
-            u_mu = {}
-            for (i, _, _, _) in mu_data:
-                arr = np.empty((P, width))
-                for pj, rng in enumerate(rngs):
-                    arr[pj] = rng.random(width)
-                u_mu[i] = arr
+                uniforms[pj] = rng.random((len(sources), width))
 
             for kw in range(width):
                 k = w0 + kw
@@ -193,20 +180,15 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 x_new = (x + h * (beta + xp @ B_T - xp * kappa)
                          + np.sqrt(c2 * xp) * (sqrt_h * normals[:, kw, :]))
 
-                if nu_mass > 0:
-                    counts = poisson_from_uniform(u_nu[:, kw], nu_mass * h)
+                for s, (label, i, rate, cum, points) in enumerate(sources):
+                    counts = poisson_from_uniform(uniforms[:, s, kw],
+                                                  rate if i is None else rate * xp[:, i])
                     for pj in np.nonzero(counts)[0]:
                         for _ in range(int(counts[pj])):
-                            z = params.nu.points[_pick_atom(rngs[pj], nu_cum)]
+                            a = np.searchsorted(cum, rngs[pj].random(), side="right")
+                            z = points[min(a, len(cum) - 1)]
                             x_new[pj] += z
-                            jump_logs[p0 + pj].append((t_next, "immigration", z.copy()))
-                for (i, mass, cum, points) in mu_data:
-                    counts = poisson_from_uniform(u_mu[i][:, kw], mass * h * xp[:, i])
-                    for pj in np.nonzero(counts)[0]:
-                        for _ in range(int(counts[pj])):
-                            z = points[_pick_atom(rngs[pj], cum)]
-                            x_new[pj] += z
-                            jump_logs[p0 + pj].append((t_next, f"branching-{i + 1}", z.copy()))
+                            jump_logs[p0 + pj].append((t_next, label, z.copy()))
 
                 x = np.maximum(x_new, 0.0)
                 if not np.all(np.isfinite(x)):
@@ -217,19 +199,33 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     return states_rec, jump_logs
 
 
-def _grid(horizon: float, dt: float) -> tuple[int, float, np.ndarray]:
-    """Round dt to divide the horizon evenly; returns (K, step, times)."""
+def _grid(horizon: float, dt: float) -> tuple[int, float]:
+    """Round dt to divide the horizon evenly; returns (K, step)."""
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"horizon {horizon} in steps of {dt} overflows the step count")
     K = max(1, int(round(horizon / dt)))
-    h = horizon / K
-    return K, h, np.linspace(0.0, horizon, K + 1)
+    return K, horizon / K
+
+
+def _check_size(n_paths: int, n_values: int, n_points: int) -> None:
+    """Refuse a run whose estimate exceeds MAX_BYTES: 8 bytes per float state
+    returned or recorded, 32 per grid point (its time and index entries) and
+    512 per path (its objects; 260-390 measured). Logged jumps are not counted."""
+    need = 8 * n_values + 32 * n_points + 512 * n_paths
+    if need > MAX_BYTES:
+        gib = need / 2**30 if need < 2**1000 else math.inf  # the quotient would overflow
+        raise ValueError(f"simulation would hold about {gib:.3g} GiB of path and "
+                         f"grid arrays, above the cap of {MAX_BYTES / 2**30:g} GiB")
 
 
 def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list[SamplePath]:
     """Simulate CBI paths on the grid 0, dt, ..., horizon."""
     dq = moments.derive(params)
-    K, h, times = _grid(cfg.horizon, cfg.dt)
+    K, h = _grid(cfg.horizon, cfg.dt)
+    _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * dq.params.d, K + 1)
     states, logs = _simulate_grid(dq, cfg.x0, K, h, cfg.seed, cfg.n_paths,
                                   np.arange(K + 1))
+    times = np.linspace(0.0, cfg.horizon, K + 1)
     return [SamplePath(times=times, states=states[p], jump_log=tuple(logs[p]))
             for p in range(cfg.n_paths)]
 
@@ -252,67 +248,62 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     dq = moments.derive(params)
-    K_base, h, _ = _grid(n * cfg.horizon, cfg.dt)
-    M = scaled_last_index(n, cfg.horizon)
-    int_idx = np.minimum(np.round(np.arange(M + 1) / h).astype(int), K_base)
-    record_idx = np.unique(int_idx)
+    K_base, h = _grid(n * cfg.horizon, cfg.dt)
+    K_out, _ = _grid(cfg.horizon, cfg.dt)
+    # base states recorded at, and scaled states returned on, the output grid
+    _check_size(cfg.n_paths, 2 * cfg.n_paths * (K_out + 1) * dq.params.d,
+                K_base + K_out + 2)
+    times = np.linspace(0.0, cfg.horizon, K_out + 1)
+    m_of_t = np.minimum(np.floor(float(n) * times + 1e-9).astype(int),
+                        scaled_last_index(n, cfg.horizon))
+    base_idx = np.minimum(np.round(m_of_t / h).astype(int), K_base)
+    record_idx, take = np.unique(base_idx, return_inverse=True)
     base_states, _ = _simulate_grid(dq, float(n) * cfg.x0, K_base, h,
                                     cfg.seed, cfg.n_paths, record_idx)
-    slot_of_m = np.searchsorted(record_idx, int_idx)
-
-    K_out, _, times = _grid(cfg.horizon, cfg.dt)
-    m_of_t = np.minimum(np.floor(float(n) * times + 1e-9).astype(int), M)
-    take = slot_of_m[m_of_t]
     return [SamplePath(times=times, states=base_states[p][take] / float(n))
             for p in range(cfg.n_paths)]
 
 
-def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
-                             cfg: PathConfig) -> list[SamplePath]:
-    """Simulate the limiting ray diffusion of a critical irreducible model.
+def limit_ray(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
+    """The limiting ray diffusion dY = <u_left, beta_tilde> dt
+    + sqrt(<cbar u_left, u_left> Y^+) dW of a critical irreducible model,
+    as the one-type CBI with c = <cbar u_left, u_left> / 2,
+    beta = <u_left, beta_tilde>, B = 0 and no jumps (Kawazu & Watanabe 1971).
 
-    The scalar component solves dY = <u_left, beta_tilde> dt
-    + sqrt(<cbar u_left, u_left> Y^+) dW from Y_0 = <u_left, x0> (0 for
-    the canonical start); states carry the embedding Y_t * u_right and
-    `scalar` the 1-d path.
+    Raises ClassificationError for any other model.
     """
     dq = moments.derive(params)
     if dq.classification != moments.CRITICAL:
         raise ClassificationError(
             f"limit diffusion requires a critical irreducible model, got "
             f"'{dq.classification}'")
-    if cfg.x0.shape != (dq.params.d,):
-        raise ValueError(f"x0 must have length d={dq.params.d}, got shape {cfg.x0.shape}")
-
     u_left = dq.perron.u_left
-    drift = float(u_left @ dq.beta_tilde)
-    diff2 = float(u_left @ (dq.cbar @ u_left))
-    y0 = float(u_left @ cfg.x0)
+    return moments.derive(CbiParams.no_jumps(
+        c=[0.5 * float(u_left @ (dq.cbar @ u_left))],
+        beta=[float(u_left @ dq.beta_tilde)], B=[[0.0]]))
 
-    K, h, times = _grid(cfg.horizon, cfg.dt)
-    sqrt_h = math.sqrt(h)
-    scalars = np.empty((cfg.n_paths, K + 1))
 
-    block = max(1, int(DRAW_BUDGET / WINDOW))
-    for p0 in range(0, cfg.n_paths, block):
-        p1 = min(p0 + block, cfg.n_paths)
-        P = p1 - p0
-        rngs = [_path_rng(cfg.seed, p) for p in range(p0, p1)]
-        y = np.full(P, y0)
-        scalars[p0:p1, 0] = y
-        for w0 in range(0, K, WINDOW):
-            width = min(WINDOW, K - w0)
-            normals = np.empty((P, width))
-            for pj, rng in enumerate(rngs):
-                normals[pj] = rng.standard_normal(width)
-            for kw in range(width):
-                yp = np.maximum(y, 0.0)
-                y = np.maximum(y + drift * h + np.sqrt(diff2 * yp) * sqrt_h * normals[:, kw], 0.0)
-                scalars[p0:p1, w0 + kw + 1] = y
+def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
+                             cfg: PathConfig) -> list[SamplePath]:
+    """Simulate the limiting ray diffusion of a critical irreducible model.
 
+    The scalar component is the one-type CBI `limit_ray` started from
+    Y_0 = <u_left, x0> (0 for the canonical start), run by the CBI kernel;
+    states carry the embedding Y_t * u_right and `scalar` the 1-d path.
+    """
+    dq = moments.derive(params)
+    ray = limit_ray(dq)
+    d = dq.params.d
+    if cfg.x0.shape != (d,):
+        raise ValueError(f"x0 must have length d={d}, got shape {cfg.x0.shape}")
+    K, h = _grid(cfg.horizon, cfg.dt)
+    _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * (1 + d), K + 1)
+    scalars, _ = _simulate_grid(ray, [float(dq.perron.u_left @ cfg.x0)], K, h,
+                                cfg.seed, cfg.n_paths, np.arange(K + 1))
+    times = np.linspace(0.0, cfg.horizon, K + 1)
     u_right = dq.perron.u_right
-    return [SamplePath(times=times, states=np.outer(scalars[p], u_right),
-                       scalar=scalars[p])
+    return [SamplePath(times=times, states=np.outer(scalars[p, :, 0], u_right),
+                       scalar=scalars[p, :, 0])
             for p in range(cfg.n_paths)]
 
 

@@ -79,13 +79,14 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
 
 
 def scaled_argument(f: TestFunction, n: float) -> TestFunction:
-    """f_n(x) = f(x / n); gradient scales by 1/n, Hessian by 1/n^2."""
+    """f_n(x) = f(x / n); gradient scales by 1/n, Hessian by 1/n^2 (as / n / n:
+    n**2 overflows for n above about 1.3e154)."""
     n = float(n)
     if n <= 0:
         raise ValueError(f"scale must be positive, got {n}")
     return TestFunction(
         value=lambda x: f.value(np.asarray(x, dtype=float) / n),
         gradient=lambda x: f.gradient(np.asarray(x, dtype=float) / n) / n,
-        hessian=lambda x: f.hessian(np.asarray(x, dtype=float) / n) / n**2,
+        hessian=lambda x: f.hessian(np.asarray(x, dtype=float) / n) / n / n,
         support_radius=n * f.support_radius,
     )

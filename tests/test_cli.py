@@ -259,6 +259,33 @@ def test_integer_beyond_float_range_exits_64(fix_a_file, capsys, command, extra)
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 
 
+_SIM_N = {"simulate": [], "simulate-scaled": ["--n", "2"], "simulate-limit": []}
+
+
+@pytest.mark.parametrize("command,extra", [
+    *((command, [*flags, *n]) for command, n in _SIM_N.items()
+      for flags in (["--t", "inf"], ["--t", "nan"], ["--t", "1", "--dt", "nan"],
+                    ["--t", "1", "--dt", "inf"], ["--t", "1", "--n-paths", "1000000000000"])),
+    ("simulate-scaled", ["--t", "1", "--dt", "0.5", "--n-paths", "1", "--n", "1000000000"]),
+    ("simulate", ["--t", "1", "--n-paths", HUGE]),  # the size estimate exceeds a float
+])
+def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, capsys,
+                                                          command, extra):
+    out_csv = tmp_path / "paths.csv"
+    code = cli.run([command, "--params", fix_a_file, "--x", "1", *extra, "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert not out_csv.exists()
+
+
+def test_cgen_beyond_squared_float_range(fix_a_file, capsys):
+    # n**2 overflows a float although n does not
+    code = cli.run(["cgen", "--params", fix_a_file, "--x", "1", "--n-list", f"10,{10**160}"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+
+
 def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
     # far past its time scale the solve steps at the stability limit; at
     # MAX_STEPS it stops with one documented line

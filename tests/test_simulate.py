@@ -1,11 +1,12 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from cbi import affine, moments
+from cbi import affine, moments, simulate
 from cbi.errors import ClassificationError
 from cbi.model import CbiParams, JumpMeasure
 from cbi.simulate import (PathConfig, paths_to_csv, poisson_from_uniform,
@@ -28,6 +29,32 @@ def test_path_config_validation():
         PathConfig(x0=[1.0], horizon=1.0, dt=2.0, seed=0, n_paths=10)
     with pytest.raises(ValueError):
         PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=0, n_paths=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"horizon must be finite and positive, got {bad}"):
+            PathConfig(x0=[1.0], horizon=bad, dt=1e-3, seed=0, n_paths=10)
+        with pytest.raises(ValueError, match=f"got dt={bad}"):
+            PathConfig(x0=[1.0], horizon=1.0, dt=bad, seed=0, n_paths=10)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: simulate_cbi(p, PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=0,
+                                         n_paths=10**12)),
+    lambda p: simulate_scaled_step(p, 10**9, PathConfig(x0=[1.0], horizon=1.0, dt=0.5,
+                                                        seed=0, n_paths=1)),
+    lambda p: simulate_limit_diffusion(p, PathConfig(x0=[1.0], horizon=1e6, dt=1e-6,
+                                                     seed=0, n_paths=1)),
+    lambda p: simulate_cbi(p, PathConfig(x0=[1.0], horizon=1e300, dt=1e-300, seed=0,
+                                         n_paths=1)),
+])
+def test_oversized_run_refused_before_allocating(fix_a, run):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB|step count"):
+            run(fix_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_poisson_inversion_matches_cdf_oracle():
@@ -203,6 +230,26 @@ def test_limit_diffusion_ray_embedding(d2_critical):
     u = moments.derive(d2_critical).perron.u_right
     for p in simulate_limit_diffusion(d2_critical, cfg):
         assert_close(p.states, np.outer(p.scalar, u), 1e-15, "ray embedding")
+
+
+def test_limit_diffusion_is_the_ray_cbi_on_the_kernel(d2_critical):
+    # the limit is the one-type CBI limit_ray started from <u_left, x0>,
+    # run by the same kernel and streams as every other simulation
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=0.5, dt=1e-2, seed=3, n_paths=6)
+    dq = moments.derive(d2_critical)
+    ray = simulate.limit_ray(dq)
+    assert ray.params.d == 1 and not ray.params.nu.natoms and not ray.params.mu[0].natoms
+    assert_close(ray.params.B, [[0.0]], 0.0, "ray B")
+    assert_close(ray.params.beta, [1.0], 1e-14, "ray beta = <u_left, beta_tilde>")
+    assert_close(ray.params.c, [1.0], 1e-14, "ray c = <cbar u_left, u_left> / 2")
+    K = 50
+    scalars, logs = simulate._simulate_grid(ray, [float(dq.perron.u_left @ cfg.x0)], K,
+                                            cfg.horizon / K, cfg.seed, cfg.n_paths,
+                                            np.arange(K + 1))
+    paths = simulate_limit_diffusion(d2_critical, cfg)
+    for p, path in enumerate(paths):
+        assert np.array_equal(path.scalar, scalars[p, :, 0])
+        assert logs[p] == []
 
 
 def test_limit_diffusion_moments_fix_a(fix_a):
