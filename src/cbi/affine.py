@@ -23,21 +23,23 @@ and immigration mechanism
                - int ( exp(-<lam, z>) - 1 + <lam, z> ) nu(dz).
 
 The two psi forms agree identically on finite atomic measures; `psi`
-implements the first. phi is evaluated on a (d, m) block of lam columns
-at once, the atoms of every mu_i stacked into one matrix product.
+implements the first. The psi-integral is integrated as one more state
+row: a (d+1, m) block holds m columns (v; int_0^s psi(v)), and one
+right-hand side evaluates -phi and psi on the whole block, the atoms of
+every mu_i and of nu stacked into one matrix product; `phi` and `psi`
+read its rows.
 
-The Riccati system is integrated by an in-repo Dormand-Prince 5(4) stepper
+That system is integrated by an in-repo Dormand-Prince 5(4) stepper
 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-6)
-with scipy's RK45 initial-step rule and step-size controller. It advances
-a (d, m) block of lam columns on one time grid. A step is accepted when
-the largest per-column RMS of the scaled error estimate is below 1: a lone
-column is controlled exactly as by scipy's RK45, and in a batch no column's
-error can hide inside an RMS taken over the whole block. A solve that
-needs more than MAX_STEPS accepted steps fails. The psi-integral
-is a 3-node Gauss-Legendre sum on each accepted step of the 4th-order
-continuous extension, evaluated at the nodes of every step in one pass, so
-the ODE state stays exactly the Riccati system and the integral's error
-follows the solver's tolerance. Each column keeps its own clip budget.
+with scipy's RK45 initial-step rule and step-size controller, on one time
+grid for the whole block. A step is accepted when the largest per-column
+RMS of the scaled error estimate, over v and the psi-integral, is below
+1: a lone column is controlled exactly as by scipy's RK45 on (v, psi), no
+column's error can hide inside an RMS taken over the whole block, and
+the psi-integral's error is held to the solver's tolerance as v's is (the
+quadrature-variable approach of CVODES; Hindmarsh et al., ACM TOMS 31,
+2005). Only the current state is kept. A solve that needs more than
+MAX_STEPS accepted steps fails. Each column keeps its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -71,19 +73,18 @@ DEFAULT_ATOL = 1e-12
 #: it by their step, the discrete generator multiplies it by n.
 TIGHT_RTOL = 1e-12
 TIGHT_ATOL = 1e-14
-#: Run fails if the summed negative undershoot of any one column of v
-#: exceeds this.
+#: Run fails if the summed negative undershoot of v, over the rows of any
+#: one column at the solver's step ends, exceeds this.
 CLIP_BUDGET = 1e-8
 #: Run fails once a solve would take more accepted steps than this: far
-#: past its time scale an explicit step is held to the stability limit,
-#: so a huge horizon would otherwise step without end.
+#: past its time scale an explicit step can be held to the stability
+#: limit, so a huge horizon would otherwise step without end. Only the
+#: current state is kept, so the cap bounds run time, not memory.
 MAX_STEPS = 100_000
 
 # Dormand-Prince 5(4): stage coefficients (row s combines stages 0..s-1),
-# 5th-order weights, error weights (5th minus embedded 4th order, over the
-# 7 stages with the FSAL one) and the 4th-order continuous extension
-# y(t_k + x h) = y_k + h sum_s K_s (P[s] . (x, x^2, x^3, x^4)), with the
-# coefficients of scipy's RK45.
+# 5th-order weights and error weights (5th minus embedded 4th order, over
+# the 7 stages with the FSAL one), with the coefficients of scipy's RK45.
 _DP_A = (np.array([1 / 5]),
          np.array([3 / 40, 9 / 40]),
          np.array([44 / 45, -56 / 15, 32 / 9]),
@@ -92,70 +93,56 @@ _DP_A = (np.array([1 / 5]),
 _DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
                   1 / 40])
-_DP_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-_POWERS = np.arange(1, 5)
 #: Step-size control: the new step is the old one times
 #: SAFETY * error ** EXPONENT, clipped to [MIN_FACTOR, MAX_FACTOR].
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
-#: The 3-node Gauss-Legendre rule on [0, 1], and the continuous extension's
-#: stage weights at its nodes, shape (7, 3).
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(3)
-_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
-_GL_STAGES = _DP_P @ (_GL_X ** _POWERS[:, None])
 
 
 def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
-    """The Riccati right-hand side -phi on a (d, m) block of columns,
+    """The right-hand side of the Riccati system with the psi-integral as
+    row d, on a (d+1, m) block Y of columns (v; int psi):
 
-        -phi(V) = (B^T - diag kappa) V - c V^2 - W (exp(-Z V) - 1),
+        (-phi(V); psi(V)) = L Y - c Y^2 - W (exp(-Z Y) - 1),
 
-    with the atoms of all mu_i stacked in the rows of Z and W[i, a] the
-    weight of atom a when it belongs to mu_i."""
+    where L is B^T - diag kappa with beta appended as row d, c has a 0 in
+    row d, the rows of Z are the atoms of all mu_i and of nu, and W[i, a]
+    is the weight of atom a when it belongs to mu_i (i < d) or to nu
+    (i = d). Row d of Y enters no right-hand side."""
     params = dq.params
-    c = params.c[:, None]
-    L = params.B.T - np.diag(dq.kappa)
-    atoms = [(i, m) for i, m in enumerate(params.mu) if m.natoms]
-    if not atoms:
-        return lambda V: L @ V - c * V * V
-    minus_z = -np.concatenate([m.points for _, m in atoms])
-    owner = np.concatenate([np.full(m.natoms, i) for i, m in atoms])
-    W = np.zeros((params.d, len(owner)))
-    W[owner, np.arange(len(owner))] = np.concatenate([m.weights for _, m in atoms])
-    return lambda V: L @ V - c * V * V - W @ np.expm1(minus_z @ V)
+    d = params.d
+    L = np.zeros((d + 1, d + 1))
+    L[:d, :d] = params.B.T - np.diag(dq.kappa)
+    L[d, :d] = params.beta
+    c = np.append(params.c, 0.0)[:, None]
+    measures = [(i, m) for i, m in enumerate((*params.mu, params.nu)) if m.natoms]
+    if not measures:
+        return lambda Y: L @ Y - c * Y * Y
+    minus_z = np.zeros((sum(m.natoms for _, m in measures), d + 1))
+    minus_z[:, :d] = -np.concatenate([m.points for _, m in measures])
+    owner = np.concatenate([np.full(m.natoms, i) for i, m in measures])
+    W = np.zeros((d + 1, len(owner)))
+    W[owner, np.arange(len(owner))] = np.concatenate([m.weights for _, m in measures])
+    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y)
+
+
+def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
+    """(-phi(lam); psi(lam)), the Riccati right-hand side at one point lam."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return _riccati_rhs(moments.derive(params))(np.append(lam, 0.0)[:, None])[:, 0]
 
 
 def phi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """Branching mechanism phi(lam), one component per type."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return -_riccati_rhs(moments.derive(params))(lam[:, None])[:, 0]
+    return -_mechanisms(params, lam)[:-1]
 
 
 def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     """Immigration mechanism psi(lam) = <beta, lam> - int (e^{-<lam,z>} - 1) nu(dz)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return float(_psi_columns(moments.derive(params).params, lam))
-
-
-def _psi_columns(params: CbiParams, V: np.ndarray) -> np.ndarray:
-    """psi evaluated at each column of V (shape (d, m)) -> (m,), or at one
-    point V (shape (d,)) -> a scalar."""
-    vals = params.beta @ V
-    if params.nu.natoms:
-        vals = vals - params.nu.weights @ (np.exp(-(params.nu.points @ V)) - 1.0)
-    return vals
+    return float(_mechanisms(params, lam)[-1])
 
 
 def _col_rms(z: np.ndarray, m: int) -> np.ndarray:
-    """RMS of each column of the flattened (d, m) block z -> (m,)."""
+    """RMS of each column of the flattened (rows, m) block z -> (m,)."""
     z = z.reshape(-1, m)
     return np.sqrt(np.add.reduce(z * z, axis=0)) / np.sqrt(len(z))
 
@@ -176,24 +163,32 @@ def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, m: int,
     return float(np.minimum(np.minimum(100 * h0, h1), t_end).min())
 
 
-def _dormand_prince(rhs, y0: np.ndarray, t_end: float, m: int, rtol: float,
-                    atol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Integrate y' = rhs(y) from y(0) = y0, the flattened (d, m) block, to
-    t_end with scipy's RK45 step control on the largest per-column RMS error.
+def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
+                    atol: float) -> tuple[np.ndarray, int, int, int, np.ndarray]:
+    """Integrate Y' = rhs(Y) from Y(0) = y0, a (d+1, m) block whose last row
+    is the psi-integral, to t_end with scipy's RK45 step control on the
+    largest per-column RMS error over all d+1 rows.
 
-    Returns the accepted step ends ts (k+1,), the states there (k+1, d*m),
-    each step's 7 stages (k, 7, d*m), the number of rhs evaluations and the
-    number of rejected step attempts. Raises SolverError when t_end is not
-    reached within MAX_STEPS accepted steps.
+    Returns Y(t_end), the numbers of accepted steps, rhs evaluations and
+    rejected step attempts, and each column's negative undershoot of its
+    first d rows summed over the accepted step ends, shape (m,). Raises
+    SolverError when t_end is not reached within MAX_STEPS accepted steps.
     """
-    f = rhs(y0)
-    h_abs = _initial_step(rhs, y0, f, t_end, m, rtol, atol)
-    nfev, rejected = 2, 0
-    t, y = 0.0, y0
-    ts, ys, ks = [t], [y], []
-    K = np.empty((7, len(y0)))
+    shape, m = y0.shape, y0.shape[1]
+    n_v = y0.size - m  # the v rows lead the flattened block
+
+    def flat_rhs(y: np.ndarray) -> np.ndarray:
+        return rhs(y.reshape(shape)).ravel()
+
+    y = y0.ravel()
+    f = flat_rhs(y)
+    h_abs = _initial_step(flat_rhs, y, f, t_end, m, rtol, atol)
+    steps, nfev, rejected = 0, 2, 0
+    clip = np.zeros(m)
+    t = 0.0
+    K = np.empty((7, len(y)))
     while t < t_end:
-        if len(ks) == MAX_STEPS:
+        if steps == MAX_STEPS:
             raise SolverError(f"Riccati solve failed: {MAX_STEPS} steps reached only "
                               f"t = {t:.6g} of {t_end:.6g}")
         min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -207,9 +202,9 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, m: int, rtol: float,
             h = t_new - t
             K[0] = f
             for s, a in enumerate(_DP_A, start=1):
-                K[s] = rhs(y + np.dot(K[:s].T, a) * h)
+                K[s] = flat_rhs(y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            K[-1] = f_new = rhs(y_new)
+            K[-1] = f_new = flat_rhs(y_new)
             nfev += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error = _col_rms(np.dot(K.T, _DP_E) * h / scale, m).max()
@@ -222,64 +217,40 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, m: int, rtol: float,
             step_rejected = True
             rejected += 1
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        ks.append(K.copy())
-    return np.array(ts), np.array(ys), np.array(ks), nfev, rejected
-
-
-def _interpolant(ts: np.ndarray, ys: np.ndarray, ks: np.ndarray, shape: tuple):
-    """The continuous extension of the accepted steps at one time s; at a
-    step end, the step that ends there."""
-    def at(s: float) -> np.ndarray:
-        k = min(max(int(np.searchsorted(ts, s)) - 1, 0), len(ks) - 1)
-        h = ts[k + 1] - ts[k]
-        x = (s - ts[k]) / h
-        return (ys[k] + h * (ks[k].T @ (_DP_P @ x ** _POWERS))).reshape(shape)
-    return at
+        steps += 1
+        if y[:n_v].min() < 0:
+            clip -= np.minimum(y[:n_v], 0.0).reshape(-1, m).sum(axis=0)
+    return y.reshape(shape), steps, nfev, rejected, clip
 
 
 @dataclass(frozen=True, eq=False)
 class VSolution:
-    """Dense-output Riccati solution on [0, t_max] with its psi-integral.
+    """The Riccati solution at the horizon with its psi-integral.
 
-    For one lam of shape (d,), dense_values and v_final have shape (d,) and
-    psi_integral is a float; for a block of columns lam of shape (d, m),
-    they have shape (d, m) and psi_integral shape (m,), one per column.
-    solver_stats counts the block's accepted steps, rejected step attempts
-    and rhs evaluations, and holds each column's clip_total.
+    For one lam of shape (d,), v_final has shape (d,) and psi_integral is a
+    float; for a block of columns lam of shape (d, m), v_final has shape
+    (d, m) and psi_integral shape (m,), one per column. solver_stats counts
+    the block's accepted steps, rejected step attempts and rhs evaluations,
+    and holds each column's clip_total.
 
-    dense_values clips tiny negative solver undershoot to 0; the summed
-    undershoot of each column over the solver's steps and the quadrature
-    nodes is accounted at construction and must stay below CLIP_BUDGET.
+    v_final clips tiny negative solver undershoot to 0; solve_v fails when
+    any column's undershoot, summed over the solver's step ends, exceeds
+    CLIP_BUDGET.
     """
 
-    lam: np.ndarray
-    t_max: float
+    v_final: np.ndarray
     psi_integral: float | np.ndarray
     solver_stats: dict
-    _dense: Callable[[float], np.ndarray] | None
-
-    def dense_values(self, s: float) -> np.ndarray:
-        if s < 0 or s > self.t_max * (1 + 1e-12) + 1e-300:
-            raise ValueError(f"s={s} outside [0, {self.t_max}]")
-        if s == 0 or self._dense is None:
-            return self.lam.copy()
-        return np.clip(self._dense(min(s, self.t_max)), 0.0, None)
-
-    @property
-    def v_final(self) -> np.ndarray:
-        return self.dense_values(self.t_max)
 
 
 def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
             rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> VSolution:
-    """Integrate the Riccati system on [0, t] at (rtol, atol) and attach the
-    psi-integral, summed step by step over the solver's accepted steps.
+    """Integrate the Riccati system together with the psi-integral on
+    [0, t] at (rtol, atol).
 
     lam is one point (shape (d,)) or a block of columns (shape (d, m)),
-    solved together on one time grid with every column's error held to
-    (rtol, atol).
+    solved together on one time grid with every column's v and
+    psi-integral held to (rtol, atol).
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -299,38 +270,26 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     if t == 0:
         stats = {"steps": 0, "nfev": 0, "rejected": 0,
                  "clip_total": 0.0 if lone else np.zeros(m), "rtol": rtol, "atol": atol}
-        return VSolution(lam=lam, t_max=0.0, psi_integral=0.0 if lone else np.zeros(m),
-                         solver_stats=stats, _dense=None)
+        return VSolution(v_final=lam.copy(), psi_integral=0.0 if lone else np.zeros(m),
+                         solver_stats=stats)
 
-    rhs = _riccati_rhs(dq)
     # A diverging trial step is rejected through its non-finite error
     # estimate; the step then shrinks, or the solve fails below.
     with np.errstate(all="ignore"):
-        ts, ys, ks, nfev, rejected = _dormand_prince(
-            lambda y: rhs(y.reshape(d, m)).ravel(), lam.ravel(), float(t), m,
+        y, steps, nfev, rejected, clip = _dormand_prince(
+            _riccati_rhs(dq), np.vstack([lam.reshape(d, m), np.zeros(m)]), float(t),
             rtol, atol)
-    if not np.all(np.isfinite(ys)):
+    if not np.all(np.isfinite(y)):
         raise SolverError("Riccati solve produced non-finite state")
-
-    # One pass over every step: v at the 3 Gauss-Legendre nodes of each step,
-    # exact on the degree-4 interpolant when nu has no atoms (psi is then
-    # linear). Layout (step, type, column, node).
-    h = np.diff(ts)
-    nodes = (ys[:-1, :, None] + h[:, None, None] * (ks.transpose(0, 2, 1) @ _GL_STAGES)
-             ).reshape(len(h), d, m, 3)
-    clip = (np.clip(-ys, 0.0, None).reshape(-1, d, m).sum(axis=(0, 1))
-            + np.clip(-nodes, 0.0, None).sum(axis=(0, 1, 3)))
     if np.any(clip > CLIP_BUDGET):
         raise SolverError(
             f"negative undershoot {clip.max():.3e} exceeds clip budget {CLIP_BUDGET:.1e}")
 
-    Vq = np.clip(nodes, 0.0, None).transpose(1, 0, 2, 3).reshape(d, -1)
-    psi_int = h @ (_psi_columns(dq.params, Vq).reshape(len(h), m, 3) @ _GL_W)
-    stats = {"steps": len(h), "nfev": nfev, "rejected": rejected,
+    stats = {"steps": steps, "nfev": nfev, "rejected": rejected,
              "clip_total": float(clip[0]) if lone else clip, "rtol": rtol, "atol": atol}
-    return VSolution(lam=lam, t_max=float(t),
-                     psi_integral=float(psi_int[0]) if lone else psi_int,
-                     solver_stats=stats, _dense=_interpolant(ts, ys, ks, lam.shape))
+    return VSolution(v_final=np.clip(y[:d], 0.0, None).reshape(lam.shape),
+                     psi_integral=float(y[d, 0]) if lone else y[d],
+                     solver_stats=stats)
 
 
 def laplace_transform(params: CbiParams | DerivedQuantities, t: float, x: np.ndarray,

@@ -131,9 +131,19 @@ def _vec(text: str | None, d: int, name: str) -> np.ndarray:
         v = np.array([float(s) for s in text.split(",")], dtype=float)
     except ValueError as exc:
         raise _UsageError(f"--{name} must be comma-separated decimals: {exc}") from exc
+    if not np.all(np.isfinite(v)):
+        raise _UsageError(f"--{name} must be finite, got {text!r}")
     if len(v) != d:
         raise _DimensionError(f"--{name} has length {len(v)}, params require d={d}")
     return v
+
+
+def _start(text: str | None, d: int) -> np.ndarray:
+    """--x, a start state in R_+^d."""
+    x = _vec(text, d, "x")
+    if np.any(x < 0):
+        raise _UsageError(f"--x is a start state and must be componentwise >= 0, got {text!r}")
+    return x
 
 
 def _jsonify(obj):
@@ -210,7 +220,7 @@ def _cmd_vsolve(args, dq: DerivedQuantities) -> int:
 def _cmd_laplace(args, dq: DerivedQuantities) -> int:
     if args.t is None:
         raise _UsageError("--t is required for laplace")
-    x = _vec(args.x, dq.params.d, "x")
+    x = _start(args.x, dq.params.d)
     lam = _vec(args.lam, dq.params.d, "lambda")
     value = affine.laplace_transform(dq, args.t, x, lam, rtol=args.tol,
                                      atol=args.tol * 1e-2)
@@ -223,7 +233,7 @@ def _cmd_laplace(args, dq: DerivedQuantities) -> int:
 def _cmd_dgen(args, dq: DerivedQuantities) -> int:
     if args.n is None:
         raise _UsageError("--n is required for dgen")
-    x = _vec(args.x, dq.params.d, "x")
+    x = _start(args.x, dq.params.d)
     lam = _vec(args.lam, dq.params.d, "lambda")
     value = generators.discrete_gen_exp(dq, args.n, x, lam)
     _emit({"command": "dgen",
@@ -233,7 +243,7 @@ def _cmd_dgen(args, dq: DerivedQuantities) -> int:
 
 
 def _cmd_prop31(args, dq: DerivedQuantities) -> int:
-    x = _vec(args.x, dq.params.d, "x")
+    x = _start(args.x, dq.params.d)
     lam = _vec(args.lam, dq.params.d, "lambda")
     table = generators.discrete_gen_table(dq, x, lam, args.n_list)
     rows = [f"{n},{float(raw)!r},{float(corr)!r},{float(table.limit_formula)!r},{float(gap)!r}"
@@ -250,7 +260,7 @@ def _cmd_prop31(args, dq: DerivedQuantities) -> int:
 
 def _cmd_cgen(args, dq: DerivedQuantities) -> int:
     d = dq.params.d
-    x = _vec(args.x, d, "x")
+    x = _start(args.x, d)
     radius = args.bump_radius if args.bump_radius is not None else 2.0 * (1.0 + float(np.max(np.abs(x))))
     center = (_vec(args.bump_center, d, "bump-center")
               if args.bump_center is not None else np.zeros(d))
@@ -282,7 +292,7 @@ def _path_config(args, dq: DerivedQuantities) -> simulate.PathConfig:
         raise _UsageError("--out is required for simulation commands")
     if args.t is None:
         raise _UsageError("--t (horizon) is required for simulation commands")
-    x0 = _vec(args.x, dq.params.d, "x")
+    x0 = _start(args.x, dq.params.d)
     return simulate.PathConfig(x0=x0, horizon=args.t, dt=args.dt,
                                seed=args.seed, n_paths=args.n_paths)
 

@@ -79,11 +79,16 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
 
 
 def scaled_argument(f: TestFunction, n: float) -> TestFunction:
-    """f_n(x) = f(x / n); gradient scales by 1/n, Hessian by 1/n^2 (as / n / n:
-    n**2 overflows for n above about 1.3e154)."""
+    """f_n(x) = f(x / n); gradient scales by 1/n, Hessian by 1/n^2.
+
+    A scale whose square overflows the float range (n above about 1.34e154)
+    is refused: the Hessian would underflow and lose all accuracy."""
     n = float(n)
     if n <= 0:
         raise ValueError(f"scale must be positive, got {n}")
+    if n * n == np.inf:
+        raise ValueError(f"scale {n:.6g} is beyond the square root of the "
+                         "floating-point range")
     return TestFunction(
         value=lambda x: f.value(np.asarray(x, dtype=float) / n),
         gradient=lambda x: f.gradient(np.asarray(x, dtype=float) / n) / n,

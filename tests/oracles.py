@@ -3,8 +3,9 @@
 Everything here deliberately avoids the production code paths it checks:
 matrix integrals by adaptive quadrature of each integral's defining
 formula over scipy's expm (production reads them off one block
-exponential), the psi-integral via an augmented ODE state (production
-quadratures the dense output), phi and both forms of psi re-derived from
+exponential), the Riccati solution with its psi-integral by scipy's RK45
+with psi taken at v clipped to R_+^d (production integrates psi at the
+unclipped state with its own stepper), phi and both forms of psi re-derived from
 raw atom data with explicit Python loops, and irreducibility from scipy's
 strongly connected components (production squares a boolean reachability
 matrix).

@@ -280,21 +280,94 @@ def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, 
 
 
 def test_cgen_beyond_squared_float_range(fix_a_file, capsys):
-    # n**2 overflows a float although n does not
+    # n**2 overflows a float although n does not: the Hessian of f(x/n)
+    # would underflow, so such a scale is refused
     code = cli.run(["cgen", "--params", fix_a_file, "--x", "1", "--n-list", f"10,{10**160}"])
     captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
+    assert code == 64 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+
+
+def test_cgen_just_inside_squared_float_range(fix_a_file, capsys):
+    code, out = run_cli(capsys, ["cgen", "--params", fix_a_file, "--x", "1",
+                                 "--n-list", f"10,{13 * 10**153}"])
+    assert code == 0
+    n, *_, gap = out.splitlines()[-1].split(",")
+    assert int(n) == 13 * 10**153 and float(gap) <= 1e-15
+
+
+#: every command that takes --x, with the flags it needs besides --params and --x
+_X_COMMANDS = {
+    "laplace": ["--t", "1", "--lambda", "1"],
+    "dgen": ["--n", "10", "--lambda", "1"],
+    "prop31": ["--lambda", "1"],
+    "cgen": [],
+    "simulate": ["--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
+    "simulate-scaled": ["--t", "0.1", "--dt", "0.01", "--n-paths", "2", "--n", "2"],
+    "simulate-limit": ["--t", "0.1", "--dt", "0.01", "--n-paths", "2"],
+}
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf", "-5"])
+@pytest.mark.parametrize("command", sorted(_X_COMMANDS))
+def test_non_finite_or_negative_start_exits_64_without_csv(fix_a_file, tmp_path, capsys,
+                                                           command, x):
+    # --x is a start state in R_+^d: outside it the transform leaves (0, 1]
+    # and a path starts outside the state space
+    out_csv = tmp_path / "out.csv"
+    argv = [command, "--params", fix_a_file, f"--x={x}", *_X_COMMANDS[command]]
+    if command not in ("laplace", "dgen"):
+        argv += ["--out", str(out_csv)]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("vsolve", ["--t", "1", "--lambda", "inf"]),
+    ("laplace", ["--t", "1", "--x", "1", "--lambda", "nan"]),
+    ("cgen", ["--x", "1", "--bump-center", "nan"]),
+])
+def test_non_finite_vector_flag_exits_64(fix_a_file, capsys, command, extra):
+    code = cli.run([command, "--params", fix_a_file, *extra])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.startswith("usage error: --") and "must be finite" in captured.err
 
 
 def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
-    # far past its time scale the solve steps at the stability limit; at
-    # MAX_STEPS it stops with one documented line
+    # a solve that would take more than MAX_STEPS steps stops with one
+    # documented line (fix_a at t = 1e20 takes about 1200)
     monkeypatch.setattr(affine, "MAX_STEPS", 500)
     code = cli.run(["vsolve", "--params", fix_a_file, "--t", "1e20", "--lambda", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("solver error: ") and "500 steps" in captured.err
+
+
+def test_vsolve_far_horizon_exits_0(fix_a_file, capsys):
+    # with the psi-integral under step control the critical solve's steps
+    # grow geometrically: t = 1e20 ends in about 1200 steps
+    code, out = run_cli(capsys, ["vsolve", "--params", fix_a_file, "--t", "1e20",
+                                 "--lambda", "1"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["psi_integral"] == pytest.approx(math.log1p(1e20), rel=1e-8)
+    assert result["solver_stats"]["steps"] < 2000
+
+
+def test_subcritical_laplace_long_horizon(tmp_path, capsys):
+    # B = -1: v -> 0 and the transform tends to 1/(1 + lam) = 1/2 at lam = 1;
+    # the clip budget is summed at step ends only
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"d": 1, "c": [1.0], "beta": [1.0], "B": [[-1.0]]}))
+    code, out = run_cli(capsys, ["laplace", "--params", str(path), "--t", "1e5",
+                                 "--x", "1", "--lambda", "1"])
+    assert code == 0
+    assert json.loads(out)["result"]["laplace_transform"] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_degenerate_critical_runs_all_but_perron_commands(tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbi.affine import _GL_W, _GL_X
 from cbi.errors import NumericRangeError
 from cbi.matops import (branching_integral, exp_and_integral_vec, is_irreducible, mat_exp,
                         perron_vectors, spectral)
@@ -150,12 +149,7 @@ def test_perron_pair_asymmetric_critical():
     assert_close(pp.u_left, [2.0 / 3.0, 4.0 / 3.0], 1e-12)
 
 
-# --- quadrature ------------------------------------------------------------
-
-def test_gauss_legendre_exact_on_polynomial():
-    # the 3-node rule of the psi-integral is exact through degree 5 on [0, 1]
-    assert _GL_W @ _GL_X**5 == pytest.approx(1.0 / 6.0, rel=1e-14)
-
+# --- matrix integrals ------------------------------------------------------
 
 def test_exp_integral_identity_cases():
     w = np.array([0.4, 1.1])

@@ -21,18 +21,13 @@ CASES = [(1.0, 1.0, 1e-10, 1e-12), (3.0, 200.0, 1e-10, 1e-12), (1.0, 40.0, 1e-12
 
 
 def scipy_rk45(params, t, lam, rtol, atol):
-    """scipy's RK45 on the loop-oracle phi, with the psi-integral as a 3-node
-    Gauss-Legendre sum over each of its steps."""
-    sol = solve_ivp(lambda _, v: -phi_loops(params, v), (0.0, t), lam, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
+    """scipy's RK45 on (v, psi-integral), with the loop-oracle phi and psi
+    both at the unclipped v."""
+    d = params.d
+    sol = solve_ivp(lambda _, y: np.append(-phi_loops(params, y[:d]), psi_loops(params, y[:d])),
+                    (0.0, t), np.append(lam, 0.0), method="RK45", rtol=rtol, atol=atol)
     assert sol.success
-    x, w = np.polynomial.legendre.leggauss(3)
-    a, b = sol.t[:-1, None], sol.t[1:, None]
-    nodes = (a + 0.5 * (b - a) * (x + 1.0)).ravel()
-    weights = (0.5 * (b - a) * w).ravel()
-    values = np.clip(sol.sol(nodes), 0.0, None)
-    integral = sum(wk * psi_loops(params, values[:, k]) for k, wk in enumerate(weights))
-    return sol, integral
+    return sol
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
@@ -40,20 +35,20 @@ def scipy_rk45(params, t, lam, rtol, atol):
 def test_lone_column_takes_scipy_rk45_steps(name, t, scale, rtol, atol):
     params = ALL_FIXTURES[name]()
     lam = scale * np.linspace(1.0, 0.6, params.d)
-    ref, integral = scipy_rk45(params, t, lam, rtol, atol)
+    ref = scipy_rk45(params, t, lam, rtol, atol)
     sol = solve_v(params, t, lam, rtol=rtol, atol=atol)
     steps = len(ref.t) - 1
     assert sol.solver_stats["steps"] == steps
     assert sol.solver_stats["nfev"] == ref.nfev
     # scipy's RK45 makes 2 evaluations to start and 6 per step attempt
     assert sol.solver_stats["rejected"] == (ref.nfev - 2) // 6 - steps
-    np.testing.assert_allclose(sol.v_final, ref.sol(t), rtol=1e-13, atol=0.0)
-    assert sol.psi_integral == pytest.approx(integral, rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(sol.v_final, ref.y[:-1, -1], rtol=1e-13, atol=0.0)
+    assert sol.psi_integral == pytest.approx(ref.y[-1, -1], rel=1e-13, abs=0.0)
 
 
-def test_cases_reject_steps():
+def test_cases_reject_steps(jump_d2):
     # the parity above covers rejections: at least one case rejects a step
-    sol = solve_v(ALL_FIXTURES["fix_a"](), 3.0, [200.0])
+    sol = solve_v(jump_d2, 3.0, 200.0 * np.linspace(1.0, 0.6, 2))
     assert sol.solver_stats["rejected"] >= 1
 
 
@@ -101,13 +96,11 @@ def test_mixed_block_agrees_with_lone_solves_and_oracle(jump_d2):
         assert block.psi_integral[col] == pytest.approx(integral, abs=1e-9)
 
 
-def test_block_dense_values_are_nonnegative_and_match_oracle(jump_d2):
+def test_block_values_are_nonnegative_and_match_oracle(jump_d2):
     lams = np.array([[3.0, 0.05], [0.5, 8.0]])
-    block = solve_v(jump_d2, 2.0, lams)
-    assert block.dense_values(0.0).shape == (2, 2)
     for s in np.linspace(0.1, 1.9, 7):
-        got = block.dense_values(s)
-        assert np.all(got >= 0.0)
+        got = solve_v(jump_d2, s, lams).v_final
+        assert got.shape == (2, 2) and np.all(got >= 0.0)
         for col in range(2):
             v_s, _ = v_with_psi_state(jump_d2, s, lams[:, col])
             np.testing.assert_allclose(got[:, col], v_s, rtol=0.0, atol=1e-8)
