@@ -73,6 +73,10 @@ DEFAULT_ATOL = 1e-12
 #: it by their step, the discrete generator multiplies it by n.
 TIGHT_RTOL = 1e-12
 TIGHT_ATOL = 1e-14
+#: Base steps of the finite-difference probes v_jacobian_fd and
+#: v_hessian_fd, each Richardson-extrapolated with half the step.
+JACOBIAN_FD_EPS = 1e-4
+HESSIAN_FD_EPS = 1e-3
 #: Run fails if the summed negative undershoot of v, over the rows of any
 #: one column at the solver's step ends, exceeds this.
 CLIP_BUDGET = 1e-8
@@ -254,8 +258,8 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
     dq = moments.derive(params)
     d = dq.params.d
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -312,15 +316,16 @@ def v_jacobian_limit(params: CbiParams | DerivedQuantities, t: float) -> np.ndar
     return matops.mat_exp(dq.btilde, t)
 
 
-def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float,
-                  eps: float = 1e-4) -> np.ndarray:
+def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray:
     """Finite-difference probe of the Jacobian limit.
 
     Central differences (step e/2) around the base point e*ones at e = eps
-    and eps/2, all 4d points as the columns of one solve at (TIGHT_RTOL,
-    TIGHT_ATOL); the base offset contributes an O(eps) bias, removed by
-    Richardson extrapolation of the estimates at eps and eps/2.
+    and eps/2 with eps = JACOBIAN_FD_EPS, all 4d points as the columns of
+    one solve at (TIGHT_RTOL, TIGHT_ATOL); the base offset contributes an
+    O(eps) bias, removed by Richardson extrapolation of the estimates at eps
+    and eps/2.
     """
+    eps = JACOBIAN_FD_EPS
     dq = moments.derive(params)
     d = dq.params.d
     half = 0.5 * np.eye(d)
@@ -352,15 +357,16 @@ def v_hessian_limit(params: CbiParams | DerivedQuantities, t: float, i: int, j: 
     return float(-matops.branching_integral(dq.btilde, dq.big_c, np.eye(d)[k], t)[i, j])
 
 
-def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int, k: int,
-                 eps: float = 1e-3) -> float:
+def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int,
+                 k: int) -> float:
     """Finite-difference probe of the Hessian limit.
 
     Second central differences with step h around the base h*ones at h =
-    eps/2 and eps (the extreme evaluation points touch the boundary lam = 0,
-    which is in the domain), all points as the columns of one solve,
-    Richardson-extrapolated in eps as in v_jacobian_fd.
+    eps/2 and eps with eps = HESSIAN_FD_EPS (the extreme evaluation points
+    touch the boundary lam = 0, which is in the domain), all points as the
+    columns of one solve, Richardson-extrapolated in eps as in v_jacobian_fd.
     """
+    eps = HESSIAN_FD_EPS
     dq = moments.derive(params)
     d = dq.params.d
     _check_types(d, i, j, k)

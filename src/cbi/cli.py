@@ -18,10 +18,11 @@ B, nu, mu):
 
 Exit codes: 0 success, 2 validation/classification failure, 3 solver
 failure, 64 usage error or unknown command, 65 unreadable or malformed
-params JSON, 66 dimension mismatch. A command accepts only the flags it
-reads (`_COMMANDS`); every JSON report embeds them, resolved, so a run is
-reproducible from the report alone; CSV output is byte-stable for a fixed
-config and seed.
+params JSON, 66 dimension mismatch. `_COMMANDS` is the one list of each
+command's flags, required and optional: a command accepts only those, its
+required ones are checked once the model is derived, and every JSON report
+embeds them, resolved, so a run is reproducible from the report alone; CSV
+output is byte-stable for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -102,11 +103,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cbi", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-    for name, (_, flags) in _COMMANDS.items():
+    for name, (_, required, optional) in _COMMANDS.items():
         # no abbreviations: `simulate --n 5` must not become --n-paths 5
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--params", required=True)
-        for flag in flags:
+        for flag in (*required, *optional):
             p.add_argument(flag, **_FLAGS.get(flag, {}))
     return parser
 
@@ -124,50 +125,55 @@ def _load_params(path: str) -> CbiParams:
         raise _InputError(str(exc)) from exc
 
 
-def _vec(text: str | None, d: int, name: str) -> np.ndarray:
-    if text is None:
-        raise _UsageError(f"--{name} is required for this command")
+def _vec(text: str, d: int, flag: str) -> np.ndarray:
     try:
         v = np.array([float(s) for s in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise _UsageError(f"--{name} must be comma-separated decimals: {exc}") from exc
+        raise _UsageError(f"{flag} must be comma-separated decimals: {exc}") from exc
     if not np.all(np.isfinite(v)):
-        raise _UsageError(f"--{name} must be finite, got {text!r}")
+        raise _UsageError(f"{flag} must be finite, got {text!r}")
     if len(v) != d:
-        raise _DimensionError(f"--{name} has length {len(v)}, params require d={d}")
+        raise _DimensionError(f"{flag} has length {len(v)}, params require d={d}")
     return v
 
 
-def _start(text: str | None, d: int) -> np.ndarray:
+def _start(text: str, d: int, flag: str) -> np.ndarray:
     """--x, a start state in R_+^d."""
-    x = _vec(text, d, "x")
+    x = _vec(text, d, flag)
     if np.any(x < 0):
-        raise _UsageError(f"--x is a start state and must be componentwise >= 0, got {text!r}")
+        raise _UsageError(f"{flag} is a start state and must be componentwise >= 0, got {text!r}")
     return x
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+#: the vector flags, parsed against the model's d once it is derived
+_VECTORS = {"--x": _start, "--lambda": _vec, "--bump-center": _vec}
+
+
+def _key(flag: str) -> str:
+    """A flag's name in the report's config."""
+    return flag[2:].replace("-", "_")
+
+
+def _dest(flag: str) -> str:
+    """A flag's attribute on the parsed arguments."""
+    return _FLAGS.get(flag, {}).get("dest", _key(flag))
+
+
+def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(_jsonify(report), indent=2, sort_keys=True))
-
-
-def _config(args, **read) -> dict:
-    """The params file and the resolved flags a command read (its report
-    names the --out CSV)."""
-    return {"params_file": args.params, **read}
+def _emit(command: str, config: dict, result: dict) -> int:
+    """Print the report; a result that is not admissible exits 2."""
+    print(json.dumps({"command": command, "config": config, "result": result},
+                     default=_json_default, indent=2, sort_keys=True))
+    return EXIT_OK if result.get("admissible", True) else EXIT_VALIDATION
 
 
 def _write_csv(args, header: str, rows: list[str]) -> None:
@@ -178,18 +184,19 @@ def _write_csv(args, header: str, rows: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_validate(args, params: CbiParams) -> int:
+# Each handler returns its report's result, or None when its table went to
+# stdout; `run` checks the required flags and parses the vector flags first.
+
+def _cmd_validate(args, params: CbiParams) -> dict:
     report = validate(params)
-    _emit({"command": "validate", "config": _config(args),
-           "result": {"admissible": report.admissible,
-                      "moment_order_ok": {str(k): bool(v) for k, v in report.moment_order_ok.items()},
-                      "computed_integrals": report.computed_integrals,
-                      "violations": report.violations}})
-    return EXIT_OK if report.admissible else EXIT_VALIDATION
+    return {"admissible": report.admissible,
+            "moment_order_ok": {str(k): bool(v) for k, v in report.moment_order_ok.items()},
+            "computed_integrals": report.computed_integrals,
+            "violations": report.violations}
 
 
-def _cmd_derive(args, dq: DerivedQuantities) -> int:
-    result = {
+def _cmd_derive(args, dq: DerivedQuantities) -> dict:
+    return {
         "btilde": dq.btilde,
         "beta_tilde": dq.beta_tilde,
         "C": list(dq.big_c),
@@ -201,70 +208,41 @@ def _cmd_derive(args, dq: DerivedQuantities) -> int:
         "perron": None if dq.perron is None else
                   {"u_right": dq.perron.u_right, "u_left": dq.perron.u_left},
     }
-    _emit({"command": "derive", "config": _config(args), "result": result})
-    return EXIT_OK
 
 
-def _cmd_vsolve(args, dq: DerivedQuantities) -> int:
-    if args.t is None:
-        raise _UsageError("--t is required for vsolve")
-    lam = _vec(args.lam, dq.params.d, "lambda")
-    sol = affine.solve_v(dq, args.t, lam, rtol=args.tol, atol=args.tol * 1e-2)
-    _emit({"command": "vsolve",
-           "config": _config(args, t=args.t, tol=args.tol, **{"lambda": lam}),
-           "result": {"v": sol.v_final, "psi_integral": sol.psi_integral,
-                      "solver_stats": sol.solver_stats}})
-    return EXIT_OK
+def _cmd_vsolve(args, dq: DerivedQuantities) -> dict:
+    sol = affine.solve_v(dq, args.t, args.lam, rtol=args.tol, atol=args.tol * 1e-2)
+    return {"v": sol.v_final, "psi_integral": sol.psi_integral,
+            "solver_stats": sol.solver_stats}
 
 
-def _cmd_laplace(args, dq: DerivedQuantities) -> int:
-    if args.t is None:
-        raise _UsageError("--t is required for laplace")
-    x = _start(args.x, dq.params.d)
-    lam = _vec(args.lam, dq.params.d, "lambda")
-    value = affine.laplace_transform(dq, args.t, x, lam, rtol=args.tol,
-                                     atol=args.tol * 1e-2)
-    _emit({"command": "laplace",
-           "config": _config(args, t=args.t, tol=args.tol, x=x, **{"lambda": lam}),
-           "result": {"laplace_transform": value}})
-    return EXIT_OK
+def _cmd_laplace(args, dq: DerivedQuantities) -> dict:
+    return {"laplace_transform": affine.laplace_transform(
+        dq, args.t, args.x, args.lam, rtol=args.tol, atol=args.tol * 1e-2)}
 
 
-def _cmd_dgen(args, dq: DerivedQuantities) -> int:
-    if args.n is None:
-        raise _UsageError("--n is required for dgen")
-    x = _start(args.x, dq.params.d)
-    lam = _vec(args.lam, dq.params.d, "lambda")
-    value = generators.discrete_gen_exp(dq, args.n, x, lam)
-    _emit({"command": "dgen",
-           "config": _config(args, n=args.n, x=x, **{"lambda": lam}),
-           "result": {"discrete_generator": value}})
-    return EXIT_OK
+def _cmd_dgen(args, dq: DerivedQuantities) -> dict:
+    return {"discrete_generator": generators.discrete_gen_exp(dq, args.n, args.x, args.lam)}
 
 
-def _cmd_prop31(args, dq: DerivedQuantities) -> int:
-    x = _start(args.x, dq.params.d)
-    lam = _vec(args.lam, dq.params.d, "lambda")
-    table = generators.discrete_gen_table(dq, x, lam, args.n_list)
+def _cmd_prop31(args, dq: DerivedQuantities) -> dict | None:
+    table = generators.discrete_gen_table(dq, args.x, args.lam, args.n_list)
     rows = [f"{n},{float(raw)!r},{float(corr)!r},{float(table.limit_formula)!r},{float(gap)!r}"
             for n, raw, corr, gap in zip(table.n_values, table.raw,
                                          table.corrected, table.gaps)]
     _write_csv(args, "n,raw,corrected,limit,gap", rows)
-    if args.out:
-        _emit({"command": "prop31",
-               "config": _config(args, x=x, n_list=list(args.n_list), **{"lambda": lam}),
-               "result": {"verdict": table.verdict, "fitted_slope": table.fitted_slope,
-                          "limit": table.limit_formula, "csv": args.out}})
-    return EXIT_OK
+    return {"verdict": table.verdict, "fitted_slope": table.fitted_slope,
+            "limit": table.limit_formula, "csv": args.out} if args.out else None
 
 
-def _cmd_cgen(args, dq: DerivedQuantities) -> int:
-    d = dq.params.d
-    x = _start(args.x, d)
-    radius = args.bump_radius if args.bump_radius is not None else 2.0 * (1.0 + float(np.max(np.abs(x))))
-    center = (_vec(args.bump_center, d, "bump-center")
-              if args.bump_center is not None else np.zeros(d))
-    f = bump(center, radius, args.bump_amplitude)
+def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
+    x = args.x
+    # the defaults resolve here, so the report echoes the bump it used
+    if args.bump_center is None:
+        args.bump_center = np.zeros(dq.params.d)
+    if args.bump_radius is None:
+        args.bump_radius = 2.0 * (1.0 + float(np.max(np.abs(x))))
+    f = bump(args.bump_center, args.bump_radius, args.bump_amplitude)
     grad = f.gradient(x)
     drift_rate = float((dq.btilde @ x) @ grad)
     limit = generators.scaled_gen_limit(dq, f, x)
@@ -275,25 +253,13 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> int:
         rows.append(f"{n},{float(val)!r},{float(n * drift_rate)!r},{float(corrected)!r},"
                     f"{float(limit)!r},{float(abs(corrected - limit))!r}")
     _write_csv(args, "n,scaled,drift_term,corrected,limit,gap", rows)
-    if args.out:
-        _emit({"command": "cgen",
-               "config": _config(args, x=x, n_list=list(args.n_list),
-                                 bump_center=center, bump_radius=radius,
-                                 bump_amplitude=args.bump_amplitude),
-               "result": {"limit": limit, "drift_rate": drift_rate,
-                          "converges_uncorrected":
-                              generators.drift_convergence_criterion(dq, f, x),
-                          "csv": args.out}})
-    return EXIT_OK
+    return {"limit": limit, "drift_rate": drift_rate,
+            "converges_uncorrected": generators.drift_convergence_criterion(dq, f, x),
+            "csv": args.out} if args.out else None
 
 
-def _path_config(args, dq: DerivedQuantities) -> simulate.PathConfig:
-    if args.out is None:
-        raise _UsageError("--out is required for simulation commands")
-    if args.t is None:
-        raise _UsageError("--t (horizon) is required for simulation commands")
-    x0 = _start(args.x, dq.params.d)
-    return simulate.PathConfig(x0=x0, horizon=args.t, dt=args.dt,
+def _path_config(args) -> simulate.PathConfig:
+    return simulate.PathConfig(x0=args.x, horizon=args.t, dt=args.dt,
                                seed=args.seed, n_paths=args.n_paths)
 
 
@@ -305,63 +271,55 @@ def _moment_summary(states_end: np.ndarray, reference: np.ndarray) -> dict:
             "within_3se": bool(np.all(np.abs(emp - reference) <= 3.0 * se + 1e-12))}
 
 
-def _report_paths(args, command: str, cfg: simulate.PathConfig, paths, ends: np.ndarray,
-                  reference: np.ndarray, **extra) -> int:
+def _report_paths(args, paths, ends: np.ndarray, reference: np.ndarray) -> dict:
     """Write the paths CSV once every number of the report is computed
-    (a failed run leaves no file), then emit the report."""
+    (a failed run leaves no file); the report's result."""
     summary = _moment_summary(ends, reference)
     with open(args.out, "w") as fh:
         simulate.paths_to_csv(paths, fh)
-    _emit({"command": command,
-           "config": _config(args, t=cfg.horizon, x=cfg.x0, dt=cfg.dt,
-                             n_paths=cfg.n_paths, seed=cfg.seed, **extra),
-           "result": {"csv": args.out, "moment_check": summary}})
-    return EXIT_OK
+    return {"csv": args.out, "moment_check": summary}
 
 
-def _cmd_simulate(args, dq: DerivedQuantities) -> int:
-    cfg = _path_config(args, dq)
+def _cmd_simulate(args, dq: DerivedQuantities) -> dict:
+    cfg = _path_config(args)
     paths = simulate.simulate_cbi(dq, cfg)
-    return _report_paths(args, "simulate", cfg, paths, np.stack([p.states[-1] for p in paths]),
+    return _report_paths(args, paths, np.stack([p.states[-1] for p in paths]),
                          moments.mean(dq, cfg.x0, cfg.horizon))
 
 
-def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> int:
-    if args.n is None:
-        raise _UsageError("--n (scale) is required for simulate-scaled")
-    cfg = _path_config(args, dq)
+def _cmd_simulate_scaled(args, dq: DerivedQuantities) -> dict:
+    cfg = _path_config(args)
     paths = simulate.simulate_scaled_step(dq, args.n, cfg)
     m = simulate.scaled_last_index(args.n, cfg.horizon)
-    return _report_paths(args, "simulate-scaled", cfg, paths,
-                         np.stack([p.states[-1] for p in paths]),
-                         moments.mean(dq, args.n * cfg.x0, float(m)) / args.n, n=args.n)
+    return _report_paths(args, paths, np.stack([p.states[-1] for p in paths]),
+                         moments.mean(dq, args.n * cfg.x0, float(m)) / args.n)
 
 
-def _cmd_simulate_limit(args, dq: DerivedQuantities) -> int:
-    cfg = _path_config(args, dq)
+def _cmd_simulate_limit(args, dq: DerivedQuantities) -> dict:
+    cfg = _path_config(args)
     paths = simulate.simulate_limit_diffusion(dq, cfg)
-    return _report_paths(args, "simulate-limit", cfg, paths,
-                         np.array([p.scalar[-1] for p in paths])[:, None],
+    return _report_paths(args, paths, np.array([p.scalar[-1] for p in paths])[:, None],
                          moments.mean(simulate.limit_ray(dq), [float(dq.perron.u_left @ cfg.x0)],
                                       cfg.horizon))
 
 
-_SIM_FLAGS = ("--t", "--x", "--dt", "--n-paths", "--seed", "--out")
+_SIM_OPTIONAL = ("--dt", "--n-paths", "--seed")
 
-#: command -> (handler, the flags it reads besides --params). Every handler
-#: but `validate`'s runs on the model `run` has derived.
+#: command -> (handler, required flags in the order they are checked, optional
+#: flags), the one list of the flags each command reads besides --params.
+#: Every handler but `validate`'s runs on the model `run` has derived.
 _COMMANDS = {
-    "validate": (_cmd_validate, ()),
-    "derive": (_cmd_derive, ()),
-    "vsolve": (_cmd_vsolve, ("--t", "--lambda", "--tol")),
-    "laplace": (_cmd_laplace, ("--t", "--x", "--lambda", "--tol")),
-    "dgen": (_cmd_dgen, ("--n", "--x", "--lambda")),
-    "prop31": (_cmd_prop31, ("--x", "--lambda", "--n-list", "--out")),
-    "cgen": (_cmd_cgen, ("--x", "--n-list", "--bump-center", "--bump-radius",
-                         "--bump-amplitude", "--out")),
-    "simulate": (_cmd_simulate, _SIM_FLAGS),
-    "simulate-scaled": (_cmd_simulate_scaled, (*_SIM_FLAGS, "--n")),
-    "simulate-limit": (_cmd_simulate_limit, _SIM_FLAGS),
+    "validate": (_cmd_validate, (), ()),
+    "derive": (_cmd_derive, (), ()),
+    "vsolve": (_cmd_vsolve, ("--t", "--lambda"), ("--tol",)),
+    "laplace": (_cmd_laplace, ("--t", "--x", "--lambda"), ("--tol",)),
+    "dgen": (_cmd_dgen, ("--n", "--x", "--lambda"), ()),
+    "prop31": (_cmd_prop31, ("--x", "--lambda"), ("--n-list", "--out")),
+    "cgen": (_cmd_cgen, ("--x",), ("--n-list", "--bump-center", "--bump-radius",
+                                   "--bump-amplitude", "--out")),
+    "simulate": (_cmd_simulate, ("--out", "--t", "--x"), _SIM_OPTIONAL),
+    "simulate-scaled": (_cmd_simulate_scaled, ("--n", "--out", "--t", "--x"), _SIM_OPTIONAL),
+    "simulate-limit": (_cmd_simulate_limit, ("--out", "--t", "--x"), _SIM_OPTIONAL),
 }
 
 
@@ -372,16 +330,30 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
         params = _load_params(args.params)
-        handler = _COMMANDS[args.command][0]
-        if args.command == "validate":
-            return handler(args, params)
-        try:
-            dq = moments.derive(params)
-        except InadmissibleError as exc:
-            _emit({"command": args.command, "config": _config(args),
-                   "result": {"admissible": False, "violations": exc.violations}})
-            return EXIT_VALIDATION
-        return handler(args, dq)
+        handler, required, optional = _COMMANDS[args.command]
+        model = params
+        if args.command != "validate":
+            try:
+                model = moments.derive(params)
+            except InadmissibleError as exc:
+                return _emit(args.command, {"params_file": args.params},
+                             {"admissible": False, "violations": exc.violations})
+        for flag in required:
+            if getattr(args, _dest(flag)) is None:
+                raise _UsageError(f"{flag} is required for {args.command}")
+        flags = (*required, *optional)
+        for flag in flags:
+            dest = _dest(flag)
+            if flag in _VECTORS and getattr(args, dest) is not None:
+                setattr(args, dest, _VECTORS[flag](getattr(args, dest), params.d, flag))
+        result = handler(args, model)
+        if result is None:
+            return EXIT_OK
+        # the params file and the resolved flags the command read (its
+        # result names the --out CSV)
+        return _emit(args.command, {"params_file": args.params,
+                                    **{_key(f): getattr(args, _dest(f))
+                                       for f in flags if f != "--out"}}, result)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

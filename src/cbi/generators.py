@@ -49,6 +49,8 @@ CONVERGENCE_TOL = 1e-3
 STABILIZE_DRIFT = 0.10
 #: Absolute tolerance of the two convergence criteria.
 CRITERION_TOL = 1e-10
+#: generator_apply's two forms must agree within this, absolute plus relative.
+FORM_CHECK_TOL = 1e-10
 
 VERDICT_CONVERGES = "converges"
 VERDICT_DIVERGES = "diverges-linearly"
@@ -208,18 +210,17 @@ def _generator_compensated_form(params: CbiParams | DerivedQuantities, f: TestFu
     return val
 
 
-def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x, *,
-                    check_tol: float = 1e-10) -> float:
+def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
     """The CBI generator applied to f at x, with integrals as exact atom sums.
 
-    Both equivalent forms are evaluated and must agree within check_tol
+    Both equivalent forms are evaluated and must agree within FORM_CHECK_TOL
     (absolute plus relative); the defining form's value is returned.
     """
     dq = moments.derive(params)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     primary = _generator_defining_form(dq, f, x)
     other = _generator_compensated_form(dq, f, x)
-    if abs(primary - other) > check_tol * (1.0 + max(abs(primary), abs(other))):
+    if abs(primary - other) > FORM_CHECK_TOL * (1.0 + max(abs(primary), abs(other))):
         raise ConsistencyError(
             f"generator forms disagree: {primary!r} vs {other!r}")
     return primary

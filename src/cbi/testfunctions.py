@@ -39,9 +39,11 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
     """Radial smooth bump of the given amplitude on the ball |x - center| < radius."""
     x0 = np.atleast_1d(np.asarray(center, dtype=float))
     R = float(radius)
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < R < np.inf:  # an infinite "bump" is a constant without compact support
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     a = float(amplitude)
+    if not np.isfinite(a):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     d = len(x0)
 
     def _s(x: np.ndarray) -> float:

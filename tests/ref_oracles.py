@@ -9,6 +9,9 @@ unclipped state with its own stepper), phi and both forms of psi re-derived from
 raw atom data with explicit Python loops, and irreducibility from scipy's
 strongly connected components (production squares a boolean reachability
 matrix).
+
+The module is named ref_oracles, not oracles, so that one pytest session
+can load it beside the benchmark's own top-level `oracles` module.
 """
 import numpy as np
 import scipy.sparse

@@ -130,10 +130,10 @@ def test_criterion_5_scaled_generator_limit():
 def test_criterion_6_derivative_limits():
     jac_worst = 0.0
     for params in (make_fix_a(), make_d2_critical()):
-        J = affine.v_jacobian_fd(params, 1.0, eps=1e-4)
+        J = affine.v_jacobian_fd(params, 1.0)
         jac_worst = max(jac_worst, float(np.max(np.abs(
             J - affine.v_jacobian_limit(params, 1.0)))))
-    hess = affine.v_hessian_fd(make_fix_a(), 1.0, 0, 0, 0, eps=1e-3)
+    hess = affine.v_hessian_fd(make_fix_a(), 1.0, 0, 0, 0)
     hess_err = abs(hess - (-2.0))
     _report(6, jac_worst <= 1e-5 and hess_err <= 1e-4,
             f"FD Jacobian error = {jac_worst:.3e} (<=1e-5); "

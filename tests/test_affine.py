@@ -10,7 +10,7 @@ from cbi.affine import (laplace_transform, phi, psi, solve_v, v_hessian_fd,
 from cbi.model import CbiParams, JumpMeasure
 
 from conftest import assert_close, make_jump_d2, make_jump_mixed
-from oracles import phi_loops, psi_compensated, psi_loops, v_with_psi_state, variance_quad
+from ref_oracles import phi_loops, psi_compensated, psi_loops, v_with_psi_state, variance_quad
 
 
 # --- phi / psi -------------------------------------------------------------
@@ -208,7 +208,7 @@ def test_jacobian_limit_fix_a(fix_a):
 
 def test_jacobian_fd_matches_limit(fix_a, d2_critical):
     for params in (fix_a, d2_critical):
-        J = v_jacobian_fd(params, 1.0, eps=1e-4)
+        J = v_jacobian_fd(params, 1.0)
         assert_close(J, v_jacobian_limit(params, 1.0), 1e-5, "FD Jacobian")
 
 
@@ -217,7 +217,7 @@ def test_jacobian_orientation_on_asymmetric_linear_case():
     # exp(t B) in the [derivative index, component index] orientation.
     params = CbiParams.no_jumps(c=[0.0, 0.0], beta=[0.0, 0.0],
                                 B=[[-2.0, 2.0], [1.0, -1.0]])
-    J = v_jacobian_fd(params, 1.0, eps=1e-4)
+    J = v_jacobian_fd(params, 1.0)
     assert_close(J, v_jacobian_limit(params, 1.0), 1e-7, "orientation")
 
 
@@ -264,12 +264,12 @@ def test_hessian_rejects_type_indices_outside_range(jump_d2, i, j, k):
 
 
 def test_hessian_fd_matches_limit(fix_a):
-    got = v_hessian_fd(fix_a, 1.0, 0, 0, 0, eps=1e-3)
+    got = v_hessian_fd(fix_a, 1.0, 0, 0, 0)
     assert got == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_hessian_fd_matches_limit_d2(d2_critical):
-    got = v_hessian_fd(d2_critical, 1.0, 0, 1, 0, eps=1e-3)
+    got = v_hessian_fd(d2_critical, 1.0, 0, 1, 0)
     assert got == pytest.approx(v_hessian_limit(d2_critical, 1.0, 0, 1, 0), abs=1e-4)
 
 

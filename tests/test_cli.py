@@ -337,6 +337,60 @@ def test_non_finite_vector_flag_exits_64(fix_a_file, capsys, command, extra):
     assert captured.err.startswith("usage error: --") and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("cgen", ["--x", "1", "--bump-radius", "nan"]),
+    ("cgen", ["--x", "1", "--bump-radius", "inf"]),  # a constant, no compact support
+    ("cgen", ["--x", "1", "--bump-amplitude", "nan"]),
+    ("cgen", ["--x", "1", "--bump-amplitude", "inf"]),
+    ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "nan"]),
+    ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "inf"]),
+    ("laplace", ["--t", "1", "--x", "1", "--lambda", "1", "--tol", "inf"]),
+])
+def test_non_finite_scalar_flag_exits_64_without_output(fix_a_file, capsys, command, extra):
+    # bad input, not a run of NaN rows (cgen, exit 0) or a solver failure
+    # (--tol, exit 3)
+    code = cli.run([command, "--params", fix_a_file, *extra])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+
+
+#: per command, a full set of its required flags in the order they are
+#: checked, and the optional flags that make it write a file
+_REQUIRED = {
+    "vsolve": ([["--t", "1"], ["--lambda", "1"]], []),
+    "laplace": ([["--t", "1"], ["--x", "1"], ["--lambda", "1"]], []),
+    "dgen": ([["--n", "10"], ["--x", "1"], ["--lambda", "1"]], []),
+    "prop31": ([["--x", "1"], ["--lambda", "1"]], ["--out"]),
+    "cgen": ([["--x", "1"]], ["--out"]),
+    "simulate": ([["--out"], ["--t", "0.1"], ["--x", "1"]], []),
+    "simulate-scaled": ([["--n", "2"], ["--out"], ["--t", "0.1"], ["--x", "1"]], []),
+    "simulate-limit": ([["--out"], ["--t", "0.1"], ["--x", "1"]], []),
+}
+
+
+@pytest.mark.parametrize("command,missing", [
+    (command, index) for command, (required, _) in _REQUIRED.items()
+    for index in range(len(required))])
+def test_missing_required_flag_exits_64_without_output(fix_a_file, tmp_path, capsys,
+                                                       command, missing):
+    out_csv = str(tmp_path / "out.csv")
+    required, optional = _REQUIRED[command]
+    argv = [command, "--params", fix_a_file]
+    for index, (flag, *value) in enumerate(required):
+        if index != missing:
+            argv += [flag, *(value or [out_csv])]
+    for flag in optional:
+        argv += [flag, out_csv]
+    if command.startswith("simulate"):
+        argv += ["--dt", "0.05", "--n-paths", "2"]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"usage error: {required[missing][0]} is required for {command}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fix_a.json"]
+
+
 def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
     # a solve that would take more than MAX_STEPS steps stops with one
     # documented line (fix_a at t = 1e20 takes about 1200)

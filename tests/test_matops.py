@@ -9,7 +9,7 @@ from cbi.matops import (branching_integral, exp_and_integral_vec, is_irreducible
                         perron_vectors, spectral)
 
 from conftest import assert_close
-from oracles import irreducible_csgraph, variance_quad, vec_integral
+from ref_oracles import irreducible_csgraph, variance_quad, vec_integral
 
 TWO_CYCLE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 

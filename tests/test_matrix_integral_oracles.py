@@ -11,7 +11,7 @@ from cbi.model import CbiParams, JumpMeasure
 from cbi.moments import SUPERCRITICAL, derive, mean, variance_no_immigration
 
 from conftest import ALL_FIXTURES, assert_close
-from oracles import (discrete_gen_limit_quad, hessian_limit_quad, mean_quad,
+from ref_oracles import (discrete_gen_limit_quad, hessian_limit_quad, mean_quad,
                      variance_quad)
 
 #: Relative to the largest entry of the oracle value.

@@ -13,7 +13,7 @@ from cbi.affine import solve_v
 from cbi.errors import SolverError
 
 from conftest import ALL_FIXTURES, make_jump_d2
-from oracles import phi_loops, psi_loops, v_with_psi_state
+from ref_oracles import phi_loops, psi_loops, v_with_psi_state
 
 #: (t, lam scale, rtol, atol): an easy solve at the defaults, and long stiff
 #: ones that reject steps, at the defaults and at the tight pair.
