@@ -73,6 +73,9 @@ DEFAULT_ATOL = 1e-12
 #: it by their step, the discrete generator multiplies it by n.
 TIGHT_RTOL = 1e-12
 TIGHT_ATOL = 1e-14
+#: Smallest rtol accepted, scipy's RK45 floor: a finer one asks for steps
+#: below the spacing of floating-point numbers.
+MIN_RTOL = 100 * np.finfo(float).eps
 #: Base steps of the finite-difference probes v_jacobian_fd and
 #: v_hessian_fd, each Richardson-extrapolated with half the step.
 JACOBIAN_FD_EPS = 1e-4
@@ -260,6 +263,8 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
         raise ValueError(f"time must be finite and >= 0, got {t}")
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
+    if rtol < MIN_RTOL:
+        raise ValueError(f"rtol={rtol} is below the floor {MIN_RTOL:.3g} (100 * machine epsilon)")
     dq = moments.derive(params)
     d = dq.params.d
     lam = np.atleast_1d(np.asarray(lam, dtype=float))

@@ -321,12 +321,13 @@ _COMMANDS = {
     "simulate-scaled": (_cmd_simulate_scaled, ("--n", "--out", "--t", "--x"), _SIM_OPTIONAL),
     "simulate-limit": (_cmd_simulate_limit, ("--out", "--t", "--x"), _SIM_OPTIONAL),
 }
+#: built once; each parse_args call starts from a fresh namespace
+_PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
         params = _load_params(args.params)

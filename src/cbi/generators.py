@@ -25,7 +25,8 @@ The full generator itself is evaluated in two equivalent forms (the
 defining one with (1 ^ z_i) compensation, and a rewritten one with full
 second-order compensation against the C_i matrices); both are computed on
 every call and must agree, which is a strong internal consistency check
-on kappa, btilde and the C_i.
+on kappa, btilde and the C_i. The immigration term is the same in both
+forms and is computed once.
 """
 from __future__ import annotations
 
@@ -169,45 +170,34 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
                             fitted_slope=fitted_slope)
 
 
-def _generator_defining_form(params: CbiParams | DerivedQuantities, f: TestFunction,
-                             x: np.ndarray) -> float:
+def _generator_forms(params: CbiParams | DerivedQuantities, f: TestFunction,
+                     x: np.ndarray) -> tuple[float, float]:
+    """The generator at x in its defining form, with (1 ^ z_i) compensation
+    through kappa, and in its compensated form, with full second-order
+    compensation against the C_i. f(x), its derivatives and every atom's
+    f(x + z) - f(x) are evaluated once for both."""
     dq = moments.derive(params)
     params = dq.params
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
 
-    val = float(params.c @ (x * np.diag(hess)))
-    val += float((params.beta + params.B @ x) @ grad)
+    defining = float(params.c @ (x * np.diag(hess)))
+    defining += float((params.beta + params.B @ x) @ grad)
+    compensated = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
+    compensated += float((params.beta + dq.btilde @ x) @ grad)
     if params.nu.natoms:
-        val += float(params.nu.weights
-                     @ np.array([f.value(x + z) - fx for z in params.nu.points]))
+        immigration = float(params.nu.weights
+                            @ np.array([f.value(x + z) - fx for z in params.nu.points]))
+        defining += immigration
+        compensated += immigration
     for i, m in enumerate(params.mu):
         if m.natoms and x[i] != 0.0:
             jump = np.array([f.value(x + z) - fx for z in m.points])
-            val += x[i] * (float(m.weights @ jump) - grad[i] * dq.kappa[i])
-    return val
-
-
-def _generator_compensated_form(params: CbiParams | DerivedQuantities, f: TestFunction,
-                                x: np.ndarray) -> float:
-    dq = moments.derive(params)
-    params = dq.params
-    grad = np.asarray(f.gradient(x), dtype=float)
-    hess = np.asarray(f.hessian(x), dtype=float)
-    fx = f.value(x)
-
-    val = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
-    val += float((params.beta + dq.btilde @ x) @ grad)
-    if params.nu.natoms:
-        val += float(params.nu.weights
-                     @ np.array([f.value(x + z) - fx for z in params.nu.points]))
-    for i, m in enumerate(params.mu):
-        if m.natoms and x[i] != 0.0:
-            jump = np.array([f.value(x + z) - fx - float(z @ grad)
-                             - 0.5 * float(z @ hess @ z) for z in m.points])
-            val += x[i] * float(m.weights @ jump)
-    return val
+            defining += x[i] * (float(m.weights @ jump) - grad[i] * dq.kappa[i])
+            taylor = m.points @ grad + 0.5 * np.sum((m.points @ hess) * m.points, axis=1)
+            compensated += x[i] * float(m.weights @ (jump - taylor))
+    return defining, compensated
 
 
 def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -216,10 +206,7 @@ def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -
     Both equivalent forms are evaluated and must agree within FORM_CHECK_TOL
     (absolute plus relative); the defining form's value is returned.
     """
-    dq = moments.derive(params)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    primary = _generator_defining_form(dq, f, x)
-    other = _generator_compensated_form(dq, f, x)
+    primary, other = _generator_forms(params, f, np.atleast_1d(np.asarray(x, dtype=float)))
     if abs(primary - other) > FORM_CHECK_TOL * (1.0 + max(abs(primary), abs(other))):
         raise ConsistencyError(
             f"generator forms disagree: {primary!r} vs {other!r}")

@@ -41,6 +41,8 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
     R = float(radius)
     if not 0 < R < np.inf:  # an infinite "bump" is a constant without compact support
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not np.finfo(float).tiny <= R * R < np.inf:  # the derivatives divide by R^2
+        raise ValueError(f"radius {R:.6g} squared leaves the normal floating-point range")
     a = float(amplitude)
     if not np.isfinite(a):
         raise ValueError(f"amplitude must be finite, got {amplitude}")

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it checks:
 matrix integrals by adaptive quadrature of each integral's defining
 formula over scipy's expm (production reads them off one block
-exponential), the Riccati solution with its psi-integral by scipy's RK45
+exponential, and computes every exponential with its own Pade-13
+`mat_exp`, which shares no code with scipy's), the Riccati solution with its psi-integral by scipy's RK45
 with psi taken at v clipped to R_+^d (production integrates psi at the
 unclipped state with its own stepper), phi and both forms of psi re-derived from
 raw atom data with explicit Python loops, and irreducibility from scipy's

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from cbi import affine, moments
-from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES,
-                            _generator_compensated_form, _generator_defining_form,
+from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES, _generator_forms,
                             discrete_gen_table, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import is_irreducible, perron_vectors, spectral
 from cbi.model import CbiParams
@@ -151,8 +150,7 @@ def test_criterion_7_generator_two_form_identity():
         f = bump(rng.uniform(0.0, 1.0, size=d), float(rng.uniform(1.0, 3.0)),
                  float(rng.uniform(0.5, 2.0)))
         x = rng.uniform(0.0, 1.5, size=d)
-        a = _generator_defining_form(params, f, x)
-        b = _generator_compensated_form(params, f, x)
+        a, b = _generator_forms(params, f, x)
         worst = max(worst, abs(a - b))
     _report(7, worst <= 1e-10,
             f"max |defining - compensated| over 100 triples = {worst:.3e} (<=1e-10)")

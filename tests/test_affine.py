@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbi import moments
-from cbi.affine import (laplace_transform, phi, psi, solve_v, v_hessian_fd,
+from cbi.affine import (MIN_RTOL, laplace_transform, phi, psi, solve_v, v_hessian_fd,
                         v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
 from cbi.model import CbiParams, JumpMeasure
 
@@ -104,6 +104,11 @@ def test_solve_v_rejects_bad_input(fix_a):
         solve_v(fix_a, 1.0, [-0.5])
     with pytest.raises(ValueError):
         solve_v(fix_a, 1.0, [1.0], rtol=-1e-10)
+    # below 100 eps the stepper would shrink its step under the float spacing
+    with pytest.raises(ValueError, match="floor"):
+        solve_v(fix_a, 1.0, [1.0], rtol=0.5 * MIN_RTOL)
+    assert solve_v(fix_a, 1.0, [1.0], rtol=MIN_RTOL, atol=1e-2 * MIN_RTOL).v_final[0] \
+        == pytest.approx(0.5, rel=1e-13)
 
 
 def test_solve_v_nonnegative_at_every_horizon(jump_d2):

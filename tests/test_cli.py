@@ -345,10 +345,13 @@ def test_non_finite_vector_flag_exits_64(fix_a_file, capsys, command, extra):
     ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "nan"]),
     ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "inf"]),
     ("laplace", ["--t", "1", "--x", "1", "--lambda", "1", "--tol", "inf"]),
+    ("cgen", ["--x", "1", "--bump-radius", "1e300"]),  # radius squared overflows
+    ("cgen", ["--x", "0", "--bump-radius", "1e-300"]),  # radius squared underflows
+    ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "1e-300"]),  # below 100 eps
 ])
 def test_non_finite_scalar_flag_exits_64_without_output(fix_a_file, capsys, command, extra):
-    # bad input, not a run of NaN rows (cgen, exit 0) or a solver failure
-    # (--tol, exit 3)
+    # bad input, not a run of NaN rows (cgen, exit 0), a traceback (cgen's
+    # extreme radii) or a solver failure (--tol, exit 3)
     code = cli.run([command, "--params", fix_a_file, *extra])
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""

@@ -93,12 +93,13 @@ def test_bump_vanishes_outside_support():
 
 
 @pytest.mark.parametrize("radius,amplitude", [
-    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1e300, 1.0), (1e-300, 1.0),
     (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
 ])
 def test_bump_rejects_non_finite_or_non_positive_radius_and_non_finite_amplitude(
         radius, amplitude):
-    # an infinite radius is a constant without compact support
+    # an infinite radius is a constant without compact support; the
+    # derivatives divide by radius^2, which must stay a normal float
     with pytest.raises(ValueError):
         bump([0.5], radius, amplitude)
 

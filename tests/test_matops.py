@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cbi.errors import NumericRangeError
-from cbi.matops import (branching_integral, exp_and_integral_vec, is_irreducible, mat_exp,
-                        perron_vectors, spectral)
+from cbi.matops import (_kron_sum, branching_integral, exp_and_integral_vec, is_irreducible,
+                        mat_exp, perron_vectors, spectral)
 
-from conftest import assert_close
+from conftest import assert_close, make_jump_d2, write_params
 from ref_oracles import irreducible_csgraph, variance_quad, vec_integral
 
 TWO_CYCLE = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -23,7 +27,8 @@ def _small_matrices():
 # --- mat_exp ---------------------------------------------------------------
 
 def test_mat_exp_zero_matrix_is_identity():
-    assert_close(mat_exp(np.zeros((3, 3)), 5.0), np.eye(3), 1e-15)
+    assert np.array_equal(mat_exp(np.zeros((3, 3)), 5.0), np.eye(3))
+    assert np.array_equal(mat_exp(TWO_CYCLE, 0.0), np.eye(2))
 
 
 def test_mat_exp_scalar():
@@ -37,8 +42,67 @@ def test_mat_exp_two_cycle():
 
 
 def test_mat_exp_overflow_raises():
-    with np.errstate(over="ignore"), pytest.raises(NumericRangeError):
-        mat_exp([[1000.0]], 1000.0)
+    # overflow in the squarings, and in t*A before any scaling; no numpy
+    # warning may escape either (pytest turns one into an error)
+    for A, t in (([[1000.0]], 1000.0), ([[1e300]], 1e10)):
+        with pytest.raises(NumericRangeError, match="overflowed"):
+            mat_exp(A, t)
+    # a subnormal t*A needs no scaling (no log2 of a zero norm)
+    assert np.array_equal(mat_exp([[0.0, 0.0], [0.0, 1.0]], 5e-324), np.eye(2))
+
+
+def _essentially_nonnegative(rng, d, diag_low, off_high):
+    A = rng.uniform(0.0, off_high, (d, d))
+    np.fill_diagonal(A, rng.uniform(diag_low, 0.5, d))
+    return A
+
+
+@pytest.mark.parametrize("kind, diag_low, off_high, t", [
+    ("moderate", -2.0, 1.0, 1.0),
+    ("stiff", -60.0, 1.0, 2.0),          # ||tA||_1 ~ 100: several squarings
+    ("supercritical", 0.0, 1.0, 2.0),    # entries grow to ~1e4
+])
+def test_mat_exp_matches_scipy_expm(kind, diag_low, off_high, t):
+    # The in-repo Pade-13 against scipy's expm (a separate implementation,
+    # used here only) on the blocks the package exponentiates: A itself, the
+    # flow block [[A, w], [0, 0]] and the branching block [[A (+) A, vec C],
+    # [0, A]] for d <= 4. Against a 40-digit reference, mat_exp is within
+    # 4e-15 of the largest entry on these matrices and scipy within
+    # 2e-13 (its worst: supercritical branching blocks); the bound is 1e-12
+    # of max(1, largest entry).
+    rng = np.random.default_rng(13)
+    for d in range(1, 5):
+        for _ in range(5):
+            A = _essentially_nonnegative(rng, d, diag_low, off_high)
+            vec_c = np.stack([np.ravel(G @ G.T) for G in rng.normal(size=(d, d, d))], axis=1)
+            for M in (A,
+                      np.block([[A, rng.uniform(0.0, 1.0, (d, 1))], [np.zeros((1, d + 1))]]),
+                      np.block([[_kron_sum(A), vec_c], [np.zeros((d, d * d)), A]])):
+                expected = scipy.linalg.expm(t * M)
+                assert_close(mat_exp(M, t), expected,
+                             1e-12 * max(1.0, float(np.max(np.abs(expected)))), f"{kind} d={d}")
+
+
+def test_import_and_exponentials_leave_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: importing the package, a mean
+    # and a prop31 table (both exponentiate) load no scipy module
+    path = tmp_path / "jump_d2.json"
+    write_params(make_jump_d2(), path)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import io, json, sys, contextlib, cbi, cbi.cli\n"
+        f"params = cbi.CbiParams.from_dict(json.loads(open({str(path)!r}).read()))\n"
+        "cbi.mean(params, [1.0, 0.5], 2.0)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cbi.cli.run(['prop31', '--params', {str(path)!r}, '--x', '1,0.5',\n"
+        "                        '--lambda', '0.7,1.2', '--n-list', '10,100'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,5 @@
 """The in-repo Dormand-Prince Riccati solver against scipy's RK45, and its
 per-column error control on blocks of lam columns."""
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -139,15 +135,3 @@ def test_probes_and_tables_make_one_solve_each(monkeypatch):
     affine.v_hessian_fd(params, 1.0, 1, 0, 1)
     generators.discrete_gen_table(params, [1.0, 0.5], [0.7, 1.2], (10, 100, 1000))
     assert calls == [(2, 8), (2, 6), (2, 8), (2, 3)]
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, cbi, cbi.cli; "
-                           "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
