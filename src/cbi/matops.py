@@ -80,7 +80,7 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
                 out = out @ out
         if not (norm < np.inf and np.all(np.isfinite(out))):
             raise NumericRangeError(
-                f"exp(t*A) overflowed for t={t}, ||A||={np.linalg.norm(A):.3g}")
+                f"exp(t*A) overflowed for t={t}, max|A_ij|={np.abs(A).max():.3g}")
     return out
 
 

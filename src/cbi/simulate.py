@@ -98,16 +98,19 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     violation that large indicates a far-too-coarse step.
     """
     u = np.asarray(u, dtype=float)
-    mean_arr = np.broadcast_to(np.asarray(mean, dtype=float), u.shape).copy()
-    if np.any(mean_arr < 0):
+    mean_arr = np.broadcast_to(np.asarray(mean, dtype=float), u.shape)
+    # fmin/fmax skip NaN means, as the elementwise comparisons did
+    if np.fmin.reduce(mean_arr, axis=None) < 0:
         raise ValueError("Poisson mean must be >= 0")
-    if np.any(mean_arr > 100):
+    if np.fmax.reduce(mean_arr, axis=None) > 100:
         raise ValueError(
             f"per-step jump intensity {mean_arr.max():.3g} too large; decrease dt")
     pmf = np.exp(-mean_arr)
-    cdf = pmf.copy()
+    pending = u >= pmf
+    if not pending.any():  # the common case at small rate*dt
+        return np.zeros(u.shape, np.int64)
+    cdf = pmf
     counts = np.zeros(u.shape, dtype=np.int64)
-    pending = u >= cdf
     k = 0
     k_max = int(10 * max(1.0, float(mean_arr.max())) + 200)
     while pending.any():
@@ -308,10 +311,21 @@ def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
 
 
 def paths_to_csv(paths: list[SamplePath], out: TextIO) -> None:
-    """Write paths as CSV rows path_id, t, x_1, ..., x_d (stable formatting)."""
+    """Write paths as CSV rows path_id, t, x_1, ..., x_d.
+
+    Each cell is Python's `repr` of the float (the shortest string that
+    round-trips), so `float(cell)` returns the stored value exactly and the
+    bytes are stable. A time grid is formatted once for the run of paths
+    that share it; each path is one write.
+    """
     d = paths[0].states.shape[1]
     out.write("path_id,t," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
+    grid = heads = None
     for pid, path in enumerate(paths):
-        for t, row in zip(path.times, path.states):
-            cells = ",".join(repr(float(v)) for v in row)
-            out.write(f"{pid},{float(t)!r},{cells}\n")
+        if path.times is not grid:
+            grid = path.times
+            heads = [f"{t!r}," for t in np.asarray(grid, dtype=float).tolist()]
+        lead = f"{pid},"
+        rows = np.asarray(path.states, dtype=float).tolist()
+        out.write("".join([lead + head + ",".join(map(repr, row)) + "\n"
+                           for head, row in zip(heads, rows)]))

@@ -9,7 +9,9 @@ with psi taken at v clipped to R_+^d (production integrates psi at the
 unclipped state with its own stepper), phi and both forms of psi re-derived from
 raw atom data with explicit Python loops, and irreducibility from scipy's
 strongly connected components (production squares a boolean reachability
-matrix).
+matrix), and the paths CSV cell by cell with float() and repr on every
+value (production formats a shared time grid once and each path from one
+tolist()).
 
 The module is named ref_oracles, not oracles, so that one pytest session
 can load it beside the benchmark's own top-level `oracles` module.
@@ -170,3 +172,15 @@ def irreducible_csgraph(A):
     ncomp, _ = connected_components(scipy.sparse.csr_matrix(adj), directed=True,
                                     connection="strong")
     return ncomp == 1
+
+
+def paths_csv_per_cell(paths):
+    """The paths CSV written one row and one cell at a time: header
+    path_id,t,x_1..x_d, then per row the path index, repr(float(t)) and
+    repr(float(v)) of every state entry."""
+    d = paths[0].states.shape[1]
+    lines = ["path_id,t," + ",".join(f"x_{i + 1}" for i in range(d))]
+    for pid, path in enumerate(paths):
+        for t, row in zip(path.times, path.states):
+            lines.append(f"{pid},{float(t)!r},{','.join(repr(float(v)) for v in row)}")
+    return "\n".join(lines) + "\n"

@@ -47,6 +47,11 @@ def test_mat_exp_overflow_raises():
     for A, t in (([[1000.0]], 1000.0), ([[1e300]], 1e10)):
         with pytest.raises(NumericRangeError, match="overflowed"):
             mat_exp(A, t)
+    # the size reported is the largest entry, which is finite for a finite A
+    # (a Frobenius norm of [[1e300]] overflows to inf)
+    with pytest.raises(NumericRangeError) as err:
+        mat_exp([[1e300]], 1e10)
+    assert "1e+300" in str(err.value) and "inf" not in str(err.value)
     # a subnormal t*A needs no scaling (no log2 of a zero norm)
     assert np.array_equal(mat_exp([[0.0, 0.0], [0.0, 1.0]], 5e-324), np.eye(2))
 

@@ -14,6 +14,7 @@ from cbi.simulate import (PathConfig, paths_to_csv, poisson_from_uniform,
                           simulate_scaled_step)
 
 from conftest import assert_close
+from ref_oracles import paths_csv_per_cell
 
 
 def _ends(paths):
@@ -58,18 +59,31 @@ def test_oversized_run_refused_before_allocating(fix_a, run):
 
 
 def test_poisson_inversion_matches_cdf_oracle():
-    for mean in (0.0, 1e-4, 0.05, 1.3, 7.0):
-        u = np.linspace(0.0, 0.999999, 41)
+    u = np.linspace(0.0, 0.999999, 41)
+    # scalar means, and one array mean that holds zeros
+    for mean in (0.0, 1e-4, 0.05, 1.3, 7.0, np.tile([0.0, 2.5, 0.0, 1e-3, 0.7], 9)[:41]):
         counts = poisson_from_uniform(u, mean)
-        for ui, ki in zip(u, counts):
+        for ui, ki, mi in zip(u, counts, np.broadcast_to(mean, u.shape)):
             if ki > 0:
-                assert scipy.stats.poisson.cdf(ki - 1, mean) <= ui
-            assert ui < scipy.stats.poisson.cdf(ki, mean) + 1e-15
+                assert scipy.stats.poisson.cdf(ki - 1, mi) <= ui
+            assert ui < scipy.stats.poisson.cdf(ki, mi) + 1e-15
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 4)])
+def test_poisson_all_zero_counts_keep_shape_and_dtype(shape):
+    # every u below exp(-mean): the early return must still be u-shaped int64
+    u = np.full(shape, 0.5)
+    for mean in (1e-3, np.full(shape, 1e-3)):
+        counts = poisson_from_uniform(u, mean)
+        assert counts.shape == shape and counts.dtype == np.int64
+        assert not counts.any()
 
 
 def test_poisson_rejects_huge_mean():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^per-step jump intensity 200 too large; decrease dt$"):
         poisson_from_uniform(np.array([0.5]), 200.0)
+    with pytest.raises(ValueError, match=r"^Poisson mean must be >= 0$"):
+        poisson_from_uniform(np.array([0.5, 0.5]), [0.1, -1e-3])
 
 
 def test_same_seed_bit_identical(fix_a):
@@ -284,3 +298,43 @@ def test_csv_export_stable_and_wellformed(fix_a):
     lines = buf1.getvalue().strip().split("\n")
     assert lines[0] == "path_id,t,x_1"
     assert len(lines) == 1 + 2 * len(paths[0].times)
+
+
+def _csv(paths):
+    buf = io.StringIO()
+    paths_to_csv(paths, buf)
+    return buf.getvalue()
+
+
+def test_csv_matches_per_cell_reference_on_simulations(jump_d2, d2_critical):
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=0.2, dt=1e-2, seed=5, n_paths=4)
+    for paths in (simulate_cbi(jump_d2, cfg), simulate_scaled_step(d2_critical, 3, cfg),
+                  simulate_limit_diffusion(d2_critical, cfg)):
+        assert _csv(paths) == paths_csv_per_cell(paths)
+
+
+def test_csv_matches_per_cell_reference_on_edge_floats():
+    edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1 / 3, 123456789012345678.0]
+    times = np.array(edge)
+    paths = [simulate.SamplePath(times=times, states=np.array([edge, edge[::-1]]).T),
+             simulate.SamplePath(times=times, states=np.array([edge[3:] + edge[:3]] * 2).T)]
+    text = _csv(paths)
+    assert text == paths_csv_per_cell(paths)
+    assert text.startswith("path_id,t,x_1,x_2\n0,-0.0,-0.0,1.2345678901234568e+17\n")
+    assert {"nan", "inf", "-inf", "5e-324", "1e+16", "0.3333333333333333"} <= set(
+        text.replace("\n", ",").split(","))
+
+
+def test_csv_matches_per_cell_reference_across_grids():
+    rng = np.random.default_rng(3)
+    coarse, fine = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
+    # two different grids, then a grid equal in value to the first but a
+    # separate array object
+    paths = [simulate.SamplePath(times=coarse, states=rng.random((3, 2))),
+             simulate.SamplePath(times=fine, states=rng.random((5, 2))),
+             simulate.SamplePath(times=coarse.copy(), states=rng.random((3, 2))),
+             simulate.SamplePath(times=coarse, states=rng.random((3, 2)))]
+    text = _csv(paths)
+    assert text == paths_csv_per_cell(paths)
+    assert [line.split(",")[1] for line in text.splitlines()[1:] if line.startswith("1,")] == [
+        "0.0", "0.25", "0.5", "0.75", "1.0"]
