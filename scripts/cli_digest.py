@@ -1,9 +1,11 @@
 """Digest of the CLI's output on a fixed command set.
 
-Runs every subcommand on five parameter files (the scalar fixture fix_a,
+Runs every subcommand on six parameter files (the scalar fixture fix_a,
 the critical two-type d2_critical, the two-type jump_d2, an inadmissible
-tuple and a degenerate-critical tuple whose Perron eigenvectors are not
-strictly positive), plus one command each for exit codes 64, 65 and 66.
+tuple, a degenerate-critical tuple whose Perron eigenvectors are not
+strictly positive, and the three-type jump_d3 with three or more atoms in
+every jump measure, so that every atom sum adds several terms), plus one
+command each for exit codes 64, 65 and 66.
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -44,6 +46,18 @@ FIXTURES = {
                      "B": [[0.0, -1.0], [1.0, 0.0]], "nu": [], "mu": [[], []]},
     "degenerate_critical": {"d": 2, "c": [1.0, 1.0], "beta": [0.5, 0.0],
                             "B": [[-1e-300, 1e-300], [1.0, -1.0]], "nu": [], "mu": [[], []]},
+    "jump_d3": {
+        "d": 3, "c": [0.4, 0.25, 0.55], "beta": [0.3, 0.1, 0.2],
+        "B": [[-1.3, 0.3, 0.2], [0.4, -1.1, 0.1], [0.2, 0.35, -1.2]],
+        "nu": [{"weight": 0.3, "z": [0.41, 0.13, 0.27]}, {"weight": 0.2, "z": [1.37, 0.0, 0.29]},
+               {"weight": 0.11, "z": [0.23, 0.61, 1.07]}, {"weight": 0.07, "z": [0.0, 0.0, 1.93]}],
+        "mu": [[{"weight": 0.47, "z": [0.31, 0.17, 0.0]}, {"weight": 0.19, "z": [1.73, 0.11, 0.43]},
+                {"weight": 0.13, "z": [0.07, 0.89, 0.33]}],
+               [{"weight": 0.29, "z": [0.0, 0.63, 0.21]}, {"weight": 0.17, "z": [0.53, 2.21, 0.13]},
+                {"weight": 0.23, "z": [0.19, 0.11, 0.71]}],
+               [{"weight": 0.21, "z": [0.13, 0.37, 0.83]}, {"weight": 0.11, "z": [0.41, 0.0, 1.61]},
+                {"weight": 0.31, "z": [0.59, 0.23, 0.17]}]],
+    },
 }
 
 SIM = ["--t", "0.5", "--dt", "0.01", "--n-paths", "20", "--seed", "3"]
@@ -54,8 +68,8 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds = []
     for name, doc in FIXTURES.items():
         d = doc["d"]
-        x = ",".join(["1.0", "0.5"][:d])
-        lam = ",".join(["0.7", "1.2"][:d])
+        x = ",".join(["1.0", "0.5", "0.25"][:d])
+        lam = ",".join(["0.7", "1.2", "0.4"][:d])
         base = ["--params", f"{name}.json"]
         per_command = {
             "validate": [],

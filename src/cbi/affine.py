@@ -25,9 +25,8 @@ and immigration mechanism
 The two psi forms agree identically on finite atomic measures; `psi`
 implements the first. The psi-integral is integrated as one more state
 row: a (d+1, m) block holds m columns (v; int_0^s psi(v)), and one
-right-hand side evaluates -phi and psi on the whole block, the atoms of
-every mu_i and of nu stacked into one matrix product; `phi` and `psi`
-read its rows.
+right-hand side evaluates -phi and psi on the whole block, as one matrix
+product over the model's atom table; `phi` and `psi` read its rows.
 
 That system is integrated by an in-repo Dormand-Prince 5(4) stepper
 (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-6)
@@ -109,27 +108,22 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
     """The right-hand side of the Riccati system with the psi-integral as
     row d, on a (d+1, m) block Y of columns (v; int psi):
 
-        (-phi(V); psi(V)) = L Y - c Y^2 - W (exp(-Z Y) - 1),
+        (-phi(V); psi(V)) = L Y - c Y^2 - W (exp(-Z V) - 1),
 
-    where L is B^T - diag kappa with beta appended as row d, c has a 0 in
-    row d, the rows of Z are the atoms of all mu_i and of nu, and W[i, a]
-    is the weight of atom a when it belongs to mu_i (i < d) or to nu
-    (i = d). Row d of Y enters no right-hand side."""
+    where V = Y[:d], L is B^T - diag kappa with beta appended as row d, c
+    has a 0 in row d, and Z, W are the model's atom table
+    (`DerivedQuantities.atom_points`, `atom_weights`). Row d of Y enters
+    no right-hand side."""
     params = dq.params
     d = params.d
     L = np.zeros((d + 1, d + 1))
     L[:d, :d] = params.B.T - np.diag(dq.kappa)
     L[d, :d] = params.beta
     c = np.append(params.c, 0.0)[:, None]
-    measures = [(i, m) for i, m in enumerate((*params.mu, params.nu)) if m.natoms]
-    if not measures:
+    minus_z, W = -dq.atom_points, dq.atom_weights
+    if not len(minus_z):
         return lambda Y: L @ Y - c * Y * Y
-    minus_z = np.zeros((sum(m.natoms for _, m in measures), d + 1))
-    minus_z[:, :d] = -np.concatenate([m.points for _, m in measures])
-    owner = np.concatenate([np.full(m.natoms, i) for i, m in measures])
-    W = np.zeros((d + 1, len(owner)))
-    W[owner, np.arange(len(owner))] = np.concatenate([m.weights for _, m in measures])
-    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y)
+    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y[:d])
 
 
 def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:

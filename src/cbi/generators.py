@@ -25,8 +25,8 @@ The full generator itself is evaluated in two equivalent forms (the
 defining one with (1 ^ z_i) compensation, and a rewritten one with full
 second-order compensation against the C_i matrices); both are computed on
 every call and must agree, which is a strong internal consistency check
-on kappa, btilde and the C_i. The immigration term is the same in both
-forms and is computed once.
+on kappa, btilde and the C_i. The jump terms f(x + z) - f(x) are the
+same in both forms and are computed once.
 """
 from __future__ import annotations
 
@@ -175,7 +175,8 @@ def _generator_forms(params: CbiParams | DerivedQuantities, f: TestFunction,
     """The generator at x in its defining form, with (1 ^ z_i) compensation
     through kappa, and in its compensated form, with full second-order
     compensation against the C_i. f(x), its derivatives and every atom's
-    f(x + z) - f(x) are evaluated once for both."""
+    f(x + z) - f(x) are evaluated once for both; an atom of mu_i jumps at
+    rate x_i w, one of nu at rate w (the row (x, 1) times the atom table)."""
     dq = moments.derive(params)
     params = dq.params
     grad = np.asarray(f.gradient(x), dtype=float)
@@ -186,17 +187,13 @@ def _generator_forms(params: CbiParams | DerivedQuantities, f: TestFunction,
     defining += float((params.beta + params.B @ x) @ grad)
     compensated = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
     compensated += float((params.beta + dq.btilde @ x) @ grad)
-    if params.nu.natoms:
-        immigration = float(params.nu.weights
-                            @ np.array([f.value(x + z) - fx for z in params.nu.points]))
-        defining += immigration
-        compensated += immigration
-    for i, m in enumerate(params.mu):
-        if m.natoms and x[i] != 0.0:
-            jump = np.array([f.value(x + z) - fx for z in m.points])
-            defining += x[i] * (float(m.weights @ jump) - grad[i] * dq.kappa[i])
-            taylor = m.points @ grad + 0.5 * np.sum((m.points @ hess) * m.points, axis=1)
-            compensated += x[i] * float(m.weights @ (jump - taylor))
+    Z, W = dq.atom_points, dq.atom_weights
+    if len(Z):
+        jump = np.array([f.value(x + z) - fx for z in Z])
+        rate_jump = float(np.append(x, 1.0) @ W @ jump)
+        taylor = Z @ grad + 0.5 * np.sum((Z @ hess) * Z, axis=1)
+        defining += rate_jump - float((x * dq.kappa) @ grad)
+        compensated += rate_jump - float(x @ W[:-1] @ taylor)
     return defining, compensated
 
 

@@ -16,7 +16,7 @@ All types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,23 +65,6 @@ class JumpMeasure:
     @property
     def natoms(self) -> int:
         return len(self.weights)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Exact integral sum_k w_k fn(z_k).
-
-        `fn` maps the (m, dim) atom array to an array whose leading axis
-        indexes atoms; the result is the weight-contracted remainder (a
-        scalar for scalar integrands).
-        """
-        if self.natoms == 0:
-            probe = np.asarray(fn(np.zeros((1, self.points.shape[1]))))
-            return np.zeros(probe.shape[1:])
-        vals = np.asarray(fn(self.points), dtype=float)
-        return np.tensordot(self.weights, vals, axes=(0, 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,12 @@ var(Z_t | Z_0 = z) = sum_l int_0^t (e_l . exp((t-u) btilde) z)
 Criticality is classified from the spectral abscissa of btilde and
 depends only on the branching data (B, mu, c), never on beta or nu.
 
+Every atom integral reads one table that `derive` builds: atom_points Z,
+shape (A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in
+its own order; row i < d of atom_weights W, shape (d+1, A), holds mu_i's
+weights, row d holds nu's, and every other entry is 0. So beta_tilde =
+beta + W[d] Z. A jump-free model's table is empty (A = 0).
+
 `derive` is the package's one admissibility gate: its result, a
 `DerivedQuantities`, is the validated model. Every public function that
 takes parameters accepts either a raw `CbiParams` (derived once on entry)
@@ -51,7 +57,11 @@ class DerivedQuantities:
     """An admissible parameter tuple with its derived quantities, all
     read-only. The Perron pair and cbar are None unless the model is
     critical and irreducible; they are computed on first access, which
-    raises ClassificationError when no strictly positive pair exists."""
+    raises ClassificationError when no strictly positive pair exists.
+
+    atom_points Z (A, d) and atom_weights W (d+1, A) are the atom table:
+    the atoms of mu_1, ..., mu_d, then of nu; row i < d of W holds mu_i's
+    weights, row d nu's, every other entry is 0; A = 0 without jumps."""
 
     params: CbiParams
     btilde: np.ndarray
@@ -60,6 +70,8 @@ class DerivedQuantities:
     kappa: np.ndarray
     classification: str
     spectral: SpectralSummary
+    atom_points: np.ndarray
+    atom_weights: np.ndarray
 
     @cached_property
     def perron(self) -> PerronPair | None:
@@ -89,22 +101,27 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         raise InadmissibleError(report.violations)
     d = params.d
 
+    measures = (*params.mu, params.nu)
+    sizes = [len(m.weights) for m in measures]
+    Z, W = np.zeros((sum(sizes), d)), np.zeros((d + 1, sum(sizes)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        btilde = params.B.copy()
-        kappa = np.zeros(d)
-        big_c = []
-        for j, m in enumerate(params.mu):
-            C = np.zeros((d, d))
-            C[j, j] = 2.0 * params.c[j]
-            if m.natoms:
-                btilde[:, j] += m.integrate(
-                    lambda z: np.maximum(z - np.eye(d)[j], 0.0))
-                kappa[j] = m.weights @ np.minimum(1.0, m.points[:, j])
-                C = C + m.integrate(lambda z: z[:, :, None] * z[:, None, :])
-            big_c.append(_frozen(C))
-        beta_tilde = params.beta + params.nu.integrate(lambda z: z)
+        big_c = np.zeros((d, d, d))
+        for k in range(d):
+            big_c[k, k, k] = 2.0 * params.c[k]
+        btilde, kappa, beta_tilde = params.B, np.zeros(d), params.beta
+        if len(Z):  # a jump-free model does no atom arithmetic
+            np.concatenate([m.points.reshape(-1, d) for m in measures], out=Z)
+            W[np.repeat(np.arange(d + 1), sizes), np.arange(len(Z))] = \
+                np.concatenate([m.weights for m in measures])
+            owned = W[:d] > 0
+            btilde = btilde + (W[:d] @ np.maximum(Z - owned.T, 0.0)).T
+            kappa = np.diag(W[:d] @ np.minimum(1.0, Z))
+            beta_tilde = beta_tilde + W[d] @ Z
+            zz = Z[:, :, None] * Z[:, None, :]
+            for C, w, own in zip(big_c, W, owned):
+                C += np.tensordot(w[own], zz[own], axes=(0, 0))
     if not np.isfinite(np.concatenate([btilde.ravel(), kappa, beta_tilde,
-                                       *map(np.ravel, big_c)])).all():
+                                       big_c.ravel()])).all():
         raise NumericRangeError("derived quantities (btilde, beta_tilde, C_k, kappa) "
                                 "overflowed the floating-point range")
 
@@ -122,8 +139,10 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         params=params,
         btilde=_frozen(btilde),
         beta_tilde=_frozen(beta_tilde),
-        big_c=tuple(big_c),
+        big_c=tuple(_frozen(big_c)),
         kappa=_frozen(kappa),
+        atom_points=_frozen(Z),
+        atom_weights=_frozen(W),
         classification=classification,
         spectral=summary,
     )

@@ -60,7 +60,10 @@ class PathConfig:
     n_paths: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.ndim != 1 or not (np.all(np.isfinite(x0)) and np.all(x0 >= 0)):
+            raise ValueError(f"x0 must be a finite vector with entries >= 0, got {x0.tolist()}")
+        object.__setattr__(self, "x0", x0)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0 < self.dt < self.horizon:  # False for a NaN dt
@@ -142,13 +145,13 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     beta = params.beta
     kappa = dq.kappa
     sqrt_h = math.sqrt(h)
-    # jump sources in draw order: (label, type i or None for immigration,
-    # per-step rate (per unit of x_i), cumulative atom weights, atoms)
-    sources = [(label, i, m.total_mass * h, np.cumsum(m.weights) / m.total_mass, m.points)
-               for label, i, m in [("immigration", None, params.nu),
-                                   *((f"branching-{i + 1}", i, m)
-                                     for i, m in enumerate(params.mu))]
-               if m.natoms]
+    # jump sources in draw order, one per row i of the atom table (see
+    # DerivedQuantities) that holds atoms, nu's row d first: (label, i,
+    # per-step rate (per unit of x_i for i < d), cumulative weights, atoms)
+    W, Z = dq.atom_weights, dq.atom_points
+    sources = [("immigration" if i == d else f"branching-{i + 1}", i,
+                W[i, own].sum() * h, np.cumsum(W[i, own]) / W[i, own].sum(), Z[own])
+               for i, own in ((i, W[i] > 0) for i in (d, *range(d))) if own.any()]
 
     record_idx = np.asarray(record_idx, dtype=int)
     rec_flag = np.zeros(K + 1, dtype=bool)
@@ -185,7 +188,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
 
                 for s, (label, i, rate, cum, points) in enumerate(sources):
                     counts = poisson_from_uniform(uniforms[:, s, kw],
-                                                  rate if i is None else rate * xp[:, i])
+                                                  rate if i == d else rate * xp[:, i])
                     for pj in np.nonzero(counts)[0]:
                         for _ in range(int(counts[pj])):
                             a = np.searchsorted(cum, rngs[pj].random(), side="right")

@@ -34,6 +34,23 @@ def make_jump_d2() -> CbiParams:
             JumpMeasure.from_atoms([(0.6, [0.2, 0.7]), (0.1, [2.0, 1.0])])))
 
 
+def make_jump_d3() -> CbiParams:
+    """d=3, subcritical, with three or more atoms in every measure: every
+    atom sum adds several terms, so a change in summation order shows.
+    The same model is jump_d3 in scripts/cli_digest.py."""
+    return CbiParams(
+        d=3, c=[0.4, 0.25, 0.55], beta=[0.3, 0.1, 0.2],
+        B=[[-1.3, 0.3, 0.2], [0.4, -1.1, 0.1], [0.2, 0.35, -1.2]],
+        nu=JumpMeasure.from_atoms([(0.3, [0.41, 0.13, 0.27]), (0.2, [1.37, 0.0, 0.29]),
+                                   (0.11, [0.23, 0.61, 1.07]), (0.07, [0.0, 0.0, 1.93])]),
+        mu=(JumpMeasure.from_atoms([(0.47, [0.31, 0.17, 0.0]), (0.19, [1.73, 0.11, 0.43]),
+                                    (0.13, [0.07, 0.89, 0.33])]),
+            JumpMeasure.from_atoms([(0.29, [0.0, 0.63, 0.21]), (0.17, [0.53, 2.21, 0.13]),
+                                    (0.23, [0.19, 0.11, 0.71])]),
+            JumpMeasure.from_atoms([(0.21, [0.13, 0.37, 0.83]), (0.11, [0.41, 0.0, 1.61]),
+                                    (0.31, [0.59, 0.23, 0.17])])))
+
+
 def make_branching_jump() -> CbiParams:
     """Pure branching (no immigration) with a jump atom."""
     return CbiParams(
@@ -54,6 +71,7 @@ ALL_FIXTURES = {
     "d2_critical": make_d2_critical,
     "jump_mixed": make_jump_mixed,
     "jump_d2": make_jump_d2,
+    "jump_d3": make_jump_d3,
     "branching_jump": make_branching_jump,
 }
 
@@ -76,6 +94,11 @@ def jump_mixed() -> CbiParams:
 @pytest.fixture
 def jump_d2() -> CbiParams:
     return make_jump_d2()
+
+
+@pytest.fixture
+def jump_d3() -> CbiParams:
+    return make_jump_d3()
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from cbi.simulate import PathConfig, simulate_cbi
 from cbi.testfunctions import bump
 
 from conftest import (make_branching_jump, make_d2_critical, make_fix_a,
-                      make_jump_d2, make_jump_mixed)
+                      make_jump_d2, make_jump_d3, make_jump_mixed)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -141,7 +141,7 @@ def test_criterion_6_derivative_limits():
 
 def test_criterion_7_generator_two_form_identity():
     makers = (make_fix_a, make_d2_critical, make_jump_mixed, make_jump_d2,
-              make_branching_jump)
+              make_branching_jump, make_jump_d3)
     rng = np.random.default_rng(77)
     worst = 0.0
     for trial in range(100):

@@ -29,9 +29,18 @@ def test_phi_single_atom():
     assert phi(params, [1.0])[0] == pytest.approx(math.exp(-2.0), rel=1e-14)
 
 
-def test_phi_matches_loop_oracle(jump_d2):
+def test_phi_matches_loop_oracle(jump_d2, jump_d3):
     for lam in ([0.3, 1.2], [2.0, 0.0], [5.0, 5.0]):
         assert_close(phi(jump_d2, lam), phi_loops(jump_d2, lam), 1e-13)
+    for lam in ([0.3, 1.2, 0.7], [2.0, 0.0, 0.4], [5.0, 5.0, 5.0]):
+        assert_close(phi(jump_d3, lam), phi_loops(jump_d3, lam), 1e-13)
+
+
+def test_psi_matches_loop_oracle(jump_mixed, jump_d2, jump_d3):
+    for params in (jump_mixed, jump_d2, jump_d3):
+        for scale in (0.1, 1.0, 4.0):
+            lam = scale * np.linspace(1.0, 0.5, params.d)
+            assert psi(params, lam) == pytest.approx(psi_loops(params, lam), abs=1e-13)
 
 
 def test_psi_linear_without_atoms(fix_a):
@@ -44,8 +53,8 @@ def test_psi_single_atom():
     assert psi(params, [1.0]) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
 
-def test_psi_two_forms_agree(jump_mixed, jump_d2):
-    for params in (jump_mixed, jump_d2):
+def test_psi_two_forms_agree(jump_mixed, jump_d2, jump_d3):
+    for params in (jump_mixed, jump_d2, jump_d3):
         for scale in (0.1, 1.0, 4.0):
             lam = scale * np.ones(params.d)
             assert psi(params, lam) == pytest.approx(psi_compensated(params, lam), abs=1e-12)

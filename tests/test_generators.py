@@ -255,9 +255,10 @@ def test_generator_single_branching_atom():
     assert generator_apply(params, f, x) == pytest.approx(expected, rel=1e-12)
 
 
-def test_generator_two_forms_agree_on_fixtures(fix_a, jump_mixed, jump_d2, d2_critical):
+def test_generator_two_forms_agree_on_fixtures(fix_a, jump_mixed, jump_d2, jump_d3,
+                                              d2_critical):
     rng = np.random.default_rng(17)
-    for params in (fix_a, jump_mixed, jump_d2, d2_critical):
+    for params in (fix_a, jump_mixed, jump_d2, jump_d3, d2_critical):
         d = params.d
         for _ in range(5):
             center = rng.uniform(0.0, 1.0, size=d)

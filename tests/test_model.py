@@ -101,14 +101,6 @@ def test_scaling_nu_weights_scales_nu_integrals(scale):
             assert r1[key] == r0[key]
 
 
-def test_measure_integrate_matches_weighted_sum():
-    m = JumpMeasure.from_atoms([(0.25, [1.0, 2.0]), (0.5, [0.5, 0.1])])
-    total = m.integrate(lambda z: z[:, 0] * z[:, 1])
-    assert total == pytest.approx(0.25 * 2.0 + 0.5 * 0.05, rel=1e-14)
-    empty = JumpMeasure.empty(2)
-    assert np.array_equal(empty.integrate(lambda z: z), np.zeros(2))
-
-
 def test_params_json_round_trip(tmp_path):
     params = make_jump_d2()
     path = tmp_path / "params.json"

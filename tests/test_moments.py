@@ -38,32 +38,52 @@ def test_derive_d2_critical_fixture(d2_critical):
     assert_close(dq.perron.u_left, [1.0, 1.0], 1e-12)
 
 
-def test_derive_btilde_beta_tilde_with_atoms(jump_d2):
-    dq = derive(jump_d2)
-    # manual single-entry checks against the defining sums
-    d = jump_d2.d
-
+def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3):
     def atoms(m):
         return zip(m.weights, m.points)
 
-    for i in range(d):
-        for j in range(d):
-            expected = jump_d2.B[i, j] + sum(
-                w * max(z[i] - (1.0 if i == j else 0.0), 0.0)
-                for w, z in atoms(jump_d2.mu[j]))
-            assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14)
-    expected_beta = jump_d2.beta + sum(w * z for w, z in atoms(jump_d2.nu))
-    assert_close(dq.beta_tilde, expected_beta, 1e-14)
-    expected_kappa = [sum(w * min(1.0, z[i]) for w, z in atoms(jump_d2.mu[i]))
-                      for i in range(d)]
-    assert_close(dq.kappa, expected_kappa, 1e-15)
-    for k in range(d):
-        expected_c = 2.0 * jump_d2.c[k] * np.outer(np.eye(d)[k], np.eye(d)[k]) + sum(
-            w * np.outer(z, z) for w, z in atoms(jump_d2.mu[k]))
-        assert_close(dq.big_c[k], expected_c, 1e-14)
-        # symmetric positive semidefinite
-        assert_close(dq.big_c[k], dq.big_c[k].T, 0.0)
-        assert np.min(np.linalg.eigvalsh(dq.big_c[k])) >= -1e-12
+    # manual single-entry checks against the defining sums
+    for params in (jump_d2, jump_d3):
+        dq = derive(params)
+        d = params.d
+        for i in range(d):
+            for j in range(d):
+                expected = params.B[i, j] + sum(
+                    w * max(z[i] - (1.0 if i == j else 0.0), 0.0)
+                    for w, z in atoms(params.mu[j]))
+                assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14)
+        expected_beta = params.beta + sum(w * z for w, z in atoms(params.nu))
+        assert_close(dq.beta_tilde, expected_beta, 1e-14)
+        expected_kappa = [sum(w * min(1.0, z[i]) for w, z in atoms(params.mu[i]))
+                          for i in range(d)]
+        assert_close(dq.kappa, expected_kappa, 1e-15)
+        for k in range(d):
+            expected_c = 2.0 * params.c[k] * np.outer(np.eye(d)[k], np.eye(d)[k]) + sum(
+                w * np.outer(z, z) for w, z in atoms(params.mu[k]))
+            assert_close(dq.big_c[k], expected_c, 1e-14)
+            # symmetric positive semidefinite
+            assert_close(dq.big_c[k], dq.big_c[k].T, 0.0)
+            assert np.min(np.linalg.eigvalsh(dq.big_c[k])) >= -1e-12
+
+
+def test_atom_table_layout(jump_d3, d2_critical):
+    # mu_1, ..., mu_d's atoms, then nu's, each in order; row i of the weights
+    # holds measure i's weights in its own columns and 0 in every other
+    dq = derive(jump_d3)
+    d = jump_d3.d
+    measures = (*jump_d3.mu, jump_d3.nu)
+    assert np.array_equal(dq.atom_points, np.concatenate([m.points for m in measures]))
+    assert dq.atom_weights.shape == (d + 1, len(dq.atom_points))
+    start = 0
+    for i, m in enumerate(measures):
+        cols = slice(start, start + len(m.weights))
+        assert np.array_equal(dq.atom_weights[i, cols], m.weights)
+        assert not np.any(np.delete(dq.atom_weights, i, axis=0)[:, cols])
+        start = cols.stop
+    assert start == len(dq.atom_points)
+    # a jump-free model has an empty table
+    empty = derive(d2_critical)
+    assert empty.atom_points.shape == (0, 2) and empty.atom_weights.shape == (3, 0)
 
 
 def test_classification_branches():
@@ -98,12 +118,13 @@ def test_derive_rejects_inadmissible():
     assert info.value.violations == ["c must be componentwise >= 0"]
 
 
-def test_derive_returns_read_only_model(d2_critical):
+def test_derive_returns_read_only_model(d2_critical, jump_d3):
     dq = derive(d2_critical)
     assert derive(dq) is dq
     assert dq.params is d2_critical
+    jumps = derive(jump_d3)
     arrays = [dq.btilde, dq.beta_tilde, dq.kappa, dq.cbar, *dq.big_c,
-              dq.perron.u_right, dq.perron.u_left]
+              dq.perron.u_right, dq.perron.u_left, jumps.atom_points, jumps.atom_weights]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0

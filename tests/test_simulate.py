@@ -35,6 +35,12 @@ def test_path_config_validation():
             PathConfig(x0=[1.0], horizon=bad, dt=1e-3, seed=0, n_paths=10)
         with pytest.raises(ValueError, match=f"got dt={bad}"):
             PathConfig(x0=[1.0], horizon=1.0, dt=bad, seed=0, n_paths=10)
+    # a start state lies in R_+^d: negative, non-finite and non-vector x0 are refused
+    for bad in ([-1.0], [1.0, -1e-300], [math.inf], [0.5, math.nan], -math.inf,
+                [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match="x0 must be a finite vector with entries >= 0"):
+            PathConfig(x0=bad, horizon=1.0, dt=1e-3, seed=0, n_paths=10)
+    assert PathConfig(x0=0.0, horizon=1.0, dt=1e-3, seed=0, n_paths=1).x0.shape == (1,)
 
 
 @pytest.mark.parametrize("run", [
