@@ -4,8 +4,9 @@ Runs every subcommand on six parameter files (the scalar fixture fix_a,
 the critical two-type d2_critical, the two-type jump_d2, an inadmissible
 tuple, a degenerate-critical tuple whose Perron eigenvectors are not
 strictly positive, and the three-type jump_d3 with three or more atoms in
-every jump measure, so that every atom sum adds several terms), plus one
-command each for exit codes 64, 65 and 66.
+every jump measure, so that every atom sum adds several terms), plus commands
+that exit 64 (a missing flag, a single simulated path), 65 (malformed JSON,
+a non-integer d) and 66 (a wrong dimension).
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -92,6 +93,10 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit66:wrong-dimension",
                  ["laplace", "--params", "fix_a.json", "--t", "1", "--x", "1,2",
                   "--lambda", "1"], None))
+    cmds.append(("exit65:non-integer-d", ["validate", "--params", "d_not_integer.json"], None))
+    cmds.append(("exit64:single-path",
+                 ["simulate", "--params", "fix_a.json", "--x", "1", "--t", "1", "--n-paths", "1"],
+                 "simulate_single_path.csv"))
     return cmds
 
 
@@ -105,6 +110,7 @@ def main() -> int:
         for name, doc in FIXTURES.items():
             Path(f"{name}.json").write_text(json.dumps(doc))
         Path("broken.json").write_text("{not json")
+        Path("d_not_integer.json").write_text(json.dumps({**FIXTURES["d2_critical"], "d": 2.5}))
         for label, argv, out in commands():
             if out is not None:
                 argv = [*argv, "--out", out]

@@ -259,6 +259,8 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
 
 
 def _path_config(args) -> simulate.PathConfig:
+    if args.n_paths < 2:  # the moment check's standard error needs two paths
+        raise _UsageError(f"--n-paths must be at least 2, got {args.n_paths}")
     return simulate.PathConfig(x0=args.x, horizon=args.t, dt=args.dt,
                                seed=args.seed, n_paths=args.n_paths)
 

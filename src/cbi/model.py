@@ -15,6 +15,7 @@ All types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -116,7 +117,10 @@ class CbiParams:
     @classmethod
     def from_dict(cls, data: dict) -> "CbiParams":
         try:
-            d = int(data["d"])
+            d = data["d"]
+            # int() would truncate 2.7 and read true as 1
+            if type(d) is not int:
+                raise ValueError(f"d must be an integer, got {d!r}")
             nu_raw = data.get("nu", [])
             mu_raw = data.get("mu", ())
             nu = JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in nu_raw], dim=d)
@@ -151,6 +155,8 @@ def _measure_structure(name: str, m: JumpMeasure, d: int, violations: list[str])
     if len(m.weights) != len(m.points):
         violations.append(f"{name}: {len(m.weights)} weights but {len(m.points)} points")
         return False
+    if not m.natoms:  # the width of empty points is never read
+        return True
     if not np.all(np.isfinite(m.weights)) or not np.all(np.isfinite(m.points)):
         violations.append(f"{name}: non-finite atom data")
         ok = False
@@ -158,10 +164,10 @@ def _measure_structure(name: str, m: JumpMeasure, d: int, violations: list[str])
         bad = int(np.argmax(m.weights <= 0))
         violations.append(f"{name}: atom {bad + 1} has non-positive weight {m.weights[bad]}")
         ok = False
-    if m.natoms and np.any(m.points < 0):
+    if np.any(m.points < 0):
         violations.append(f"{name}: atom point with negative coordinate (support must be in R_+^d)")
         ok = False
-    if m.natoms and np.any(_norm(m.points) == 0):
+    if np.any(_norm(m.points) == 0):
         violations.append(f"{name}: atom at the origin is outside U_d = R_+^d \\ {{0}}")
         ok = False
     return ok
@@ -209,51 +215,40 @@ def validate(params: CbiParams) -> ValidationReport:
     if len(params.mu) != d:
         violations.append(f"mu must contain exactly d={d} measures, got {len(params.mu)}")
 
+    # nu, then mu_1, ..., mu_d: each measure's mass, its own admissibility
+    # integral and its norm tails; nu gates moment orders 1, 2 and 4, each
+    # mu_i orders 2 and 4
     order_ok = {1: True, 2: True, 4: True}
-
-    nu_ok = _measure_structure("nu", params.nu, d, violations)
-    if nu_ok and params.nu.points.shape[1] == d:
-        r = _norm(params.nu.points) if params.nu.natoms else np.zeros(0)
-        w = params.nu.weights
-        integrals["nu.mass"] = float(w.sum())
-        integrals["nu.min_1_norm"] = float(w @ np.minimum(1.0, r)) if params.nu.natoms else 0.0
-        for k in (1, 2, 4):
-            val = float(w @ (r**k * (r >= 1.0))) if params.nu.natoms else 0.0
-            integrals[f"nu.norm{k}_tail"] = val
-            order_ok[k] &= np.isfinite(val)
-    else:
-        for k in (1, 2, 4):
-            order_ok[k] = False
-
-    for i, m in enumerate(params.mu):
-        name = f"mu[{i + 1}]"
-        m_ok = _measure_structure(name, m, d, violations)
-        if not (m_ok and m.points.shape[1] == d):
-            order_ok[2] = order_ok[4] = False
-            continue
-        if m.natoms:
-            r = _norm(m.points)
-            w = m.weights
-            other = m.points.sum(axis=1) - m.points[:, i] if i < d else m.points.sum(axis=1)
-            integrals[f"{name}.mass"] = float(w.sum())
-            integrals[f"{name}.admissibility"] = float(w @ (np.minimum(r, r**2) + other))
-            for k in (1, 2, 4):
-                val = float(w @ (r**k * (r >= 1.0)))
-                integrals[f"{name}.norm{k}_tail"] = val
-                if k > 1:
-                    order_ok[k] &= np.isfinite(val)
+    for i, m in enumerate((params.nu, *params.mu), start=-1):
+        if i < 0:
+            name, own, gated = "nu", "min_1_norm", (1, 2, 4)
         else:
-            integrals[f"{name}.mass"] = 0.0
-            integrals[f"{name}.admissibility"] = 0.0
-            for k in (1, 2, 4):
-                integrals[f"{name}.norm{k}_tail"] = 0.0
-
-    if "nu.min_1_norm" in integrals and not np.isfinite(integrals["nu.min_1_norm"]):
-        violations.append("nu: integral of 1 ^ |z| is not finite")
-    for i in range(len(params.mu)):
-        key = f"mu[{i + 1}].admissibility"
-        if key in integrals and not np.isfinite(integrals[key]):
-            violations.append(f"mu[{i + 1}]: admissibility integral is not finite")
+            name, own, gated = f"mu[{i + 1}]", "admissibility", (2, 4)
+        if not _measure_structure(name, m, d, violations):
+            for k in gated:
+                order_ok[k] = False
+            continue
+        mass = own_val = 0.0
+        tails = {1: 0.0, 2: 0.0, 4: 0.0}
+        if m.natoms:  # a measure without atoms skips the numpy sums
+            w, z = m.weights, m.points
+            r = _norm(z)
+            mass = float(w.sum())
+            if i < 0:
+                own_val = float(w @ np.minimum(1.0, r))
+            else:
+                other = z.sum(axis=1) - z[:, i] if i < d else z.sum(axis=1)
+                own_val = float(w @ (np.minimum(r, r**2) + other))
+            tails = {k: float(w @ (r**k * (r >= 1.0))) for k in tails}
+        integrals[f"{name}.mass"] = mass
+        integrals[f"{name}.{own}"] = own_val
+        for k, val in tails.items():
+            integrals[f"{name}.norm{k}_tail"] = val
+            if k in gated:
+                order_ok[k] &= math.isfinite(val)
+        if not math.isfinite(own_val):
+            violations.append("nu: integral of 1 ^ |z| is not finite" if i < 0
+                              else f"{name}: admissibility integral is not finite")
 
     return ValidationReport(
         admissible=not violations,

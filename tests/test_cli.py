@@ -266,8 +266,10 @@ _SIM_N = {"simulate": [], "simulate-scaled": ["--n", "2"], "simulate-limit": []}
     *((command, [*flags, *n]) for command, n in _SIM_N.items()
       for flags in (["--t", "inf"], ["--t", "nan"], ["--t", "1", "--dt", "nan"],
                     ["--t", "1", "--dt", "inf"], ["--t", "1", "--n-paths", "1000000000000"])),
-    ("simulate-scaled", ["--t", "1", "--dt", "0.5", "--n-paths", "1", "--n", "1000000000"]),
+    ("simulate-scaled", ["--t", "1", "--dt", "0.5", "--n-paths", "2", "--n", "1000000000"]),
     ("simulate", ["--t", "1", "--n-paths", HUGE]),  # the size estimate exceeds a float
+    # one path has no standard error for the moment check
+    *((command, ["--t", "1", *n, "--n-paths", "1"]) for command, n in _SIM_N.items()),
 ])
 def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, capsys,
                                                           command, extra):
@@ -277,6 +279,19 @@ def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, 
     assert code == 64
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("d", ["2.7", "2.0", "true", '"2"'])
+def test_non_integer_d_exits_65(tmp_path, capsys, d):
+    path = tmp_path / "params.json"
+    path.write_text(f'{{"d": {d}, "c": [1.0, 1.0], "beta": [0.0, 0.0], '
+                    f'"B": [[0.0, 0.0], [0.0, 0.0]], "nu": [], "mu": [[], []]}}')
+    code = cli.run(["validate", "--params", str(path)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: d must be an integer, got ")
 
 
 def test_cgen_beyond_squared_float_range(fix_a_file, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cbi.cli import _load_params
 from cbi.model import CbiParams, JumpMeasure, validate
+from cbi.moments import derive
 
 from conftest import make_fix_a, make_jump_d2, make_jump_mixed, write_params
 
@@ -83,6 +84,57 @@ def test_integrals_match_loop_oracle():
                        + sum(z[j] for j in range(params.d) if j != i))
                   for w, z in zip(m.weights, m.points))
         assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == pytest.approx(adm, rel=1e-14)
+
+
+@pytest.mark.parametrize("which", ["nu", "mu"])
+def test_empty_measure_of_any_point_width_is_the_empty_measure(which):
+    def model(empty):
+        jumps = {"nu": empty} if which == "nu" else {"mu": (empty, JumpMeasure.empty(2))}
+        return CbiParams(d=2, c=[1.0, 1.0], beta=[0.0, 0.0], B=[[-1.0, 0.5], [0.5, -1.0]],
+                         **jumps)
+
+    empty = JumpMeasure(weights=[], points=[])
+    assert empty.points.shape == (0, 1)  # not (0, d)
+    loose = model(empty)
+    tidy = model(JumpMeasure.empty(2))
+    rep, ref = validate(loose), validate(tidy)
+    assert rep.admissible and rep.violations == []
+    assert rep.moment_order_ok == ref.moment_order_ok == {1: True, 2: True, 4: True}
+    assert len(rep.computed_integrals) == 15
+    assert rep.computed_integrals == ref.computed_integrals
+    dq, dq_ref = derive(loose), derive(tidy)
+    assert dq.classification == dq_ref.classification == "subcritical"
+    assert np.array_equal(dq.btilde, dq_ref.btilde)
+    assert dq.atom_points.shape == dq_ref.atom_points.shape == (0, 2)
+
+
+def test_overflowing_nu_tail_leaves_mu_integrals_finite():
+    base = make_jump_d2()
+    params = CbiParams(d=2, c=base.c, beta=base.beta, B=base.B,
+                       nu=JumpMeasure.from_atoms([(0.5, [1e100, 1.0])]), mu=base.mu)
+    rep = validate(params)
+    assert rep.admissible
+    assert rep.computed_integrals["nu.norm4_tail"] == np.inf
+    assert rep.moment_order_ok == {1: True, 2: True, 4: False}
+    mu_vals = [v for k, v in rep.computed_integrals.items() if k.startswith("mu[")]
+    assert len(mu_vals) == 10 and np.all(np.isfinite(mu_vals))
+
+
+def test_violations_list_each_measure_in_turn():
+    params = CbiParams(d=2, c=[1.0, 1.0], beta=[0.0, 0.0], B=[[-1.0, 0.0], [0.0, -1.0]],
+                       nu=JumpMeasure.from_atoms([(0.5, [-1.0, 1.0])]),
+                       mu=(JumpMeasure.from_atoms([(1e10, [1e300, 0.0])]),
+                           JumpMeasure.from_atoms([(-0.5, [0.0, 1.0])])))
+    rep = validate(params)
+    assert rep.violations == [
+        "nu: atom point with negative coordinate (support must be in R_+^d)",
+        "mu[1]: admissibility integral is not finite",
+        "mu[2]: atom 1 has non-positive weight -0.5",
+    ]
+    assert rep.moment_order_ok == {1: False, 2: False, 4: False}
+    assert list(rep.computed_integrals) == [
+        "mu[1].mass", "mu[1].admissibility",
+        "mu[1].norm1_tail", "mu[1].norm2_tail", "mu[1].norm4_tail"]
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
