@@ -5,8 +5,9 @@ the critical two-type d2_critical, the two-type jump_d2, an inadmissible
 tuple, a degenerate-critical tuple whose Perron eigenvectors are not
 strictly positive, and the three-type jump_d3 with three or more atoms in
 every jump measure, so that every atom sum adds several terms), plus commands
-that exit 64 (a missing flag, a single simulated path), 65 (malformed JSON,
-a non-integer d) and 66 (a wrong dimension).
+that exit 2 (d = 0), 64 (a missing flag, a single simulated path, a state
+that overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
+dimension).
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -97,6 +98,11 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit64:single-path",
                  ["simulate", "--params", "fix_a.json", "--x", "1", "--t", "1", "--n-paths", "1"],
                  "simulate_single_path.csv"))
+    cmds.append(("exit2:zero-d", ["validate", "--params", "d_zero.json"], None))
+    # c x overflows at step 2 and a negative normal gives -inf
+    cmds.append(("exit64:overflowing-state",
+                 ["simulate", "--params", "overflow.json", "--x", "1", "--t", "1", "--dt", "0.1",
+                  "--n-paths", "3", "--seed", "0"], "simulate_overflow.csv"))
     return cmds
 
 
@@ -111,6 +117,9 @@ def main() -> int:
             Path(f"{name}.json").write_text(json.dumps(doc))
         Path("broken.json").write_text("{not json")
         Path("d_not_integer.json").write_text(json.dumps({**FIXTURES["d2_critical"], "d": 2.5}))
+        Path("d_zero.json").write_text(json.dumps({**FIXTURES["fix_a"], "d": 0}))
+        Path("overflow.json").write_text(json.dumps({**FIXTURES["fix_a"], "c": [1e300],
+                                                     "beta": [0.0]}))
         for label, argv, out in commands():
             if out is not None:
                 argv = [*argv, "--out", out]

@@ -110,20 +110,16 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
 
         (-phi(V); psi(V)) = L Y - c Y^2 - W (exp(-Z V) - 1),
 
-    where V = Y[:d], L is B^T - diag kappa with beta appended as row d, c
-    has a 0 in row d, and Z, W are the model's atom table
-    (`DerivedQuantities.atom_points`, `atom_weights`). Row d of Y enters
-    no right-hand side."""
-    params = dq.params
-    d = params.d
-    L = np.zeros((d + 1, d + 1))
-    L[:d, :d] = params.B.T - np.diag(dq.kappa)
-    L[d, :d] = params.beta
-    c = np.append(params.c, 0.0)[:, None]
+    where V = Y[:d], L is the drift table M (`DerivedQuantities.drift_table`)
+    with a zero column appended (M Y[:d] would round differently), c has a 0
+    in row d, and Z, W are the model's atom table (`atom_points`,
+    `atom_weights`). Row d of Y enters no right-hand side."""
+    L = np.pad(dq.drift_table, ((0, 0), (0, 1)))
+    c = np.append(dq.params.c, 0.0)[:, None]
     minus_z, W = -dq.atom_points, dq.atom_weights
     if not len(minus_z):
         return lambda Y: L @ Y - c * Y * Y
-    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y[:d])
+    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y[:-1])
 
 
 def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:

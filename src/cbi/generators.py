@@ -22,11 +22,11 @@ n <btilde x, grad f(x)> converges to the squared-Bessel-type limit
 and converges without correction iff <btilde x, grad f(x)> = 0.
 
 The full generator itself is evaluated in two equivalent forms (the
-defining one with (1 ^ z_i) compensation, and a rewritten one with full
-second-order compensation against the C_i matrices); both are computed on
-every call and must agree, which is a strong internal consistency check
-on kappa, btilde and the C_i. The jump terms f(x + z) - f(x) are the
-same in both forms and are computed once.
+defining one with (1 ^ z_i) compensation in the drift table, and a
+rewritten one with full second-order compensation against the C_i); both
+are computed on every call and must agree, which is a strong internal
+consistency check on the drift table, btilde and the C_i. The jump terms
+f(x + z) - f(x) are the same in both forms and are computed once.
 """
 from __future__ import annotations
 
@@ -172,27 +172,28 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
 
 def _generator_forms(params: CbiParams | DerivedQuantities, f: TestFunction,
                      x: np.ndarray) -> tuple[float, float]:
-    """The generator at x in its defining form, with (1 ^ z_i) compensation
-    through kappa, and in its compensated form, with full second-order
-    compensation against the C_i. f(x), its derivatives and every atom's
-    f(x + z) - f(x) are evaluated once for both; an atom of mu_i jumps at
-    rate x_i w, one of nu at rate w (the row (x, 1) times the atom table)."""
+    """The generator at x in its defining form, with drift (x, 1) M, and
+    in its compensated form, with full second-order compensation against
+    the C_i. f(x), its derivatives and every atom's f(x + z) - f(x) are
+    evaluated once for both; an atom of mu_i jumps at rate x_i w, one of nu
+    at rate w (the row (x, 1) times the atom table)."""
     dq = moments.derive(params)
     params = dq.params
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
+    x1 = np.append(x, 1.0)
 
     defining = float(params.c @ (x * np.diag(hess)))
-    defining += float((params.beta + params.B @ x) @ grad)
+    defining += float((x1 @ dq.drift_table) @ grad)
     compensated = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
     compensated += float((params.beta + dq.btilde @ x) @ grad)
     Z, W = dq.atom_points, dq.atom_weights
     if len(Z):
         jump = np.array([f.value(x + z) - fx for z in Z])
-        rate_jump = float(np.append(x, 1.0) @ W @ jump)
+        rate_jump = float(x1 @ W @ jump)
         taylor = Z @ grad + 0.5 * np.sum((Z @ hess) * Z, axis=1)
-        defining += rate_jump - float((x * dq.kappa) @ grad)
+        defining += rate_jump
         compensated += rate_jump - float(x @ W[:-1] @ taylor)
     return defining, compensated
 

@@ -74,8 +74,9 @@ class CbiParams:
 
     No value checks happen at construction (the validator must be able to
     hold and describe inadmissible tuples); fields are only copied into
-    read-only arrays. Without `mu`, each type gets an empty branching
-    measure, but only when `d` agrees with `len(c)`: an untrusted `d`
+    read-only arrays, and `d` is kept as given. Without `mu`, each type
+    gets an empty branching measure, but only when `d` agrees with
+    `len(c)`; default measures are sized by `len(c)`, so an untrusted `d`
     never sizes an allocation before `validate` has seen it.
     """
 
@@ -87,16 +88,15 @@ class CbiParams:
     mu: tuple[JumpMeasure, ...] = field(default=())
 
     def __post_init__(self):
-        d = int(self.d)
-        object.__setattr__(self, "d", d)
         c = _frozen(self.c, ndmin=1)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "beta", _frozen(self.beta, ndmin=1))
         object.__setattr__(self, "B", _frozen(self.B, ndmin=2))
-        nu = self.nu if self.nu is not None else JumpMeasure.empty(d)
+        n = len(c)
+        nu = self.nu if self.nu is not None else JumpMeasure.empty(n)
         object.__setattr__(self, "nu", nu)
-        mu = self.mu or ([None] * d if d == len(c) else ())
-        object.__setattr__(self, "mu", tuple(m if m is not None else JumpMeasure.empty(d)
+        mu = self.mu or ([None] * n if self.d == n else ())
+        object.__setattr__(self, "mu", tuple(m if m is not None else JumpMeasure.empty(n)
                                              for m in mu))
 
     @classmethod
@@ -107,8 +107,7 @@ class CbiParams:
 
     def without_immigration(self) -> "CbiParams":
         """Pure-branching companion model: beta = 0, nu = empty."""
-        return CbiParams(d=self.d, c=self.c, beta=np.zeros(self.d), B=self.B,
-                         nu=JumpMeasure.empty(self.d), mu=self.mu)
+        return CbiParams(d=self.d, c=self.c, beta=np.zeros(len(self.c)), B=self.B, mu=self.mu)
 
     # --- JSON parameter-file schema -------------------------------------
     # {"d": int, "c": [...], "beta": [...], "B": [[...], ...],
@@ -188,8 +187,9 @@ def validate(params: CbiParams) -> ValidationReport:
     integrals: dict[str, float] = {}
     d = params.d
 
-    if d < 1:
-        violations.append(f"d must be a positive integer, got {d}")
+    # bool is an int, but True is no dimension
+    if type(d) is bool or not isinstance(d, (int, np.integer)) or d < 1:
+        violations.append(f"d must be a positive integer, got {d!r}")
         return ValidationReport(False, {1: False, 2: False, 4: False}, integrals, violations)
 
     for label, vec in (("c", params.c), ("beta", params.beta)):

@@ -2,13 +2,13 @@
 
 From an admissible tuple this module builds the effective drift matrix
 btilde, the effective immigration vector beta_tilde, the second-moment
-matrices C_k, the branching-jump compensators kappa_i, and (in the
-critical irreducible case) the ray-averaged cbar = sum_k u_right[k] C_k:
+matrices C_k, the drift table M of the compensated process drift, and (in
+the critical irreducible case) the ray-averaged cbar = sum_k u_right[k] C_k:
 
     btilde[i, j] = B[i, j] + int (z_i - delta_ij)^+ mu_j(dz)
     beta_tilde   = beta + int z nu(dz)
     C_k          = 2 c_k e_k e_k^T + int z z^T mu_k(dz)
-    kappa_i      = int (1 ^ z_i) mu_i(dz)
+    M            = (B^T - diag kappa; beta),  kappa_i = int (1 ^ z_i) mu_i(dz)
 
 The conditional first moment of the process is
 E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du,
@@ -24,7 +24,9 @@ Every atom integral reads one table that `derive` builds: atom_points Z,
 shape (A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in
 its own order; row i < d of atom_weights W, shape (d+1, A), holds mu_i's
 weights, row d holds nu's, and every other entry is 0. So beta_tilde =
-beta + W[d] Z. A jump-free model's table is empty (A = 0).
+beta + W[d] Z. A jump-free model's table is empty (A = 0). Through the same
+row, (x, 1) M is the process drift and M the linear part of (-phi; psi)
+(affine duality; Duffie, Filipovic & Schachermayer 2003).
 
 `derive` is the package's one admissibility gate: its result, a
 `DerivedQuantities`, is the validated model. Every public function that
@@ -61,13 +63,14 @@ class DerivedQuantities:
 
     atom_points Z (A, d) and atom_weights W (d+1, A) are the atom table:
     the atoms of mu_1, ..., mu_d, then of nu; row i < d of W holds mu_i's
-    weights, row d nu's, every other entry is 0; A = 0 without jumps."""
+    weights, row d nu's, every other entry is 0; A = 0 without jumps.
+    drift_table M (d+1, d) is B^T - diag kappa over beta: drift (x, 1) M."""
 
     params: CbiParams
     btilde: np.ndarray
     beta_tilde: np.ndarray
     big_c: tuple[np.ndarray, ...]
-    kappa: np.ndarray
+    drift_table: np.ndarray
     classification: str
     spectral: SpectralSummary
     atom_points: np.ndarray
@@ -108,19 +111,20 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         big_c = np.zeros((d, d, d))
         for k in range(d):
             big_c[k, k, k] = 2.0 * params.c[k]
-        btilde, kappa, beta_tilde = params.B, np.zeros(d), params.beta
+        btilde, beta_tilde, drift = params.B, params.beta, np.empty((d + 1, d))
+        drift[:d], drift[d] = params.B.T, params.beta  # M in C order: BLAS rounds by layout
         if len(Z):  # a jump-free model does no atom arithmetic
             np.concatenate([m.points.reshape(-1, d) for m in measures], out=Z)
             W[np.repeat(np.arange(d + 1), sizes), np.arange(len(Z))] = \
                 np.concatenate([m.weights for m in measures])
             owned = W[:d] > 0
             btilde = btilde + (W[:d] @ np.maximum(Z - owned.T, 0.0)).T
-            kappa = np.diag(W[:d] @ np.minimum(1.0, Z))
+            drift[:d] -= np.diag(np.diag(W[:d] @ np.minimum(1.0, Z)))  # diag kappa
             beta_tilde = beta_tilde + W[d] @ Z
             zz = Z[:, :, None] * Z[:, None, :]
             for C, w, own in zip(big_c, W, owned):
                 C += np.tensordot(w[own], zz[own], axes=(0, 0))
-    if not np.isfinite(np.concatenate([btilde.ravel(), kappa, beta_tilde,
+    if not np.isfinite(np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde,
                                        big_c.ravel()])).all():
         raise NumericRangeError("derived quantities (btilde, beta_tilde, C_k, kappa) "
                                 "overflowed the floating-point range")
@@ -140,7 +144,7 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         btilde=_frozen(btilde),
         beta_tilde=_frozen(beta_tilde),
         big_c=tuple(_frozen(big_c)),
-        kappa=_frozen(kappa),
+        drift_table=_frozen(drift),
         atom_points=_frozen(Z),
         atom_weights=_frozen(W),
         classification=classification,

@@ -3,11 +3,12 @@
 Paths are generated by Euler-Maruyama with full truncation: drift and
 diffusion coefficients are evaluated at the positive part of the state,
 and the state is truncated at 0 after every update, so every emitted
-state is componentwise non-negative. Per step from state x:
+state is componentwise non-negative; an update that is not finite is
+refused before the truncation. Per step from state x:
 
     diffusion   sqrt(2 c_i max(x_i, 0)) dW_i   per coordinate,
-    drift       ( beta + B x - diag(int (1 ^ z_i) mu_i(dz)) x ) dt
-                  (the drift compensates the mu_i jump terms),
+    drift       (x^+, 1) M dt with the drift table M (B^T - diag kappa; beta),
+                  kappa_i = int (1 ^ z_i) mu_i(dz) compensating the mu_i jumps,
     immigration compound Poisson with rate nu(U_d), atoms weight-proportional,
     branching   per type i, Poisson with frozen rate x_i mu_i(U_d) within
                   the step, atoms weight-proportional.
@@ -128,6 +129,8 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     return counts
 
 
+# an overflowing state is refused below by the kernel's own ValueError
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                    seed: int, n_paths: int, record_idx: np.ndarray):
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
@@ -141,9 +144,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     if x0.shape != (d,):
         raise ValueError(f"x0 must have length d={d}, got shape {x0.shape}")
     c2 = 2.0 * params.c
-    B_T = params.B.T.copy()
-    beta = params.beta
-    kappa = dq.kappa
+    M = dq.drift_table
     sqrt_h = math.sqrt(h)
     # jump sources in draw order, one per row i of the atom table (see
     # DerivedQuantities) that holds atoms, nu's row d first: (label, i,
@@ -183,7 +184,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 k = w0 + kw
                 t_next = (k + 1) * h
                 xp = np.maximum(x, 0.0)
-                x_new = (x + h * (beta + xp @ B_T - xp * kappa)
+                x_new = (x + h * (M[d] + xp @ M[:d])
                          + np.sqrt(c2 * xp) * (sqrt_h * normals[:, kw, :]))
 
                 for s, (label, i, rate, cum, points) in enumerate(sources):
@@ -196,9 +197,10 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                             x_new[pj] += z
                             jump_logs[p0 + pj].append((t_next, label, z.copy()))
 
-                x = np.maximum(x_new, 0.0)
-                if not np.all(np.isfinite(x)):
+                # before truncation, which would turn -inf into 0
+                if not np.all(np.isfinite(x_new)):
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
+                x = np.maximum(x_new, 0.0)
                 if rec_flag[k + 1]:
                     states_rec[p0:p1, rec_slot[k + 1], :] = x
 

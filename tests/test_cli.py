@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cbi import affine, cli
+from cbi.model import CbiParams
 
 from conftest import (make_d2_critical, make_degenerate_critical, make_fix_a, make_jump_mixed,
                       write_params)
@@ -243,6 +244,14 @@ def test_huge_d_document_exits_2_with_report(tmp_path, capsys):
     assert "c must have length d=100000, got shape (1,)" in json.loads(out)["result"]["violations"]
 
 
+def test_zero_d_document_exits_2_with_report(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"d": 0, "c": [1.0], "beta": [0.0], "B": [[0.0]]}))
+    code, out = run_cli(capsys, ["validate", "--params", str(path)])
+    assert code == 2
+    assert json.loads(out)["result"]["violations"] == ["d must be a positive integer, got 0"]
+
+
 HUGE = str(10**400)
 
 
@@ -279,6 +288,32 @@ def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, 
     assert code == 64
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
     assert not out_csv.exists()
+
+
+def test_overflowing_state_exits_64_without_csv(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    write_params(CbiParams.no_jumps(c=[1e300], beta=[0.0], B=[[0.0]]), path)
+    out_csv = tmp_path / "paths.csv"
+    code = cli.run(["simulate", "--params", str(path), "--x", "1", "--t", "1", "--dt", "0.1",
+                    "--n-paths", "3", "--seed", "0", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == "usage error: non-finite state at step 2; decrease dt\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["laplace", "--t", "1", "--x", "a", "--lambda", "1"],
+     "--x must be comma-separated decimals: could not convert string to float: 'a'"),
+    (["dgen", "--n", "abc", "--x", "1", "--lambda", "1"],
+     "argument --n: invalid int value: 'abc'"),
+    ([], "a command is required (see --help)"),
+])
+def test_malformed_argument_exits_64(fix_a_file, capsys, argv, message):
+    code = cli.run([*argv[:1], "--params", fix_a_file, *argv[1:]] if argv else [])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("d", ["2.7", "2.0", "true", '"2"'])

@@ -277,6 +277,11 @@ def test_scaled_gen_n1_equals_generator(jump_mixed):
         generator_apply(jump_mixed, f, x), rel=1e-12)
 
 
+def test_scaled_gen_rejects_n_below_one(jump_mixed):
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        scaled_gen_apply(jump_mixed, 0, bump([0.5], 2.0), [0.7])
+
+
 def test_scaled_gen_no_jump_closed_form(d2_critical):
     f = bump([0.4, 0.4], 1.8)
     x = np.array([0.5, 0.8])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cbi.cli import _load_params
+from cbi.errors import InadmissibleError
 from cbi.model import CbiParams, JumpMeasure, validate
 from cbi.moments import derive
 
@@ -55,6 +56,34 @@ def test_structural_problems_reported_not_raised():
     rep = validate(wrong_count)
     assert not rep.admissible
     assert any("exactly d=2" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("measures,message", [
+    ({"mu": (JumpMeasure(weights=[1.0], points=[[1.0, 0.0, 0.0]]), JumpMeasure.empty(2))},
+     "mu[1]: atom points must lie in R^2, got shape (1, 3)"),
+    ({"nu": JumpMeasure(weights=[1.0, 1.0], points=[[1.0, 0.0]])},
+     "nu: 2 weights but 1 points"),
+])
+def test_malformed_measure_is_a_violation(measures, message):
+    params = CbiParams(d=2, c=[1.0, 1.0], beta=[0.0, 0.0], B=np.zeros((2, 2)), **measures)
+    rep = validate(params)
+    assert not rep.admissible
+    assert message in rep.violations
+
+
+@pytest.mark.parametrize("d", [2.7, True, 2.0])
+def test_non_integer_d_is_a_violation(d):
+    n = 1 if d is True else 2
+    params = CbiParams(d=d, c=[1.0] * n, beta=[0.0] * n, B=np.zeros((n, n)))
+    assert params.d is d
+    assert validate(params).violations == [f"d must be a positive integer, got {d}"]
+    with pytest.raises(InadmissibleError):
+        derive(params)
+
+
+def test_numpy_integer_d_derives():
+    dq = derive(CbiParams(d=np.int64(2), c=[1.0, 1.0], beta=[0.0, 0.0], B=np.zeros((2, 2))))
+    assert dq.params.d == 2 and dq.btilde.shape == (2, 2)
 
 
 def test_negative_vectors_rejected():

@@ -11,7 +11,7 @@ from cbi.model import CbiParams, JumpMeasure
 from cbi.moments import (CRITICAL, NOT_IRREDUCIBLE, SUBCRITICAL, SUPERCRITICAL,
                          derive, mean, variance_no_immigration)
 
-from conftest import assert_close, make_d2_critical, make_fix_a, make_jump_d2
+from conftest import ALL_FIXTURES, assert_close, make_d2_critical, make_fix_a, make_jump_d2
 
 
 def test_derive_without_jumps_reduces_to_inputs(d2_critical):
@@ -56,7 +56,8 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3):
         assert_close(dq.beta_tilde, expected_beta, 1e-14)
         expected_kappa = [sum(w * min(1.0, z[i]) for w, z in atoms(params.mu[i]))
                           for i in range(d)]
-        assert_close(dq.kappa, expected_kappa, 1e-15)
+        assert_close(dq.drift_table,
+                     np.vstack([params.B.T - np.diag(expected_kappa), params.beta]), 1e-15)
         for k in range(d):
             expected_c = 2.0 * params.c[k] * np.outer(np.eye(d)[k], np.eye(d)[k]) + sum(
                 w * np.outer(z, z) for w, z in atoms(params.mu[k]))
@@ -64,6 +65,21 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3):
             # symmetric positive semidefinite
             assert_close(dq.big_c[k], dq.big_c[k].T, 0.0)
             assert np.min(np.linalg.eigvalsh(dq.big_c[k])) >= -1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_drift_table_row_is_the_compensated_drift(name):
+    # (x, 1) M = beta + B x - x kappa, with kappa_i = int (1 ^ z_i) mu_i(dz)
+    # summed from the raw atoms, not read from derive
+    params = ALL_FIXTURES[name]()
+    d = params.d
+    kappa = np.array([sum(w * min(1.0, z[i]) for w, z in zip(m.weights, m.points))
+                      for i, m in enumerate(params.mu)])
+    M = derive(params).drift_table
+    assert M.shape == (d + 1, d)
+    for x in (np.zeros(d), np.linspace(0.5, 2.0, d), np.full(d, 7.0)):
+        assert_close(np.append(x, 1.0) @ M, params.beta + params.B @ x - x * kappa, 1e-14,
+                     f"{name} at x={x.tolist()}")
 
 
 def test_atom_table_layout(jump_d3, d2_critical):
@@ -123,7 +139,7 @@ def test_derive_returns_read_only_model(d2_critical, jump_d3):
     assert derive(dq) is dq
     assert dq.params is d2_critical
     jumps = derive(jump_d3)
-    arrays = [dq.btilde, dq.beta_tilde, dq.kappa, dq.cbar, *dq.big_c,
+    arrays = [dq.btilde, dq.beta_tilde, dq.drift_table, dq.cbar, *dq.big_c,
               dq.perron.u_right, dq.perron.u_left, jumps.atom_points, jumps.atom_weights]
     for a in arrays:
         with pytest.raises(ValueError):

@@ -64,6 +64,23 @@ def test_oversized_run_refused_before_allocating(fix_a, run):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_overflowing_state_is_refused_before_truncation(seed):
+    # c x overflows at step 2 and a negative normal makes the state -inf,
+    # which truncation at 0 would turn into a finite 0
+    params = CbiParams.no_jumps(c=[1e300], beta=[0.0], B=[[0.0]])
+    with pytest.raises(ValueError, match="non-finite state at step 2; decrease dt"):
+        simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=seed, n_paths=3))
+
+
+def test_scaled_step_and_limit_diffusion_refuse_bad_arguments(fix_a, d2_critical):
+    cfg = PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=0, n_paths=2)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        simulate_scaled_step(fix_a, 0, cfg)
+    with pytest.raises(ValueError, match=r"x0 must have length d=2, got shape \(1,\)"):
+        simulate_limit_diffusion(d2_critical, cfg)
+
+
 def test_poisson_inversion_matches_cdf_oracle():
     u = np.linspace(0.0, 0.999999, 41)
     # scalar means, and one array mean that holds zeros
