@@ -15,7 +15,7 @@ from .matops import (PerronPair, SpectralSummary, branching_integral, exp_and_in
 from .moments import DerivedQuantities, derive, mean, variance_no_immigration
 from .affine import (VSolution, laplace_transform, phi, psi, solve_v, v_hessian_fd,
                      v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
-from .testfunctions import TestFunction, bump, scaled_argument
+from .testfunctions import TestFunction, bump
 from .generators import (ConvergenceTable, discrete_gen_exp, discrete_gen_limit,
                          discrete_gen_table, drift_convergence_criterion,
                          exp_convergence_criterion, generator_apply,

@@ -243,13 +243,11 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
     if args.bump_radius is None:
         args.bump_radius = 2.0 * (1.0 + float(np.max(np.abs(x))))
     f = bump(args.bump_center, args.bump_radius, args.bump_amplitude)
-    grad = f.gradient(x)
-    drift_rate = float((dq.btilde @ x) @ grad)
+    drift_rate = float((dq.btilde @ x) @ f.gradient(x))
     limit = generators.scaled_gen_limit(dq, f, x)
     rows = []
     for n in args.n_list:
-        val = generators.scaled_gen_apply(dq, n, f, x)
-        corrected = val - n * drift_rate
+        val, corrected = generators.scaled_gen_apply(dq, n, f, x)
         rows.append(f"{n},{float(val)!r},{float(n * drift_rate)!r},{float(corrected)!r},"
                     f"{float(limit)!r},{float(abs(corrected - limit))!r}")
     _write_csv(args, "n,scaled,drift_term,corrected,limit,gap", rows)

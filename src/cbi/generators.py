@@ -19,14 +19,18 @@ n <btilde x, grad f(x)> converges to the squared-Bessel-type limit
 
     1/2 sum_i x_i sum_{k,l} (C_i)_{k,l} f''_{k,l}(x) + <beta_tilde, grad f(x)>,
 
-and converges without correction iff <btilde x, grad f(x)> = 0.
+and converges without correction iff <btilde x, grad f(x)> = 0. The
+corrected value is summed without that O(n) term: jump-free it is the limit
+up to rounding at every n; a jump model adds a Taylor remainder whose
+rounding grows like n^2 eps.
 
-The full generator itself is evaluated in two equivalent forms (the
-defining one with (1 ^ z_i) compensation in the drift table, and a
-rewritten one with full second-order compensation against the C_i); both
-are computed on every call and must agree, which is a strong internal
-consistency check on the drift table, btilde and the C_i. The jump terms
-f(x + z) - f(x) are the same in both forms and are computed once.
+The generator at scale n, n (A f_n)(n x) with f_n(y) = f(y / n), reads f
+and its derivatives at x and f at x + z / n; n = 1 is the generator. Its
+two equivalent forms (the defining one with (1 ^ z_i) compensation in the
+drift table, and a rewritten one with full second-order compensation
+against the C_i) are computed on every call and must agree, which is a
+strong internal consistency check on the drift table, btilde and the C_i.
+The jump terms f(x + z / n) - f(x) are shared and computed once.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from . import affine, matops, moments
 from .errors import ConsistencyError
 from .model import CbiParams
 from .moments import DerivedQuantities
-from .testfunctions import TestFunction, scaled_argument
+from .testfunctions import TestFunction
 
 #: Default n sweep for convergence tables.
 DEFAULT_N_LIST = (10, 100, 1000, 10000)
@@ -72,6 +76,14 @@ class ConvergenceTable:
     fitted_slope: float
 
 
+def _point(dq: DerivedQuantities, v) -> np.ndarray:
+    """v as a float vector; a length other than d is a ValueError."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (dq.params.d,):
+        raise ValueError(f"x and lam must have length d={dq.params.d}, got shape {v.shape}")
+    return v
+
+
 def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
                   lam: np.ndarray) -> np.ndarray:
     """discrete_gen_exp at each entry of the array n, the solves at every
@@ -94,8 +106,7 @@ def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> f
     defaults, because the leading n amplifies solver error n-fold.
     """
     dq = moments.derive(params)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    x, lam = _point(dq, x), _point(dq, lam)
     return float(_discrete_gen(dq, np.array([float(n)]), x, lam)[0])
 
 
@@ -105,9 +116,8 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     The quadrature term is lam . V(1; x) lam with V = matops.branching_integral
     (substitute s -> 1 - s in the module formula).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     dq = moments.derive(params)
+    x, lam = _point(dq, x), _point(dq, lam)
     bt = dq.btilde
     quad = float(lam @ matops.branching_integral(bt, dq.big_c, x, 1.0) @ lam)
     flow, integral = matops.exp_and_integral_vec(bt, dq.beta_tilde, 1.0)
@@ -118,10 +128,9 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
 def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam) -> bool:
     """Whether the raw discrete-generator sequence on e_lam converges:
     <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    bt = moments.derive(params).btilde
-    return abs(float(lam @ x) - float(lam @ (matops.mat_exp(bt, 1.0) @ x))) <= CRITERION_TOL
+    dq = moments.derive(params)
+    x, lam = _point(dq, x), _point(dq, lam)
+    return abs(float(lam @ x) - float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))) <= CRITERION_TOL
 
 
 def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
@@ -138,10 +147,9 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     n_values = tuple(int(n) for n in n_list)
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_list must be at least two strictly increasing integers")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
     dq = moments.derive(params)
+    x, lam = _point(dq, x), _point(dq, lam)
     correction_rate = float(np.exp(-float(lam @ x))
                             - np.exp(-float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))))
 
@@ -170,32 +178,38 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
                             fitted_slope=fitted_slope)
 
 
-def _generator_forms(params: CbiParams | DerivedQuantities, f: TestFunction,
-                     x: np.ndarray) -> tuple[float, float]:
-    """The generator at x in its defining form, with drift (x, 1) M, and
-    in its compensated form, with full second-order compensation against
-    the C_i. f(x), its derivatives and every atom's f(x + z) - f(x) are
-    evaluated once for both; an atom of mu_i jumps at rate x_i w, one of nu
-    at rate w (the row (x, 1) times the atom table)."""
-    dq = moments.derive(params)
-    params = dq.params
+def _diffusion_term(dq: DerivedQuantities, x: np.ndarray, hess: np.ndarray) -> float:
+    """1/2 sum_i x_i <C_i, hess>."""
+    return 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
+
+
+def _generator_forms(dq: DerivedQuantities, f: TestFunction, x: np.ndarray,
+                     n: float) -> tuple[float, float, float]:
+    """n (A f_n)(n x), f_n(y) = f(y / n), at x (n = 1 is A f(x)) from f and
+    its derivatives at x, so their n's cancel algebraically. Returns the
+    defining form, with drift (n x, 1) M; the compensated form less its
+    n rate term; and rate = <btilde x, grad f(x)>. An atom of mu_i jumps at
+    rate n x_i w, one of nu at rate w. The forms must agree within
+    FORM_CHECK_TOL (n + max |form|), the n = 1 check multiplied through by n."""
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
-    x1 = np.append(x, 1.0)
+    nx1 = np.append(n * x, 1.0)
+    rate = float((dq.btilde @ x) @ grad)
 
-    defining = float(params.c @ (x * np.diag(hess)))
-    defining += float((x1 @ dq.drift_table) @ grad)
-    compensated = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
-    compensated += float((params.beta + dq.btilde @ x) @ grad)
+    defining = float(dq.params.c @ (x * np.diag(hess)))
+    defining += float((nx1 @ dq.drift_table) @ grad)
+    corrected = _diffusion_term(dq, x, hess) + float(dq.params.beta @ grad)
     Z, W = dq.atom_points, dq.atom_weights
     if len(Z):
-        jump = np.array([f.value(x + z) - fx for z in Z])
-        rate_jump = float(x1 @ W @ jump)
-        taylor = Z @ grad + 0.5 * np.sum((Z @ hess) * Z, axis=1)
-        defining += rate_jump
-        compensated += rate_jump - float(x @ W[:-1] @ taylor)
-    return defining, compensated
+        jump = np.array([f.value(x + z / n) - fx for z in Z])
+        taylor = Z @ grad / n + 0.5 * np.sum((Z @ hess) * Z, axis=1) / (n * n)
+        defining += n * float(nx1 @ W @ jump)
+        corrected += n * float(W[-1] @ jump) + n * n * float(x @ W[:-1] @ (jump - taylor))
+    other = corrected + n * rate
+    if abs(defining - other) > FORM_CHECK_TOL * (n + max(abs(defining), abs(other))):
+        raise ConsistencyError(f"generator forms disagree: {defining!r} vs {other!r}")
+    return defining, corrected, rate
 
 
 def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -204,22 +218,25 @@ def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -
     Both equivalent forms are evaluated and must agree within FORM_CHECK_TOL
     (absolute plus relative); the defining form's value is returned.
     """
-    primary, other = _generator_forms(params, f, np.atleast_1d(np.asarray(x, dtype=float)))
-    if abs(primary - other) > FORM_CHECK_TOL * (1.0 + max(abs(primary), abs(other))):
-        raise ConsistencyError(
-            f"generator forms disagree: {primary!r} vs {other!r}")
-    return primary
+    dq = moments.derive(params)
+    return _generator_forms(dq, f, _point(dq, x), 1.0)[0]
 
 
 def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunction,
-                     x) -> float:
-    """Generator of the continuously scaled process t -> X_{nt} / n at x:
-    n (A f_n)(n x) with f_n(y) = f(y / n)."""
+                     x) -> tuple[float, float]:
+    """Generator of the continuously scaled process t -> X_{nt} / n at x,
+    n (A f_n)(n x) with f_n(y) = f(y / n), and the corrected value, less
+    n <btilde x, grad f(x)>: scaled_gen_limit up to rounding for a jump-free
+    model, plus a Taylor remainder whose rounding grows like n^2 eps for a
+    jump model. n above about 1.34e154, where n^2 overflows, is refused."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    n = float(n)
+    if n * n == np.inf:
+        raise ValueError(f"scale {n:.6g} is beyond the square root of the "
+                         "floating-point range")
     dq = moments.derive(params)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(n) * generator_apply(dq, scaled_argument(f, n), float(n) * x)
+    return _generator_forms(dq, f, _point(dq, x), n)[:2]
 
 
 def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -229,18 +246,17 @@ def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) 
     In one dimension with btilde = 0 this is the squared Bessel generator
     (C_1/2) x f''(x) + beta_tilde f'(x).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     dq = moments.derive(params)
+    x = _point(dq, x)
     hess = np.asarray(f.hessian(x), dtype=float)
     grad = np.asarray(f.gradient(x), dtype=float)
-    val = 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
-    return val + float(dq.beta_tilde @ grad)
+    return _diffusion_term(dq, x, hess) + float(dq.beta_tilde @ grad)
 
 
 def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction,
                                 x) -> bool:
     """Whether the scaled generator sequence converges without correction:
     <btilde x, grad f(x)> = 0 within CRITERION_TOL."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    bt = moments.derive(params).btilde
-    return abs(float((bt @ x) @ np.asarray(f.gradient(x), dtype=float))) <= CRITERION_TOL
+    dq = moments.derive(params)
+    x = _point(dq, x)
+    return abs(float((dq.btilde @ x) @ np.asarray(f.gradient(x), dtype=float))) <= CRITERION_TOL

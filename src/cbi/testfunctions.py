@@ -24,13 +24,12 @@ _EDGE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """A C^2 function R_+^d -> R vanishing outside {|x| <= support_radius},
-    bundled with its analytic gradient and Hessian."""
+    """A C^2 compactly supported function R_+^d -> R, bundled with its
+    analytic gradient and Hessian."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
 
     __test__ = False  # not a pytest collection target
 
@@ -48,19 +47,22 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     d = len(x0)
 
-    def _s(x: np.ndarray) -> float:
-        u = (np.atleast_1d(np.asarray(x, dtype=float)) - x0) / R
-        return float(u @ u)
+    def _at(x) -> tuple[np.ndarray, float]:
+        """x as a point of length d, and s = |(x - center) / radius|^2."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (d,):
+            raise ValueError(f"point has shape {x.shape}; the bump's center has length {d}")
+        u = (x - x0) / R
+        return x, float(u @ u)
 
     def value(x) -> float:
-        s = _s(x)
+        s = _at(x)[1]
         if s >= 1.0 - _EDGE:
             return 0.0
         return a * np.exp(-1.0 / (1.0 - s))
 
     def gradient(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s = _s(x)
+        x, s = _at(x)
         if s >= 1.0 - _EDGE:
             return np.zeros(d)
         g = a * np.exp(-1.0 / (1.0 - s))
@@ -68,8 +70,7 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
         return gp * (2.0 / R**2) * (x - x0)
 
     def hessian(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s = _s(x)
+        x, s = _at(x)
         if s >= 1.0 - _EDGE:
             return np.zeros((d, d))
         g = a * np.exp(-1.0 / (1.0 - s))
@@ -78,24 +79,4 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
         u = (2.0 / R**2) * (x - x0)
         return gpp * np.outer(u, u) + gp * (2.0 / R**2) * np.eye(d)
 
-    return TestFunction(value=value, gradient=gradient, hessian=hessian,
-                        support_radius=float(np.linalg.norm(x0)) + R)
-
-
-def scaled_argument(f: TestFunction, n: float) -> TestFunction:
-    """f_n(x) = f(x / n); gradient scales by 1/n, Hessian by 1/n^2.
-
-    A scale whose square overflows the float range (n above about 1.34e154)
-    is refused: the Hessian would underflow and lose all accuracy."""
-    n = float(n)
-    if n <= 0:
-        raise ValueError(f"scale must be positive, got {n}")
-    if n * n == np.inf:
-        raise ValueError(f"scale {n:.6g} is beyond the square root of the "
-                         "floating-point range")
-    return TestFunction(
-        value=lambda x: f.value(np.asarray(x, dtype=float) / n),
-        gradient=lambda x: f.gradient(np.asarray(x, dtype=float) / n) / n,
-        hessian=lambda x: f.hessian(np.asarray(x, dtype=float) / n) / n / n,
-        support_radius=n * f.support_radius,
-    )
+    return TestFunction(value=value, gradient=gradient, hessian=hessian)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 
 from cbi import moments
 from cbi.affine import laplace_transform
+from cbi.errors import ConsistencyError
 from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES, discrete_gen_exp,
                             discrete_gen_limit, discrete_gen_table,
                             drift_convergence_criterion, exp_convergence_criterion,
                             generator_apply, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import mat_exp
 from cbi.model import CbiParams, JumpMeasure
-from cbi.testfunctions import TestFunction, bump, scaled_argument
+from cbi.testfunctions import TestFunction, bump
 
-from conftest import assert_close
+from conftest import assert_close, make_d2_critical, make_degenerate_critical, make_fix_a
 from ref_oracles import fd_gradient, fd_hessian
 
 
@@ -53,8 +55,7 @@ def _plateau(r_flat: float, r_out: float, d: int) -> TestFunction:
         hpp = -60.0 * u * (1 - u) * (1 - 2 * u) / (b - a) ** 2
         return hpp * 4.0 * np.outer(x, x) + hp * 2.0 * np.eye(n)
 
-    return TestFunction(value=value, gradient=gradient, hessian=hessian,
-                        support_radius=r_out)
+    return TestFunction(value=value, gradient=gradient, hessian=hessian)
 
 
 def _linear_bump(center, radius: float, slope, offset: float = 1.0) -> TestFunction:
@@ -77,8 +78,7 @@ def _linear_bump(center, radius: float, slope, offset: float = 1.0) -> TestFunct
         bg = base.gradient(x)
         return np.outer(slope, bg) + np.outer(bg, slope) + p * base.hessian(x)
 
-    return TestFunction(value=value, gradient=gradient, hessian=hessian,
-                        support_radius=base.support_radius)
+    return TestFunction(value=value, gradient=gradient, hessian=hessian)
 
 
 # --- test functions ----------------------------------------------------------
@@ -89,7 +89,6 @@ def test_bump_vanishes_outside_support():
         assert f.value(x) == 0.0
         assert_close(f.gradient(x), [0.0], 0.0)
         assert_close(f.hessian(x), [[0.0]], 0.0)
-    assert f.support_radius == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("radius,amplitude", [
@@ -124,14 +123,13 @@ def test_gradients_and_hessians_match_finite_differences(make_f, d, points):
         assert_close(H, H.T, 1e-13, "hessian symmetry")
 
 
-def test_scaled_argument_scaling():
-    f = bump([0.0], 1.0)
-    fn = scaled_argument(f, 4.0)
-    x = np.array([2.0])
-    assert fn.value(x) == pytest.approx(f.value(x / 4.0))
-    assert_close(fn.gradient(x), f.gradient(x / 4.0) / 4.0, 1e-15)
-    assert_close(fn.hessian(x), f.hessian(x / 4.0) / 16.0, 1e-15)
-    assert fn.support_radius == pytest.approx(4.0)
+@pytest.mark.parametrize("x", [[0.5, 0.5], [3.0, 3.0], [[0.5]]])
+@pytest.mark.parametrize("method", ["value", "gradient", "hessian"])
+def test_bump_rejects_points_of_another_dimension(method, x):
+    # a 1-d bump would broadcast over a 2-d point inside its support and
+    # fail in a matmul outside it
+    with pytest.raises(ValueError, match=r"the bump's center has length 1"):
+        getattr(bump([0.5], 2.0), method)(x)
 
 
 # --- discrete generator on exponentials --------------------------------------
@@ -273,7 +271,7 @@ def test_generator_two_forms_agree_on_fixtures(fix_a, jump_mixed, jump_d2, jump_
 def test_scaled_gen_n1_equals_generator(jump_mixed):
     f = bump([0.5], 2.0)
     x = [0.7]
-    assert scaled_gen_apply(jump_mixed, 1, f, x) == pytest.approx(
+    assert scaled_gen_apply(jump_mixed, 1, f, x)[0] == pytest.approx(
         generator_apply(jump_mixed, f, x), rel=1e-12)
 
 
@@ -287,7 +285,7 @@ def test_scaled_gen_no_jump_closed_form(d2_critical):
     x = np.array([0.5, 0.8])
     H, g = f.hessian(x), f.gradient(x)
     for n in (1, 7, 50, 1000):
-        got = scaled_gen_apply(d2_critical, n, f, x)
+        got, _ = scaled_gen_apply(d2_critical, n, f, x)
         expected = float(d2_critical.c @ (x * np.diag(H))) \
             + float(d2_critical.beta @ g) + n * float((d2_critical.B @ x) @ g)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
@@ -312,17 +310,63 @@ def test_scaled_gen_limit_zero_when_degenerate():
 
 
 def test_scaled_gen_converges_to_limit_with_jumps(jump_d2):
-    dq = moments.derive(jump_d2)
     f = bump([0.3, 0.3], 2.5)
     x = np.array([0.6, 0.4])
-    drift = float((dq.btilde @ x) @ f.gradient(x))
     limit = scaled_gen_limit(jump_d2, f, x)
     gaps = []
     for n in (10, 100, 1000, 10000):
-        val = scaled_gen_apply(jump_d2, n, f, x) - n * drift
-        gaps.append(abs(val - limit))
+        _, corrected = scaled_gen_apply(jump_d2, n, f, x)
+        gaps.append(abs(corrected - limit))
     assert gaps[-1] < 1e-3
     assert gaps[-1] < gaps[0]
+
+
+@pytest.mark.parametrize("make_params, x", [
+    (make_fix_a, [1.0]), (make_d2_critical, [1.0, 0.5]), (make_degenerate_critical, [1.0, 0.5]),
+])
+def test_scaled_gen_corrected_is_the_limit_without_jumps(make_params, x):
+    # jump-free, the corrected value is the limit's own sum of terms: no
+    # O(n) subtraction and no x * n / n rounding is left to grow with n
+    dq = moments.derive(make_params())
+    x = np.array(x)
+    f = bump(x + 0.3, 1.5)
+    limit = scaled_gen_limit(dq, f, x)
+    for n in (10, 10**4, 10**8, 10**12):
+        assert abs(scaled_gen_apply(dq, n, f, x)[1] - limit) <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [1, 10**4, 10**8])
+@pytest.mark.parametrize("fixture", ["jump_d2", "d2_critical"])
+def test_form_check_catches_a_wrong_btilde(fixture, n, request):
+    # btilde enters the compensated form only: the defining form reads the
+    # drift table, so a wrong btilde must split the two at every scale
+    dq = moments.derive(request.getfixturevalue(fixture))
+    wrong = dataclasses.replace(dq, btilde=dq.btilde + 1e-6)
+    with pytest.raises(ConsistencyError, match="generator forms disagree"):
+        scaled_gen_apply(wrong, n, bump([0.3, 0.3], 2.5), [0.6, 0.4])
+
+
+F2 = bump([0.5, 0.5], 2.0)
+_WRONG_LENGTH = {
+    "discrete_gen_exp x": lambda p: discrete_gen_exp(p, 10, [0.5], [1.0, 1.0]),
+    "discrete_gen_exp lam": lambda p: discrete_gen_exp(p, 10, [0.5, 0.5], [1.0]),
+    "discrete_gen_limit x": lambda p: discrete_gen_limit(p, [0.5, 0.5, 0.5], [1.0, 1.0]),
+    "discrete_gen_limit lam": lambda p: discrete_gen_limit(p, [0.5, 0.5], [1.0]),
+    "exp_convergence_criterion x": lambda p: exp_convergence_criterion(p, [0.5], [1.0, 1.0]),
+    "exp_convergence_criterion lam": lambda p: exp_convergence_criterion(p, [0.5, 0.5], [1.0]),
+    "discrete_gen_table x": lambda p: discrete_gen_table(p, [0.5], [1.0, 1.0]),
+    "discrete_gen_table lam": lambda p: discrete_gen_table(p, [0.5, 0.5], [1.0]),
+    "generator_apply": lambda p: generator_apply(p, F2, [0.5]),
+    "scaled_gen_apply": lambda p: scaled_gen_apply(p, 10, F2, [0.5, 0.5, 0.5]),
+    "scaled_gen_limit": lambda p: scaled_gen_limit(p, F2, [[0.5, 0.5]]),
+    "drift_convergence_criterion": lambda p: drift_convergence_criterion(p, F2, [0.5]),
+}
+
+
+@pytest.mark.parametrize("name", _WRONG_LENGTH)
+def test_generator_entry_points_check_lengths_against_d(name, d2_critical):
+    with pytest.raises(ValueError, match=r"must have length d=2, got shape"):
+        _WRONG_LENGTH[name](d2_critical)
 
 
 def test_drift_criterion(fix_a, d2_critical):
