@@ -11,11 +11,18 @@ raw atom data with explicit Python loops, and irreducibility from scipy's
 strongly connected components (production squares a boolean reachability
 matrix), and the paths CSV cell by cell with float() and repr on every
 value (production formats a shared time grid once and each path from one
-tolist()).
+tolist()), and the Euler paths one path and one step at a time from one
+numpy Generator per path over its SeedSequence, with the drift, kappa and
+jump rates re-derived from the raw parameters and the Poisson counts by a
+scalar CDF walk (production keys a whole block of paths at once, reads
+them through one shared Philox, and steps the block as arrays).
 
 The module is named ref_oracles, not oracles, so that one pytest session
 can load it beside the benchmark's own top-level `oracles` module.
 """
+import bisect
+import math
+
 import numpy as np
 import scipy.sparse
 from scipy.integrate import quad_vec, solve_ivp
@@ -184,3 +191,70 @@ def paths_csv_per_cell(paths):
         for t, row in zip(path.times, path.states):
             lines.append(f"{pid},{float(t)!r},{','.join(repr(float(v)) for v in row)}")
     return "\n".join(lines) + "\n"
+
+
+def _poisson_count(u, mean):
+    """The smallest k with u < P(N <= k), N ~ Poisson(mean), by summing the
+    pmf term by term (capped: a u the cdf never passes is a measure-zero event)."""
+    pmf = cdf = math.exp(-mean)
+    k = 0
+    while u >= cdf and k < 1000:
+        k += 1
+        pmf *= mean / k
+        cdf += pmf
+    return k
+
+
+def euler_paths_loop(params, x0, K, h, seed, n_paths, window=1024):
+    """Full-truncation Euler paths on the grid 0, h, ..., K h, one path at a
+    time, in the documented stream layout: path p reads
+    Generator(Philox(SeedSequence(seed, spawn_key=(p,)))); per window of up
+    to `window` steps it draws the normals (width, d), then the uniforms
+    (sources, width) with the sources immigration first, then branching-1..d
+    (each measure with positive total weight); within a step, each source's
+    jumps draw one random() apiece, in source order, to pick an atom by
+    inverse CDF on the weights. Returns (states (n_paths, K+1, d), jump logs
+    of (t, source, z))."""
+    d = params.d
+    c, beta, B = (np.asarray(a, float) for a in (params.c, params.beta, params.B))
+    kappa = [sum(float(w) * min(1.0, float(z[i]))
+                 for w, z in zip(params.mu[i].weights, params.mu[i].points))
+             for i in range(d)]
+    sources = []
+    for label, i, measure in [("immigration", None, params.nu),
+                              *((f"branching-{i + 1}", i, params.mu[i]) for i in range(d))]:
+        atoms = [(float(w), np.asarray(z, float))
+                 for w, z in zip(measure.weights, measure.points) if w > 0]
+        if atoms:
+            total = math.fsum(w for w, _ in atoms)
+            cum = list(np.cumsum([w for w, _ in atoms]) / total)
+            sources.append((label, i, total, cum, [z for _, z in atoms]))
+    states = np.empty((n_paths, K + 1, d))
+    logs = []
+    for p in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(p,))))
+        x = [float(v) for v in x0]
+        states[p, 0] = x
+        log = []
+        for w0 in range(0, K, window):
+            width = min(window, K - w0)
+            normals = rng.standard_normal((width, d))
+            uniforms = rng.random((len(sources), width))
+            for kw in range(width):
+                k = w0 + kw
+                xp = [max(v, 0.0) for v in x]
+                new = [x[j] + h * (beta[j] + sum(B[j, i] * xp[i] for i in range(d))
+                                   - kappa[j] * xp[j])
+                       + math.sqrt(2.0 * c[j] * xp[j]) * math.sqrt(h) * normals[kw, j]
+                       for j in range(d)]
+                for s, (label, i, total, cum, points) in enumerate(sources):
+                    mean = total * h * (1.0 if i is None else xp[i])
+                    for _ in range(_poisson_count(uniforms[s, kw], mean)):
+                        z = points[min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)]
+                        new = [a + b for a, b in zip(new, z)]
+                        log.append(((k + 1) * h, label, z))
+                x = [max(v, 0.0) for v in new]
+                states[p, k + 1] = x
+        logs.append(log)
+    return states, logs

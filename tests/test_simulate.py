@@ -14,7 +14,7 @@ from cbi.simulate import (PathConfig, paths_to_csv, poisson_from_uniform,
                           simulate_scaled_step)
 
 from conftest import assert_close
-from ref_oracles import paths_csv_per_cell
+from ref_oracles import euler_paths_loop, paths_csv_per_cell
 
 
 def _ends(paths):
@@ -125,6 +125,64 @@ def test_paths_are_prefix_stable_in_n_paths(jump_mixed):
     for pa, pb in zip(few, many[:3]):
         assert np.array_equal(pa.states, pb.states)
         assert len(pa.jump_log) == len(pb.jump_log)
+
+
+def _assert_matches_loop_oracle(params, paths, x0, K, h, seed):
+    ref, ref_logs = euler_paths_loop(params, x0, K, h, seed, len(paths))
+    for p, path in enumerate(paths):
+        assert_close(path.states, ref[p], 1e-12, f"path {p} against the loop oracle")
+        assert len(path.jump_log) == len(ref_logs[p])
+        for (t, source, z), (rt, rsource, rz) in zip(path.jump_log, ref_logs[p]):
+            assert (t, source) == (rt, rsource) and np.array_equal(z, rz)
+    return ref_logs
+
+
+@pytest.mark.parametrize("horizon,dt,K", [(0.5, 4e-3, 125), (5.0, 0.1, 50)])
+def test_streams_match_loop_oracle_with_many_sources(jump_d3, horizon, dt, K):
+    # immigration and three branching sources, each with several atoms
+    cfg = PathConfig(x0=[1.0, 0.5, 0.25], horizon=horizon, dt=dt, seed=3, n_paths=20)
+    logs = _assert_matches_loop_oracle(jump_d3, simulate_cbi(jump_d3, cfg), cfg.x0,
+                                       K, dt, cfg.seed)
+    assert {source for log in logs for _, source, _ in log} == {
+        "immigration", "branching-1", "branching-2", "branching-3"}
+    if dt == 0.1:  # the coarse step has paths that jump from two sources in one step
+        assert any(len({source for t, source, _ in log if t == t0}) > 1
+                   for log in logs for t0, _, _ in log)
+
+
+def test_streams_match_loop_oracle_across_windows(d2_critical):
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=1.2, dt=1e-3, seed=7, n_paths=5)
+    K = 1200
+    assert K > simulate.WINDOW
+    _assert_matches_loop_oracle(d2_critical, simulate_cbi(d2_critical, cfg), cfg.x0,
+                                K, 1e-3, cfg.seed)
+
+
+def test_streams_match_loop_oracle_across_blocks(jump_d2, monkeypatch):
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=2.0, dt=1e-2, seed=11, n_paths=5)
+    whole = simulate_cbi(jump_d2, cfg)
+    # d = 2 normals and three jump sources per step: two paths per block, three blocks
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * simulate.WINDOW * (2 + 3))
+    blocked = simulate_cbi(jump_d2, cfg)
+    logs = _assert_matches_loop_oracle(jump_d2, blocked, cfg.x0, 200, 1e-2, cfg.seed)
+    assert sum(map(len, logs)) > 0
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a.states, b.states)
+
+
+def test_streams_match_loop_oracle_on_limit_and_scaled(d2_critical, jump_mixed):
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=0.5, dt=1e-2, seed=4, n_paths=4)
+    dq = moments.derive(d2_critical)
+    ray, _ = euler_paths_loop(simulate.limit_ray(dq).params, [float(dq.perron.u_left @ cfg.x0)],
+                              50, 1e-2, cfg.seed, cfg.n_paths)
+    for p, path in enumerate(simulate_limit_diffusion(d2_critical, cfg)):
+        assert_close(path.scalar, ray[p, :, 0], 1e-12, "limit scalar")
+    # n = 3 on [0, 0.5]: the base chain runs 15 steps of 0.1 from 3 x0
+    cfg = PathConfig(x0=[1.0], horizon=0.5, dt=0.1, seed=12, n_paths=4)
+    base, _ = euler_paths_loop(jump_mixed, 3 * cfg.x0, 15, 0.1, cfg.seed, cfg.n_paths)
+    for p, path in enumerate(simulate_scaled_step(jump_mixed, 3, cfg)):
+        take = 10 * np.floor(3 * path.times + 1e-9).astype(int)
+        assert_close(path.states, base[p, take] / 3, 1e-12, "scaled chain")
 
 
 # --- trajectory structure ------------------------------------------------------
