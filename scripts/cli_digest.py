@@ -4,7 +4,8 @@ Runs every subcommand on six parameter files (the scalar fixture fix_a,
 the critical two-type d2_critical, the two-type jump_d2, an inadmissible
 tuple, a degenerate-critical tuple whose Perron eigenvectors are not
 strictly positive, and the three-type jump_d3 with three or more atoms in
-every jump measure, so that every atom sum adds several terms), plus commands
+every jump measure, so that every atom sum adds several terms), a `simulate` run on jump_d3 whose 1250
+steps cross a randomness window of 1024 steps, plus commands
 that exit 2 (d = 0), 64 (a missing flag, a single simulated path, a state
 that overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
 dimension).
@@ -89,6 +90,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
             out = None if command in ("validate", "derive", "vsolve", "laplace", "dgen") \
                 else f"{command}_{name}.csv"
             cmds.append((f"{command}:{name}", [command, *base, *extra], out))
+    cmds.append(("simulate:jump_d3-two-windows",
+                 ["simulate", "--params", "jump_d3.json", "--x", "1.0,0.5,0.25", "--t", "0.5",
+                  "--dt", "4e-4", "--n-paths", "20", "--seed", "3"], "simulate_two_windows.csv"))
     cmds.append(("exit64:missing-t", ["vsolve", "--params", "fix_a.json", "--lambda", "1"], None))
     cmds.append(("exit65:malformed-json", ["validate", "--params", "broken.json"], None))
     cmds.append(("exit66:wrong-dimension",

@@ -13,11 +13,16 @@ refused before the truncation. Per step from state x:
     branching   per type i, Poisson with frozen rate x_i mu_i(U_d) within
                   the step, atoms weight-proportional.
 
-Reproducibility: each path owns a counter-based Philox substream keyed by
-(seed, path index), so results are bit-identical across runs and
-independent of path batching; randomness is consumed in fixed windows of
-1024 steps. Jump counts use exact inverse-CDF Poisson sampling from
-per-(path, step, source) uniforms.
+Reproducibility: each path owns a counter-based Philox stream (Salmon et
+al. 2011) whose key is SeedSequence(entropy=seed, spawn_key=(path index,))
+.generate_state(2, uint64), so results are bit-identical across runs and
+independent of path batching. The keys of a block of paths are hashed at
+once (`_philox_keys`), and one Philox serves the block: each path's stream
+is a saved state that is set before the path draws and saved after. Per
+window of 1024 steps a path draws its normals (steps, d), then one uniform
+per (source, step); within a step, each of its jumps then draws one uniform
+for the atom, in source order. Jump counts use exact inverse-CDF Poisson
+sampling from those uniforms, one call per step for all paths and sources.
 
 Also provided: the step-scaled chain t -> X_{floor(nt)} / n and, for
 critical irreducible models, the limiting scalar squared-Bessel-type
@@ -52,7 +57,8 @@ MAX_BYTES = 2 * 2**30
 
 @dataclass(frozen=True, eq=False)
 class PathConfig:
-    """Simulation request: start, horizon, step, seed, path count."""
+    """Simulation request: start, horizon, step, seed (a non-negative int),
+    path count."""
 
     x0: np.ndarray
     horizon: float
@@ -71,6 +77,11 @@ class PathConfig:
             raise ValueError(f"dt must satisfy 0 < dt < horizon, got dt={self.dt}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        # SeedSequence's own refusal, and for the floats and bools it would take as ints
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError("expected non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +100,58 @@ class SamplePath:
     scalar: np.ndarray | None = None
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_keys(seed: int, p0: int, p1: int) -> np.ndarray:
+    """The Philox keys SeedSequence(entropy=seed, spawn_key=(p,))
+    .generate_state(2, np.uint64) of the paths p0 <= p < p1, shape (P, 2).
+
+    This is numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit
+    words. The seed's words, zero-padded to the pool of four, are mixed once
+    as Python ints. The path index, the last entropy word, is then mixed in
+    for the whole block at once as a uint64 array held to 32 bits (its
+    wrap-around mod 2**64 keeps every word mod 2**32). Indices of 2**32 and
+    up would take a second spawn-key word and are refused.
+    """
+    if p1 > 2**32:
+        raise ValueError(f"path index {p1 - 1} is not below 2**32")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words))
+    hash_a = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * 0x931e8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in [*words[4:], np.arange(p0, p1, dtype=np.uint64)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_b = 0x8b51f9dd
+    state = []
+    for word in pool:
+        word = word ^ hash_b
+        hash_b = hash_b * 0x58f38ded & _MASK32
+        word = word * hash_b & _MASK32
+        state.append(word ^ word >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
 def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
@@ -99,10 +159,14 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
 
     Vectorized over elements; `mean` broadcasts against `u`. Means above
     100 are rejected: a first-order jump scheme needs rate*dt << 1 and a
-    violation that large indicates a far-too-coarse step.
+    violation that large indicates a far-too-coarse step. An element whose
+    cdf saturates in floating point below its u stops at its own cutoff
+    10 max(1, mean) + 201, whatever the other elements' means.
     """
     u = np.asarray(u, dtype=float)
-    mean_arr = np.broadcast_to(np.asarray(mean, dtype=float), u.shape)
+    mean_arr = np.asarray(mean, dtype=float)
+    if mean_arr.shape != u.shape:
+        mean_arr = np.broadcast_to(mean_arr, u.shape)
     # fmin/fmax skip NaN means, as the elementwise comparisons did
     if np.fmin.reduce(mean_arr, axis=None) < 0:
         raise ValueError("Poisson mean must be >= 0")
@@ -110,22 +174,25 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
         raise ValueError(
             f"per-step jump intensity {mean_arr.max():.3g} too large; decrease dt")
     pmf = np.exp(-mean_arr)
-    pending = u >= pmf
-    if not pending.any():  # the common case at small rate*dt
-        return np.zeros(u.shape, np.int64)
-    cdf = pmf
     counts = np.zeros(u.shape, dtype=np.int64)
+    positive = u >= pmf
+    if not positive.any():  # the common case at small rate*dt
+        return counts
+    # walk the cdf of the positive counts only
+    u, mean_arr, pmf = u[positive], mean_arr[positive], pmf[positive]
+    cdf = pmf
+    k_max = 10 * np.maximum(1.0, mean_arr) + 200
+    count = np.zeros(u.shape, dtype=np.int64)
+    pending = np.ones(u.shape, dtype=bool)
     k = 0
-    k_max = int(10 * max(1.0, float(mean_arr.max())) + 200)
     while pending.any():
         k += 1
-        if k > k_max:  # cdf saturated in floating point; tail mass ~ 0
-            counts[pending] = k
-            break
         pmf = pmf * mean_arr / k
         cdf = cdf + pmf
-        counts[pending] = k
-        pending = u >= cdf
+        count[pending] = k
+        # past its cutoff an element's cdf has saturated (tail mass ~ 0)
+        pending &= (u >= cdf) & (k <= k_max)
+    counts[positive] = count
     return counts
 
 
@@ -143,7 +210,6 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 must have length d={d}, got shape {x0.shape}")
-    c2 = 2.0 * params.c
     M = dq.drift_table
     sqrt_h = math.sqrt(h)
     # jump sources in draw order, one per row i of the atom table (see
@@ -162,45 +228,78 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     states_rec = np.empty((n_paths, int(rec_flag.sum()), d))
     jump_logs: list[list] = [[] for _ in range(n_paths)]
 
-    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + len(sources)))))
+    S = len(sources)
+    rates = np.array([rate for _, _, rate, _, _ in sources])
+    imm = int(S > 0 and sources[0][1] == d)  # immigration, when present, comes first
+    types = [i for _, i, _, _, _ in sources[imm:]]
+
+    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + S))))
 
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
         P = p1 - p0
-        rngs = [_path_rng(seed, p) for p in range(p0, p1)]
+        rng = np.random.Generator(np.random.Philox(key=0))
+        bitgen = rng.bit_generator
+        streams = [{"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                   for key in _philox_keys(seed, p0, p1).tolist()]
         x = np.tile(x0, (P, 1))
         if rec_flag[0]:
             states_rec[p0:p1, 0, :] = x
+        # every operand of the step as a (P, d) array, so that each ufunc runs flat
+        beta, c2 = np.tile(M[d], (P, 1)), np.tile(2.0 * params.c, (P, 1))
+        xp, x_new, noise = np.empty((P, d)), np.empty((P, d)), np.empty((P, d))
+        # xq: x_i^+ per branching-i source, 1 for immigration; mean: xq times the rates
+        xq, mean = np.ones((P, S)), np.empty((P, S))
+        normals = np.empty((P, min(WINDOW, K), d))
+        uniforms = np.empty((P, min(WINDOW, K), S))
 
         for w0 in range(0, K, WINDOW):
             width = min(WINDOW, K - w0)
-            normals = np.empty((P, width, d))
-            uniforms = np.empty((P, len(sources), width))
-            for pj, rng in enumerate(rngs):
-                normals[pj] = rng.standard_normal((width, d))
-                uniforms[pj] = rng.random((len(sources), width))
+            # the jumps read a stream after its window draws, as does a later window
+            keep = S > 0 or w0 + WINDOW < K
+            for pj in range(P):
+                bitgen.state = streams[pj]
+                rng.standard_normal(out=normals[pj, :width])
+                if S:
+                    uniforms[pj, :width] = rng.random((S, width)).T
+                if keep:
+                    streams[pj] = bitgen.state
+            np.multiply(normals[:, :width], sqrt_h, out=normals[:, :width])
 
             for kw in range(width):
                 k = w0 + kw
-                t_next = (k + 1) * h
-                xp = np.maximum(x, 0.0)
-                x_new = (x + h * (M[d] + xp @ M[:d])
-                         + np.sqrt(c2 * xp) * (sqrt_h * normals[:, kw, :]))
+                # x_new = (x + h * (beta + xp @ M[:d])) + sqrt(c2 * xp) * (sqrt_h * normal)
+                np.maximum(x, 0.0, out=xp)
+                np.matmul(xp, M[:d], out=x_new)
+                np.add(beta, x_new, out=x_new)
+                np.multiply(h, x_new, out=x_new)
+                np.add(x, x_new, out=x_new)
+                np.multiply(c2, xp, out=noise)
+                np.sqrt(noise, out=noise)
+                np.multiply(noise, normals[:, kw], out=noise)
+                np.add(x_new, noise, out=x_new)
 
-                for s, (label, i, rate, cum, points) in enumerate(sources):
-                    counts = poisson_from_uniform(uniforms[:, s, kw],
-                                                  rate if i == d else rate * xp[:, i])
-                    for pj in np.nonzero(counts)[0]:
-                        for _ in range(int(counts[pj])):
-                            a = np.searchsorted(cum, rngs[pj].random(), side="right")
-                            z = points[min(a, len(cum) - 1)]
-                            x_new[pj] += z
-                            jump_logs[p0 + pj].append((t_next, label, z.copy()))
+                if S:
+                    xq[:, imm:] = xp[:, types]
+                    np.multiply(rates, xq, out=mean)
+                    counts = poisson_from_uniform(uniforms[:, kw], mean)
+                    t_next = (k + 1) * h
+                    for pj in np.flatnonzero(counts.any(axis=1)).tolist():
+                        bitgen.state = streams[pj]
+                        for (label, _, _, cum, points), n_jumps in zip(sources,
+                                                                       counts[pj].tolist()):
+                            for _ in range(n_jumps):
+                                a = np.searchsorted(cum, rng.random(), side="right")
+                                z = points[min(a, len(cum) - 1)]
+                                x_new[pj] += z
+                                jump_logs[p0 + pj].append((t_next, label, z.copy()))
+                        streams[pj] = bitgen.state
 
                 # before truncation, which would turn -inf into 0
-                if not np.all(np.isfinite(x_new)):
+                if not np.isfinite(x_new).all():
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
-                x = np.maximum(x_new, 0.0)
+                np.maximum(x_new, 0.0, out=x)
                 if rec_flag[k + 1]:
                     states_rec[p0:p1, rec_slot[k + 1], :] = x
 

@@ -290,6 +290,17 @@ def test_bad_or_oversized_simulation_exits_64_without_csv(fix_a_file, tmp_path, 
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", sorted(_SIM_N))
+def test_negative_seed_exits_64_without_csv(fix_a_file, tmp_path, capsys, command):
+    out_csv = tmp_path / "paths.csv"
+    code = cli.run([command, "--params", fix_a_file, "--x", "1", "--t", "1", *_SIM_N[command],
+                    "--seed=-1", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == "usage error: expected non-negative integer\n"
+    assert not out_csv.exists()
+
+
 def test_overflowing_state_exits_64_without_csv(tmp_path, capsys):
     path = tmp_path / "params.json"
     write_params(CbiParams.no_jumps(c=[1e300], beta=[0.0], B=[[0.0]]), path)

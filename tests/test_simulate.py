@@ -43,6 +43,39 @@ def test_path_config_validation():
     assert PathConfig(x0=0.0, horizon=1.0, dt=1e-3, seed=0, n_paths=1).x0.shape == (1,)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, False, -1, np.float64(3.0), "3", None])
+def test_path_config_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    # SeedSequence would refuse only the negative one; int() would run 1.5 and True as 1
+    with pytest.raises(ValueError, match=r"^expected non-negative integer$"):
+        PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=seed, n_paths=10)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3, np.int64(7), np.uint32(2**32 - 1)])
+def test_path_config_keeps_an_integer_seed_as_int(seed):
+    cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=seed, n_paths=10)
+    assert type(cfg.seed) is int and cfg.seed == int(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5])
+def test_philox_keys_match_seed_sequence(seed):
+    # whole blocks from 0 and from offsets, up to the last one-word path index
+    for p0, p1 in [(0, 40), (5, 6), (1000, 1007), (2**31 - 3, 2**31 + 3), (2**32 - 4, 2**32)]:
+        ref = [np.random.SeedSequence(seed, spawn_key=(p,)).generate_state(2, np.uint64)
+               for p in range(p0, p1)]
+        keys = simulate._philox_keys(seed, p0, p1)
+        assert keys.dtype == np.uint64 and np.array_equal(keys, np.array(ref))
+
+
+def test_philox_keys_refuse_a_two_word_path_index(fix_a):
+    # numpy would hash index 2**32 as two spawn-key words, which the block hash does not
+    with pytest.raises(ValueError, match=r"path index 4294967296 is not below 2\*\*32"):
+        simulate._philox_keys(0, 2**32 - 2, 2**32 + 1)
+    # unreachable from a simulation: 512 bytes per path put 2**32 paths far over MAX_BYTES
+    cfg = PathConfig(x0=[1.0], horizon=1.0, dt=0.5, seed=0, n_paths=2**32 + 1)
+    with pytest.raises(ValueError, match="GiB"):
+        simulate_cbi(fix_a, cfg)
+
+
 @pytest.mark.parametrize("run", [
     lambda p: simulate_cbi(p, PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=0,
                                          n_paths=10**12)),
@@ -102,11 +135,33 @@ def test_poisson_all_zero_counts_keep_shape_and_dtype(shape):
         assert not counts.any()
 
 
+def test_poisson_saturated_count_depends_on_its_own_mean_only():
+    # the cdf of mean 0.01 saturates below the largest double under 1, so the
+    # walk stops at the element's cutoff 10 * max(1, 0.01) + 200, plus one
+    u = np.nextafter(1.0, 0.0)
+    alone = poisson_from_uniform(np.array([u]), 0.01)
+    assert alone.tolist() == [211]
+    for others in ([60.0], [0.5, 99.0], [0.0]):
+        counts = poisson_from_uniform(np.array([u] + [0.5] * len(others)), [0.01, *others])
+        assert counts[0] == 211
+    counts = poisson_from_uniform(np.full((2, 3), u), [[0.01, 60.0, 0.01], [90.0, 0.01, 0.01]])
+    assert counts[0, 0] == counts[0, 2] == counts[1, 1] == counts[1, 2] == 211
+
+
 def test_poisson_rejects_huge_mean():
     with pytest.raises(ValueError, match=r"^per-step jump intensity 200 too large; decrease dt$"):
         poisson_from_uniform(np.array([0.5]), 200.0)
     with pytest.raises(ValueError, match=r"^Poisson mean must be >= 0$"):
         poisson_from_uniform(np.array([0.5, 0.5]), [0.1, -1e-3])
+
+
+def test_too_large_intensity_reports_the_largest_mean_over_sources():
+    # step-1 means 120 (immigration) and 240 (branching-1 at x = 1), checked in one call
+    params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
+                       nu=JumpMeasure.from_atoms([(1200.0, [1.0])]),
+                       mu=(JumpMeasure.from_atoms([(2400.0, [1.0])]),))
+    with pytest.raises(ValueError, match=r"^per-step jump intensity 240 too large; decrease dt$"):
+        simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=0, n_paths=2))
 
 
 def test_same_seed_bit_identical(fix_a):
