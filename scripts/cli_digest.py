@@ -4,11 +4,11 @@ Runs every subcommand on six parameter files (the scalar fixture fix_a,
 the critical two-type d2_critical, the two-type jump_d2, an inadmissible
 tuple, a degenerate-critical tuple whose Perron eigenvectors are not
 strictly positive, and the three-type jump_d3 with three or more atoms in
-every jump measure, so that every atom sum adds several terms), a `simulate` run on jump_d3 whose 1250
-steps cross a randomness window of 1024 steps, plus commands
-that exit 2 (d = 0), 64 (a missing flag, a single simulated path, a state
-that overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
-dimension).
+every jump measure, so that every atom sum adds several terms), one
+`simulate` run on jump_d3 whose 1250 steps cross a randomness window of
+1024 steps, plus commands that exit 2 (d = 0), 64 (a missing flag, a
+single simulated path, a state that overflows), 65 (malformed JSON, a
+non-integer d) and 66 (a wrong dimension).
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is

@@ -238,6 +238,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
         P = p1 - p0
+        # one Philox for the block; each path's stream is its saved state
         rng = np.random.Generator(np.random.Philox(key=0))
         bitgen = rng.bit_generator
         streams = [{"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
