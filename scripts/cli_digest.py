@@ -6,9 +6,11 @@ tuple, a degenerate-critical tuple whose Perron eigenvectors are not
 strictly positive, and the three-type jump_d3 with three or more atoms in
 every jump measure, so that every atom sum adds several terms), one
 `simulate` run on jump_d3 whose 1250 steps cross a randomness window of
-1024 steps, plus commands that exit 2 (d = 0), 64 (a missing flag, a
-single simulated path, a state that overflows), 65 (malformed JSON, a
-non-integer d) and 66 (a wrong dimension).
+1024 steps, one `prop31` run on d2_critical off the Perron ray whose
+raw(n) / n has not settled by n = 1000, plus commands that exit 2
+(d = 0), 64 (a missing flag, a single simulated path, a state that
+overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
+dimension).
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -93,6 +95,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("simulate:jump_d3-two-windows",
                  ["simulate", "--params", "jump_d3.json", "--x", "1.0,0.5,0.25", "--t", "0.5",
                   "--dt", "4e-4", "--n-paths", "20", "--seed", "3"], "simulate_two_windows.csv"))
+    cmds.append(("prop31:d2_critical-off-ray",
+                 ["prop31", "--params", "d2_critical.json", "--x", "0.5,1", "--lambda", "1,1.5",
+                  "--n-list", "10,100,1000"], "prop31_off_ray.csv"))
     cmds.append(("exit64:missing-t", ["vsolve", "--params", "fix_a.json", "--lambda", "1"], None))
     cmds.append(("exit65:malformed-json", ["validate", "--params", "broken.json"], None))
     cmds.append(("exit66:wrong-dimension",

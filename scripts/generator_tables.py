@@ -4,7 +4,8 @@
 Reproduces the convergence dichotomy at desk scale: on the critical
 two-type model the corrected sequence always reaches its closed-form
 limit, while the raw sequence converges only when <lam, x> equals
-<lam, exp(btilde) x> (in particular on the Perron ray). Writes one CSV
+<lam, exp(btilde) x> (in particular on the Perron ray). The verdict is that
+criterion; the CSV columns show the sequences it predicts. Writes one CSV
 per case and prints the verdict table.
 """
 import argparse

@@ -243,11 +243,10 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
     if args.bump_radius is None:
         args.bump_radius = 2.0 * (1.0 + float(np.max(np.abs(x))))
     f = bump(args.bump_center, args.bump_radius, args.bump_amplitude)
-    drift_rate = float((dq.btilde @ x) @ f.gradient(x))
     limit = generators.scaled_gen_limit(dq, f, x)
     rows = []
-    for n in args.n_list:
-        val, corrected = generators.scaled_gen_apply(dq, n, f, x)
+    for n in args.n_list:  # never empty, so drift_rate is bound
+        val, corrected, drift_rate = generators.scaled_gen_apply(dq, n, f, x)
         rows.append(f"{n},{float(val)!r},{float(n * drift_rate)!r},{float(corrected)!r},"
                     f"{float(limit)!r},{float(abs(corrected - limit))!r}")
     _write_csv(args, "n,scaled,drift_term,corrected,limit,gap", rows)

@@ -6,7 +6,8 @@ For the step-scaled chain t -> X_{floor(nt)} / n the discrete generator
 
 is exactly computable on exponentials e_lam(x) = exp(-<lam, x>) through
 the affine transform (no Monte Carlo). The raw sequence converges iff
-<lam, x> = <lam, exp(btilde) x>; adding the correction term
+<lam, x> = <lam, exp(btilde) x>, and otherwise diverges linearly; this
+criterion is the verdict of a convergence table. Adding the correction term
 n (exp(-<lam,x>) - exp(-<lam, exp(btilde) x>)) always yields the limit
 
     e_lam(exp(btilde) x) [ 1/2 sum_l int_0^1 (e_l . exp((1-s) btilde) x)
@@ -46,26 +47,22 @@ from .testfunctions import TestFunction
 
 #: Default n sweep for convergence tables.
 DEFAULT_N_LIST = (10, 100, 1000, 10000)
-#: |slope of raw(n)/n| above this counts as linear divergence.
-SLOPE_TOL = 1e-6
-#: Final |corrected - limit| below this (with decreasing gaps) counts as convergence.
-CONVERGENCE_TOL = 1e-3
-#: raw(n)/n must drift less than this (relatively) across the top two n.
-STABILIZE_DRIFT = 0.10
-#: Absolute tolerance of the two convergence criteria.
+#: Tolerance of the two convergence criteria: absolute for the drift one;
+#: for the exponential one, absolute below 1 and relative above it.
 CRITERION_TOL = 1e-10
 #: generator_apply's two forms must agree within this, absolute plus relative.
 FORM_CHECK_TOL = 1e-10
 
 VERDICT_CONVERGES = "converges"
 VERDICT_DIVERGES = "diverges-linearly"
-VERDICT_INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTable:
     """Per-n raw and corrected discrete-generator values against the limit,
-    with the gaps |corrected - limit|."""
+    with the gaps |corrected - limit|. The verdict is the convergence
+    criterion; fitted_slope, the mean of raw(n) / n over the top half of the
+    n, estimates -correction_rate, the slope of a diverging raw sequence."""
 
     n_values: tuple[int, ...]
     raw: np.ndarray
@@ -125,12 +122,20 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     return float(front * (0.5 * quad - float(lam @ integral)))
 
 
+def _exp_criterion(dq: DerivedQuantities, x: np.ndarray, lam: np.ndarray) -> tuple[bool, float]:
+    """From a = <lam, x> and b = <lam, exp(btilde) x>: whether the raw sequence
+    on e_lam converges, |a - b| <= CRITERION_TOL max(1, |a|, |b|), and the
+    correction rate exp(-a) - exp(-b), the limit of -raw(n) / n."""
+    a = float(lam @ x)
+    b = float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))
+    return abs(a - b) <= CRITERION_TOL * max(1.0, abs(a), abs(b)), float(np.exp(-a) - np.exp(-b))
+
+
 def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam) -> bool:
     """Whether the raw discrete-generator sequence on e_lam converges:
-    <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL."""
+    <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL, relative above 1."""
     dq = moments.derive(params)
-    x, lam = _point(dq, x), _point(dq, lam)
-    return abs(float(lam @ x) - float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))) <= CRITERION_TOL
+    return _exp_criterion(dq, _point(dq, x), _point(dq, lam))[0]
 
 
 def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
@@ -138,11 +143,9 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     """Tabulate raw(n), corrected(n) and the limit, with a verdict.
 
     corrected(n) = raw(n) + n (exp(-<lam,x>) - exp(-<lam, exp(btilde) x>)).
-    Verdict rules: "diverges-linearly" when raw(n)/n stabilizes (relative
-    drift < STABILIZE_DRIFT across the top two n) to a constant above
-    SLOPE_TOL in magnitude; otherwise "converges" when the gaps
-    |corrected - limit| are non-increasing and the final gap is below
-    CONVERGENCE_TOL; otherwise "indeterminate".
+    The verdict is the convergence criterion, as exp_convergence_criterion
+    reads it: "converges" when <lam, x> = <lam, exp(btilde) x>, otherwise
+    "diverges-linearly", with raw(n) / n tending to -correction_rate.
     """
     n_values = tuple(int(n) for n in n_list)
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -150,32 +153,22 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
 
     dq = moments.derive(params)
     x, lam = _point(dq, x), _point(dq, lam)
-    correction_rate = float(np.exp(-float(lam @ x))
-                            - np.exp(-float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))))
+    converges, correction_rate = _exp_criterion(dq, x, lam)
 
     n = np.array(n_values, dtype=float)
     raw = _discrete_gen(dq, n, x, lam)
     corrected = raw + n * correction_rate
     limit = discrete_gen_limit(dq, x, lam)
 
-    per_n = raw / n
-    top = per_n[len(per_n) // 2:]
-    fitted_slope = float(top.mean())
-    drift = abs(per_n[-1] - per_n[-2]) / max(abs(per_n[-1]), 1e-300)
-
-    gaps = np.abs(corrected - limit)
-    decreasing = bool(np.all(gaps[1:] <= gaps[:-1] * 1.05 + 1e-12))
-
-    if abs(fitted_slope) > SLOPE_TOL and drift < STABILIZE_DRIFT:
-        verdict = VERDICT_DIVERGES
-    elif decreasing and gaps[-1] < CONVERGENCE_TOL:
-        verdict = VERDICT_CONVERGES
-    else:
-        verdict = VERDICT_INDETERMINATE
-
     return ConvergenceTable(n_values=n_values, raw=raw, corrected=corrected,
-                            limit_formula=limit, gaps=gaps, verdict=verdict,
-                            fitted_slope=fitted_slope)
+                            limit_formula=limit, gaps=np.abs(corrected - limit),
+                            verdict=VERDICT_CONVERGES if converges else VERDICT_DIVERGES,
+                            fitted_slope=float((raw / n)[len(n) // 2:].mean()))
+
+
+def _drift_rate(dq: DerivedQuantities, grad: np.ndarray, x: np.ndarray) -> float:
+    """<btilde x, grad f(x)>, the scaled generator's O(n) rate."""
+    return float((dq.btilde @ x) @ grad)
 
 
 def _diffusion_term(dq: DerivedQuantities, x: np.ndarray, hess: np.ndarray) -> float:
@@ -195,7 +188,7 @@ def _generator_forms(dq: DerivedQuantities, f: TestFunction, x: np.ndarray,
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
     nx1 = np.append(n * x, 1.0)
-    rate = float((dq.btilde @ x) @ grad)
+    rate = _drift_rate(dq, grad, x)
 
     defining = float(dq.params.c @ (x * np.diag(hess)))
     defining += float((nx1 @ dq.drift_table) @ grad)
@@ -223,12 +216,13 @@ def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -
 
 
 def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunction,
-                     x) -> tuple[float, float]:
+                     x) -> tuple[float, float, float]:
     """Generator of the continuously scaled process t -> X_{nt} / n at x,
-    n (A f_n)(n x) with f_n(y) = f(y / n), and the corrected value, less
+    n (A f_n)(n x) with f_n(y) = f(y / n); the corrected value, less
     n <btilde x, grad f(x)>: scaled_gen_limit up to rounding for a jump-free
     model, plus a Taylor remainder whose rounding grows like n^2 eps for a
-    jump model. n above about 1.34e154, where n^2 overflows, is refused."""
+    jump model; and the rate <btilde x, grad f(x)>. n above about 1.34e154,
+    where n^2 overflows, is refused."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     n = float(n)
@@ -236,7 +230,7 @@ def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunct
         raise ValueError(f"scale {n:.6g} is beyond the square root of the "
                          "floating-point range")
     dq = moments.derive(params)
-    return _generator_forms(dq, f, _point(dq, x), n)[:2]
+    return _generator_forms(dq, f, _point(dq, x), n)
 
 
 def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -259,4 +253,4 @@ def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFu
     <btilde x, grad f(x)> = 0 within CRITERION_TOL."""
     dq = moments.derive(params)
     x = _point(dq, x)
-    return abs(float((dq.btilde @ x) @ np.asarray(f.gradient(x), dtype=float))) <= CRITERION_TOL
+    return abs(_drift_rate(dq, np.asarray(f.gradient(x), dtype=float), x)) <= CRITERION_TOL

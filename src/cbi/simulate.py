@@ -58,7 +58,7 @@ MAX_BYTES = 2 * 2**30
 @dataclass(frozen=True, eq=False)
 class PathConfig:
     """Simulation request: start, horizon, step, seed (a non-negative int),
-    path count."""
+    path count (a positive int)."""
 
     x0: np.ndarray
     horizon: float
@@ -75,8 +75,11 @@ class PathConfig:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0 < self.dt < self.horizon:  # False for a NaN dt
             raise ValueError(f"dt must satisfy 0 < dt < horizon, got dt={self.dt}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        # range() would refuse a float only deep in the kernel, and take a bool as 0 or 1
+        if (isinstance(self.n_paths, bool) or not isinstance(self.n_paths, (int, np.integer))
+                or self.n_paths < 1):
+            raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        object.__setattr__(self, "n_paths", int(self.n_paths))
         # SeedSequence's own refusal, and for the floats and bools it would take as ints
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):

@@ -110,7 +110,7 @@ def test_criterion_5_scaled_generator_limit():
     for params, f, points in cases:
         for x in points:
             x = np.array(x)
-            _, got = scaled_gen_apply(params, n, f, x)
+            _, got, _ = scaled_gen_apply(params, n, f, x)
             worst = max(worst, abs(got - scaled_gen_limit(params, f, x)))
 
     fix_a, f1 = cases[0][0], cases[0][1]

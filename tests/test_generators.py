@@ -3,19 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, null_space
 
 from cbi import moments
 from cbi.affine import laplace_transform
 from cbi.errors import ConsistencyError
-from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES, discrete_gen_exp,
-                            discrete_gen_limit, discrete_gen_table,
+from cbi.generators import (DEFAULT_N_LIST, VERDICT_CONVERGES, VERDICT_DIVERGES,
+                            discrete_gen_exp, discrete_gen_limit, discrete_gen_table,
                             drift_convergence_criterion, exp_convergence_criterion,
                             generator_apply, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import mat_exp
 from cbi.model import CbiParams, JumpMeasure
 from cbi.testfunctions import TestFunction, bump
 
-from conftest import assert_close, make_d2_critical, make_degenerate_critical, make_fix_a
+from conftest import (assert_close, make_d2_critical, make_degenerate_critical, make_fix_a,
+                      make_jump_d2, make_jump_d3)
 from ref_oracles import fd_gradient, fd_hessian
 
 
@@ -183,6 +185,12 @@ def test_table_fix_a_converges_at_rate(fix_a):
         assert 8.0 <= g_n / g_10n <= 12.0
 
 
+def test_table_fix_a_converges_past_the_rounding_floor(fix_a):
+    # the gaps rise again beyond n = 1e6 from rounding, not from the sequence
+    tab = discrete_gen_table(fix_a, [2.0], [1.0], tuple(10**k for k in range(1, 10)))
+    assert tab.verdict == VERDICT_CONVERGES
+
+
 @pytest.mark.parametrize("n_list, message", [((0, 10), "positive"), ((-5, 10), "positive"),
                                              ((10, 10), "increasing"), ((10,), "increasing")])
 def test_table_rejects_bad_n_list(fix_a, n_list, message):
@@ -197,9 +205,11 @@ def test_discrete_gen_rejects_n_below_one(fix_a):
 
 
 def test_table_d2_ray_converges(d2_critical):
-    for lam in ([1.0, 0.0], [0.3, 0.7], [2.0, 1.0]):
-        tab = discrete_gen_table(d2_critical, [0.5, 0.5], lam)
-        assert tab.verdict == VERDICT_CONVERGES, (lam, tab.gaps)
+    # on the Perron ray u_right = (1/2, 1/2), at scales where raw underflows to 0 too
+    for x, lam in [([0.5, 0.5], [1.0, 0.0]), ([0.5, 0.5], [0.3, 0.7]), ([0.5, 0.5], [2.0, 1.0]),
+                   ([5e5, 5e5], [0.3, 0.9]), ([5e7, 5e7], [0.3, 0.9])]:
+        tab = discrete_gen_table(d2_critical, x, lam)
+        assert tab.verdict == VERDICT_CONVERGES, (x, lam, tab.gaps)
 
 
 def test_table_d2_off_ray_diverges(d2_critical):
@@ -215,10 +225,58 @@ def test_table_d2_off_ray_diverges(d2_critical):
     assert tab.gaps[-1] < 1e-3
 
 
+@pytest.mark.parametrize("make_params, x, lam, n_list", [
+    (make_jump_d3, [0.5, 0.5, 1.5], [1.5, 2.0, 0.5], DEFAULT_N_LIST),
+    (make_d2_critical, [0.5, 1.0], [1.0, 1.5], (10, 100, 1000)),
+])
+def test_table_diverges_before_raw_over_n_settles(make_params, x, lam, n_list):
+    # raw grows about tenfold per decade of n, but raw / n still drifts by
+    # more than 10 % between the top two n
+    tab = discrete_gen_table(make_params(), x, lam, n_list)
+    assert tab.verdict == VERDICT_DIVERGES
+    assert tab.raw[-1] > 5.0 * tab.raw[-2] > 0.0
+
+
+@pytest.mark.parametrize("make_params", [make_d2_critical, make_jump_d2, make_jump_d3])
+def test_table_verdict_is_the_criterion_on_draws(make_params):
+    # the oracle reads b = <lam, exp(btilde) x> through scipy's expm. Off the
+    # criterion, |<lam, x> - b| >= 1e-3; on it, lam is moved along one entry onto
+    # <lam, (exp(btilde) - I) x> = 0, or x lies on a critical model's Perron ray
+    dq = moments.derive(make_params())
+    d = dq.params.d
+    E = expm(dq.btilde)
+    rng = np.random.default_rng(31)
+    cases = []
+    while len(cases) < 35:
+        x, lam = rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)
+        if abs(lam @ x - lam @ (E @ x)) >= 1e-3:
+            cases.append((x, lam, False))
+    while len(cases) < 50:
+        x, lam = rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)
+        y = E @ x - x
+        j = np.argmin(y) if lam @ y > 0 else np.argmax(y)
+        if y[j] * (lam @ y) < 0:
+            lam[j] -= (lam @ y) / y[j]
+            if lam.max() <= 5.0:
+                cases.append((x, lam, True))
+    for u in null_space(dq.btilde).T:
+        cases += [(10.0 ** rng.uniform(-1, 8) * np.abs(u), rng.uniform(0.1, 2.0, d), True)
+                  for _ in range(15)]
+    for x, lam, on in cases:
+        assert exp_convergence_criterion(dq, x, lam) == on, (x, lam)
+        for n_list in (DEFAULT_N_LIST, (10, 100, 1000)):
+            tab = discrete_gen_table(dq, x, lam, n_list)
+            assert (tab.verdict == VERDICT_CONVERGES) == on, (x, lam, n_list, tab.raw)
+            if on:  # the raw sequence reaches the limit without correction
+                assert abs(tab.raw[-1] - tab.limit_formula) < 1e-2, (x, lam, tab.raw)
+
+
 def test_exp_criterion(fix_a, d2_critical):
     assert exp_convergence_criterion(fix_a, [2.0], [1.0])
     assert exp_convergence_criterion(d2_critical, [0.5, 0.5], [1.0, 0.0])
-    assert exp_convergence_criterion(d2_critical, [5.0, 5.0], [0.3, 0.9])
+    # on the Perron ray at every scale: the tolerance is relative above 1
+    for scale in (10.0, 1e6, 1e8):
+        assert exp_convergence_criterion(d2_critical, [scale / 2, scale / 2], [0.3, 0.9])
     assert not exp_convergence_criterion(d2_critical, [1.0, 0.0], [1.0, 0.0])
 
 
@@ -285,10 +343,11 @@ def test_scaled_gen_no_jump_closed_form(d2_critical):
     x = np.array([0.5, 0.8])
     H, g = f.hessian(x), f.gradient(x)
     for n in (1, 7, 50, 1000):
-        got, _ = scaled_gen_apply(d2_critical, n, f, x)
+        got, _, rate = scaled_gen_apply(d2_critical, n, f, x)
         expected = float(d2_critical.c @ (x * np.diag(H))) \
             + float(d2_critical.beta @ g) + n * float((d2_critical.B @ x) @ g)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert rate == pytest.approx(float((d2_critical.B @ x) @ g), rel=1e-12)
 
 
 def test_scaled_gen_limit_values(fix_a):
@@ -315,7 +374,7 @@ def test_scaled_gen_converges_to_limit_with_jumps(jump_d2):
     limit = scaled_gen_limit(jump_d2, f, x)
     gaps = []
     for n in (10, 100, 1000, 10000):
-        _, corrected = scaled_gen_apply(jump_d2, n, f, x)
+        _, corrected, _ = scaled_gen_apply(jump_d2, n, f, x)
         gaps.append(abs(corrected - limit))
     assert gaps[-1] < 1e-3
     assert gaps[-1] < gaps[0]

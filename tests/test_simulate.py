@@ -50,6 +50,19 @@ def test_path_config_refuses_a_seed_that_is_not_a_non_negative_int(seed):
         PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=seed, n_paths=10)
 
 
+@pytest.mark.parametrize("n_paths", [2.5, 3.0, True, False, np.float64(4.0), "3", None])
+def test_path_config_refuses_a_path_count_that_is_not_a_positive_int(n_paths):
+    # range() would refuse a float only inside the kernel, and run a bool as 0 or 1
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 1"):
+        PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=0, n_paths=n_paths)
+
+
+@pytest.mark.parametrize("n_paths", [1, 500, np.int64(7), np.uint8(3)])
+def test_path_config_keeps_an_integer_path_count_as_int(n_paths):
+    cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=0, n_paths=n_paths)
+    assert type(cfg.n_paths) is int and cfg.n_paths == int(n_paths)
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 + 3, np.int64(7), np.uint32(2**32 - 1)])
 def test_path_config_keeps_an_integer_seed_as_int(seed):
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=seed, n_paths=10)
