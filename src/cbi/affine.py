@@ -28,17 +28,18 @@ row: a (d+1, m) block holds m columns (v; int_0^s psi(v)), and one
 right-hand side evaluates -phi and psi on the whole block, as one matrix
 product over the model's atom table; `phi` and `psi` read its rows.
 
-That system is integrated by an in-repo Dormand-Prince 5(4) stepper
-(Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-6)
-with scipy's RK45 initial-step rule and step-size controller, on one time
-grid for the whole block. A step is accepted when the largest per-column
-RMS of the scaled error estimate, over v and the psi-integral, is below
-1: a lone column is controlled exactly as by scipy's RK45 on (v, psi), no
-column's error can hide inside an RMS taken over the whole block, and
-the psi-integral's error is held to the solver's tolerance as v's is (the
-quadrature-variable approach of CVODES; Hindmarsh et al., ACM TOMS 31,
-2005). Only the current state is kept. A solve that needs more than
-MAX_STEPS accepted steps fails. Each column keeps its own clip budget.
+That system is integrated by an in-repo Dormand-Prince 8(5,3) stepper
+(Prince & Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.10,
+DOP853) with scipy's DOP853 initial-step rule and step-size controller, on
+one time grid for the whole block. A step is accepted when the largest
+per-column error, DOP853's blend of its 5th- and 3rd-order scaled
+estimates over v and the psi-integral, is below 1: a lone column is
+controlled exactly as by scipy's DOP853 on (v, psi), no column's error
+can hide inside a norm taken over the whole block, and the psi-integral's
+error is held to the solver's tolerance as v's is (the quadrature-variable
+approach of CVODES; Hindmarsh et al., ACM TOMS 31, 2005). Only the current
+state is kept. A solve that needs more than MAX_STEPS accepted steps fails.
+Each column keeps its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -72,8 +73,9 @@ DEFAULT_ATOL = 1e-12
 #: it by their step, the discrete generator multiplies it by n.
 TIGHT_RTOL = 1e-12
 TIGHT_ATOL = 1e-14
-#: Smallest rtol accepted, scipy's RK45 floor: a finer one asks for steps
-#: below the spacing of floating-point numbers.
+#: Smallest rtol accepted, the floor of scipy's Runge-Kutta solvers (DOP853
+#: among them): a finer one asks for steps below the spacing of
+#: floating-point numbers.
 MIN_RTOL = 100 * np.finfo(float).eps
 #: Base steps of the finite-difference probes v_jacobian_fd and
 #: v_hessian_fd, each Richardson-extrapolated with half the step.
@@ -85,23 +87,45 @@ CLIP_BUDGET = 1e-8
 #: Run fails once a solve would take more accepted steps than this: far
 #: past its time scale an explicit step can be held to the stability
 #: limit, so a huge horizon would otherwise step without end. Only the
-#: current state is kept, so the cap bounds run time, not memory.
-MAX_STEPS = 100_000
+#: current state is kept, so the cap bounds run time, not memory: 600 000
+#: rhs evaluations at 12 per step.
+MAX_STEPS = 50_000
 
-# Dormand-Prince 5(4): stage coefficients (row s combines stages 0..s-1),
-# 5th-order weights and error weights (5th minus embedded 4th order, over
-# the 7 stages with the FSAL one), with the coefficients of scipy's RK45.
-_DP_A = (np.array([1 / 5]),
-         np.array([3 / 40, 9 / 40]),
-         np.array([44 / 45, -56 / 15, 32 / 9]),
-         np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-         np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]))
-_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-                  1 / 40])
+# Dormand-Prince 8(5,3), the DOP853 tableau of Hairer, Norsett & Wanner
+# (Solving ODEs I, II.10) with scipy's DOP853 coefficients: stage
+# coefficients (row s combines stages 0..s-1), 8th-order weights, and the
+# 5th- and 3rd-order error weights over the 13 stages with the FSAL one.
+_A = (np.array([0.05260015195876773]),
+      np.array([0.0197250569845379, 0.0591751709536137]),
+      np.array([0.02958758547680685, 0, 0.08876275643042054]),
+      np.array([0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792]),
+      np.array([0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242]),
+      np.array([0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125]),
+      np.array([0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+                -0.015319437748624402, 0.008273789163814023]),
+      np.array([0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+                27.59209969944671, 20.154067550477894, -43.48988418106996]),
+      np.array([0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+                21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627]),
+      np.array([-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+                -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+                -3.0467644718982196]),
+      np.array([2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+                -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+                12.360567175794303, 0.6433927460157636]))
+_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+               -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+               0.04471061572777259])
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+                -0.022355307863886294, 0])
+# the 8th-order weights minus the embedded 3rd-order ones
+_E3 = np.append(_B - np.array([0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
+                               0.022058823529411766]), 0.0)
 #: Step-size control: the new step is the old one times
-#: SAFETY * error ** EXPONENT, clipped to [MIN_FACTOR, MAX_FACTOR].
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+#: SAFETY * error ** EXPONENT, clipped to [MIN_FACTOR, MAX_FACTOR]; the
+#: exponent is -1/8 for the error estimator of order 7.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 
 
 def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
@@ -138,16 +162,22 @@ def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     return float(_mechanisms(params, lam)[-1])
 
 
+def _col_sumsq(z: np.ndarray, m: int) -> np.ndarray:
+    """Sum of squares of each column of the flattened (rows, m) block z -> (m,)."""
+    z = z.reshape(-1, m)
+    return np.add.reduce(z * z, axis=0)
+
+
 def _col_rms(z: np.ndarray, m: int) -> np.ndarray:
     """RMS of each column of the flattened (rows, m) block z -> (m,)."""
-    z = z.reshape(-1, m)
-    return np.sqrt(np.add.reduce(z * z, axis=0)) / np.sqrt(len(z))
+    return np.sqrt(_col_sumsq(z, m)) / np.sqrt(z.size // m)
 
 
 def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, m: int,
                   rtol: float, atol: float) -> float:
-    """scipy's RK45 first-step rule (Hairer, Norsett & Wanner II.4) for each
-    column; the block starts with the smallest."""
+    """scipy's first-step rule (Hairer, Norsett & Wanner II.4) for an error
+    estimator of order 7, as in its DOP853, for each column; the block
+    starts with the smallest."""
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _col_rms(y0 / scale, m), _col_rms(f0 / scale, m)
     small = (d0 < 1e-5) | (d1 < 1e-5)
@@ -163,8 +193,8 @@ def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, m: int,
 def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
                     atol: float) -> tuple[np.ndarray, int, int, int, np.ndarray]:
     """Integrate Y' = rhs(Y) from Y(0) = y0, a (d+1, m) block whose last row
-    is the psi-integral, to t_end with scipy's RK45 step control on the
-    largest per-column RMS error over all d+1 rows.
+    is the psi-integral, to t_end with scipy's DOP853 step control on the
+    largest per-column error over all d+1 rows.
 
     Returns Y(t_end), the numbers of accepted steps, rhs evaluations and
     rejected step attempts, and each column's negative undershoot of its
@@ -183,7 +213,7 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
     steps, nfev, rejected = 0, 2, 0
     clip = np.zeros(m)
     t = 0.0
-    K = np.empty((7, len(y)))
+    K = np.empty((len(_E5), len(y)))
     while t < t_end:
         if steps == MAX_STEPS:
             raise SolverError(f"Riccati solve failed: {MAX_STEPS} steps reached only "
@@ -198,13 +228,18 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             K[0] = f
-            for s, a in enumerate(_DP_A, start=1):
+            for s, a in enumerate(_A, start=1):
                 K[s] = flat_rhs(y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            y_new = y + h * np.dot(K[:-1].T, _B)
             K[-1] = f_new = flat_rhs(y_new)
-            nfev += 6
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _col_rms(np.dot(K.T, _DP_E) * h / scale, m).max()
+            # DOP853's error |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) (d+1)) per
+            # column, from the squared norms of the two scaled estimates; 0
+            # where e5 is 0 (a NaN from a diverging trial stays NaN)
+            e5, e3 = (_col_sumsq(np.dot(K.T, e) / scale, m) for e in (_E5, _E3))
+            error = np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * shape[0]),
+                              out=np.zeros(m), where=e5 != 0).max()
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)

@@ -169,13 +169,18 @@ def test_psi_integral_long_horizon_closed_form(fix_a, t, lam):
     assert got == pytest.approx(math.log1p(lam * t), rel=1e-9)
 
 
-@pytest.mark.parametrize("t", [1e8, 1e10, 1e12, 1e20])
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e20])
 def test_psi_integral_far_horizon_closed_form(fix_a, t):
     # far past the time scale v is below atol / rtol: the psi-integral is
-    # held to the tolerance only because it is a state of the solve
+    # held to the tolerance only because it is a state of the solve. With
+    # v = 1 / (1 + t), the transform's relative error is about the
+    # psi-integral's absolute error, so 1e-8 on the transform asks for the
+    # psi-integral within 1e-8 / log(1 + t) relative
     sol = solve_v(fix_a, t, [1.0])
-    assert sol.psi_integral == pytest.approx(math.log1p(t), rel=1e-8)
+    assert sol.psi_integral == pytest.approx(math.log1p(t), rel=1e-8, abs=0.0)
     assert sol.solver_stats["steps"] < 2000
+    got = laplace_transform(fix_a, t, [1.0], [1.0])
+    assert got == pytest.approx(math.exp(-1.0 / (1.0 + t)) / (1.0 + t), rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [10.0, 50.0])

@@ -457,18 +457,18 @@ def test_missing_required_flag_exits_64_without_output(fix_a_file, tmp_path, cap
 
 def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
     # a solve that would take more than MAX_STEPS steps stops with one
-    # documented line (fix_a at t = 1e20 takes about 1200)
-    monkeypatch.setattr(affine, "MAX_STEPS", 500)
+    # documented line (fix_a at t = 1e20 takes 327)
+    monkeypatch.setattr(affine, "MAX_STEPS", 100)
     code = cli.run(["vsolve", "--params", fix_a_file, "--t", "1e20", "--lambda", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("solver error: ") and "500 steps" in captured.err
+    assert captured.err.startswith("solver error: ") and "100 steps" in captured.err
 
 
 def test_vsolve_far_horizon_exits_0(fix_a_file, capsys):
     # with the psi-integral under step control the critical solve's steps
-    # grow geometrically: t = 1e20 ends in about 1200 steps
+    # grow geometrically: t = 1e20 ends in 327 steps
     code, out = run_cli(capsys, ["vsolve", "--params", fix_a_file, "--t", "1e20",
                                  "--lambda", "1"])
     assert code == 0

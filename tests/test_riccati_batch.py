@@ -1,5 +1,6 @@
-"""The in-repo Dormand-Prince Riccati solver against scipy's RK45, and its
-per-column error control on blocks of lam columns."""
+"""The in-repo Dormand-Prince 8(5,3) Riccati solver against scipy's DOP853,
+its tableau against the order conditions, and its per-column error control
+on blocks of lam columns."""
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,40 +13,58 @@ from conftest import ALL_FIXTURES, make_jump_d2
 from ref_oracles import phi_loops, psi_loops, v_with_psi_state
 
 #: (t, lam scale, rtol, atol): an easy solve at the defaults, and long stiff
-#: ones that reject steps, at the defaults and at the tight pair.
+#: ones, at the defaults and at the tight pair, that reject steps on
+#: branching_jump.
 CASES = [(1.0, 1.0, 1e-10, 1e-12), (3.0, 200.0, 1e-10, 1e-12), (1.0, 40.0, 1e-12, 1e-14)]
 
 
-def scipy_rk45(params, t, lam, rtol, atol):
-    """scipy's RK45 on (v, psi-integral), with the loop-oracle phi and psi
+def scipy_dop853(params, t, lam, rtol, atol):
+    """scipy's DOP853 on (v, psi-integral), with the loop-oracle phi and psi
     both at the unclipped v."""
     d = params.d
     sol = solve_ivp(lambda _, y: np.append(-phi_loops(params, y[:d]), psi_loops(params, y[:d])),
-                    (0.0, t), np.append(lam, 0.0), method="RK45", rtol=rtol, atol=atol)
+                    (0.0, t), np.append(lam, 0.0), method="DOP853", rtol=rtol, atol=atol)
     assert sol.success
     return sol
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 @pytest.mark.parametrize("t, scale, rtol, atol", CASES)
-def test_lone_column_takes_scipy_rk45_steps(name, t, scale, rtol, atol):
+def test_lone_column_takes_scipy_dop853_steps(name, t, scale, rtol, atol):
     params = ALL_FIXTURES[name]()
     lam = scale * np.linspace(1.0, 0.6, params.d)
-    ref = scipy_rk45(params, t, lam, rtol, atol)
+    ref = scipy_dop853(params, t, lam, rtol, atol)
     sol = solve_v(params, t, lam, rtol=rtol, atol=atol)
     steps = len(ref.t) - 1
     assert sol.solver_stats["steps"] == steps
     assert sol.solver_stats["nfev"] == ref.nfev
-    # scipy's RK45 makes 2 evaluations to start and 6 per step attempt
-    assert sol.solver_stats["rejected"] == (ref.nfev - 2) // 6 - steps
+    # scipy's DOP853 makes 2 evaluations to start and 12 per step attempt
+    assert sol.solver_stats["rejected"] == (ref.nfev - 2) // 12 - steps
     np.testing.assert_allclose(sol.v_final, ref.y[:-1, -1], rtol=1e-13, atol=0.0)
     assert sol.psi_integral == pytest.approx(ref.y[-1, -1], rel=1e-13, abs=0.0)
 
 
-def test_cases_reject_steps(jump_d2):
+def test_cases_reject_steps(branching_jump):
     # the parity above covers rejections: at least one case rejects a step
-    sol = solve_v(jump_d2, 3.0, 200.0 * np.linspace(1.0, 0.6, 2))
+    sol = solve_v(branching_jump, 3.0, 200.0 * np.linspace(1.0, 0.6, branching_jump.d))
     assert sol.solver_stats["rejected"] >= 1
+
+
+def test_tableau_meets_the_order_conditions():
+    # with the nodes c as the row sums of A, the weights integrate
+    # polynomials of degree below 8 exactly and no higher; b A c is one of
+    # the third-order tree conditions
+    A = np.zeros((len(affine._B), len(affine._B)))
+    for s, row in enumerate(affine._A, start=1):
+        A[s, :s] = row
+    b, c = affine._B, A.sum(axis=1)
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1 / k) < 1e-14, k
+    assert abs(b @ c ** 8 - 1 / 9) > 1e-6
+    assert abs(b @ A @ c - 1 / 6) < 1e-14
+    # each error estimate is a difference of two weight rows that sum to 1
+    for e in (affine._E5, affine._E3):
+        assert abs(e.sum()) < 1e-14
 
 
 @pytest.mark.parametrize("n_columns", [2, 7])
