@@ -232,7 +232,7 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
                 K[s] = flat_rhs(y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _B)
             K[-1] = f_new = flat_rhs(y_new)
-            nfev += 12
+            nfev += len(_A) + 1
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             # DOP853's error |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) (d+1)) per
             # column, from the squared norms of the two scaled estimates; 0

@@ -1,6 +1,7 @@
 """The in-repo Dormand-Prince 8(5,3) Riccati solver against scipy's DOP853,
-its tableau against the order conditions, and its per-column error control
-on blocks of lam columns."""
+its step driver on the Dormand-Prince 5(4) tableau against scipy's RK45, its
+tableau against the order conditions, and its per-column error control on
+blocks of lam columns."""
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,30 +19,60 @@ from ref_oracles import phi_loops, psi_loops, v_with_psi_state
 CASES = [(1.0, 1.0, 1e-10, 1e-12), (3.0, 200.0, 1e-10, 1e-12), (1.0, 40.0, 1e-12, 1e-14)]
 
 
-def scipy_dop853(params, t, lam, rtol, atol):
-    """scipy's DOP853 on (v, psi-integral), with the loop-oracle phi and psi
-    both at the unclipped v."""
+#: Dormand-Prince 5(4) with the coefficients of scipy's RK45, laid out as
+#: affine's tableau: stage rows, 5th-order weights, and the error weights
+#: (5th minus embedded 4th order, over the 7 stages with the FSAL one) as
+#: the only estimate, since with a zero 3rd-order estimate DOP853's error
+#: |h| e5^2 / sqrt(e5^2 (d+1)) is RK45's RMS norm.
+DP54 = dict(
+    _A=(np.array([1 / 5]),
+        np.array([3 / 40, 9 / 40]),
+        np.array([44 / 45, -56 / 15, 32 / 9]),
+        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])),
+    _B=np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    _E5=np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40]),
+    _E3=np.zeros(7),
+    _EXPONENT=-1 / 5)
+
+
+def scipy_solve(params, t, lam, rtol, atol, method):
+    """scipy's `method` on (v, psi-integral), with the loop-oracle phi and
+    psi both at the unclipped v."""
     d = params.d
     sol = solve_ivp(lambda _, y: np.append(-phi_loops(params, y[:d]), psi_loops(params, y[:d])),
-                    (0.0, t), np.append(lam, 0.0), method="DOP853", rtol=rtol, atol=atol)
+                    (0.0, t), np.append(lam, 0.0), method=method, rtol=rtol, atol=atol)
     assert sol.success
     return sol
+
+
+def assert_takes_scipy_steps(params, t, scale, rtol, atol, method, evals_per_step):
+    lam = scale * np.linspace(1.0, 0.6, params.d)
+    ref = scipy_solve(params, t, lam, rtol, atol, method)
+    sol = solve_v(params, t, lam, rtol=rtol, atol=atol)
+    steps = len(ref.t) - 1
+    assert sol.solver_stats["steps"] == steps
+    assert sol.solver_stats["nfev"] == ref.nfev
+    # scipy makes 2 evaluations to start and evals_per_step per step attempt
+    assert sol.solver_stats["rejected"] == (ref.nfev - 2) // evals_per_step - steps
+    np.testing.assert_allclose(sol.v_final, ref.y[:-1, -1], rtol=1e-13, atol=0.0)
+    assert sol.psi_integral == pytest.approx(ref.y[-1, -1], rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 @pytest.mark.parametrize("t, scale, rtol, atol", CASES)
 def test_lone_column_takes_scipy_dop853_steps(name, t, scale, rtol, atol):
-    params = ALL_FIXTURES[name]()
-    lam = scale * np.linspace(1.0, 0.6, params.d)
-    ref = scipy_dop853(params, t, lam, rtol, atol)
-    sol = solve_v(params, t, lam, rtol=rtol, atol=atol)
-    steps = len(ref.t) - 1
-    assert sol.solver_stats["steps"] == steps
-    assert sol.solver_stats["nfev"] == ref.nfev
-    # scipy's DOP853 makes 2 evaluations to start and 12 per step attempt
-    assert sol.solver_stats["rejected"] == (ref.nfev - 2) // 12 - steps
-    np.testing.assert_allclose(sol.v_final, ref.y[:-1, -1], rtol=1e-13, atol=0.0)
-    assert sol.psi_integral == pytest.approx(ref.y[-1, -1], rel=1e-13, abs=0.0)
+    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, rtol, atol, "DOP853", 12)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+@pytest.mark.parametrize("t, scale, rtol, atol", CASES)
+def test_lone_column_takes_scipy_rk45_steps(monkeypatch, name, t, scale, rtol, atol):
+    # the step driver (initial step, step control, rejections, error norm,
+    # evaluation count) is the tableau's: fed DP5(4), it is scipy's RK45
+    for attr, value in DP54.items():
+        monkeypatch.setattr(affine, attr, value)
+    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, rtol, atol, "RK45", 6)
 
 
 def test_cases_reject_steps(branching_jump):
