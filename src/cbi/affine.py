@@ -138,7 +138,9 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
     with a zero column appended (M Y[:d] would round differently), c has a 0
     in row d, and Z, W are the model's atom table (`atom_points`,
     `atom_weights`). Row d of Y enters no right-hand side."""
-    L = np.pad(dq.drift_table, ((0, 0), (0, 1)))
+    d = dq.params.d
+    L = np.zeros((d + 1, d + 1))
+    L[:, :d] = dq.drift_table
     c = np.append(dq.params.c, 0.0)[:, None]
     minus_z, W = -dq.atom_points, dq.atom_weights
     if not len(minus_z):

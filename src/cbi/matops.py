@@ -10,9 +10,12 @@ int_0^t exp((t-s)A) W exp(sD) ds (Van Loan, IEEE TAC 23(3), 1978; nested
 as in Carbonell, Jimenez & Pedroso, J. Comput. Appl. Math. 213, 2008). The
 Kronecker sum A (+) A = A x I + I x A, with exp(s A (+) A) = exp(sA) x
 exp(sA), turns each sandwich exp(sA) C exp(sA)^T into a vector. No block
-holds -A, so a stiff A forms no growing exponential. Every exponential is
-one `mat_exp`: scaling and squaring with the degree-13 Pade approximant
-(Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3).
+holds -A, so a stiff A forms no growing exponential. The Kronecker sum is
+two broadcast products and each block matrix is assigned into a zeroed
+array: np.kron's and np.block's values bit for bit, without their
+per-call cost. Every exponential is one `mat_exp`: scaling and squaring
+with the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
+26(4), 2005, Algorithm 2.3).
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ def spectral(A: np.ndarray) -> SpectralSummary:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigenvalue computation did not converge: {exc}") from exc
     return SpectralSummary(
-        eigenvalues=tuple(complex(v) for v in w),
+        eigenvalues=tuple(map(complex, w.tolist())),
         spectral_radius=float(np.max(np.abs(w))),
         spectral_abscissa=float(np.max(w.real)),
     )
@@ -141,16 +144,26 @@ def perron_vectors(btilde: np.ndarray) -> PerronPair:
 
 
 def _kron_sum(A) -> np.ndarray:
-    """A (+) A acting on row-major vec: vec(A X + X A^T)."""
-    eye = np.eye(len(A))
-    return np.kron(A, eye) + np.kron(eye, A)
+    """A (+) A acting on row-major vec: vec(A X + X A^T).
+
+    Entry (i*d + k, j*d + l) is A_ij I_kl + I_ij A_kl: the two products of
+    A x I + I x A, formed by broadcasting on a (d, d, d, d) grid. Their
+    zero products keep the sign that np.kron gives them (-0.0 where an
+    entry of A is negative), so the result is np.kron's bit for bit."""
+    d = len(A)
+    eye = np.eye(d)
+    return (A[:, None, :, None] * eye[:, None]
+            + eye[:, None, :, None] * A[:, None]).reshape(d * d, d * d)
 
 
 def _block_exp(A: np.ndarray, W: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
     """exp(t [[A, W], [0, D]]) for t >= 0."""
     if t < 0:
         raise ValueError(f"integration horizon must be >= 0, got {t}")
-    return mat_exp(np.block([[A, W], [np.zeros((len(D), len(A))), D]]), t)
+    n = len(A)
+    block = np.zeros((n + len(D), n + len(D)))
+    block[:n, :n], block[:n, n:], block[n:, n:] = A, W, D
+    return mat_exp(block, t)
 
 
 def exp_and_integral_vec(A: np.ndarray, w_vec: np.ndarray,

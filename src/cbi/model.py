@@ -11,6 +11,10 @@ sum over atoms (no quadrature error anywhere downstream).
 
 Construction never rejects a candidate tuple; `validate` reports every
 violated condition instead, so a CLI user learns *why* a config fails.
+One walk over the admissibility rules (`_violations`) lists the
+violations: `moments.derive` asks it for them alone, which needs only
+each measure's admissibility integral, while `validate` also has it
+record every measure's mass and norm tails and the moment-order flags.
 All types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
@@ -138,43 +142,115 @@ class ValidationReport:
     violations: list[str]
 
 
-def _norm(z: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(z, axis=1)
+def _violations(params: CbiParams, integrals: dict[str, float] | None = None,
+                order_ok: dict[int, bool] | None = None) -> list[str]:
+    """Every violated admissibility condition of `params`, in a fixed order:
+    the one walk over the rules that `validate` and `derive` share.
+
+    The rules need only each measure's admissibility integral. Given
+    `integrals` and `order_ok` (validate's report), the walk also records
+    every measure's mass, admissibility integral and norm tails there, and
+    clears the moment orders that a malformed or infinite measure fails.
+    A message is formatted only for a failed check.
+    """
+    violations: list[str] = []
+    d = params.d
+
+    # bool is an int, but True is no dimension
+    if type(d) is bool or not isinstance(d, (int, np.integer)) or d < 1:
+        violations.append(f"d must be a positive integer, got {d!r}")
+        if order_ok is not None:
+            order_ok.update({1: False, 2: False, 4: False})
+        return violations
+
+    # the entries of c, beta and B in one array: every entry finite, and
+    # each one >= 0 except on the diagonal of B
+    parts = (("c", params.c, (d,)), ("beta", params.beta, (d,)), ("B", params.B, (d, d)))
+    shaped = [a.ravel() for _, a, shape in parts if a.shape == shape]
+    X = np.concatenate(shaped) if shaped else np.zeros(0)
+    finite = np.isfinite(X)
+    if params.B.shape == (d, d):
+        X[len(X) - d * d::d + 1] = 0.0
+    signed = X >= 0
+    if not (len(shaped) == 3 and finite.all() and signed.all()):
+        start = 0
+        for label, a, shape in parts:
+            if a.shape != shape:
+                violations.append(f"B must be {d}x{d}, got shape {a.shape}" if label == "B"
+                                  else f"{label} must have length d={d}, got shape {a.shape}")
+                continue
+            seg, start = slice(start, start + a.size), start + a.size
+            if not finite[seg].all():
+                violations.append(f"{label} has non-finite entries")
+            elif signed[seg].all():
+                pass
+            elif label != "B":
+                violations.append(f"{label} must be componentwise >= 0")
+            else:
+                off = a - np.diag(np.diag(a))
+                i, j = np.unravel_index(np.argmin(off), off.shape)
+                violations.append(
+                    f"B not essentially non-negative: entry ({i + 1},{j + 1}) = {a[i, j]} < 0")
+
+    if len(params.mu) != d:
+        violations.append(f"mu must contain exactly d={d} measures, got {len(params.mu)}")
+
+    # nu, then mu_1, ..., mu_d: each measure's structure, then its own
+    # admissibility integral (and, for a report, its mass and norm tails);
+    # nu gates moment orders 1, 2 and 4, each mu_i orders 2 and 4. Atom
+    # integrals of huge but finite atoms overflow to inf, which is reported
+    # as a violation or a failed moment order, not as a numpy warning.
+    with np.errstate(over="ignore"):
+        for i, m in enumerate((params.nu, *params.mu), start=-1):
+            name, own = ("nu", "min_1_norm") if i < 0 else (f"mu[{i + 1}]", "admissibility")
+            w, z, r = m.weights, m.points, None
+            failed = len(violations)
+            if w.ndim != 1:
+                violations.append(f"{name}: atom weights must be numbers, got shape {w.shape}")
+            elif z.ndim != 2 or (len(w) and z.shape[1] != d):
+                violations.append(f"{name}: atom points must lie in R^{d}, got shape {z.shape}")
+            elif len(w) != len(z):
+                violations.append(f"{name}: {len(w)} weights but {len(z)} points")
+            elif len(w):  # the width of an empty measure's points is never read
+                r = np.sqrt(np.add.reduce(z * z, axis=1))  # |z| of each atom
+                if not (np.isfinite(w).all() and np.isfinite(z).all()):
+                    violations.append(f"{name}: non-finite atom data")
+                if (w <= 0).any():
+                    bad = int(np.argmax(w <= 0))
+                    violations.append(f"{name}: atom {bad + 1} has non-positive weight {w[bad]}")
+                if (z < 0).any():
+                    violations.append(
+                        f"{name}: atom point with negative coordinate (support must be in R_+^d)")
+                if (r == 0).any():
+                    violations.append(
+                        f"{name}: atom at the origin is outside U_d = R_+^d \\ {{0}}")
+            if len(violations) > failed:  # a malformed measure has no integrals
+                if order_ok is not None:
+                    for k in ((1, 2, 4) if i < 0 else (2, 4)):
+                        order_ok[k] = False
+                continue
+            # an empty measure's integrals are 0 without any numpy sum
+            if r is None:
+                own_val = 0.0
+            elif i < 0:
+                own_val = float(w @ np.minimum(1.0, r))
+            else:
+                other = z.sum(axis=1) - z[:, i] if i < d else z.sum(axis=1)
+                own_val = float(w @ (np.minimum(r, r**2) + other))
+            if integrals is not None:
+                integrals[f"{name}.mass"] = 0.0 if r is None else float(w.sum())
+                integrals[f"{name}.{own}"] = own_val
+                for k in (1, 2, 4):
+                    tail = 0.0 if r is None else float(w @ (r**k * (r >= 1.0)))
+                    integrals[f"{name}.norm{k}_tail"] = tail
+                    if i < 0 or k > 1:
+                        order_ok[k] &= math.isfinite(tail)
+            if not math.isfinite(own_val):
+                violations.append("nu: integral of 1 ^ |z| is not finite" if i < 0
+                                  else f"{name}: admissibility integral is not finite")
+    return violations
 
 
-def _measure_structure(name: str, m: JumpMeasure, d: int, violations: list[str]) -> bool:
-    """Structural atom checks; returns True when integrals can be evaluated."""
-    ok = True
-    if m.weights.ndim != 1:
-        violations.append(f"{name}: atom weights must be numbers, got shape {m.weights.shape}")
-        return False
-    if m.points.ndim != 2 or (m.natoms and m.points.shape[1] != d):
-        violations.append(f"{name}: atom points must lie in R^{d}, got shape {m.points.shape}")
-        return False
-    if len(m.weights) != len(m.points):
-        violations.append(f"{name}: {len(m.weights)} weights but {len(m.points)} points")
-        return False
-    if not m.natoms:  # the width of empty points is never read
-        return True
-    if not np.all(np.isfinite(m.weights)) or not np.all(np.isfinite(m.points)):
-        violations.append(f"{name}: non-finite atom data")
-        ok = False
-    if np.any(m.weights <= 0):
-        bad = int(np.argmax(m.weights <= 0))
-        violations.append(f"{name}: atom {bad + 1} has non-positive weight {m.weights[bad]}")
-        ok = False
-    if np.any(m.points < 0):
-        violations.append(f"{name}: atom point with negative coordinate (support must be in R_+^d)")
-        ok = False
-    if np.any(_norm(m.points) == 0):
-        violations.append(f"{name}: atom at the origin is outside U_d = R_+^d \\ {{0}}")
-        ok = False
-    return ok
-
-
-# Atom integrals of huge but finite atoms overflow to inf; validate reports
-# that as a violation or a failed moment order, not as a numpy warning.
-@np.errstate(over="ignore")
 def validate(params: CbiParams) -> ValidationReport:
     """Check every admissibility condition and evaluate all moment integrals.
 
@@ -183,73 +259,9 @@ def validate(params: CbiParams) -> ValidationReport:
     exceptions. Integrals are exact weighted atom sums; for well-formed
     finite atom lists every moment order is automatically finite.
     """
-    violations: list[str] = []
     integrals: dict[str, float] = {}
-    d = params.d
-
-    # bool is an int, but True is no dimension
-    if type(d) is bool or not isinstance(d, (int, np.integer)) or d < 1:
-        violations.append(f"d must be a positive integer, got {d!r}")
-        return ValidationReport(False, {1: False, 2: False, 4: False}, integrals, violations)
-
-    for label, vec in (("c", params.c), ("beta", params.beta)):
-        if vec.shape != (d,):
-            violations.append(f"{label} must have length d={d}, got shape {vec.shape}")
-        elif not np.all(np.isfinite(vec)):
-            violations.append(f"{label} has non-finite entries")
-        elif np.any(vec < 0):
-            violations.append(f"{label} must be componentwise >= 0")
-
-    B = params.B
-    if B.shape != (d, d):
-        violations.append(f"B must be {d}x{d}, got shape {B.shape}")
-    elif not np.all(np.isfinite(B)):
-        violations.append("B has non-finite entries")
-    else:
-        off = B - np.diag(np.diag(B))
-        if np.any(off < 0):
-            i, j = np.unravel_index(np.argmin(off), off.shape)
-            violations.append(
-                f"B not essentially non-negative: entry ({i + 1},{j + 1}) = {B[i, j]} < 0")
-
-    if len(params.mu) != d:
-        violations.append(f"mu must contain exactly d={d} measures, got {len(params.mu)}")
-
-    # nu, then mu_1, ..., mu_d: each measure's mass, its own admissibility
-    # integral and its norm tails; nu gates moment orders 1, 2 and 4, each
-    # mu_i orders 2 and 4
     order_ok = {1: True, 2: True, 4: True}
-    for i, m in enumerate((params.nu, *params.mu), start=-1):
-        if i < 0:
-            name, own, gated = "nu", "min_1_norm", (1, 2, 4)
-        else:
-            name, own, gated = f"mu[{i + 1}]", "admissibility", (2, 4)
-        if not _measure_structure(name, m, d, violations):
-            for k in gated:
-                order_ok[k] = False
-            continue
-        mass = own_val = 0.0
-        tails = {1: 0.0, 2: 0.0, 4: 0.0}
-        if m.natoms:  # a measure without atoms skips the numpy sums
-            w, z = m.weights, m.points
-            r = _norm(z)
-            mass = float(w.sum())
-            if i < 0:
-                own_val = float(w @ np.minimum(1.0, r))
-            else:
-                other = z.sum(axis=1) - z[:, i] if i < d else z.sum(axis=1)
-                own_val = float(w @ (np.minimum(r, r**2) + other))
-            tails = {k: float(w @ (r**k * (r >= 1.0))) for k in tails}
-        integrals[f"{name}.mass"] = mass
-        integrals[f"{name}.{own}"] = own_val
-        for k, val in tails.items():
-            integrals[f"{name}.norm{k}_tail"] = val
-            if k in gated:
-                order_ok[k] &= math.isfinite(val)
-        if not math.isfinite(own_val):
-            violations.append("nu: integral of 1 ^ |z| is not finite" if i < 0
-                              else f"{name}: admissibility integral is not finite")
-
+    violations = _violations(params, integrals, order_ok)
     return ValidationReport(
         admissible=not violations,
         moment_order_ok={k: bool(v) for k, v in order_ok.items()},

@@ -28,10 +28,13 @@ beta + W[d] Z. A jump-free model's table is empty (A = 0). Through the same
 row, (x, 1) M is the process drift and M the linear part of (-phi; psi)
 (affine duality; Duffie, Filipovic & Schachermayer 2003).
 
-`derive` is the package's one admissibility gate: its result, a
-`DerivedQuantities`, is the validated model. Every public function that
-takes parameters accepts either a raw `CbiParams` (derived once on entry)
-or that result (used as it is), and hands the model on to what it calls.
+`derive` is the package's one admissibility gate: it walks the
+admissibility rules that `validate` reports on, asking only for the
+violations (so no mass, norm tail or moment-order flag is computed), and
+its result, a `DerivedQuantities`, is the validated model. No model is
+kept between calls. Every public function that takes parameters accepts
+either a raw `CbiParams` (derived once on entry) or that result (used as
+it is), and hands the model on to what it calls.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ import numpy as np
 from . import matops
 from .errors import InadmissibleError, NumericRangeError
 from .matops import PerronPair, SpectralSummary
-from .model import CbiParams, _frozen, validate
+from .model import CbiParams, _frozen, _violations
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -93,15 +96,17 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     """Validate once and compute every derived quantity with the
     criticality classification; a `DerivedQuantities` is returned as it is.
 
-    Raises InadmissibleError, carrying every violation, when the tuple is
-    not admissible, and NumericRangeError when an admissible tuple's
-    derived quantities overflow.
+    Raises InadmissibleError, carrying every violation in `validate`'s
+    words and order, when the tuple is not admissible, and
+    NumericRangeError when an admissible tuple's derived quantities
+    overflow. Only the violations are asked for: the integrals and moment
+    orders of `validate`'s report are not computed here.
     """
     if isinstance(params, DerivedQuantities):
         return params
-    report = validate(params)
-    if not report.admissible:
-        raise InadmissibleError(report.violations)
+    violations = _violations(params)
+    if violations:
+        raise InadmissibleError(violations)
     d = params.d
 
     measures = (*params.mu, params.nu)

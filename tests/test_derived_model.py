@@ -1,11 +1,14 @@
-"""`moments.derive` as the one admissibility gate: each public call validates
+"""`moments.derive` as the one admissibility gate: it refuses exactly the
+tuples that `validate` finds inadmissible, each public call validates
 once, and a model whose Perron pair does not exist still serves every
 function that does not need it."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbi import affine, cli, generators, matops, moments, simulate
-from cbi.errors import ClassificationError
+from cbi.errors import ClassificationError, InadmissibleError, NumericRangeError
+from cbi.model import CbiParams, JumpMeasure, validate
 from cbi.moments import CRITICAL
 from cbi.testfunctions import bump
 
@@ -13,6 +16,87 @@ from conftest import (assert_close, make_d2_critical, make_degenerate_critical, 
                       make_jump_d2, write_params)
 
 SMALL_PATHS = simulate.PathConfig(x0=[1.0, 0.5], horizon=0.1, dt=0.02, seed=1, n_paths=3)
+
+#: Ways to break an admissible tuple; a drawn tuple gets up to three.
+FLAWS = ("negative c", "negative beta", "negative B off-diagonal", "zero weight",
+         "negative weight", "atom at the origin", "nan entry", "huge atom", "short c",
+         "square B of wrong size", "matrix weights", "mu count", "wrong d", "non-integer d")
+
+
+@st.composite
+def candidate_tuples(draw):
+    """An admissible tuple with up to three flaws drawn from FLAWS."""
+    d = draw(st.integers(1, 3))
+    flaws = draw(st.lists(st.sampled_from(FLAWS), max_size=3))
+    unit = st.floats(0.0, 2.0)
+
+    def vec(n):
+        return np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+
+    def measure():
+        n = draw(st.integers(0, 2))
+        weights = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+        return [weights, vec(n * d).reshape(n, d) + 0.1]
+
+    c, beta, B = vec(d), vec(d), vec(d * d).reshape(d, d) - 3.0 * np.eye(d)
+    measures = [measure() for _ in range(d + 1)]  # nu, mu_1, ..., mu_d
+    dim, n_mu = d, d
+    for flaw in flaws:
+        k = draw(st.integers(0, d))  # a measure (0 is nu) or a coordinate (k % d)
+        w, z = measures[k]
+        if flaw in ("zero weight", "negative weight", "atom at the origin", "huge atom") \
+                and not len(w):
+            w, z = np.array([1.0]), np.full((1, d), 0.5)
+        if flaw == "negative c" and len(c):
+            c[k % len(c)] = -draw(st.floats(1e-300, 2.0))
+        elif flaw == "negative beta":
+            beta[k % d] = -draw(st.floats(1e-300, 2.0))
+        elif flaw == "negative B off-diagonal" and len(B) > 1:
+            B[k % len(B), (k + 1) % len(B)] = -draw(st.floats(1e-300, 2.0))
+        elif flaw == "zero weight" and w.ndim == 1:
+            w = np.concatenate([w[:-1], [draw(st.sampled_from([0.0, -0.0]))]])
+        elif flaw == "negative weight" and w.ndim == 1:
+            w = np.concatenate([w[:-1], [-draw(st.floats(1e-300, 2.0))]])
+        elif flaw == "atom at the origin":
+            z = np.vstack([z[:-1], np.zeros((1, d))])
+        elif flaw == "nan entry":
+            target = {"c": c, "beta": beta, "B": B, "w": w, "z": z}[
+                draw(st.sampled_from(["c", "beta", "B", "w", "z"]))]
+            if target.size:
+                target.flat[draw(st.integers(0, target.size - 1))] = np.nan
+        elif flaw == "huge atom":  # its admissibility integral overflows in mu_i
+            z = np.vstack([z[:-1], np.full((1, d), 1e200)])
+        elif flaw == "short c":
+            c = c[:-1]
+        elif flaw == "square B of wrong size":
+            B = np.eye(d + 1)
+        elif flaw == "matrix weights":
+            w = np.ones((len(w), 2))
+        elif flaw == "mu count":
+            n_mu = draw(st.sampled_from([d - 1, d + 1]))
+        elif flaw == "wrong d":
+            dim = draw(st.sampled_from([0, -1, d + 1]))
+        elif flaw == "non-integer d":
+            dim = draw(st.sampled_from([float(d), d + 0.5, True]))
+        measures[k] = [w, z]
+    mu = [JumpMeasure(w, z) for w, z in measures[1:]]
+    mu = mu[:n_mu] + [JumpMeasure.empty(d)] * (n_mu - len(mu))
+    return CbiParams(d=dim, c=c, beta=beta, B=B, nu=JumpMeasure(*measures[0]), mu=tuple(mu))
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=candidate_tuples())
+def test_derive_refuses_exactly_what_validate_rejects(params):
+    report = validate(params)
+    try:
+        moments.derive(params)
+    except InadmissibleError as exc:
+        assert not report.admissible
+        assert exc.violations == report.violations
+    except NumericRangeError:  # an admissible tuple's derived quantities overflow
+        assert report.admissible
+    else:
+        assert report.admissible
 
 
 def test_degenerate_critical_derives_without_perron_pair():
@@ -32,15 +116,17 @@ def test_degenerate_critical_derives_without_perron_pair():
 
 
 @pytest.fixture
-def validate_calls(monkeypatch):
+def admissibility_walks(monkeypatch):
+    """The params of every walk over the admissibility rules that `derive`
+    makes (`model._violations`, as bound in moments)."""
     calls = []
-    inner = moments.validate
+    inner = moments._violations
 
     def counting(params):
         calls.append(params)
         return inner(params)
 
-    monkeypatch.setattr(moments, "validate", counting)
+    monkeypatch.setattr(moments, "_violations", counting)
     return calls
 
 
@@ -68,9 +154,19 @@ CALLS = {
 
 
 @pytest.mark.parametrize("name", CALLS)
-def test_public_call_validates_once(name, validate_calls, tmp_path):
+def test_public_call_validates_once(name, admissibility_walks, tmp_path):
     CALLS[name](tmp_path)
-    assert len(validate_calls) == 1
+    assert len(admissibility_walks) == 1
+
+
+def test_no_model_is_kept_between_calls(admissibility_walks):
+    # the same CbiParams object twice: each call walks the rules again, so
+    # no call's work depends on the calls before it
+    params = make_jump_d2()
+    first = moments.mean(params, [1.0, 0.5], 1.0)
+    second = moments.mean(params, [1.0, 0.5], 1.0)
+    assert first.tobytes() == second.tobytes()
+    assert admissibility_walks == [params, params]
 
 
 def test_perron_reuses_the_classification(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from cbi import matops
 from cbi.errors import NumericRangeError
 from cbi.matops import (_kron_sum, branching_integral, exp_and_integral_vec, is_irreducible,
                         mat_exp, perron_vectors, spectral)
@@ -32,7 +33,7 @@ def test_mat_exp_zero_matrix_is_identity():
 
 
 def test_mat_exp_scalar():
-    assert mat_exp([[0.7]], 1.0)[0, 0] == pytest.approx(math.exp(0.7), rel=1e-14)
+    assert mat_exp([[0.7]], 1.0)[0, 0] == pytest.approx(math.exp(0.7), rel=1e-14, abs=0.0)
 
 
 def test_mat_exp_two_cycle():
@@ -87,6 +88,44 @@ def test_mat_exp_matches_scipy_expm(kind, diag_low, off_high, t):
                 assert_close(mat_exp(M, t), expected,
                              1e-12 * max(1.0, float(np.max(np.abs(expected)))), f"{kind} d={d}")
 
+
+
+def _signed_zeros(rng, shape) -> np.ndarray:
+    """Normal entries with about a third set to +0.0 and a third to -0.0."""
+    A = rng.normal(size=shape)
+    pick = rng.integers(0, 3, size=shape)
+    A[pick == 1] = 0.0
+    A[pick == 2] = -0.0
+    return A
+
+
+def test_kron_sum_is_np_kron_bit_for_bit():
+    # including the sign of every zero: A_ij * 0 is -0.0 for negative A_ij
+    rng = np.random.default_rng(5)
+    for d in range(1, 7):
+        eye = np.eye(d)
+        for _ in range(20):
+            A = _signed_zeros(rng, (d, d))
+            assert _kron_sum(A).tobytes() == (np.kron(A, eye) + np.kron(eye, A)).tobytes(), d
+
+
+def test_block_exp_forms_the_np_block_matrix(monkeypatch):
+    # the matrix each block exponential hands to mat_exp, bit for bit,
+    # against [[A, W], [0, D]] from np.block
+    seen = []
+    monkeypatch.setattr(matops, "mat_exp", lambda M, t: seen.append((M, t)) or np.zeros_like(M))
+    rng = np.random.default_rng(6)
+    for d in range(1, 5):
+        A, w = _signed_zeros(rng, (d, d)), _signed_zeros(rng, d)
+        big_c = [G @ G.T for G in _signed_zeros(rng, (d, d, d))]
+        exp_and_integral_vec(A, w, 0.5)
+        branching_integral(A, big_c, np.ones(d), 0.5)
+        vec_c = np.stack([np.ravel(C) for C in big_c], axis=1)
+        expected = (np.block([[A, w[:, None]], [np.zeros((1, d + 1))]]),
+                    np.block([[_kron_sum(A), vec_c], [np.zeros((d, d * d)), A]]))
+        for (M, t), ref in zip(seen[-2:], expected):
+            assert t == 0.5
+            assert M.tobytes() == ref.tobytes() and M.shape == ref.shape
 
 def test_import_and_exponentials_leave_scipy_unloaded(tmp_path):
     # numpy is the only runtime dependency: importing the package, a mean
@@ -228,7 +267,7 @@ def test_exp_integral_identity_cases():
 def test_exp_integral_scalar_closed_form():
     # int_0^1 exp(-2s) 2 ds, the scalar sandwich int_0^1 e^{-s} 2 e^{-s} ds
     val = exp_and_integral_vec([[-2.0]], [2.0], 1.0)[1]
-    assert val[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
+    assert val[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13, abs=0.0)
 
 
 def test_exp_integral_rejects_negative_horizon():

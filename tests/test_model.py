@@ -107,12 +107,12 @@ def test_integrals_match_loop_oracle():
     # independent plain-Python summation over atoms
     tail1 = sum(w * np.linalg.norm(z) for w, z in zip(params.nu.weights, params.nu.points)
                 if np.linalg.norm(z) >= 1.0)
-    assert rep.computed_integrals["nu.norm1_tail"] == pytest.approx(tail1, rel=1e-14)
+    assert rep.computed_integrals["nu.norm1_tail"] == pytest.approx(tail1, rel=1e-14, abs=0.0)
     for i, m in enumerate(params.mu):
         adm = sum(w * (min(np.linalg.norm(z), np.linalg.norm(z) ** 2)
                        + sum(z[j] for j in range(params.d) if j != i))
                   for w, z in zip(m.weights, m.points))
-        assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == pytest.approx(adm, rel=1e-14)
+        assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == pytest.approx(adm, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("which", ["nu", "mu"])
@@ -177,7 +177,7 @@ def test_scaling_nu_weights_scales_nu_integrals(scale):
     r1 = validate(scaled).computed_integrals
     for key in r0:
         if key.startswith("nu."):
-            assert r1[key] == pytest.approx(scale * r0[key], rel=1e-12)
+            assert r1[key] == pytest.approx(scale * r0[key], rel=1e-12, abs=0.0)
         else:
             assert r1[key] == r0[key]
 

@@ -51,7 +51,7 @@ def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3):
                 expected = params.B[i, j] + sum(
                     w * max(z[i] - (1.0 if i == j else 0.0), 0.0)
                     for w, z in atoms(params.mu[j]))
-                assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14)
+                assert dq.btilde[i, j] == pytest.approx(expected, rel=1e-14, abs=0.0)
         expected_beta = params.beta + sum(w * z for w, z in atoms(params.nu))
         assert_close(dq.beta_tilde, expected_beta, 1e-14)
         expected_kappa = [sum(w * min(1.0, z[i]) for w, z in atoms(params.mu[i]))
@@ -148,7 +148,7 @@ def test_derive_returns_read_only_model(d2_critical, jump_d3):
 
 def test_mean_at_zero_and_scalar_drift(fix_a):
     assert_close(mean(fix_a, [2.0], 0.0), [2.0], 0.0)
-    assert mean(fix_a, [2.0], 3.0)[0] == pytest.approx(5.0, rel=1e-12)
+    assert mean(fix_a, [2.0], 3.0)[0] == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
 
 def test_mean_rejects_negative_time(fix_a):
@@ -190,8 +190,8 @@ def test_variance_zero_start_is_zero():
 
 def test_variance_scalar_closed_forms():
     params = CbiParams.no_jumps(c=[1.0], beta=[0.0], B=[[0.0]])
-    assert variance_no_immigration(params, [1.0], 1.0)[0, 0] == pytest.approx(2.0, rel=1e-12)
-    assert variance_no_immigration(params, [3.0], 2.0)[0, 0] == pytest.approx(12.0, rel=1e-12)
+    assert variance_no_immigration(params, [1.0], 1.0)[0, 0] == pytest.approx(2.0, rel=1e-12, abs=0.0)
+    assert variance_no_immigration(params, [3.0], 2.0)[0, 0] == pytest.approx(12.0, rel=1e-12, abs=0.0)
 
 
 def test_variance_rejects_immigration(fix_a):
