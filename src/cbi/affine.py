@@ -37,9 +37,10 @@ estimates over v and the psi-integral, is below 1: a lone column is
 controlled exactly as by scipy's DOP853 on (v, psi), no column's error
 can hide inside a norm taken over the whole block, and the psi-integral's
 error is held to the solver's tolerance as v's is (the quadrature-variable
-approach of CVODES; Hindmarsh et al., ACM TOMS 31, 2005). Only the current
-state is kept. A solve that needs more than MAX_STEPS accepted steps fails.
-Each column keeps its own clip budget.
+approach of CVODES; Hindmarsh et al., ACM TOMS 31, 2005). A solve takes
+one tolerance, tol: its relative tolerance is tol and its absolute one
+tol * 1e-2. Only the current state is kept. A solve that needs more than
+MAX_STEPS accepted steps fails. Each column keeps its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -64,17 +65,16 @@ import numpy as np
 from . import matops, moments
 from .errors import SolverError
 from .model import CbiParams
-from .moments import DerivedQuantities
+from .moments import DerivedQuantities, _point
 
-#: Default ODE tolerances; the systems here are smooth and non-stiff.
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
-#: Tolerances where solver error is amplified: finite differences divide
+#: Default ODE tolerance; the systems here are smooth and non-stiff. A
+#: solve at tol controls its error at rtol = tol and atol = tol * 1e-2.
+DEFAULT_TOL = 1e-10
+#: Tolerance where solver error is amplified: finite differences divide
 #: it by their step, the discrete generator multiplies it by n.
-TIGHT_RTOL = 1e-12
-TIGHT_ATOL = 1e-14
-#: Smallest rtol accepted, the floor of scipy's Runge-Kutta solvers (DOP853
-#: among them): a finer one asks for steps below the spacing of
+TIGHT_TOL = 1e-12
+#: Smallest tol accepted, the rtol floor of scipy's Runge-Kutta solvers
+#: (DOP853 among them): a finer one asks for steps below the spacing of
 #: floating-point numbers.
 MIN_RTOL = 100 * np.finfo(float).eps
 #: Base steps of the finite-difference probes v_jacobian_fd and
@@ -278,9 +278,9 @@ class VSolution:
 
 
 def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
-            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> VSolution:
+            tol: float = DEFAULT_TOL) -> VSolution:
     """Integrate the Riccati system together with the psi-integral on
-    [0, t] at (rtol, atol).
+    [0, t] at rtol = tol and atol = tol * 1e-2.
 
     lam is one point (shape (d,)) or a block of columns (shape (d, m)),
     solved together on one time grid with every column's v and
@@ -288,10 +288,11 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    if not (0 < rtol < np.inf and 0 < atol < np.inf):
-        raise ValueError(f"tolerances must be positive and finite, got rtol={rtol}, atol={atol}")
-    if rtol < MIN_RTOL:
-        raise ValueError(f"rtol={rtol} is below the floor {MIN_RTOL:.3g} (100 * machine epsilon)")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if tol < MIN_RTOL:
+        raise ValueError(f"tol={tol} is below the floor {MIN_RTOL:.3g} (100 * machine epsilon)")
+    rtol, atol = tol, tol * 1e-2
     dq = moments.derive(params)
     d = dq.params.d
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -329,15 +330,12 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
 
 
 def laplace_transform(params: CbiParams | DerivedQuantities, t: float, x: np.ndarray,
-                      lam: np.ndarray, **solver_kwargs) -> float:
-    """exp(-<x, v(t, lam)> - int_0^t psi(v(s, lam)) ds); always in (0, 1]."""
+                      lam: np.ndarray, *, tol: float = DEFAULT_TOL) -> float:
+    """exp(-<x, v(t, lam)> - int_0^t psi(v(s, lam)) ds), solved at tol;
+    always in (0, 1]."""
     dq = moments.derive(params)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if x.shape != (dq.params.d,) or lam.shape != (dq.params.d,):
-        raise ValueError(f"x and lam must have length d={dq.params.d}, "
-                         f"got shapes {x.shape} and {lam.shape}")
-    sol = solve_v(dq, t, lam, **solver_kwargs)
+    x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
+    sol = solve_v(dq, t, lam, tol=tol)
     return float(np.exp(-float(x @ sol.v_final) - sol.psi_integral))
 
 
@@ -353,17 +351,15 @@ def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray
 
     Central differences (step e/2) around the base point e*ones at e = eps
     and eps/2 with eps = JACOBIAN_FD_EPS, all 4d points as the columns of
-    one solve at (TIGHT_RTOL, TIGHT_ATOL); the base offset contributes an
-    O(eps) bias, removed by Richardson extrapolation of the estimates at eps
-    and eps/2.
+    one solve at TIGHT_TOL; the base offset contributes an O(eps) bias,
+    removed by Richardson extrapolation of the estimates at eps and eps/2.
     """
     eps = JACOBIAN_FD_EPS
     dq = moments.derive(params)
     d = dq.params.d
     half = 0.5 * np.eye(d)
     V = solve_v(dq, t, np.hstack([e + sign * e * half for e in (eps, 0.5 * eps)
-                                  for sign in (1.0, -1.0)]),
-                rtol=TIGHT_RTOL, atol=TIGHT_ATOL).v_final
+                                  for sign in (1.0, -1.0)]), tol=TIGHT_TOL).v_final
     up, down, up_half, down_half = np.split(V, 4, axis=1)
     # column i of up - down is the difference of v along lam_i, which is row
     # i of the Jacobian
@@ -410,6 +406,6 @@ def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int
             np.array([1.0, -1.0, -1.0, 1.0]) / 4.0
     hs = np.array([0.5 * eps, eps])
     vk = solve_v(dq, t, np.stack([h + h * s for h in hs for s in shifts], axis=1),
-                 rtol=TIGHT_RTOL, atol=TIGHT_ATOL).v_final[k]
+                 tol=TIGHT_TOL).v_final[k]
     second = vk.reshape(2, -1) @ weights / hs**2
     return float(2.0 * second[0] - second[1])

@@ -91,7 +91,7 @@ _FLAGS = {
     "--n": {"type": _integer},
     "--n-list": {"type": _integers, "default": generators.DEFAULT_N_LIST},
     "--seed": {"type": int, "default": 0},
-    "--tol": {"type": float, "default": 1e-10},
+    "--tol": {"type": float, "default": affine.DEFAULT_TOL},
     "--dt": {"type": float, "default": 1e-3},
     "--n-paths": {"type": int, "default": 100},
     "--bump-radius": {"type": float},
@@ -211,14 +211,14 @@ def _cmd_derive(args, dq: DerivedQuantities) -> dict:
 
 
 def _cmd_vsolve(args, dq: DerivedQuantities) -> dict:
-    sol = affine.solve_v(dq, args.t, args.lam, rtol=args.tol, atol=args.tol * 1e-2)
+    sol = affine.solve_v(dq, args.t, args.lam, tol=args.tol)
     return {"v": sol.v_final, "psi_integral": sol.psi_integral,
             "solver_stats": sol.solver_stats}
 
 
 def _cmd_laplace(args, dq: DerivedQuantities) -> dict:
     return {"laplace_transform": affine.laplace_transform(
-        dq, args.t, args.x, args.lam, rtol=args.tol, atol=args.tol * 1e-2)}
+        dq, args.t, args.x, args.lam, tol=args.tol)}
 
 
 def _cmd_dgen(args, dq: DerivedQuantities) -> dict:

@@ -42,7 +42,7 @@ import numpy as np
 from . import affine, matops, moments
 from .errors import ConsistencyError
 from .model import CbiParams
-from .moments import DerivedQuantities
+from .moments import DerivedQuantities, _point
 from .testfunctions import TestFunction
 
 #: Default n sweep for convergence tables.
@@ -73,22 +73,13 @@ class ConvergenceTable:
     fitted_slope: float
 
 
-def _point(dq: DerivedQuantities, v) -> np.ndarray:
-    """v as a float vector; a length other than d is a ValueError."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (dq.params.d,):
-        raise ValueError(f"x and lam must have length d={dq.params.d}, got shape {v.shape}")
-    return v
-
-
 def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
                   lam: np.ndarray) -> np.ndarray:
     """discrete_gen_exp at each entry of the array n, the solves at every
     lam / n as the columns of one solve."""
     if np.any(n < 1):
         raise ValueError(f"n must be positive integers, got {n.astype(int).tolist()}")
-    sol = affine.solve_v(dq, 1.0, lam[:, None] / n, rtol=affine.TIGHT_RTOL,
-                         atol=affine.TIGHT_ATOL)
+    sol = affine.solve_v(dq, 1.0, lam[:, None] / n, tol=affine.TIGHT_TOL)
     one_step = np.exp(-n * (x @ sol.v_final) - sol.psi_integral)
     return n * (one_step - np.exp(-float(lam @ x)))
 
@@ -99,11 +90,11 @@ def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> f
     n [ exp(-<n x, v(1, lam/n)> - int_0^1 psi(v(s, lam/n)) ds)
         - exp(-<lam, x>) ].
 
-    Solved at affine's TIGHT_RTOL/TIGHT_ATOL, tighter than solve_v's
-    defaults, because the leading n amplifies solver error n-fold.
+    Solved at affine's TIGHT_TOL, tighter than solve_v's default, because
+    the leading n amplifies solver error n-fold.
     """
     dq = moments.derive(params)
-    x, lam = _point(dq, x), _point(dq, lam)
+    x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
     return float(_discrete_gen(dq, np.array([float(n)]), x, lam)[0])
 
 
@@ -114,7 +105,7 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     (substitute s -> 1 - s in the module formula).
     """
     dq = moments.derive(params)
-    x, lam = _point(dq, x), _point(dq, lam)
+    x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
     bt = dq.btilde
     quad = float(lam @ matops.branching_integral(bt, dq.big_c, x, 1.0) @ lam)
     flow, integral = matops.exp_and_integral_vec(bt, dq.beta_tilde, 1.0)
@@ -135,7 +126,7 @@ def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam) -> 
     """Whether the raw discrete-generator sequence on e_lam converges:
     <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL, relative above 1."""
     dq = moments.derive(params)
-    return _exp_criterion(dq, _point(dq, x), _point(dq, lam))[0]
+    return _exp_criterion(dq, _point(dq, x, "x"), _point(dq, lam, "lam"))[0]
 
 
 def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
@@ -152,7 +143,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
         raise ValueError("n_list must be at least two strictly increasing integers")
 
     dq = moments.derive(params)
-    x, lam = _point(dq, x), _point(dq, lam)
+    x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
     converges, correction_rate = _exp_criterion(dq, x, lam)
 
     n = np.array(n_values, dtype=float)
@@ -212,7 +203,7 @@ def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -
     (absolute plus relative); the defining form's value is returned.
     """
     dq = moments.derive(params)
-    return _generator_forms(dq, f, _point(dq, x), 1.0)[0]
+    return _generator_forms(dq, f, _point(dq, x, "x"), 1.0)[0]
 
 
 def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunction,
@@ -230,7 +221,7 @@ def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunct
         raise ValueError(f"scale {n:.6g} is beyond the square root of the "
                          "floating-point range")
     dq = moments.derive(params)
-    return _generator_forms(dq, f, _point(dq, x), n)
+    return _generator_forms(dq, f, _point(dq, x, "x"), n)
 
 
 def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -241,7 +232,7 @@ def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) 
     (C_1/2) x f''(x) + beta_tilde f'(x).
     """
     dq = moments.derive(params)
-    x = _point(dq, x)
+    x = _point(dq, x, "x")
     hess = np.asarray(f.hessian(x), dtype=float)
     grad = np.asarray(f.gradient(x), dtype=float)
     return _diffusion_term(dq, x, hess) + float(dq.beta_tilde @ grad)
@@ -252,5 +243,5 @@ def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFu
     """Whether the scaled generator sequence converges without correction:
     <btilde x, grad f(x)> = 0 within CRITERION_TOL."""
     dq = moments.derive(params)
-    x = _point(dq, x)
+    x = _point(dq, x, "x")
     return abs(_drift_rate(dq, np.asarray(f.gradient(x), dtype=float), x)) <= CRITERION_TOL

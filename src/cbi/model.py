@@ -11,8 +11,8 @@ sum over atoms (no quadrature error anywhere downstream).
 
 Construction never rejects a candidate tuple; `validate` reports every
 violated condition instead, so a CLI user learns *why* a config fails.
-One walk over the admissibility rules (`_violations`) lists the
-violations: `moments.derive` asks it for them alone, which needs only
+One walk over the admissibility rules (`admissibility_violations`) lists
+the violations: `moments.derive` asks it for them alone, which needs only
 each measure's admissibility integral, while `validate` also has it
 record every measure's mass and norm tails and the moment-order flags.
 All types are immutable after construction and all functions are pure.
@@ -142,8 +142,8 @@ class ValidationReport:
     violations: list[str]
 
 
-def _violations(params: CbiParams, integrals: dict[str, float] | None = None,
-                order_ok: dict[int, bool] | None = None) -> list[str]:
+def admissibility_violations(params: CbiParams, integrals: dict[str, float] | None = None,
+                             order_ok: dict[int, bool] | None = None) -> list[str]:
     """Every violated admissibility condition of `params`, in a fixed order:
     the one walk over the rules that `validate` and `derive` share.
 
@@ -261,7 +261,7 @@ def validate(params: CbiParams) -> ValidationReport:
     """
     integrals: dict[str, float] = {}
     order_ok = {1: True, 2: True, 4: True}
-    violations = _violations(params, integrals, order_ok)
+    violations = admissibility_violations(params, integrals, order_ok)
     return ValidationReport(
         admissible=not violations,
         moment_order_ok={k: bool(v) for k, v in order_ok.items()},

@@ -34,7 +34,9 @@ violations (so no mass, norm tail or moment-order flag is computed), and
 its result, a `DerivedQuantities`, is the validated model. No model is
 kept between calls. Every public function that takes parameters accepts
 either a raw `CbiParams` (derived once on entry) or that result (used as
-it is), and hands the model on to what it calls.
+it is), and hands the model on to what it calls. Every point such a
+function reads (a state x or z, an argument lam, a start x0) is checked
+against the model's d by `_point`.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ import numpy as np
 from . import matops
 from .errors import InadmissibleError, NumericRangeError
 from .matops import PerronPair, SpectralSummary
-from .model import CbiParams, _frozen, _violations
+from .model import CbiParams, _frozen, admissibility_violations
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -104,7 +106,7 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     """
     if isinstance(params, DerivedQuantities):
         return params
-    violations = _violations(params)
+    violations = admissibility_violations(params)
     if violations:
         raise InadmissibleError(violations)
     d = params.d
@@ -157,10 +159,18 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     )
 
 
+def _point(dq: DerivedQuantities, v, name: str) -> np.ndarray:
+    """v as a float vector; a length other than d is a ValueError naming it."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (dq.params.d,):
+        raise ValueError(f"{name} must have length d={dq.params.d}, got shape {v.shape}")
+    return v
+
+
 def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float) -> np.ndarray:
     """E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     dq = derive(params)
+    x = _point(dq, x, "x")
     flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, t)
     return flow @ x + integral
 
@@ -175,6 +185,7 @@ def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray
     anything else is rejected.
     """
     dq = derive(params)
+    z = _point(dq, z, "z")
     if np.any(dq.params.beta != 0) or dq.params.nu.natoms:
         raise ValueError("variance_no_immigration requires beta = 0 and an empty nu")
     V = matops.branching_integral(dq.btilde, dq.big_c, z, t)

@@ -30,8 +30,9 @@ diffusion dY = <u_left, beta_tilde> dt + sqrt(<cbar u_left, u_left> Y^+) dW
 embedded on the ray spanned by u_right. That diffusion is itself a
 one-type CBI (`limit_ray`), so all three run through one Euler kernel.
 
-A run whose grid- and path-sized arrays would exceed MAX_BYTES is refused
-with ValueError before any of them is allocated.
+Each public simulate_* checks the start cfg.x0 against the model's d once,
+on entry. A run whose grid- and path-sized arrays would exceed MAX_BYTES is
+refused with ValueError before any of them is allocated.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 from . import moments
 from .errors import ClassificationError
 from .model import CbiParams
-from .moments import DerivedQuantities
+from .moments import DerivedQuantities, _point
 
 #: Steps per randomness window (fixed so stream layout never depends on batching).
 WINDOW = 1024
@@ -210,9 +211,6 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     """
     params = dq.params
     d = params.d
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise ValueError(f"x0 must have length d={d}, got shape {x0.shape}")
     M = dq.drift_table
     sqrt_h = math.sqrt(h)
     # jump sources in draw order, one per row i of the atom table (see
@@ -332,9 +330,10 @@ def _check_size(n_paths: int, n_values: int, n_points: int) -> None:
 def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list[SamplePath]:
     """Simulate CBI paths on the grid 0, dt, ..., horizon."""
     dq = moments.derive(params)
+    x0 = _point(dq, cfg.x0, "x0")
     K, h = _grid(cfg.horizon, cfg.dt)
     _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * dq.params.d, K + 1)
-    states, logs = _simulate_grid(dq, cfg.x0, K, h, cfg.seed, cfg.n_paths,
+    states, logs = _simulate_grid(dq, x0, K, h, cfg.seed, cfg.n_paths,
                                   np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
     return [SamplePath(times=times, states=states[p], jump_log=tuple(logs[p]))
@@ -359,6 +358,7 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     dq = moments.derive(params)
+    x0 = _point(dq, cfg.x0, "x0")
     K_base, h = _grid(n * cfg.horizon, cfg.dt)
     K_out, _ = _grid(cfg.horizon, cfg.dt)
     # base states recorded at, and scaled states returned on, the output grid
@@ -369,7 +369,7 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
                         scaled_last_index(n, cfg.horizon))
     base_idx = np.minimum(np.round(m_of_t / h).astype(int), K_base)
     record_idx, take = np.unique(base_idx, return_inverse=True)
-    base_states, _ = _simulate_grid(dq, float(n) * cfg.x0, K_base, h,
+    base_states, _ = _simulate_grid(dq, float(n) * x0, K_base, h,
                                     cfg.seed, cfg.n_paths, record_idx)
     return [SamplePath(times=times, states=base_states[p][take] / float(n))
             for p in range(cfg.n_paths)]
@@ -403,13 +403,12 @@ def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
     states carry the embedding Y_t * u_right and `scalar` the 1-d path.
     """
     dq = moments.derive(params)
+    x0 = _point(dq, cfg.x0, "x0")
     ray = limit_ray(dq)
     d = dq.params.d
-    if cfg.x0.shape != (d,):
-        raise ValueError(f"x0 must have length d={d}, got shape {cfg.x0.shape}")
     K, h = _grid(cfg.horizon, cfg.dt)
     _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * (1 + d), K + 1)
-    scalars, _ = _simulate_grid(ray, [float(dq.perron.u_left @ cfg.x0)], K, h,
+    scalars, _ = _simulate_grid(ray, [float(dq.perron.u_left @ x0)], K, h,
                                 cfg.seed, cfg.n_paths, np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
     u_right = dq.perron.u_right

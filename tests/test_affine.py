@@ -26,7 +26,7 @@ def test_phi_pure_diffusion(fix_a):
 def test_phi_single_atom():
     params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
                        mu=(JumpMeasure.from_atoms([(1.0, [2.0])]),))
-    assert phi(params, [1.0])[0] == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert phi(params, [1.0])[0] == pytest.approx(math.exp(-2.0), rel=1e-14, abs=0.0)
 
 
 def test_phi_matches_loop_oracle(jump_d2, jump_d3):
@@ -50,7 +50,7 @@ def test_psi_linear_without_atoms(fix_a):
 def test_psi_single_atom():
     params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
                        nu=JumpMeasure.from_atoms([(1.0, [1.0])]))
-    assert psi(params, [1.0]) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    assert psi(params, [1.0]) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14, abs=0.0)
 
 
 def test_psi_two_forms_agree(jump_mixed, jump_d2, jump_d3):
@@ -112,12 +112,12 @@ def test_solve_v_rejects_bad_input(fix_a):
     with pytest.raises(ValueError):
         solve_v(fix_a, 1.0, [-0.5])
     with pytest.raises(ValueError):
-        solve_v(fix_a, 1.0, [1.0], rtol=-1e-10)
+        solve_v(fix_a, 1.0, [1.0], tol=-1e-10)
     # below 100 eps the stepper would shrink its step under the float spacing
     with pytest.raises(ValueError, match="floor"):
-        solve_v(fix_a, 1.0, [1.0], rtol=0.5 * MIN_RTOL)
-    assert solve_v(fix_a, 1.0, [1.0], rtol=MIN_RTOL, atol=1e-2 * MIN_RTOL).v_final[0] \
-        == pytest.approx(0.5, rel=1e-13)
+        solve_v(fix_a, 1.0, [1.0], tol=0.5 * MIN_RTOL)
+    assert solve_v(fix_a, 1.0, [1.0], tol=MIN_RTOL).v_final[0] \
+        == pytest.approx(0.5, rel=1e-13, abs=0.0)
 
 
 def test_solve_v_nonnegative_at_every_horizon(jump_d2):
@@ -166,7 +166,7 @@ def test_psi_integral_matches_augmented_oracle(fix_a, jump_mixed, jump_d2):
 def test_psi_integral_long_horizon_closed_form(fix_a, t, lam):
     # psi(v) = v with v = lam / (1 + lam s): the integral is log(1 + lam t)
     got = solve_v(fix_a, t, [lam]).psi_integral
-    assert got == pytest.approx(math.log1p(lam * t), rel=1e-9)
+    assert got == pytest.approx(math.log1p(lam * t), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e20])
@@ -187,7 +187,7 @@ def test_psi_integral_far_horizon_closed_form(fix_a, t):
 def test_psi_integral_long_horizon_augmented_oracle(jump_d2, t):
     lam = [40.0, 40.0]
     _, integral = v_with_psi_state(jump_d2, t, lam)
-    assert solve_v(jump_d2, t, lam).psi_integral == pytest.approx(integral, rel=1e-9)
+    assert solve_v(jump_d2, t, lam).psi_integral == pytest.approx(integral, rel=1e-9, abs=0.0)
 
 
 # --- Laplace transform -----------------------------------------------------
@@ -198,7 +198,7 @@ def test_laplace_is_one_at_zero(jump_d2):
 
 def test_laplace_at_time_zero(jump_mixed):
     assert laplace_transform(jump_mixed, 0.0, [2.0], [1.5]) == pytest.approx(
-        math.exp(-3.0), rel=1e-12)
+        math.exp(-3.0), rel=1e-12, abs=0.0)
 
 
 def test_laplace_scalar_closed_form(fix_a):
@@ -248,7 +248,7 @@ def test_hessian_limit_zero_without_branching():
 
 
 def test_hessian_limit_fix_a(fix_a):
-    assert v_hessian_limit(fix_a, 1.0, 0, 0, 0) == pytest.approx(-2.0, rel=1e-12)
+    assert v_hessian_limit(fix_a, 1.0, 0, 0, 0) == pytest.approx(-2.0, rel=1e-12, abs=0.0)
 
 
 def test_hessian_limit_is_nonpositive_diagonal(jump_d2):
@@ -300,10 +300,8 @@ def test_laplace_moment_bridge(branching_jump):
 
     def probe(eps):
         h = 0.5 * eps
-        lp = math.log(laplace_transform(params, t, ek, (eps + h) * lam,
-                                        rtol=1e-12, atol=1e-14))
-        lm = math.log(laplace_transform(params, t, ek, (eps - h) * lam,
-                                        rtol=1e-12, atol=1e-14))
+        lp = math.log(laplace_transform(params, t, ek, (eps + h) * lam, tol=1e-12))
+        lm = math.log(laplace_transform(params, t, ek, (eps - h) * lam, tol=1e-12))
         return -(lp - lm) / (2 * h)
 
     est = 2.0 * probe(5e-5) - probe(1e-4)

@@ -118,15 +118,15 @@ def test_degenerate_critical_derives_without_perron_pair():
 @pytest.fixture
 def admissibility_walks(monkeypatch):
     """The params of every walk over the admissibility rules that `derive`
-    makes (`model._violations`, as bound in moments)."""
+    makes (`model.admissibility_violations`, as bound in moments)."""
     calls = []
-    inner = moments._violations
+    inner = moments.admissibility_violations
 
     def counting(params):
         calls.append(params)
         return inner(params)
 
-    monkeypatch.setattr(moments, "_violations", counting)
+    monkeypatch.setattr(moments, "admissibility_violations", counting)
     return calls
 
 

@@ -14,6 +14,7 @@ from cbi.generators import (DEFAULT_N_LIST, VERDICT_CONVERGES, VERDICT_DIVERGES,
                             generator_apply, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import mat_exp
 from cbi.model import CbiParams, JumpMeasure
+from cbi.simulate import PathConfig, simulate_cbi, simulate_limit_diffusion, simulate_scaled_step
 from cbi.testfunctions import TestFunction, bump
 
 from conftest import (assert_close, make_d2_critical, make_degenerate_critical, make_fix_a,
@@ -164,16 +165,17 @@ def test_discrete_gen_exactness_bridge(fix_a, jump_mixed):
     # n = 1 must equal the Laplace-transform route directly
     for params, x, lam in ((fix_a, [2.0], [1.0]), (jump_mixed, [1.5], [0.8])):
         via_gen = discrete_gen_exp(params, 1, x, lam)
-        via_laplace = laplace_transform(params, 1.0, x, lam, rtol=1e-12, atol=1e-14) \
+        via_laplace = laplace_transform(params, 1.0, x, lam, tol=1e-12) \
             - math.exp(-float(np.dot(lam, x)))
         assert via_gen == pytest.approx(via_laplace, abs=1e-12)
 
 
 def test_discrete_gen_limit_values(fix_a):
-    assert discrete_gen_limit(fix_a, [2.0], [1.0]) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert discrete_gen_limit(fix_a, [2.0], [1.0]) == pytest.approx(math.exp(-2.0), rel=1e-12,
+                                                                    abs=0.0)
     assert discrete_gen_limit(fix_a, [2.0], [0.0]) == pytest.approx(0.0, abs=1e-14)
     # x = 0 leaves only the immigration part: -lam * beta_tilde
-    assert discrete_gen_limit(fix_a, [0.0], [1.0]) == pytest.approx(-1.0, rel=1e-12)
+    assert discrete_gen_limit(fix_a, [0.0], [1.0]) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
 
 
 def test_table_fix_a_converges_at_rate(fix_a):
@@ -219,7 +221,7 @@ def test_table_d2_off_ray_diverges(d2_critical):
     a = float(lam @ (mat_exp(d2_critical.B, 1.0) @ x))
     b = float(lam @ x)
     exact_slope = math.exp(-a) - math.exp(-b)
-    assert tab.fitted_slope == pytest.approx(exact_slope, rel=0.10)
+    assert tab.fitted_slope == pytest.approx(exact_slope, rel=0.10, abs=0.0)
     assert abs(tab.fitted_slope) <= abs(a - b) * math.exp(-min(a, b)) * 1.01
     # corrected sequence still converges to the limit
     assert tab.gaps[-1] < 1e-3
@@ -298,7 +300,7 @@ def test_generator_no_jump_reduction(d2_critical):
     H = f.hessian(x)
     expected = float(d2_critical.c @ (x * np.diag(H))) \
         + float((d2_critical.beta + d2_critical.B @ x) @ f.gradient(x))
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_generator_single_branching_atom():
@@ -308,7 +310,7 @@ def test_generator_single_branching_atom():
     x = np.array([1.0])
     # x + z = 3 is outside the support: A f(x) = x (0 - f(x) - f'(x) * 1)
     expected = -f.value(x) - f.gradient(x)[0]
-    assert generator_apply(params, f, x) == pytest.approx(expected, rel=1e-12)
+    assert generator_apply(params, f, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_generator_two_forms_agree_on_fixtures(fix_a, jump_mixed, jump_d2, jump_d3,
@@ -330,7 +332,7 @@ def test_scaled_gen_n1_equals_generator(jump_mixed):
     f = bump([0.5], 2.0)
     x = [0.7]
     assert scaled_gen_apply(jump_mixed, 1, f, x)[0] == pytest.approx(
-        generator_apply(jump_mixed, f, x), rel=1e-12)
+        generator_apply(jump_mixed, f, x), rel=1e-12, abs=0.0)
 
 
 def test_scaled_gen_rejects_n_below_one(jump_mixed):
@@ -347,14 +349,14 @@ def test_scaled_gen_no_jump_closed_form(d2_critical):
         expected = float(d2_critical.c @ (x * np.diag(H))) \
             + float(d2_critical.beta @ g) + n * float((d2_critical.B @ x) @ g)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        assert rate == pytest.approx(float((d2_critical.B @ x) @ g), rel=1e-12)
+        assert rate == pytest.approx(float((d2_critical.B @ x) @ g), rel=1e-12, abs=0.0)
 
 
 def test_scaled_gen_limit_values(fix_a):
     f = bump([0.5], 1.5)
     # x = 0: only the immigration drift survives
     assert scaled_gen_limit(fix_a, f, [0.0]) == pytest.approx(
-        float(f.gradient([0.0])[0]), rel=1e-12)
+        float(f.gradient([0.0])[0]), rel=1e-12, abs=0.0)
     # squared Bessel form x f'' + f'
     x = np.array([0.8])
     assert scaled_gen_limit(fix_a, f, x) == pytest.approx(
@@ -419,12 +421,28 @@ _WRONG_LENGTH = {
     "scaled_gen_apply": lambda p: scaled_gen_apply(p, 10, F2, [0.5, 0.5, 0.5]),
     "scaled_gen_limit": lambda p: scaled_gen_limit(p, F2, [[0.5, 0.5]]),
     "drift_convergence_criterion": lambda p: drift_convergence_criterion(p, F2, [0.5]),
+    "mean x": lambda p: moments.mean(p, [0.5], 1.0),
+    "mean 2-D x": lambda p: moments.mean(p, [[1.0, 2.0], [3.0, 4.0]], 1.0),
+    "variance_no_immigration z": lambda p: moments.variance_no_immigration(p, [0.5] * 3, 1.0),
+    "variance_no_immigration 2-D z": lambda p: moments.variance_no_immigration(
+        p, [[1.0], [2.0]], 1.0),
+    "laplace_transform x": lambda p: laplace_transform(p, 1.0, [0.5], [1.0, 1.0]),
+    "laplace_transform 2-D lam": lambda p: laplace_transform(p, 1.0, [0.5, 0.5], np.ones((2, 2))),
+    # PathConfig itself refuses an x0 that is not a vector
+    "simulate_cbi x0": lambda p: simulate_cbi(p, _cfg([0.5])),
+    "simulate_scaled_step x0": lambda p: simulate_scaled_step(p, 2, _cfg([0.5] * 3)),
+    "simulate_limit_diffusion x0": lambda p: simulate_limit_diffusion(p, _cfg([0.5])),
 }
+
+
+def _cfg(x0):
+    return PathConfig(x0=x0, horizon=1.0, dt=0.1, seed=0, n_paths=2)
 
 
 @pytest.mark.parametrize("name", _WRONG_LENGTH)
 def test_generator_entry_points_check_lengths_against_d(name, d2_critical):
-    with pytest.raises(ValueError, match=r"must have length d=2, got shape"):
+    # every entry point that reads a point checks it once, naming it
+    with pytest.raises(ValueError, match=r"^(x|lam|z|x0) must have length d=2, got shape \("):
         _WRONG_LENGTH[name](d2_critical)
 
 

@@ -13,10 +13,12 @@ from cbi.errors import SolverError
 from conftest import ALL_FIXTURES, make_jump_d2
 from ref_oracles import phi_loops, psi_loops, v_with_psi_state
 
-#: (t, lam scale, rtol, atol): an easy solve at the defaults, and long stiff
-#: ones, at the defaults and at the tight pair, that reject steps on
-#: branching_jump.
-CASES = [(1.0, 1.0, 1e-10, 1e-12), (3.0, 200.0, 1e-10, 1e-12), (1.0, 40.0, 1e-12, 1e-14)]
+#: (t, lam scale, tol): an easy solve at the default, and long stiff ones,
+#: at the default and at the tight tolerance, that reject steps on
+#: branching_jump. scipy runs at rtol = tol and atol = tol / 100, the pair
+#: that solve_v controls, and each case's id names that pair.
+CASES = [(1.0, 1.0, 1e-10), (3.0, 200.0, 1e-10), (1.0, 40.0, 1e-12)]
+CASE_IDS = [f"{t}-{scale}-{tol}-{tol / 100}" for t, scale, tol in CASES]
 
 
 #: Dormand-Prince 5(4) with the coefficients of scipy's RK45, laid out as
@@ -46,10 +48,10 @@ def scipy_solve(params, t, lam, rtol, atol, method):
     return sol
 
 
-def assert_takes_scipy_steps(params, t, scale, rtol, atol, method, evals_per_step):
+def assert_takes_scipy_steps(params, t, scale, tol, method, evals_per_step):
     lam = scale * np.linspace(1.0, 0.6, params.d)
-    ref = scipy_solve(params, t, lam, rtol, atol, method)
-    sol = solve_v(params, t, lam, rtol=rtol, atol=atol)
+    ref = scipy_solve(params, t, lam, tol, tol / 100, method)
+    sol = solve_v(params, t, lam, tol=tol)
     steps = len(ref.t) - 1
     assert sol.solver_stats["steps"] == steps
     assert sol.solver_stats["nfev"] == ref.nfev
@@ -60,19 +62,19 @@ def assert_takes_scipy_steps(params, t, scale, rtol, atol, method, evals_per_ste
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
-@pytest.mark.parametrize("t, scale, rtol, atol", CASES)
-def test_lone_column_takes_scipy_dop853_steps(name, t, scale, rtol, atol):
-    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, rtol, atol, "DOP853", 12)
+@pytest.mark.parametrize("t, scale, tol", CASES, ids=CASE_IDS)
+def test_lone_column_takes_scipy_dop853_steps(name, t, scale, tol):
+    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, tol, "DOP853", 12)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
-@pytest.mark.parametrize("t, scale, rtol, atol", CASES)
-def test_lone_column_takes_scipy_rk45_steps(monkeypatch, name, t, scale, rtol, atol):
+@pytest.mark.parametrize("t, scale, tol", CASES, ids=CASE_IDS)
+def test_lone_column_takes_scipy_rk45_steps(monkeypatch, name, t, scale, tol):
     # the step driver (initial step, step control, rejections, error norm,
     # evaluation count) is the tableau's: fed DP5(4), it is scipy's RK45
     for attr, value in DP54.items():
         monkeypatch.setattr(affine, attr, value)
-    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, rtol, atol, "RK45", 6)
+    assert_takes_scipy_steps(ALL_FIXTURES[name](), t, scale, tol, "RK45", 6)
 
 
 def test_cases_reject_steps(branching_jump):
