@@ -27,7 +27,11 @@ import numpy as np
 
 
 def _frozen(a, ndmin: int = 0) -> np.ndarray:
-    """A read-only float copy of `a`, so that no caller's array is shared."""
+    """A read-only float copy of `a`, so that no caller's array is shared.
+
+    CbiParams and JumpMeasure copy what they are given through this;
+    `moments.derive` copies nothing: it freezes in place the arrays it has
+    just made and shares B and beta of `params` where no atom changes them."""
     a = np.array(a, dtype=float, ndmin=ndmin)
     a.setflags(write=False)
     return a

@@ -18,7 +18,9 @@ var(Z_t | Z_0 = z) = sum_l int_0^t (e_l . exp((t-u) btilde) z)
                                 exp(u btilde) C_l exp(u btilde)^T du.
 
 Criticality is classified from the spectral abscissa of btilde and
-depends only on the branching data (B, mu, c), never on beta or nu.
+depends only on the branching data (B, mu, c), never on beta or nu. It is
+decided once per model, on the first read of `.classification`: `derive`
+does not classify, so a call that never asks pays for no eigenvalues.
 
 Every atom integral reads one table that `derive` builds: atom_points Z,
 shape (A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in
@@ -40,6 +42,7 @@ against the model's d by `_point`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,9 +65,12 @@ CRITICAL_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class DerivedQuantities:
     """An admissible parameter tuple with its derived quantities, all
-    read-only. The Perron pair and cbar are None unless the model is
-    critical and irreducible; they are computed on first access, which
-    raises ClassificationError when no strictly positive pair exists.
+    read-only. The spectrum, the classification, the Perron pair and cbar
+    are computed on first access and kept: the first read of `.spectral`
+    (or of `.classification` on an irreducible btilde) raises SolverError
+    when the eigenvalue solver fails. The Perron pair and cbar are None
+    unless the model is critical and irreducible; their first read raises
+    ClassificationError when no strictly positive pair exists.
 
     atom_points Z (A, d) and atom_weights W (d+1, A) are the atom table:
     the atoms of mu_1, ..., mu_d, then of nu; row i < d of W holds mu_i's
@@ -76,10 +82,22 @@ class DerivedQuantities:
     beta_tilde: np.ndarray
     big_c: tuple[np.ndarray, ...]
     drift_table: np.ndarray
-    classification: str
-    spectral: SpectralSummary
     atom_points: np.ndarray
     atom_weights: np.ndarray
+
+    @cached_property
+    def spectral(self) -> SpectralSummary:
+        return matops.spectral(self.btilde)
+
+    @cached_property
+    def classification(self) -> str:
+        if not matops.is_irreducible(self.btilde):
+            return NOT_IRREDUCIBLE
+        if self.spectral.spectral_abscissa < -CRITICAL_TOL:
+            return SUBCRITICAL
+        if self.spectral.spectral_abscissa > CRITICAL_TOL:
+            return SUPERCRITICAL
+        return CRITICAL
 
     @cached_property
     def perron(self) -> PerronPair | None:
@@ -95,8 +113,9 @@ class DerivedQuantities:
 
 
 def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
-    """Validate once and compute every derived quantity with the
-    criticality classification; a `DerivedQuantities` is returned as it is.
+    """Validate once and compute every derived quantity but the spectral
+    ones (spectrum, classification, Perron pair, cbar), which the result
+    computes on first read; a `DerivedQuantities` is returned as it is.
 
     Raises InadmissibleError, carrying every violation in `validate`'s
     words and order, when the tuple is not admissible, and
@@ -115,9 +134,8 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     sizes = [len(m.weights) for m in measures]
     Z, W = np.zeros((sum(sizes), d)), np.zeros((d + 1, sum(sizes)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        big_c = np.zeros((d, d, d))
-        for k in range(d):
-            big_c[k, k, k] = 2.0 * params.c[k]
+        big_c, k = np.zeros((d, d, d)), np.arange(d)
+        big_c[k, k, k] = 2.0 * params.c
         btilde, beta_tilde, drift = params.B, params.beta, np.empty((d + 1, d))
         drift[:d], drift[d] = params.B.T, params.beta  # M in C order: BLAS rounds by layout
         if len(Z):  # a jump-free model does no atom arithmetic
@@ -126,37 +144,24 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
                 np.concatenate([m.weights for m in measures])
             owned = W[:d] > 0
             btilde = btilde + (W[:d] @ np.maximum(Z - owned.T, 0.0)).T
-            drift[:d] -= np.diag(np.diag(W[:d] @ np.minimum(1.0, Z)))  # diag kappa
+            drift[k, k] -= np.diagonal(W[:d] @ np.minimum(1.0, Z))  # kappa
             beta_tilde = beta_tilde + W[d] @ Z
-            zz = Z[:, :, None] * Z[:, None, :]
-            for C, w, own in zip(big_c, W, owned):
-                C += np.tensordot(w[own], zz[own], axes=(0, 0))
-    if not np.isfinite(np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde,
-                                       big_c.ravel()])).all():
+            zz = (Z[:, :, None] * Z[:, None, :]).reshape(-1, d * d)
+            for C, w, own in zip(big_c, W, owned):  # the one dot np.tensordot makes
+                C += np.dot(w[own][None], zz[own]).reshape(d, d)
+        entries = np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde, big_c.ravel()])
+        total = entries.sum()
+    # finite entries have a finite sum unless the sum itself overflows, so
+    # the entrywise check runs only on a non-finite sum
+    if not math.isfinite(total) and not np.isfinite(entries).all():
         raise NumericRangeError("derived quantities (btilde, beta_tilde, C_k, kappa) "
                                 "overflowed the floating-point range")
-
-    summary = matops.spectral(btilde)
-    if not matops.is_irreducible(btilde):
-        classification = NOT_IRREDUCIBLE
-    elif summary.spectral_abscissa < -CRITICAL_TOL:
-        classification = SUBCRITICAL
-    elif summary.spectral_abscissa > CRITICAL_TOL:
-        classification = SUPERCRITICAL
-    else:
-        classification = CRITICAL
-
-    return DerivedQuantities(
-        params=params,
-        btilde=_frozen(btilde),
-        beta_tilde=_frozen(beta_tilde),
-        big_c=tuple(_frozen(big_c)),
-        drift_table=_frozen(drift),
-        atom_points=_frozen(Z),
-        atom_weights=_frozen(W),
-        classification=classification,
-        spectral=summary,
-    )
+    # no copy: each array is new or the read-only B or beta of `params`
+    for a in (btilde, beta_tilde, big_c, drift, Z, W):
+        a.setflags(write=False)
+    return DerivedQuantities(params=params, btilde=btilde, beta_tilde=beta_tilde,
+                             big_c=tuple(big_c), drift_table=drift,
+                             atom_points=Z, atom_weights=W)
 
 
 def _point(dq: DerivedQuantities, v, name: str) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbi import affine, cli, generators, matops, moments, simulate
-from cbi.errors import ClassificationError, InadmissibleError, NumericRangeError
+from cbi.errors import ClassificationError, InadmissibleError, NumericRangeError, SolverError
 from cbi.model import CbiParams, JumpMeasure, validate
 from cbi.moments import CRITICAL
 from cbi.testfunctions import bump
@@ -169,7 +169,9 @@ def test_no_model_is_kept_between_calls(admissibility_walks):
     assert admissibility_walks == [params, params]
 
 
-def test_perron_reuses_the_classification(monkeypatch):
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """How often `matops.spectral` and `matops.is_irreducible` run."""
     calls = {"spectral": 0, "is_irreducible": 0}
     for name in calls:
         inner = getattr(matops, name)
@@ -179,6 +181,68 @@ def test_perron_reuses_the_classification(monkeypatch):
             return inner(A)
 
         monkeypatch.setattr(matops, name, counting)
-    pp = moments.derive(make_d2_critical()).perron
-    assert_close(pp.u_right, [0.5, 0.5], 1e-12)
-    assert calls == {"spectral": 1, "is_irreducible": 1}
+    return calls
+
+
+def test_perron_reuses_the_classification(spectral_calls):
+    dq = moments.derive(make_d2_critical())
+    assert spectral_calls == {"spectral": 0, "is_irreducible": 0}
+    for _ in range(2):
+        assert dq.spectral.spectral_abscissa == pytest.approx(0.0, abs=1e-12)
+        assert dq.classification == CRITICAL
+        assert_close(dq.perron.u_right, [0.5, 0.5], 1e-12)
+        assert dq.cbar.shape == (2, 2)
+    assert spectral_calls == {"spectral": 1, "is_irreducible": 1}
+
+
+LAZY_CALLS = {
+    "mean": lambda p: moments.mean(p, [1.0, 0.5], 1.0),
+    "variance_no_immigration": lambda p: moments.variance_no_immigration(
+        p.without_immigration(), [1.0, 0.5], 1.0),
+    "v_hessian_limit": lambda p: affine.v_hessian_limit(p, 1.0, 0, 1, 0),
+    "discrete_gen_limit": lambda p: generators.discrete_gen_limit(p, [1.0, 0.5], [0.7, 1.2]),
+    "scaled_gen_limit": lambda p: generators.scaled_gen_limit(p, F, [0.4, 0.9]),
+    "generator_apply": lambda p: generators.generator_apply(p, F, [0.4, 0.9]),
+}
+
+
+@pytest.mark.parametrize("name", LAZY_CALLS)
+@pytest.mark.parametrize("make", [make_jump_d2, make_d2_critical])
+def test_calls_that_need_no_classification_compute_none(name, make, spectral_calls):
+    assert np.all(np.isfinite(LAZY_CALLS[name](make())))
+    assert spectral_calls == {"spectral": 0, "is_irreducible": 0}
+
+
+def test_eigenvalue_failure_reaches_only_the_calls_that_classify(monkeypatch, tmp_path, capsys):
+    # derive computes no spectrum, so a failing eigenvalue solver stops
+    # `cbi derive` (exit 3, as a solver error) and not the mean
+    def failing(A):
+        raise SolverError("eigenvalue computation did not converge: patched")
+
+    monkeypatch.setattr(matops, "spectral", failing)
+    params = make_d2_critical()
+    path = tmp_path / "d2_critical.json"
+    write_params(params, path)
+    assert cli.run(["derive", "--params", str(path)]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: eigenvalue computation did not converge: patched\n"
+    assert np.all(np.isfinite(moments.mean(params, [1.0, 0.5], 1.0)))
+
+
+def test_a_finite_model_whose_entries_overflow_in_sum_derives():
+    # the sum over every derived entry is inf; each entry is finite
+    beta = np.array([1e308, 1e308])
+    dq = moments.derive(CbiParams.no_jumps(c=[1.0, 1.0], beta=beta, B=-np.eye(2)))
+    assert dq.beta_tilde.tobytes() == beta.tobytes()
+    assert dq.drift_table[2].tobytes() == beta.tobytes()
+
+
+def test_overflowing_derived_quantities_raise():
+    # admissible (nu's integral of 1 ^ |z| is 1e200), but beta_tilde = inf
+    params = CbiParams(d=2, c=[1.0, 1.0], beta=[1.0, 1.0], B=-np.eye(2),
+                       nu=JumpMeasure([1e200], [[1e200, 1e200]]))
+    assert validate(params).admissible
+    with pytest.raises(NumericRangeError, match=r"^derived quantities \(btilde, beta_tilde, "
+                       r"C_k, kappa\) overflowed the floating-point range$"):
+        moments.derive(params)

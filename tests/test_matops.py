@@ -57,6 +57,15 @@ def test_mat_exp_overflow_raises():
     assert np.array_equal(mat_exp([[0.0, 0.0], [0.0, 1.0]], 5e-324), np.eye(2))
 
 
+def test_mat_exp_non_finite_matrix_raises():
+    # a NaN, an inf, and an inf at t = 0, where t*A is NaN; no numpy
+    # warning may escape (pytest turns one into an error)
+    for A, t in (([[0.5, np.nan], [0.0, 1.0]], 1.0), ([[0.5, 0.0], [np.inf, 1.0]], 1.0),
+                 ([[0.5, 0.0], [-np.inf, 1.0]], 0.0)):
+        with pytest.raises(NumericRangeError, match="non-finite matrix"):
+            mat_exp(A, t)
+
+
 def _essentially_nonnegative(rng, d, diag_low, off_high):
     A = rng.uniform(0.0, off_high, (d, d))
     np.fill_diagonal(A, rng.uniform(diag_low, 0.5, d))
