@@ -174,9 +174,9 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     # fmin/fmax skip NaN means, as the elementwise comparisons did
     if np.fmin.reduce(mean_arr, axis=None) < 0:
         raise ValueError("Poisson mean must be >= 0")
-    if np.fmax.reduce(mean_arr, axis=None) > 100:
-        raise ValueError(
-            f"per-step jump intensity {mean_arr.max():.3g} too large; decrease dt")
+    mean_max = np.fmax.reduce(mean_arr, axis=None)
+    if mean_max > 100:
+        raise ValueError(f"per-step jump intensity {mean_max:.3g} too large; decrease dt")
     pmf = np.exp(-mean_arr)
     counts = np.zeros(u.shape, dtype=np.int64)
     positive = u >= pmf
@@ -207,7 +207,11 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
 
     Returns states recorded at the grid indices `record_idx` (shape
-    (n_paths, len(record_idx), d)) and per-path jump logs.
+    (n_paths, len(record_idx), d)) and per-path jump logs. The states are a
+    path-major view of a step-major buffer: a recorded step's new state is
+    truncated straight into its (P, d) slab of a block, any other into one
+    scratch array. Once the start is truncated the state is its own positive
+    part, since np.maximum(., 0.0) is idempotent bit for bit.
     """
     params = dq.params
     d = params.d
@@ -226,7 +230,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     rec_flag[record_idx] = True
     rec_slot = np.cumsum(rec_flag) - 1
 
-    states_rec = np.empty((n_paths, int(rec_flag.sum()), d))
+    states_rec = np.empty((int(rec_flag.sum()), n_paths, d))
     jump_logs: list[list] = [[] for _ in range(n_paths)]
 
     S = len(sources)
@@ -247,10 +251,11 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                    for key in _philox_keys(seed, p0, p1).tolist()]
         x = np.tile(x0, (P, 1))
         if rec_flag[0]:
-            states_rec[p0:p1, 0, :] = x
+            states_rec[0, p0:p1] = x
+        scratch = np.maximum(x, 0.0, out=x)
         # every operand of the step as a (P, d) array, so that each ufunc runs flat
         beta, c2 = np.tile(M[d], (P, 1)), np.tile(2.0 * params.c, (P, 1))
-        xp, x_new, noise = np.empty((P, d)), np.empty((P, d)), np.empty((P, d))
+        x_new, noise = np.empty((P, d)), np.empty((P, d))
         # xq: x_i^+ per branching-i source, 1 for immigration; mean: xq times the rates
         xq, mean = np.ones((P, S)), np.empty((P, S))
         normals = np.empty((P, min(WINDOW, K), d))
@@ -271,19 +276,18 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
 
             for kw in range(width):
                 k = w0 + kw
-                # x_new = (x + h * (beta + xp @ M[:d])) + sqrt(c2 * xp) * (sqrt_h * normal)
-                np.maximum(x, 0.0, out=xp)
-                np.matmul(xp, M[:d], out=x_new)
+                # x_new = (x + h * (beta + x @ M[:d])) + sqrt(c2 * x) * (sqrt_h * normal)
+                np.matmul(x, M[:d], out=x_new)
                 np.add(beta, x_new, out=x_new)
                 np.multiply(h, x_new, out=x_new)
                 np.add(x, x_new, out=x_new)
-                np.multiply(c2, xp, out=noise)
+                np.multiply(c2, x, out=noise)
                 np.sqrt(noise, out=noise)
                 np.multiply(noise, normals[:, kw], out=noise)
                 np.add(x_new, noise, out=x_new)
 
                 if S:
-                    xq[:, imm:] = xp[:, types]
+                    xq[:, imm:] = x[:, types]
                     np.multiply(rates, xq, out=mean)
                     counts = poisson_from_uniform(uniforms[:, kw], mean)
                     t_next = (k + 1) * h
@@ -298,14 +302,15 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                                 jump_logs[p0 + pj].append((t_next, label, z.copy()))
                         streams[pj] = bitgen.state
 
-                # before truncation, which would turn -inf into 0
-                if not np.isfinite(x_new).all():
+                # before truncation, which would turn -inf into 0; a finite sum
+                # has only finite terms, and one that overflows is checked exactly
+                if (not math.isfinite(np.add.reduce(x_new, axis=None))
+                        and not np.isfinite(x_new).all()):
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
+                x = states_rec[rec_slot[k + 1], p0:p1] if rec_flag[k + 1] else scratch
                 np.maximum(x_new, 0.0, out=x)
-                if rec_flag[k + 1]:
-                    states_rec[p0:p1, rec_slot[k + 1], :] = x
 
-    return states_rec, jump_logs
+    return states_rec.transpose(1, 0, 2), jump_logs
 
 
 def _grid(horizon: float, dt: float) -> tuple[int, float]:
@@ -336,8 +341,8 @@ def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list
     states, logs = _simulate_grid(dq, x0, K, h, cfg.seed, cfg.n_paths,
                                   np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
-    return [SamplePath(times=times, states=states[p], jump_log=tuple(logs[p]))
-            for p in range(cfg.n_paths)]
+    return [SamplePath(times=times, states=states_p, jump_log=tuple(log))
+            for states_p, log in zip(states, logs)]
 
 
 def scaled_last_index(n: int, horizon: float) -> int:
@@ -371,8 +376,8 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     record_idx, take = np.unique(base_idx, return_inverse=True)
     base_states, _ = _simulate_grid(dq, float(n) * x0, K_base, h,
                                     cfg.seed, cfg.n_paths, record_idx)
-    return [SamplePath(times=times, states=base_states[p][take] / float(n))
-            for p in range(cfg.n_paths)]
+    return [SamplePath(times=times, states=states_p)
+            for states_p in base_states[:, take] / float(n)]
 
 
 def limit_ray(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
@@ -411,10 +416,9 @@ def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
     scalars, _ = _simulate_grid(ray, [float(dq.perron.u_left @ x0)], K, h,
                                 cfg.seed, cfg.n_paths, np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
-    u_right = dq.perron.u_right
-    return [SamplePath(times=times, states=np.outer(scalars[p, :, 0], u_right),
-                       scalar=scalars[p, :, 0])
-            for p in range(cfg.n_paths)]
+    # a path's states are np.outer(its scalar, u_right): the same elementwise products
+    return [SamplePath(times=times, states=states_p, scalar=scalar_p[:, 0])
+            for states_p, scalar_p in zip(scalars * dq.perron.u_right, scalars)]
 
 
 def paths_to_csv(paths: list[SamplePath], out: TextIO) -> None:

@@ -119,6 +119,14 @@ def test_overflowing_state_is_refused_before_truncation(seed):
         simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=seed, n_paths=3))
 
 
+def test_finite_state_whose_sum_overflows_is_not_refused():
+    # the entries sum past the float range, but each is finite: no refusal
+    params = CbiParams.no_jumps(c=[0.0, 0.0], beta=[0.0, 0.0], B=np.zeros((2, 2)))
+    paths = simulate_cbi(params, PathConfig(x0=[1e308, 1e308], horizon=1.0, dt=0.1,
+                                            seed=0, n_paths=3))
+    assert all(np.array_equal(p.states, np.full((11, 2), 1e308)) for p in paths)
+
+
 def test_scaled_step_and_limit_diffusion_refuse_bad_arguments(fix_a, d2_critical):
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=0, n_paths=2)
     with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
@@ -166,6 +174,12 @@ def test_poisson_rejects_huge_mean():
         poisson_from_uniform(np.array([0.5]), 200.0)
     with pytest.raises(ValueError, match=r"^Poisson mean must be >= 0$"):
         poisson_from_uniform(np.array([0.5, 0.5]), [0.1, -1e-3])
+
+
+def test_too_large_intensity_reports_the_largest_mean_past_a_nan():
+    # fmax skips the NaN mean that max would report
+    with pytest.raises(ValueError, match=r"^per-step jump intensity 150 too large; decrease dt$"):
+        poisson_from_uniform(np.array([0.5, 0.5]), [math.nan, 150.0])
 
 
 def test_too_large_intensity_reports_the_largest_mean_over_sources():
@@ -236,6 +250,28 @@ def test_streams_match_loop_oracle_across_blocks(jump_d2, monkeypatch):
     assert sum(map(len, logs)) > 0
     for a, b in zip(whole, blocked):
         assert np.array_equal(a.states, b.states)
+
+
+@pytest.mark.parametrize("kind", ["scaled", "limit"])
+def test_scaled_and_limit_paths_agree_across_blocks(kind, jump_d2, d2_critical, monkeypatch):
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=1.1, dt=1e-3, seed=13, n_paths=7)
+    if kind == "scaled":
+        # base chain: 2200 steps with d = 2 normals and three jump sources per step,
+        # of which the output grid records the three states X_0, X_1000, X_2000
+        run, draws = lambda: simulate_scaled_step(jump_d2, 2, cfg), 2 + 3
+    else:
+        # the one-type ray diffusion: 1100 steps of one normal
+        run, draws = lambda: simulate_limit_diffusion(d2_critical, cfg), 1
+    whole = run()
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", 3 * simulate.WINDOW * draws)
+    blocks, keys = [], simulate._philox_keys
+    monkeypatch.setattr(simulate, "_philox_keys",
+                        lambda seed, p0, p1: blocks.append(p1 - p0) or keys(seed, p0, p1))
+    blocked = run()
+    assert blocks == [3, 3, 1]
+    for a, b in zip(whole, blocked, strict=True):
+        assert np.array_equal(a.states, b.states)
+        assert a.scalar is None if kind == "scaled" else np.array_equal(a.scalar, b.scalar)
 
 
 def test_streams_match_loop_oracle_on_limit_and_scaled(d2_critical, jump_mixed):
