@@ -9,9 +9,11 @@ refused before the truncation. Per step from state x:
     diffusion   sqrt(2 c_i max(x_i, 0)) dW_i   per coordinate,
     drift       (x^+, 1) M dt with the drift table M (B^T - diag kappa; beta),
                   kappa_i = int (1 ^ z_i) mu_i(dz) compensating the mu_i jumps,
-    immigration compound Poisson with rate nu(U_d), atoms weight-proportional,
-    branching   per type i, Poisson with frozen rate x_i mu_i(U_d) within
-                  the step, atoms weight-proportional.
+    jumps       per atom a of the atom table (W, Z), Z[a] times a Poisson
+                  count of mean (x^+, 1) W[:, a] dt frozen at the step start:
+                  by colouring (Kingman 1993) the law of one compound Poisson
+                  count per source with weight-proportional atoms. A source
+                  whose step mean exceeds 100 is refused.
 
 Reproducibility: each path owns a counter-based Philox stream (Salmon et
 al. 2011) whose key is SeedSequence(entropy=seed, spawn_key=(path index,))
@@ -19,10 +21,11 @@ al. 2011) whose key is SeedSequence(entropy=seed, spawn_key=(path index,))
 independent of path batching. The keys of a block of paths are hashed at
 once (`_philox_keys`), and one Philox serves the block: each path's stream
 is a saved state that is set before the path draws and saved after. Per
-window of 1024 steps a path draws its normals (steps, d), then one uniform
-per (source, step); within a step, each of its jumps then draws one uniform
-for the atom, in source order. Jump counts use exact inverse-CDF Poisson
-sampling from those uniforms, one call per step for all paths and sources.
+window of 1024 steps a path draws its normals (steps, d), then its uniforms
+(steps, A), one per step and atom in the atom table's order, both
+step-major; the stream is read nowhere else. Jump counts use exact
+inverse-CDF Poisson sampling from those uniforms, one call per step for all
+paths and atoms.
 
 Also provided: the step-scaled chain t -> X_{floor(nt)} / n and, for
 critical irreducible models, the limiting scalar squared-Bessel-type
@@ -92,10 +95,11 @@ class PathConfig:
 class SamplePath:
     """One simulated path on a fixed grid; states are componentwise >= 0.
 
-    jump_log records (time, source, jump vector) with source "immigration"
-    or "branching-i" (1-based type); jumps are stamped with the right
-    endpoint of the step they occurred in. For the limiting diffusion,
-    `scalar` carries the 1-d path whose ray embedding is in `states`.
+    jump_log records (time, source, atom table row) per jump, with source
+    "immigration" or "branching-i" (1-based type) and as time the right
+    endpoint of the jump's step; within a step it follows the atom order.
+    For the limiting diffusion, `scalar` carries the 1-d path whose ray
+    embedding is in `states`.
     """
 
     times: np.ndarray
@@ -158,13 +162,19 @@ def _philox_keys(seed: int, p0: int, p1: int) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
+def _check_intensity(mean_max) -> None:
+    """Refuse a per-step jump mean above 100: a first-order jump scheme needs
+    rate*dt << 1 and a violation that large indicates a far-too-coarse step."""
+    if mean_max > 100:
+        raise ValueError(f"per-step jump intensity {mean_max:.3g} too large; decrease dt")
+
+
 def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     """Exact inverse-CDF Poisson sampling driven by uniforms in [0, 1).
 
     Vectorized over elements; `mean` broadcasts against `u`. Means above
-    100 are rejected: a first-order jump scheme needs rate*dt << 1 and a
-    violation that large indicates a far-too-coarse step. An element whose
-    cdf saturates in floating point below its u stops at its own cutoff
+    100 are rejected (`_check_intensity`). An element whose cdf saturates
+    in floating point below its u stops at its own cutoff
     10 max(1, mean) + 201, whatever the other elements' means.
     """
     u = np.asarray(u, dtype=float)
@@ -174,9 +184,7 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     # fmin/fmax skip NaN means, as the elementwise comparisons did
     if np.fmin.reduce(mean_arr, axis=None) < 0:
         raise ValueError("Poisson mean must be >= 0")
-    mean_max = np.fmax.reduce(mean_arr, axis=None)
-    if mean_max > 100:
-        raise ValueError(f"per-step jump intensity {mean_max:.3g} too large; decrease dt")
+    _check_intensity(np.fmax.reduce(mean_arr, axis=None))
     pmf = np.exp(-mean_arr)
     counts = np.zeros(u.shape, dtype=np.int64)
     positive = u >= pmf
@@ -206,8 +214,8 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                    seed: int, n_paths: int, record_idx: np.ndarray):
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
 
-    Returns states recorded at the grid indices `record_idx` (shape
-    (n_paths, len(record_idx), d)) and per-path jump logs. The states are a
+    Returns the states at the distinct grid indices `record_idx`, shape
+    (n_paths, len(record_idx), d), and per-path jump logs. The states are a
     path-major view of a step-major buffer: a recorded step's new state is
     truncated straight into its (P, d) slab of a block, any other into one
     scratch array. Once the start is truncated the state is its own positive
@@ -217,28 +225,22 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     d = params.d
     M = dq.drift_table
     sqrt_h = math.sqrt(h)
-    # jump sources in draw order, one per row i of the atom table (see
-    # DerivedQuantities) that holds atoms, nu's row d first: (label, i,
-    # per-step rate (per unit of x_i for i < d), cumulative weights, atoms)
+    # atom a of the table (see DerivedQuantities) jumps by Z[a] at step mean
+    # (x, 1) W[:, a] h; the intensity cap holds per source, a row of W
     W, Z = dq.atom_weights, dq.atom_points
-    sources = [("immigration" if i == d else f"branching-{i + 1}", i,
-                W[i, own].sum() * h, np.cumsum(W[i, own]) / W[i, own].sum(), Z[own])
-               for i, own in ((i, W[i] > 0) for i in (d, *range(d))) if own.any()]
+    A, Wh = len(Z), W * h
+    nu_rate, type_rates = W[d].sum() * h, W[:d].sum(axis=1) * h
+    labels = ["immigration" if i == d else f"branching-{i + 1}"
+              for i in W.argmax(axis=0).tolist()]
 
     record_idx = np.asarray(record_idx, dtype=int)
-    rec_flag = np.zeros(K + 1, dtype=bool)
-    rec_flag[record_idx] = True
-    rec_slot = np.cumsum(rec_flag) - 1
+    rec_slot = np.full(K + 1, -1)
+    rec_slot[record_idx] = np.arange(len(record_idx))
 
-    states_rec = np.empty((int(rec_flag.sum()), n_paths, d))
+    states_rec = np.empty((len(record_idx), n_paths, d))
     jump_logs: list[list] = [[] for _ in range(n_paths)]
 
-    S = len(sources)
-    rates = np.array([rate for _, _, rate, _, _ in sources])
-    imm = int(S > 0 and sources[0][1] == d)  # immigration, when present, comes first
-    types = [i for _, i, _, _, _ in sources[imm:]]
-
-    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + S))))
+    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + A))))
 
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
@@ -250,26 +252,23 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                     "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
                    for key in _philox_keys(seed, p0, p1).tolist()]
         x = np.tile(x0, (P, 1))
-        if rec_flag[0]:
-            states_rec[0, p0:p1] = x
+        if rec_slot[0] >= 0:
+            states_rec[rec_slot[0], p0:p1] = x
         scratch = np.maximum(x, 0.0, out=x)
         # every operand of the step as a (P, d) array, so that each ufunc runs flat
         beta, c2 = np.tile(M[d], (P, 1)), np.tile(2.0 * params.c, (P, 1))
-        x_new, noise = np.empty((P, d)), np.empty((P, d))
-        # xq: x_i^+ per branching-i source, 1 for immigration; mean: xq times the rates
-        xq, mean = np.ones((P, S)), np.empty((P, S))
+        x_new, noise, mean = np.empty((P, d)), np.empty((P, d)), np.empty((P, A))
         normals = np.empty((P, min(WINDOW, K), d))
-        uniforms = np.empty((P, min(WINDOW, K), S))
+        uniforms = np.empty((P, min(WINDOW, K), A))
 
         for w0 in range(0, K, WINDOW):
             width = min(WINDOW, K - w0)
-            # the jumps read a stream after its window draws, as does a later window
-            keep = S > 0 or w0 + WINDOW < K
+            keep = w0 + WINDOW < K  # a later window reads on from here
             for pj in range(P):
                 bitgen.state = streams[pj]
                 rng.standard_normal(out=normals[pj, :width])
-                if S:
-                    uniforms[pj, :width] = rng.random((S, width)).T
+                if A:
+                    rng.random(out=uniforms[pj, :width])
                 if keep:
                     streams[pj] = bitgen.state
             np.multiply(normals[:, :width], sqrt_h, out=normals[:, :width])
@@ -286,28 +285,25 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 np.multiply(noise, normals[:, kw], out=noise)
                 np.add(x_new, noise, out=x_new)
 
-                if S:
-                    xq[:, imm:] = x[:, types]
-                    np.multiply(rates, xq, out=mean)
+                if A:
+                    _check_intensity(max(nu_rate, np.fmax.reduce(x * type_rates, axis=None)))
+                    np.matmul(x, Wh[:d], out=mean)
+                    np.add(mean, Wh[d], out=mean)
                     counts = poisson_from_uniform(uniforms[:, kw], mean)
-                    t_next = (k + 1) * h
-                    for pj in np.flatnonzero(counts.any(axis=1)).tolist():
-                        bitgen.state = streams[pj]
-                        for (label, _, _, cum, points), n_jumps in zip(sources,
-                                                                       counts[pj].tolist()):
-                            for _ in range(n_jumps):
-                                a = np.searchsorted(cum, rng.random(), side="right")
-                                z = points[min(a, len(cum) - 1)]
-                                x_new[pj] += z
-                                jump_logs[p0 + pj].append((t_next, label, z.copy()))
-                        streams[pj] = bitgen.state
+                    hit_paths, hit_atoms = np.nonzero(counts)
+                    if len(hit_paths):
+                        x_new += counts @ Z
+                        for pj, a, n in zip((p0 + hit_paths).tolist(), hit_atoms.tolist(),
+                                            counts[hit_paths, hit_atoms].tolist()):
+                            jump_logs[pj] += [((k + 1) * h, labels[a], Z[a])] * n
 
                 # before truncation, which would turn -inf into 0; a finite sum
                 # has only finite terms, and one that overflows is checked exactly
                 if (not math.isfinite(np.add.reduce(x_new, axis=None))
                         and not np.isfinite(x_new).all()):
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
-                x = states_rec[rec_slot[k + 1], p0:p1] if rec_flag[k + 1] else scratch
+                slot = rec_slot[k + 1]
+                x = states_rec[slot, p0:p1] if slot >= 0 else scratch
                 np.maximum(x_new, 0.0, out=x)
 
     return states_rec.transpose(1, 0, 2), jump_logs
@@ -370,8 +366,8 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     _check_size(cfg.n_paths, 2 * cfg.n_paths * (K_out + 1) * dq.params.d,
                 K_base + K_out + 2)
     times = np.linspace(0.0, cfg.horizon, K_out + 1)
-    m_of_t = np.minimum(np.floor(float(n) * times + 1e-9).astype(int),
-                        scaled_last_index(n, cfg.horizon))
+    # linspace ends at the horizon itself, so m_of_t ends at scaled_last_index
+    m_of_t = np.floor(float(n) * times + 1e-9).astype(int)
     base_idx = np.minimum(np.round(m_of_t / h).astype(int), K_base)
     record_idx, take = np.unique(base_idx, return_inverse=True)
     base_states, _ = _simulate_grid(dq, float(n) * x0, K_base, h,

@@ -20,7 +20,6 @@ them through one shared Philox, and steps the block as arrays).
 The module is named ref_oracles, not oracles, so that one pytest session
 can load it beside the benchmark's own top-level `oracles` module.
 """
-import bisect
 import math
 
 import numpy as np
@@ -210,25 +209,20 @@ def euler_paths_loop(params, x0, K, h, seed, n_paths, window=1024):
     time, in the documented stream layout: path p reads
     Generator(Philox(SeedSequence(seed, spawn_key=(p,)))); per window of up
     to `window` steps it draws the normals (width, d), then the uniforms
-    (sources, width) with the sources immigration first, then branching-1..d
-    (each measure with positive total weight); within a step, each source's
-    jumps draw one random() apiece, in source order, to pick an atom by
-    inverse CDF on the weights. Returns (states (n_paths, K+1, d), jump logs
-    of (t, source, z))."""
+    (width, atoms) with the atoms of mu_1, ..., mu_d and then of nu, each
+    measure's in order. Within a step, each atom jumps a Poisson count of
+    times, at mean weight * h times x_i^+ for an atom of mu_i and weight * h
+    for one of nu, read from its uniform; the jumps are logged in atom
+    order. Returns (states (n_paths, K+1, d), jump logs of (t, source, z))."""
     d = params.d
     c, beta, B = (np.asarray(a, float) for a in (params.c, params.beta, params.B))
     kappa = [sum(float(w) * min(1.0, float(z[i]))
                  for w, z in zip(params.mu[i].weights, params.mu[i].points))
              for i in range(d)]
-    sources = []
-    for label, i, measure in [("immigration", None, params.nu),
-                              *((f"branching-{i + 1}", i, params.mu[i]) for i in range(d))]:
-        atoms = [(float(w), np.asarray(z, float))
-                 for w, z in zip(measure.weights, measure.points) if w > 0]
-        if atoms:
-            total = math.fsum(w for w, _ in atoms)
-            cum = list(np.cumsum([w for w, _ in atoms]) / total)
-            sources.append((label, i, total, cum, [z for _, z in atoms]))
+    measures = [*((f"branching-{i + 1}", i, params.mu[i]) for i in range(d)),
+                ("immigration", None, params.nu)]
+    atoms = [(label, i, float(w) * h, np.asarray(z, float))
+             for label, i, measure in measures for w, z in zip(measure.weights, measure.points)]
     states = np.empty((n_paths, K + 1, d))
     logs = []
     for p in range(n_paths):
@@ -240,7 +234,7 @@ def euler_paths_loop(params, x0, K, h, seed, n_paths, window=1024):
         for w0 in range(0, K, window):
             width = min(window, K - w0)
             normals = rng.standard_normal((width, d))
-            uniforms = rng.random((len(sources), width))
+            uniforms = rng.random((width, len(atoms)))
             for kw in range(width):
                 k = w0 + kw
                 xp = [max(v, 0.0) for v in x]
@@ -248,11 +242,10 @@ def euler_paths_loop(params, x0, K, h, seed, n_paths, window=1024):
                                    - kappa[j] * xp[j])
                        + math.sqrt(2.0 * c[j] * xp[j]) * math.sqrt(h) * normals[kw, j]
                        for j in range(d)]
-                for s, (label, i, total, cum, points) in enumerate(sources):
-                    mean = total * h * (1.0 if i is None else xp[i])
-                    for _ in range(_poisson_count(uniforms[s, kw], mean)):
-                        z = points[min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)]
-                        new = [a + b for a, b in zip(new, z)]
+                for a, (label, i, rate, z) in enumerate(atoms):
+                    mean = rate if i is None else rate * xp[i]
+                    for _ in range(_poisson_count(uniforms[kw, a], mean)):
+                        new = [v + dz for v, dz in zip(new, z)]
                         log.append(((k + 1) * h, label, z))
                 x = [max(v, 0.0) for v in new]
                 states[p, k + 1] = x

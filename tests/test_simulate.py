@@ -191,6 +191,14 @@ def test_too_large_intensity_reports_the_largest_mean_over_sources():
         simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=0, n_paths=2))
 
 
+def test_too_large_intensity_is_capped_per_source_not_per_atom():
+    # two mu_1 atoms of step mean 60 each: their source's mean 120 is refused
+    params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
+                       mu=(JumpMeasure.from_atoms([(600.0, [1.0]), (600.0, [2.0])]),))
+    with pytest.raises(ValueError, match=r"^per-step jump intensity 120 too large; decrease dt$"):
+        simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=0, n_paths=2))
+
+
 def test_same_seed_bit_identical(fix_a):
     cfg = PathConfig(x0=[1.0], horizon=0.2, dt=1e-2, seed=42, n_paths=5)
     a = simulate_cbi(fix_a, cfg)
@@ -243,8 +251,8 @@ def test_streams_match_loop_oracle_across_windows(d2_critical):
 def test_streams_match_loop_oracle_across_blocks(jump_d2, monkeypatch):
     cfg = PathConfig(x0=[1.0, 0.5], horizon=2.0, dt=1e-2, seed=11, n_paths=5)
     whole = simulate_cbi(jump_d2, cfg)
-    # d = 2 normals and three jump sources per step: two paths per block, three blocks
-    monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * simulate.WINDOW * (2 + 3))
+    # d = 2 normals and four atoms per step: two paths per block, three blocks
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * simulate.WINDOW * (2 + 4))
     blocked = simulate_cbi(jump_d2, cfg)
     logs = _assert_matches_loop_oracle(jump_d2, blocked, cfg.x0, 200, 1e-2, cfg.seed)
     assert sum(map(len, logs)) > 0
@@ -256,9 +264,9 @@ def test_streams_match_loop_oracle_across_blocks(jump_d2, monkeypatch):
 def test_scaled_and_limit_paths_agree_across_blocks(kind, jump_d2, d2_critical, monkeypatch):
     cfg = PathConfig(x0=[1.0, 0.5], horizon=1.1, dt=1e-3, seed=13, n_paths=7)
     if kind == "scaled":
-        # base chain: 2200 steps with d = 2 normals and three jump sources per step,
+        # base chain: 2200 steps with d = 2 normals and four atoms per step,
         # of which the output grid records the three states X_0, X_1000, X_2000
-        run, draws = lambda: simulate_scaled_step(jump_d2, 2, cfg), 2 + 3
+        run, draws = lambda: simulate_scaled_step(jump_d2, 2, cfg), 2 + 4
     else:
         # the one-type ray diffusion: 1100 steps of one normal
         run, draws = lambda: simulate_limit_diffusion(d2_critical, cfg), 1
@@ -344,6 +352,26 @@ def test_mean_matches_formula_with_jumps(jump_mixed):
     ref = moments.mean(jump_mixed, [1.0], 1.0)[0]
     se = ends.std(ddof=1) / math.sqrt(len(ends))
     assert abs(ends.mean() - ref) <= 3 * se
+
+
+def test_atom_jump_counts_are_independent_poisson():
+    # immigration only (c = beta = B = 0, no mu): under Euler each nu atom's
+    # jump count over [0, T] is exactly Poisson(w_a T), independently of the others
+    weights, points = np.array([0.9, 0.5, 0.2]), [1.0, 2.0, 0.5]
+    params = CbiParams(d=1, c=[0.0], beta=[0.0], B=[[0.0]],
+                       nu=JumpMeasure.from_atoms(zip(weights, [[z] for z in points])))
+    cfg = PathConfig(x0=[0.0], horizon=2.0, dt=0.05, seed=5, n_paths=4000)
+    paths = simulate_cbi(params, cfg)
+    counts = np.array([[sum(float(z[0]) == a for _, _, z in p.jump_log) for a in points]
+                       for p in paths])
+    assert_close(_ends(paths)[:, 0], counts @ points, 1e-12, "state against its jump log")
+    lam, n = weights * cfg.horizon, cfg.n_paths
+    assert np.all(np.abs(counts.mean(axis=0) - lam) <= 4 * np.sqrt(lam / n))
+    # SE of a sample covariance of independent Poisson counts: sqrt(lam_a lam_b / n)
+    # off the diagonal, sqrt((lam + 2 lam^2) / n) for a variance
+    se = np.sqrt(np.outer(lam, lam) / n)
+    np.fill_diagonal(se, np.sqrt((lam + 2 * lam**2) / n))
+    assert np.all(np.abs(np.cov(counts.T) - np.diag(lam)) <= 4 * se)
 
 
 def test_laplace_matches_transform(fix_a):
