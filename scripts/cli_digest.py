@@ -7,7 +7,9 @@ strictly positive, and the three-type jump_d3 with three or more atoms in
 every jump measure, so that every atom sum adds several terms), one
 `simulate` run on jump_d3 whose 1250 steps cross a randomness window of
 1024 steps, one `prop31` run on d2_critical off the Perron ray whose
-raw(n) / n has not settled by n = 1000, plus commands that exit 2
+raw(n) / n has not settled by n = 1000, one `vsolve` run on the pure
+branching branching_jump of tests/conftest.py whose Riccati solve rejects
+2 of its 67 step attempts, plus commands that exit 2
 (d = 0), 64 (a missing flag, a single simulated path, a state that
 overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
 dimension).
@@ -98,6 +100,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("prop31:d2_critical-off-ray",
                  ["prop31", "--params", "d2_critical.json", "--x", "0.5,1", "--lambda", "1,1.5",
                   "--n-list", "10,100,1000"], "prop31_off_ray.csv"))
+    cmds.append(("vsolve:branching_jump-rejecting",
+                 ["vsolve", "--params", "branching_jump.json", "--t", "3", "--lambda", "200"],
+                 None))
     cmds.append(("exit64:missing-t", ["vsolve", "--params", "fix_a.json", "--lambda", "1"], None))
     cmds.append(("exit65:malformed-json", ["validate", "--params", "broken.json"], None))
     cmds.append(("exit66:wrong-dimension",
@@ -129,6 +134,9 @@ def main() -> int:
         Path("d_zero.json").write_text(json.dumps({**FIXTURES["fix_a"], "d": 0}))
         Path("overflow.json").write_text(json.dumps({**FIXTURES["fix_a"], "c": [1e300],
                                                      "beta": [0.0]}))
+        Path("branching_jump.json").write_text(json.dumps(
+            {**FIXTURES["fix_a"], "beta": [0.0], "B": [[-0.5]],
+             "mu": [[{"weight": 0.4, "z": [1.5]}]]}))
         for label, argv, out in commands():
             if out is not None:
                 argv = [*argv, "--out", out]

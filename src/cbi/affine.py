@@ -39,8 +39,11 @@ can hide inside a norm taken over the whole block, and the psi-integral's
 error is held to the solver's tolerance as v's is (the quadrature-variable
 approach of CVODES; Hindmarsh et al., ACM TOMS 31, 2005). A solve takes
 one tolerance, tol: its relative tolerance is tol and its absolute one
-tol * 1e-2. Only the current state is kept. A solve that needs more than
-MAX_STEPS accepted steps fails. Each column keeps its own clip budget.
+tol * 1e-2. A solve allocates its buffers once, a stage array and two
+state buffers that swap on every accepted step, and every stage and
+right-hand side writes into them; nothing is kept from one solve to the
+next. A solve that needs more than MAX_STEPS accepted steps fails. Each
+column keeps its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -57,6 +60,7 @@ evaluation points as the columns of one batched solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,9 +90,9 @@ HESSIAN_FD_EPS = 1e-3
 CLIP_BUDGET = 1e-8
 #: Run fails once a solve would take more accepted steps than this: far
 #: past its time scale an explicit step can be held to the stability
-#: limit, so a huge horizon would otherwise step without end. Only the
-#: current state is kept, so the cap bounds run time, not memory: 600 000
-#: rhs evaluations at 12 per step.
+#: limit, so a huge horizon would otherwise step without end. A solve's
+#: buffers do not grow with its steps, so the cap bounds run time, not
+#: memory: 600 000 rhs evaluations at 12 per step.
 MAX_STEPS = 50_000
 
 # Dormand-Prince 8(5,3), the DOP853 tableau of Hairer, Norsett & Wanner
@@ -128,7 +132,7 @@ _E3 = np.append(_B - np.array([0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.733846
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 
 
-def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
+def _riccati_rhs(dq: DerivedQuantities) -> Callable[..., np.ndarray]:
     """The right-hand side of the Riccati system with the psi-integral as
     row d, on a (d+1, m) block Y of columns (v; int psi):
 
@@ -137,21 +141,28 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[[np.ndarray], np.ndarray]:
     where V = Y[:d], L is the drift table M (`DerivedQuantities.drift_table`)
     with a zero column appended (M Y[:d] would round differently), c has a 0
     in row d, and Z, W are the model's atom table (`atom_points`,
-    `atom_weights`). Row d of Y enters no right-hand side."""
+    `atom_weights`). Row d of Y enters no right-hand side. The callable
+    writes the result into `out`, a (d+1, m) array, when one is given."""
     d = dq.params.d
     L = np.zeros((d + 1, d + 1))
     L[:, :d] = dq.drift_table
     c = np.append(dq.params.c, 0.0)[:, None]
     minus_z, W = -dq.atom_points, dq.atom_weights
-    if not len(minus_z):
-        return lambda Y: L @ Y - c * Y * Y
-    return lambda Y: L @ Y - c * Y * Y - W @ np.expm1(minus_z @ Y[:-1])
+
+    def rhs(Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.dot(L, Y, out=out)
+        out -= c * Y * Y
+        if len(minus_z):
+            out -= np.dot(W, np.expm1(np.dot(minus_z, Y[:-1])))
+        return out
+
+    return rhs
 
 
 def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """(-phi(lam); psi(lam)), the Riccati right-hand side at one point lam."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return _riccati_rhs(moments.derive(params))(np.append(lam, 0.0)[:, None])[:, 0]
+    dq = moments.derive(params)
+    return _riccati_rhs(dq)(np.append(_point(dq, lam, "lam"), 0.0)[:, None])[:, 0]
 
 
 def phi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
@@ -164,32 +175,34 @@ def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     return float(_mechanisms(params, lam)[-1])
 
 
-def _col_sumsq(z: np.ndarray, m: int) -> np.ndarray:
-    """Sum of squares of each column of the flattened (rows, m) block z -> (m,)."""
-    z = z.reshape(-1, m)
-    return np.add.reduce(z * z, axis=0)
+def _col_rms(z: np.ndarray) -> np.ndarray:
+    """RMS of each column of the (rows, m) block z -> (m,)."""
+    return np.sqrt(np.add.reduce(z * z, axis=0)) / np.sqrt(len(z))
 
 
-def _col_rms(z: np.ndarray, m: int) -> np.ndarray:
-    """RMS of each column of the flattened (rows, m) block z -> (m,)."""
-    return np.sqrt(_col_sumsq(z, m)) / np.sqrt(z.size // m)
-
-
-def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, m: int,
-                  rtol: float, atol: float) -> float:
+def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float,
+                  atol: float) -> float:
     """scipy's first-step rule (Hairer, Norsett & Wanner II.4) for an error
-    estimator of order 7, as in its DOP853, for each column; the block
-    starts with the smallest."""
+    estimator of order 7, as in its DOP853, for each column of the (d+1, m)
+    block y0; the block starts with the smallest."""
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _col_rms(y0 / scale, m), _col_rms(f0 / scale, m)
+    d0, d1 = _col_rms(y0 / scale), _col_rms(f0 / scale)
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5)), t_end)
-    y1 = (y0.reshape(-1, m) + h0 * f0.reshape(-1, m)).ravel()
-    d2 = _col_rms((rhs(y1) - f0) / scale, m) / h0
+    d2 = _col_rms((rhs(y0 + h0 * f0) - f0) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(np.maximum(d1, d2), 1e-15)) ** (-_EXPONENT))
-    return float(np.minimum(np.minimum(100 * h0, h1), t_end).min())
+    return min(float(np.minimum(100 * h0, h1).min()), t_end)
+
+
+def _col_sumsq(z_flat: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Sum of squares of each column of z / scale -> (m,), where z_flat is
+    a flattened block of scale's shape (rows, m), overwritten."""
+    z = z_flat.reshape(scale.shape)
+    z /= scale
+    z *= z
+    return np.add.reduce(z, axis=0)
 
 
 def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
@@ -198,29 +211,36 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
     is the psi-integral, to t_end with scipy's DOP853 step control on the
     largest per-column error over all d+1 rows.
 
+    The solve works in buffers of its own, allocated once: the stage array
+    K, whose row s holds stage s's slopes (row 0 the slope at the step's
+    start, the last row the slope at its end, which an accepted step copies
+    to row 0 for the next), a stage argument, and two state buffers that
+    swap on every accepted step. Each stage argument is scipy's
+    y + dot(K[:s].T, a) * h, in the same order of operations.
+
     Returns Y(t_end), the numbers of accepted steps, rhs evaluations and
     rejected step attempts, and each column's negative undershoot of its
     first d rows summed over the accepted step ends, shape (m,). Raises
     SolverError when t_end is not reached within MAX_STEPS accepted steps.
     """
-    shape, m = y0.shape, y0.shape[1]
-    n_v = y0.size - m  # the v rows lead the flattened block
-
-    def flat_rhs(y: np.ndarray) -> np.ndarray:
-        return rhs(y.reshape(shape)).ravel()
-
-    y = y0.ravel()
-    f = flat_rhs(y)
-    h_abs = _initial_step(flat_rhs, y, f, t_end, m, rtol, atol)
+    rows, m = y0.shape
+    K = np.empty((len(_E5), rows, m))
+    K_flat = K.reshape(len(K), -1)
+    stages = [(K_flat[:s].T, a, K[s]) for s, a in enumerate(_A, start=1)]
+    y, y_new, arg = np.empty((3, rows, m))
+    y[...] = y0
+    arg_flat, err_flat = arg.reshape(-1), np.empty(y0.size)
+    rhs(y, out=K[0])
+    h_abs = _initial_step(rhs, y, K[0], t_end, rtol, atol)
+    abs_y = np.abs(y)
     steps, nfev, rejected = 0, 2, 0
     clip = np.zeros(m)
     t = 0.0
-    K = np.empty((len(_E5), len(y)))
     while t < t_end:
         if steps == MAX_STEPS:
             raise SolverError(f"Riccati solve failed: {MAX_STEPS} steps reached only "
                               f"t = {t:.6g} of {t_end:.6g}")
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
@@ -229,19 +249,24 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
                                   "than the spacing of floating-point numbers")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            K[0] = f
-            for s, a in enumerate(_A, start=1):
-                K[s] = flat_rhs(y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = flat_rhs(y_new)
+            for K_s, a, k in stages:
+                np.dot(K_s, a, out=arg_flat)
+                arg *= h
+                arg += y
+                rhs(arg, out=k)
+            np.dot(K_flat[:-1].T, _B, out=y_new.reshape(-1))
+            y_new *= h
+            y_new += y
+            rhs(y_new, out=K[-1])
             nfev += len(_A) + 1
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
             # DOP853's error |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) (d+1)) per
             # column, from the squared norms of the two scaled estimates; 0
             # where e5 is 0 (a NaN from a diverging trial stays NaN)
-            e5, e3 = (_col_sumsq(np.dot(K.T, e) / scale, m) for e in (_E5, _E3))
-            error = np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * shape[0]),
-                              out=np.zeros(m), where=e5 != 0).max()
+            e5, e3 = (_col_sumsq(np.dot(K_flat.T, e, out=err_flat), scale) for e in (_E5, _E3))
+            error = float(np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * rows),
+                                    out=np.zeros(m), where=e5 != 0).max())
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -250,11 +275,12 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             step_rejected = True
             rejected += 1
-        t, y, f = t_new, y_new, f_new
+        K[0] = K[-1]
+        t, y, y_new, abs_y = t_new, y_new, y, abs_new
         steps += 1
-        if y[:n_v].min() < 0:
-            clip -= np.minimum(y[:n_v], 0.0).reshape(-1, m).sum(axis=0)
-    return y.reshape(shape), steps, nfev, rejected, clip
+        if y[:-1].min() < 0:
+            clip -= np.minimum(y[:-1], 0.0).sum(axis=0)
+    return y, steps, nfev, rejected, clip
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +325,7 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     if lam.ndim > 2 or lam.shape[0] != d or lam.size == 0:
         raise ValueError(f"lam must have shape (d,) or (d, m) with d={d}, m >= 1, "
                          f"got shape {lam.shape}")
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+    if not 0 <= lam.min() <= lam.max() < np.inf:
         raise ValueError("lam must be componentwise >= 0 and finite")
     m = lam.size // d
     lone = lam.ndim == 1

@@ -17,6 +17,13 @@ jump rates re-derived from the raw parameters and the Poisson counts by a
 scalar CDF walk (production keys a whole block of paths at once, reads
 them through one shared Philox, and steps the block as arrays).
 
+One oracle shares formulas with production on purpose: `dop853_loop`
+steps the Riccati block as scipy's DOP853 writes its loop, on a flat
+state with a fresh stage array per step and one allocating right-hand
+side call per stage, over affine's own tableau and right-hand side. It
+checks the stepper's buffers (preallocated stages, swapped states, the
+first-same-as-last slope), which must change no bit, not its formulas.
+
 The module is named ref_oracles, not oracles, so that one pytest session
 can load it beside the benchmark's own top-level `oracles` module.
 """
@@ -142,6 +149,89 @@ def v_with_psi_state(params, t, lam, rtol=1e-12, atol=1e-14):
                     method="RK45", rtol=rtol, atol=atol)
     assert sol.success
     return sol.y[:d, -1], float(sol.y[d, -1])
+
+
+def dop853_loop(rhs, y0, t_end, rtol, atol):
+    """Integrate Y' = rhs(Y) from the (rows, m) block y0 to t_end in the
+    form of scipy's DOP853 loop (select_initial_step, rk_step and
+    _step_impl) on affine's tableau, with the step decided by the largest
+    column's DOP853 error as affine documents it: y + dot(K[:s].T, a) * h
+    at every stage, one rhs(Y) call per stage, a fresh stage array per
+    step attempt.
+
+    Returns (Y(t_end), accepted steps, rhs evaluations, rejected step
+    attempts, each column's negative undershoot of its v rows, all but the
+    last, summed over the accepted step ends)."""
+    from cbi import affine
+
+    rows, m = y0.shape
+
+    def fun(y):
+        return rhs(y.reshape(rows, m)).ravel()
+
+    def col_rms(z):
+        z = z.reshape(rows, m)
+        return np.sqrt(np.add.reduce(z * z, axis=0)) / np.sqrt(rows)
+
+    y = y0.ravel().copy()
+    f = fun(y)
+    # select_initial_step, one column at a time in vector form
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = col_rms(y / scale), col_rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    h0 = np.minimum(h0, t_end)
+    y1 = y + np.tile(h0, rows) * f
+    d2 = col_rms((fun(y1) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(np.maximum(d1, d2), 1e-15)) ** (-affine._EXPONENT))
+    h_abs = min(np.minimum(100 * h0, h1).min(), t_end)
+
+    n_stages = len(affine._E5)
+    t, steps, nfev, rejected = 0.0, 0, 2, 0
+    clip = np.zeros(m)
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_accepted, step_rejected = False, False
+        while not step_accepted:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K = np.empty((n_stages, y.size))
+            K[0] = f
+            for s, a in enumerate(affine._A, start=1):
+                dy = np.dot(K[:s].T, a) * h
+                K[s] = fun(y + dy)
+            y_new = y + h * np.dot(K[:-1].T, affine._B)
+            f_new = fun(y_new)
+            K[-1] = f_new
+            nfev += n_stages - 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(K.T, affine._E5) / scale
+            err3 = np.dot(K.T, affine._E3) / scale
+            e5 = np.add.reduce((err5 * err5).reshape(rows, m), axis=0)
+            e3 = np.add.reduce((err3 * err3).reshape(rows, m), axis=0)
+            error = np.max([h * e5[j] / np.sqrt((e5[j] + 0.01 * e3[j]) * rows)
+                            if e5[j] != 0 else 0.0 for j in range(m)])
+            if error < 1:
+                if error == 0:
+                    factor = affine._MAX_FACTOR
+                else:
+                    factor = min(affine._MAX_FACTOR,
+                                 affine._SAFETY * error ** affine._EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(affine._MIN_FACTOR, affine._SAFETY * error ** affine._EXPONENT)
+                step_rejected = True
+                rejected += 1
+        t, y, f = t_new, y_new, f_new
+        steps += 1
+        clip -= np.minimum(y.reshape(rows, m)[:-1], 0.0).sum(axis=0)
+    return y.reshape(rows, m), steps, nfev, rejected, clip
 
 
 def fd_gradient(fn, x, h=1e-6):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def test_psi_matches_loop_oracle(jump_mixed, jump_d2, jump_d3):
         for scale in (0.1, 1.0, 4.0):
             lam = scale * np.linspace(1.0, 0.5, params.d)
             assert psi(params, lam) == pytest.approx(psi_loops(params, lam), abs=1e-13)
+
+
+@pytest.mark.parametrize("mechanism", [phi, psi])
+@pytest.mark.parametrize("lam", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["short", "long", "2-D"])
+def test_mechanisms_check_lam_length(jump_d2, mechanism, lam):
+    # a point of the wrong shape is named, not left to a matmul error
+    with pytest.raises(ValueError, match=r"lam must have length d=2, got shape "
+                                         + re.escape(str(np.shape(lam)))):
+        mechanism(jump_d2, lam)
 
 
 def test_psi_linear_without_atoms(fix_a):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cbi import affine, generators
-from cbi.affine import solve_v
+from cbi import affine, generators, moments
+from cbi.affine import DEFAULT_TOL, TIGHT_TOL, solve_v
 from cbi.errors import SolverError
 
 from conftest import ALL_FIXTURES, make_jump_d2
-from ref_oracles import phi_loops, psi_loops, v_with_psi_state
+from ref_oracles import dop853_loop, phi_loops, psi_loops, v_with_psi_state
 
 #: (t, lam scale, tol): an easy solve at the default, and long stiff ones,
 #: at the default and at the tight tolerance, that reject steps on
@@ -81,6 +81,64 @@ def test_cases_reject_steps(branching_jump):
     # the parity above covers rejections: at least one case rejects a step
     sol = solve_v(branching_jump, 3.0, 200.0 * np.linspace(1.0, 0.6, branching_jump.d))
     assert sol.solver_stats["rejected"] >= 1
+
+
+def assert_matches_dop853_loop(params, t, lam, tol):
+    """solve_v against the plain DOP853 loop on the same right-hand side,
+    bit for bit; returns the solution."""
+    dq = moments.derive(params)
+    d = dq.params.d
+    block = lam.reshape(d, -1)
+    y, steps, nfev, rejected, clip = dop853_loop(
+        affine._riccati_rhs(dq), np.vstack([block, np.zeros(block.shape[1])]), t, tol,
+        tol * 1e-2)
+    sol = solve_v(dq, t, lam, tol=tol)
+    assert np.array_equal(sol.v_final, np.clip(y[:d], 0.0, None).reshape(lam.shape))
+    assert np.array_equal(sol.psi_integral, y[d] if lam.ndim == 2 else y[d, 0])
+    assert (sol.solver_stats["steps"], sol.solver_stats["nfev"],
+            sol.solver_stats["rejected"]) == (steps, nfev, rejected)
+    assert np.array_equal(sol.solver_stats["clip_total"], clip if lam.ndim == 2 else clip[0])
+    return sol
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, TIGHT_TOL])
+@pytest.mark.parametrize("width", ["lone", "block"])
+def test_stepper_matches_plain_dop853_loop(name, tol, width):
+    # the stage and state buffers, the in-place right-hand side and the
+    # slope handed from one step to the next change no bit of scipy's loop
+    params = ALL_FIXTURES[name]()
+    lam = np.linspace(1.0, 0.6, params.d)
+    if width == "block":
+        lam = np.column_stack([0.3 * lam, 40.0 * lam, 0.0 * lam])
+    assert_matches_dop853_loop(params, 1.0, lam, tol)
+
+
+@pytest.mark.parametrize("width", ["lone", "block"])
+def test_rejecting_solve_matches_plain_dop853_loop(branching_jump, width):
+    # a rejected attempt's stages must not reach the retry: the retry starts
+    # from the slope at the last accepted step
+    lam = np.array([200.0]) if width == "lone" else np.array([[200.0, 1.0]])
+    sol = assert_matches_dop853_loop(branching_jump, 3.0, lam, DEFAULT_TOL)
+    assert sol.solver_stats["rejected"] >= 1
+
+
+def test_solves_share_no_memory(jump_d2):
+    # a buffer kept on the model or the right-hand side would be shared by
+    # the results of two solves, or the second solve would write into the
+    # first; lam is Fortran-ordered, a layout the state buffers must not take
+    dq = moments.derive(jump_d2)
+    lam = np.array([[0.3, 0.2], [40.0, 25.0], [0.0, 0.0]]).T
+    lam_before = lam.copy()
+    first = solve_v(dq, 2.0, lam)
+    v_first, psi_first = first.v_final.copy(), first.psi_integral.copy()
+    second = solve_v(dq, 2.0, lam)
+    for a in (first.v_final, first.psi_integral):
+        for b in (second.v_final, second.psi_integral, lam):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(first.v_final, v_first)
+    assert np.array_equal(first.psi_integral, psi_first)
+    assert np.array_equal(lam, lam_before)
 
 
 def test_tableau_meets_the_order_conditions():
