@@ -11,8 +11,10 @@ raw(n) / n has not settled by n = 1000, one `vsolve` run on the pure
 branching branching_jump of tests/conftest.py whose Riccati solve rejects
 2 of its 67 step attempts, plus commands that exit 2
 (d = 0), 64 (a missing flag, a single simulated path, a state that
-overflows), 65 (malformed JSON, a non-integer d) and 66 (a wrong
-dimension).
+overflows, a negative lambda, a scale beyond the floating-point range),
+65 (malformed JSON, a non-integer d) and 66 (a start state and a bump
+center of the wrong dimension). The library decides which arguments are
+refused; the last three lines run its rules through the CLI.
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -117,6 +119,14 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit64:overflowing-state",
                  ["simulate", "--params", "overflow.json", "--x", "1", "--t", "1", "--dt", "0.1",
                   "--n-paths", "3", "--seed", "0"], "simulate_overflow.csv"))
+    cmds.append(("exit64:negative-lambda",
+                 ["laplace", "--params", "fix_a.json", "--t", "1", "--x", "1", "--lambda=-1"], None))
+    cmds.append(("exit66:bump-center-length",
+                 ["cgen", "--params", "fix_a.json", "--x", "1", "--bump-center", "1,2"],
+                 "cgen_bump_center.csv"))
+    cmds.append(("exit64:huge-n",
+                 ["dgen", "--params", "fix_a.json", "--n", str(10**400), "--x", "1",
+                  "--lambda", "1"], None))
     return cmds
 
 

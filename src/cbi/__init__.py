@@ -7,7 +7,7 @@ infinitesimal generators with their convergence limits, and seeded Monte
 Carlo simulation of CBI paths and the limiting squared-Bessel ray
 diffusion.
 """
-from .errors import (CbiError, ClassificationError, ConsistencyError,
+from .errors import (CbiError, ClassificationError, ConsistencyError, DimensionError,
                      InadmissibleError, NumericRangeError, SolverError)
 from .model import CbiParams, JumpMeasure, ValidationReport, validate
 from .matops import (PerronPair, SpectralSummary, branching_integral, exp_and_integral_vec,

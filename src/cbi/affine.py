@@ -39,11 +39,14 @@ can hide inside a norm taken over the whole block, and the psi-integral's
 error is held to the solver's tolerance as v's is (the quadrature-variable
 approach of CVODES; Hindmarsh et al., ACM TOMS 31, 2005). A solve takes
 one tolerance, tol: its relative tolerance is tol and its absolute one
-tol * 1e-2. A solve allocates its buffers once, a stage array and two
-state buffers that swap on every accepted step, and every stage and
-right-hand side writes into them; nothing is kept from one solve to the
-next. A solve that needs more than MAX_STEPS accepted steps fails. Each
-column keeps its own clip budget.
+tol * 1e-2. It controls each step's local error, not v's global error: on
+d2_critical at t = 100, v at the default tol is up to 7.0e-9 relative
+(70 rtol) off a tol = 1e-13 solve (README), the transform 4.8e-11. A
+solve allocates its buffers once, a stage array and two state buffers
+that swap on every accepted step, and every stage and right-hand side
+writes into them; nothing is kept from one solve to the next. A solve
+that needs more than MAX_STEPS accepted steps fails. Each column keeps
+its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -67,9 +70,9 @@ from typing import Callable
 import numpy as np
 
 from . import matops, moments
-from .errors import SolverError
+from .errors import DimensionError, SolverError
 from .model import CbiParams
-from .moments import DerivedQuantities, _point
+from .moments import DerivedQuantities, _horizon, _point, _vector
 
 #: Default ODE tolerance; the systems here are smooth and non-stiff. A
 #: solve at tol controls its error at rtol = tol and atol = tol * 1e-2.
@@ -312,8 +315,7 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     solved together on one time grid with every column's v and
     psi-integral held to (rtol, atol).
     """
-    if not 0 <= t < np.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    t = _horizon(t)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol < MIN_RTOL:
@@ -323,10 +325,9 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     d = dq.params.d
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.ndim > 2 or lam.shape[0] != d or lam.size == 0:
-        raise ValueError(f"lam must have shape (d,) or (d, m) with d={d}, m >= 1, "
-                         f"got shape {lam.shape}")
-    if not 0 <= lam.min() <= lam.max() < np.inf:
-        raise ValueError("lam must be componentwise >= 0 and finite")
+        raise DimensionError(f"lam must have shape (d,) or (d, m) with d={d}, m >= 1, "
+                             f"got shape {lam.shape}")
+    _vector(lam.reshape(-1), "lam")  # every column a point of R_+^d
     m = lam.size // d
     lone = lam.ndim == 1
 
@@ -362,14 +363,15 @@ def laplace_transform(params: CbiParams | DerivedQuantities, t: float, x: np.nda
     dq = moments.derive(params)
     x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
     sol = solve_v(dq, t, lam, tol=tol)
-    return float(np.exp(-float(x @ sol.v_final) - sol.psi_integral))
+    with np.errstate(over="ignore"):  # <x, v> beyond the float range: the transform is 0
+        return float(np.exp(-float(x @ sol.v_final) - sol.psi_integral))
 
 
 def v_jacobian_limit(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray:
     """The lam -> 0 limit of the Jacobian [d v_k / d lam_i]: exp(t btilde),
     indexed [i, k]."""
     dq = moments.derive(params)
-    return matops.mat_exp(dq.btilde, t)
+    return matops.mat_exp(dq.btilde, _horizon(t))
 
 
 def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray:
@@ -393,7 +395,8 @@ def v_jacobian_fd(params: CbiParams | DerivedQuantities, t: float) -> np.ndarray
 
 
 def _check_types(d: int, *types: int) -> None:
-    if not all(0 <= i < d for i in types):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < d
+               for i in types):
         raise ValueError(f"type indices {types} must lie in [0, {d})")
 
 
@@ -408,7 +411,8 @@ def v_hessian_limit(params: CbiParams | DerivedQuantities, t: float, i: int, j: 
     dq = moments.derive(params)
     d = dq.params.d
     _check_types(d, i, j, k)
-    return float(-matops.branching_integral(dq.btilde, dq.big_c, np.eye(d)[k], t)[i, j])
+    V = matops.branching_integral(dq.btilde, dq.big_c, np.eye(d)[k], _horizon(t))
+    return float(-V[i, j])
 
 
 def v_hessian_fd(params: CbiParams | DerivedQuantities, t: float, i: int, j: int,

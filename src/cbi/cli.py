@@ -18,7 +18,9 @@ B, nu, mu):
 
 Exit codes: 0 success, 2 validation/classification failure, 3 solver
 failure, 64 usage error or unknown command, 65 unreadable or malformed
-params JSON, 66 dimension mismatch. `_COMMANDS` is the one list of each
+params JSON, 66 dimension mismatch (the library's DimensionError, a
+--bump-center's included). The CLI only parses flag values: the library
+checks points, horizons and scales. `_COMMANDS` is the one list of each
 command's flags, required and optional: a command accepts only those, its
 required ones are checked once the model is derived, and every JSON report
 embeds them, resolved, so a run is reproducible from the report alone; CSV
@@ -34,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import affine, generators, moments, simulate
-from .errors import (ClassificationError, ConsistencyError, InadmissibleError,
-                     NumericRangeError, SolverError)
+from .errors import (ClassificationError, ConsistencyError, DimensionError,
+                     InadmissibleError, NumericRangeError, SolverError)
 from .model import CbiParams, validate
 from .moments import DerivedQuantities
 from .testfunctions import bump
@@ -56,31 +58,20 @@ class _InputError(Exception):
     pass
 
 
-class _DimensionError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes ours
         raise _UsageError(message)
 
 
-def _integer(text: str) -> int:
-    """An integer flag value; every command scales by it in floating point,
-    so an integer beyond the float range is refused here."""
-    try:
-        n = int(text)
-        float(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    except OverflowError:
-        raise argparse.ArgumentTypeError(
-            f"an integer of {len(text)} characters is beyond the floating-point range") from None
-    return n
-
-
 def _integers(text: str) -> tuple[int, ...]:
-    return tuple(_integer(s) for s in text.split(","))
+    """Comma-separated integers; a piece that is not one is named."""
+    values = []
+    for piece in text.split(","):
+        try:
+            values.append(int(piece))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {piece!r}") from None
+    return tuple(values)
 
 
 #: argparse keywords per flag; an unlisted flag is a plain string, and a
@@ -88,7 +79,7 @@ def _integers(text: str) -> tuple[int, ...]:
 _FLAGS = {
     "--t": {"type": float},
     "--lambda": {"dest": "lam"},
-    "--n": {"type": _integer},
+    "--n": {"type": int},
     "--n-list": {"type": _integers, "default": generators.DEFAULT_N_LIST},
     "--seed": {"type": int, "default": 0},
     "--tol": {"type": float, "default": affine.DEFAULT_TOL},
@@ -125,28 +116,12 @@ def _load_params(path: str) -> CbiParams:
         raise _InputError(str(exc)) from exc
 
 
-def _vec(text: str, d: int, flag: str) -> np.ndarray:
+def _vec(text: str, flag: str) -> np.ndarray:
+    """A vector flag's comma-separated decimals; the library checks the values."""
     try:
-        v = np.array([float(s) for s in text.split(",")], dtype=float)
+        return np.array([float(s) for s in text.split(",")], dtype=float)
     except ValueError as exc:
         raise _UsageError(f"{flag} must be comma-separated decimals: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise _UsageError(f"{flag} must be finite, got {text!r}")
-    if len(v) != d:
-        raise _DimensionError(f"{flag} has length {len(v)}, params require d={d}")
-    return v
-
-
-def _start(text: str, d: int, flag: str) -> np.ndarray:
-    """--x, a start state in R_+^d."""
-    x = _vec(text, d, flag)
-    if np.any(x < 0):
-        raise _UsageError(f"{flag} is a start state and must be componentwise >= 0, got {text!r}")
-    return x
-
-
-#: the vector flags, parsed against the model's d once it is derived
-_VECTORS = {"--x": _start, "--lambda": _vec, "--bump-center": _vec}
 
 
 def _key(flag: str) -> str:
@@ -236,7 +211,7 @@ def _cmd_prop31(args, dq: DerivedQuantities) -> dict | None:
 
 
 def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
-    x = args.x
+    x = moments._point(dq, args.x, "x")
     # the defaults resolve here, so the report echoes the bump it used
     if args.bump_center is None:
         args.bump_center = np.zeros(dq.params.d)
@@ -344,8 +319,8 @@ def run(argv: list[str]) -> int:
         flags = (*required, *optional)
         for flag in flags:
             dest = _dest(flag)
-            if flag in _VECTORS and getattr(args, dest) is not None:
-                setattr(args, dest, _VECTORS[flag](getattr(args, dest), params.d, flag))
+            if flag in ("--x", "--lambda", "--bump-center") and getattr(args, dest) is not None:
+                setattr(args, dest, _vec(getattr(args, dest), flag))
         result = handler(args, model)
         if result is None:
             return EXIT_OK
@@ -360,7 +335,7 @@ def run(argv: list[str]) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _DimensionError as exc:
+    except DimensionError as exc:
         print(f"dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except ClassificationError as exc:

@@ -24,6 +24,10 @@ class ConsistencyError(CbiError):
     tolerance; indicates a numerics bug, not bad input."""
 
 
+class DimensionError(CbiError, ValueError):
+    """An argument's length or shape does not match the model's dimension d."""
+
+
 class InadmissibleError(CbiError, ValueError):
     """A parameter tuple failed admissibility validation; `violations`
     lists every violated condition as `model.validate` words it."""

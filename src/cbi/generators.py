@@ -35,14 +35,15 @@ The jump terms f(x + z / n) - f(x) are shared and computed once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import affine, matops, moments
-from .errors import ConsistencyError
+from .errors import ConsistencyError, NumericRangeError
 from .model import CbiParams
-from .moments import DerivedQuantities, _point
+from .moments import DerivedQuantities, _point, _scale
 from .testfunctions import TestFunction
 
 #: Default n sweep for convergence tables.
@@ -77,11 +78,10 @@ def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
                   lam: np.ndarray) -> np.ndarray:
     """discrete_gen_exp at each entry of the array n, the solves at every
     lam / n as the columns of one solve."""
-    if np.any(n < 1):
-        raise ValueError(f"n must be positive integers, got {n.astype(int).tolist()}")
     sol = affine.solve_v(dq, 1.0, lam[:, None] / n, tol=affine.TIGHT_TOL)
-    one_step = np.exp(-n * (x @ sol.v_final) - sol.psi_integral)
-    return n * (one_step - np.exp(-float(lam @ x)))
+    with np.errstate(over="ignore"):  # an exponent beyond the float range: exp(-inf) = 0
+        one_step = np.exp(-n * (x @ sol.v_final) - sol.psi_integral)
+        return n * (one_step - np.exp(-float(lam @ x)))
 
 
 def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> float:
@@ -95,7 +95,7 @@ def discrete_gen_exp(params: CbiParams | DerivedQuantities, n: int, x, lam) -> f
     """
     dq = moments.derive(params)
     x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
-    return float(_discrete_gen(dq, np.array([float(n)]), x, lam)[0])
+    return float(_discrete_gen(dq, np.array([float(_scale(n))]), x, lam)[0])
 
 
 def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
@@ -106,19 +106,23 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     """
     dq = moments.derive(params)
     x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
-    bt = dq.btilde
-    quad = float(lam @ matops.branching_integral(bt, dq.big_c, x, 1.0) @ lam)
-    flow, integral = matops.exp_and_integral_vec(bt, dq.beta_tilde, 1.0)
-    front = np.exp(-float(lam @ (flow @ x)))
-    return float(front * (0.5 * quad - float(lam @ integral)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        quad = float(lam @ matops.branching_integral(dq.btilde, dq.big_c, x, 1.0) @ lam)
+        flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, 1.0)
+        limit = float(np.exp(-float(lam @ (flow @ x))) * (0.5 * quad - float(lam @ integral)))
+    if not math.isfinite(limit):
+        raise NumericRangeError("discrete-generator limit overflowed the floating-point range")
+    return limit
 
 
 def _exp_criterion(dq: DerivedQuantities, x: np.ndarray, lam: np.ndarray) -> tuple[bool, float]:
     """From a = <lam, x> and b = <lam, exp(btilde) x>: whether the raw sequence
     on e_lam converges, |a - b| <= CRITERION_TOL max(1, |a|, |b|), and the
     correction rate exp(-a) - exp(-b), the limit of -raw(n) / n."""
-    a = float(lam @ x)
-    b = float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))
+    with np.errstate(over="ignore"):  # reported just below
+        a, b = float(lam @ x), float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))
+    if not math.isfinite(a - b):  # a or b overflowed (both are >= 0)
+        raise NumericRangeError("<lam, x> overflowed the floating-point range")
     return abs(a - b) <= CRITERION_TOL * max(1.0, abs(a), abs(b)), float(np.exp(-a) - np.exp(-b))
 
 
@@ -138,7 +142,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
     reads it: "converges" when <lam, x> = <lam, exp(btilde) x>, otherwise
     "diverges-linearly", with raw(n) / n tending to -correction_rate.
     """
-    n_values = tuple(int(n) for n in n_list)
+    n_values = tuple(_scale(n) for n in n_list)
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_list must be at least two strictly increasing integers")
 
@@ -214,9 +218,7 @@ def scaled_gen_apply(params: CbiParams | DerivedQuantities, n: int, f: TestFunct
     model, plus a Taylor remainder whose rounding grows like n^2 eps for a
     jump model; and the rate <btilde x, grad f(x)>. n above about 1.34e154,
     where n^2 overflows, is refused."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    n = float(n)
+    n = float(_scale(n))
     if n * n == np.inf:
         raise ValueError(f"scale {n:.6g} is beyond the square root of the "
                          "floating-point range")

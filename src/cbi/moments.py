@@ -36,20 +36,23 @@ violations (so no mass, norm tail or moment-order flag is computed), and
 its result, a `DerivedQuantities`, is the validated model. No model is
 kept between calls. Every public function that takes parameters accepts
 either a raw `CbiParams` (derived once on entry) or that result (used as
-it is), and hands the model on to what it calls. Every point such a
-function reads (a state x or z, an argument lam, a start x0) is checked
-against the model's d by `_point`.
+it is), and hands the model on to what it calls. It reads a point (x, z,
+lam, x0) through `_point`: length d (else DimensionError), entries finite
+and >= 0 (`_vector`; only on R_+^d is E exp(-<lam, X_t>) in (0, 1]); a
+horizon t through `_horizon`: finite, >= 0; a scale n through `_scale`:
+an integer, not a bool, from 1 to the largest float.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import matops
-from .errors import InadmissibleError, NumericRangeError
+from .errors import DimensionError, InadmissibleError, NumericRangeError
 from .matops import PerronPair, SpectralSummary
 from .model import CbiParams, _frozen, admissibility_violations
 
@@ -164,18 +167,42 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
                              atom_points=Z, atom_weights=W)
 
 
-def _point(dq: DerivedQuantities, v, name: str) -> np.ndarray:
-    """v as a float vector; a length other than d is a ValueError naming it."""
+def _vector(v, name: str, d: int | None = None) -> np.ndarray:
+    """v as a 1-D float array of finite entries >= 0 (else a ValueError naming
+    it), of length d when d is given (else a DimensionError naming it)."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (dq.params.d,):
-        raise ValueError(f"{name} must have length d={dq.params.d}, got shape {v.shape}")
+    if d is not None and v.shape != (d,):
+        raise DimensionError(f"{name} must have length d={d}, got shape {v.shape}")
+    entries = v.tolist()  # Python floats compare faster than numpy reduces a short v
+    if v.ndim != 1 or not all(0 <= e < math.inf for e in entries):
+        raise ValueError(f"{name} must be a finite vector with entries >= 0, got {entries}")
     return v
+
+
+def _point(dq: DerivedQuantities, v, name: str) -> np.ndarray:
+    """v as a point of R_+^d, the model's state space."""
+    return _vector(v, name, dq.params.d)
+
+
+def _horizon(t):
+    """t if it is finite and >= 0, else a ValueError."""
+    if not 0 <= t <= sys.float_info.max:  # False for a NaN
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    return t
+
+
+def _scale(n) -> int:
+    """n as an int if it is an integer (not a bool) from 1 to the largest float."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= int(n) <= sys.float_info.max):  # an exact int-float comparison
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return int(n)
 
 
 def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float) -> np.ndarray:
     """E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
     dq = derive(params)
-    x = _point(dq, x, "x")
+    x, t = _point(dq, x, "x"), _horizon(t)
     flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, t)
     return flow @ x + integral
 
@@ -190,7 +217,7 @@ def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray
     anything else is rejected.
     """
     dq = derive(params)
-    z = _point(dq, z, "z")
+    z, t = _point(dq, z, "z"), _horizon(t)
     if np.any(dq.params.beta != 0) or dq.params.nu.natoms:
         raise ValueError("variance_no_immigration requires beta = 0 and an empty nu")
     V = matops.branching_integral(dq.btilde, dq.big_c, z, t)

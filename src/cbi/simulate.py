@@ -48,7 +48,7 @@ import numpy as np
 from . import moments
 from .errors import ClassificationError
 from .model import CbiParams
-from .moments import DerivedQuantities, _point
+from .moments import DerivedQuantities, _point, _scale, _vector
 
 #: Steps per randomness window (fixed so stream layout never depends on batching).
 WINDOW = 1024
@@ -71,10 +71,7 @@ class PathConfig:
     n_paths: int
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if x0.ndim != 1 or not (np.all(np.isfinite(x0)) and np.all(x0 >= 0)):
-            raise ValueError(f"x0 must be a finite vector with entries >= 0, got {x0.tolist()}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _vector(self.x0, "x0"))
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0 < self.dt < self.horizon:  # False for a NaN dt
@@ -356,8 +353,7 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     piecewise-constant scaled step function on the output grid. The
     emitted jump_log is empty (the path is a derived step function).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _scale(n)
     dq = moments.derive(params)
     x0 = _point(dq, cfg.x0, "x0")
     K_base, h = _grid(n * cfg.horizon, cfg.dt)

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionError
+
 # Treat 1 - s below this as outside: exp(-1/(1-s)) already underflowed to 0
 # there, and the (1-s)^-4 Hessian factors would otherwise overflow.
 _EDGE = 1e-8
@@ -37,6 +39,8 @@ class TestFunction:
 def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
     """Radial smooth bump of the given amplitude on the ball |x - center| < radius."""
     x0 = np.atleast_1d(np.asarray(center, dtype=float))
+    if not np.all(np.isfinite(x0)):  # an infinite center leaves nothing in the support
+        raise ValueError(f"center must be finite, got {x0.tolist()}")
     R = float(radius)
     if not 0 < R < np.inf:  # an infinite "bump" is a constant without compact support
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -45,13 +49,17 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
     a = float(amplitude)
     if not np.isfinite(a):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    d = len(x0)
+    d, center_entries = len(x0), x0.tolist()
 
     def _at(x) -> tuple[np.ndarray, float]:
-        """x as a point of length d, and s = |(x - center) / radius|^2."""
+        """x as a point of length d, and s = |(x - center) / radius|^2, taken
+        as inf off the cube |x_i - center_i| < radius: f is 0 there, and s
+        could overflow."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (d,):
-            raise ValueError(f"point has shape {x.shape}; the bump's center has length {d}")
+            raise DimensionError(f"point has shape {x.shape}; the bump's center has length {d}")
+        if any(abs(p - c) >= R for p, c in zip(x.tolist(), center_entries)):
+            return x, np.inf
         u = (x - x0) / R
         return x, float(u @ u)
 

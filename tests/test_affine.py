@@ -285,7 +285,9 @@ def test_hessian_limit_matches_variance_route(jump_d2, fix_a):
 
 
 @pytest.mark.parametrize("i,j,k", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 0, 0), (0, 2, 1),
-                                   (1, 1, 2)])
+                                   (1, 1, 2),
+                                   # not integers: numpy would index by 0.5 or by a bool
+                                   (0.5, 0, 0), (True, 0, 0), (0, np.float64(1.0), 0)])
 def test_hessian_rejects_type_indices_outside_range(jump_d2, i, j, k):
     with pytest.raises(ValueError, match="type indices"):
         v_hessian_limit(jump_d2, 1.0, i, j, k)

@@ -1,4 +1,5 @@
-"""Fuzz of the params JSON document through the CLI entry point.
+"""Fuzz of the params JSON document and of the argument flags through the
+CLI entry point.
 
 Documents are mostly well formed (d <= 4, vectors and matrices of about
 the right size, atom lists), with junk of every JSON kind mixed in: ints,
@@ -7,15 +8,25 @@ missing and unknown keys. `validate` and `derive` must end in a documented
 exit code, never an exception, and `validate` only reports: it never
 exits 3 or 64. Huge d is covered by
 test_cli.py::test_huge_d_document_exits_2_with_report.
+
+The argument flags (--x, --lambda, --bump-center, --t, --n, --n-list)
+are drawn from sane values, the edges of their domain (-1, 0, nan, inf,
+1e308, integers beyond the float range) and junk text, with vectors one
+entry short, right or one entry long. The CLI only parses them and the
+library checks them, so every run must end in a documented exit code,
+never an exception, and a run that fails writes no file.
 """
 import contextlib
 import io
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cbi import cli
+
+from conftest import make_fix_a, make_jump_d2, write_params
 
 DOCUMENTED = {0, 2, 3, 64, 65, 66}
 
@@ -90,3 +101,74 @@ def test_params_documents_end_in_documented_exit_codes(tmp_path, doc):
     path.write_text(json.dumps(doc))
     assert run_quietly(["validate", "--params", str(path)]) in DOCUMENTED - {3, 64}
     assert run_quietly(["derive", "--params", str(path)]) in DOCUMENTED
+
+
+TEXT = st.text(max_size=3)
+#: each entry of a vector flag is sane three times in four; a vector has
+#: length d four times in five
+entries = rarely(st.floats(0.1, 3.0).map(repr),
+                 st.one_of(st.sampled_from(["-1", "0", "nan", "inf", "1e308"]), TEXT), odds=4)
+#: --t is kept where no solve runs long
+horizons = st.sampled_from(["0.5", "1", "0", "nan", "inf", "-1"])
+scales = rarely(st.sampled_from(["1", "10", "1000"]),
+                st.one_of(st.sampled_from(["0", "-1", "2.5", str(10**300), str(10**400)]), TEXT),
+                odds=4)
+n_lists = rarely(st.lists(st.sampled_from([1, 10, 100, 1000]), min_size=2, max_size=3,
+                          unique=True).map(lambda ns: ",".join(map(str, sorted(ns)))),
+                 st.lists(scales, min_size=1, max_size=3).map(",".join), odds=2)
+
+
+def vectors(d):
+    return rarely(st.lists(entries, min_size=d, max_size=d),
+                  st.lists(entries, min_size=d - 1, max_size=d + 1), odds=5).map(",".join)
+
+
+#: command -> (flags, whether it writes a CSV with --out)
+ARG_COMMANDS = {
+    "laplace": (("--t", "--x", "--lambda"), False),
+    "vsolve": (("--t", "--lambda"), False),
+    "dgen": (("--n", "--x", "--lambda"), False),
+    "prop31": (("--x", "--lambda", "--n-list"), True),
+    "cgen": (("--x", "--n-list", "--bump-center"), True),
+}
+
+
+@st.composite
+def argument_runs(draw):
+    """(command, params name, argv after --params, writes a CSV)."""
+    name, d = draw(st.sampled_from([("fix_a", 1), ("jump_d2", 2)]))
+    command = draw(st.sampled_from(sorted(ARG_COMMANDS)))
+    flags, writes = ARG_COMMANDS[command]
+    values = {"--t": horizons, "--n": scales, "--n-list": n_lists}
+    argv = [f"{flag}={draw(values.get(flag, vectors(d)))}" for flag in flags]
+    return command, name, argv, writes
+
+
+@pytest.fixture(scope="module")
+def params_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("params")
+    for name, make in (("fix_a", make_fix_a), ("jump_d2", make_jump_d2)):
+        write_params(make(), work / f"{name}.json")
+    return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=argument_runs())
+@example(run=("laplace", "fix_a", ["--t=1", "--x=-5", "--lambda=1"], False))
+@example(run=("dgen", "fix_a", [f"--n={10**400}", "--x=1", "--lambda=1"], False))
+@example(run=("cgen", "fix_a", ["--x=nan", "--n-list=10", "--bump-center=0"], True))
+# products of a huge entry once overflowed with a RuntimeWarning
+@example(run=("laplace", "fix_a", ["--t=0", "--x=1e308", "--lambda=2.5"], False))
+@example(run=("dgen", "jump_d2", [f"--n={10**300}", "--x=1e300,1e308", "--lambda=0.25,1"],
+              False))
+@example(run=("prop31", "fix_a", ["--x=2", "--lambda=1e308", "--n-list=10,1000"], True))
+@example(run=("prop31", "fix_a", ["--x=1e308", "--lambda=0.15", "--n-list=10,1000"], True))
+@example(run=("cgen", "fix_a", ["--x=0.15", "--n-list=10", "--bump-center=1e308"], True))
+def test_argument_flags_end_in_documented_exit_codes(params_files, run):
+    command, name, argv, writes = run
+    out = params_files / "out.csv"
+    out.unlink(missing_ok=True)
+    code = run_quietly([command, "--params", str(params_files / f"{name}.json"), *argv,
+                        *(["--out", str(out)] if writes else [])])
+    assert code in DOCUMENTED
+    assert code == 0 or not out.exists()
