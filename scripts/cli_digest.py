@@ -12,9 +12,12 @@ branching branching_jump of tests/conftest.py whose Riccati solve rejects
 2 of its 67 step attempts, plus commands that exit 2
 (d = 0), 64 (a missing flag, a single simulated path, a state that
 overflows, a negative lambda, a scale beyond the floating-point range),
-65 (malformed JSON, a non-integer d) and 66 (a start state and a bump
-center of the wrong dimension). The library decides which arguments are
-refused; the last three lines run its rules through the CLI.
+65 (malformed JSON, a non-integer d), 66 (a start state and a bump
+center of the wrong dimension) and 3 (a scaled-generator point n x, a
+scaled start n x0 and a limit start <u_left, x0> beyond the
+floating-point range). The library decides which arguments are refused
+and which results are out of range; the last six lines run its rules
+through the CLI.
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -127,6 +130,16 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit64:huge-n",
                  ["dgen", "--params", "fix_a.json", "--n", str(10**400), "--x", "1",
                   "--lambda", "1"], None))
+    cmds.append(("exit3:overflowing-scaled-point",
+                 ["cgen", "--params", "fix_a.json", "--x=1e308", "--bump-radius=1"],
+                 "cgen_overflow.csv"))
+    tiny_run = ["--t", "1", "--dt", "0.5", "--n-paths", "2"]
+    cmds.append(("exit3:overflowing-scaled-start",
+                 ["simulate-scaled", "--params", "fix_a.json", "--x=1e308", "--n", "2",
+                  *tiny_run], "simulate_scaled_overflow.csv"))
+    cmds.append(("exit3:overflowing-limit-start",
+                 ["simulate-limit", "--params", "d2_critical.json", "--x=1e308,1e308",
+                  *tiny_run], "simulate_limit_overflow.csv"))
     return cmds
 
 

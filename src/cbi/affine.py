@@ -72,7 +72,7 @@ import numpy as np
 from . import matops, moments
 from .errors import DimensionError, SolverError
 from .model import CbiParams
-from .moments import DerivedQuantities, _horizon, _point, _vector
+from .moments import DerivedQuantities, _finite, _horizon, _point, _vector
 
 #: Default ODE tolerance; the systems here are smooth and non-stiff. A
 #: solve at tol controls its error at rtol = tol and atol = tol * 1e-2.
@@ -165,17 +165,18 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[..., np.ndarray]:
 def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """(-phi(lam); psi(lam)), the Riccati right-hand side at one point lam."""
     dq = moments.derive(params)
-    return _riccati_rhs(dq)(np.append(_point(dq, lam, "lam"), 0.0)[:, None])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # phi and psi pass _finite
+        return _riccati_rhs(dq)(np.append(_point(dq, lam, "lam"), 0.0)[:, None])[:, 0]
 
 
 def phi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
     """Branching mechanism phi(lam), one component per type."""
-    return -_mechanisms(params, lam)[:-1]
+    return _finite(-_mechanisms(params, lam)[:-1], "phi(lam)")
 
 
 def psi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> float:
     """Immigration mechanism psi(lam) = <beta, lam> - int (e^{-<lam,z>} - 1) nu(dz)."""
-    return float(_mechanisms(params, lam)[-1])
+    return _finite(float(_mechanisms(params, lam)[-1]), "psi(lam)")
 
 
 def _col_rms(z: np.ndarray) -> np.ndarray:

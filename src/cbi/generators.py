@@ -35,15 +35,14 @@ The jump terms f(x + z / n) - f(x) are shared and computed once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import affine, matops, moments
-from .errors import ConsistencyError, NumericRangeError
+from .errors import ConsistencyError
 from .model import CbiParams
-from .moments import DerivedQuantities, _point, _scale
+from .moments import DerivedQuantities, _finite, _point, _scale
 from .testfunctions import TestFunction
 
 #: Default n sweep for convergence tables.
@@ -106,23 +105,20 @@ def discrete_gen_limit(params: CbiParams | DerivedQuantities, x, lam) -> float:
     """
     dq = moments.derive(params)
     x, lam = _point(dq, x, "x"), _point(dq, lam, "lam")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
         quad = float(lam @ matops.branching_integral(dq.btilde, dq.big_c, x, 1.0) @ lam)
         flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, 1.0)
-        limit = float(np.exp(-float(lam @ (flow @ x))) * (0.5 * quad - float(lam @ integral)))
-    if not math.isfinite(limit):
-        raise NumericRangeError("discrete-generator limit overflowed the floating-point range")
-    return limit
+        return _finite(float(np.exp(-float(lam @ (flow @ x)))
+                             * (0.5 * quad - float(lam @ integral))), "discrete-generator limit")
 
 
 def _exp_criterion(dq: DerivedQuantities, x: np.ndarray, lam: np.ndarray) -> tuple[bool, float]:
     """From a = <lam, x> and b = <lam, exp(btilde) x>: whether the raw sequence
     on e_lam converges, |a - b| <= CRITERION_TOL max(1, |a|, |b|), and the
     correction rate exp(-a) - exp(-b), the limit of -raw(n) / n."""
-    with np.errstate(over="ignore"):  # reported just below
+    with np.errstate(over="ignore"):  # _finite reports it
         a, b = float(lam @ x), float(lam @ (matops.mat_exp(dq.btilde, 1.0) @ x))
-    if not math.isfinite(a - b):  # a or b overflowed (both are >= 0)
-        raise NumericRangeError("<lam, x> overflowed the floating-point range")
+    _finite(a - b, "<lam, x>")  # a or b overflowed (both are >= 0)
     return abs(a - b) <= CRITERION_TOL * max(1.0, abs(a), abs(b)), float(np.exp(-a) - np.exp(-b))
 
 
@@ -163,7 +159,8 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
 
 def _drift_rate(dq: DerivedQuantities, grad: np.ndarray, x: np.ndarray) -> float:
     """<btilde x, grad f(x)>, the scaled generator's O(n) rate."""
-    return float((dq.btilde @ x) @ grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x: _finite reports it
+        return _finite(float((dq.btilde @ x) @ grad), "<btilde x, grad f(x)>")
 
 
 def _diffusion_term(dq: DerivedQuantities, x: np.ndarray, hess: np.ndarray) -> float:
@@ -171,6 +168,7 @@ def _diffusion_term(dq: DerivedQuantities, x: np.ndarray, hess: np.ndarray) -> f
     return 0.5 * float(sum(x[i] * np.sum(C * hess) for i, C in enumerate(dq.big_c)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # n x passes _finite, the forms their check
 def _generator_forms(dq: DerivedQuantities, f: TestFunction, x: np.ndarray,
                      n: float) -> tuple[float, float, float]:
     """n (A f_n)(n x), f_n(y) = f(y / n), at x (n = 1 is A f(x)) from f and
@@ -182,7 +180,7 @@ def _generator_forms(dq: DerivedQuantities, f: TestFunction, x: np.ndarray,
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
     fx = f.value(x)
-    nx1 = np.append(n * x, 1.0)
+    nx1 = np.append(_finite(n * x, "n x"), 1.0)
     rate = _drift_rate(dq, grad, x)
 
     defining = float(dq.params.c @ (x * np.diag(hess)))
@@ -195,9 +193,9 @@ def _generator_forms(dq: DerivedQuantities, f: TestFunction, x: np.ndarray,
         defining += n * float(nx1 @ W @ jump)
         corrected += n * float(W[-1] @ jump) + n * n * float(x @ W[:-1] @ (jump - taylor))
     other = corrected + n * rate
-    if abs(defining - other) > FORM_CHECK_TOL * (n + max(abs(defining), abs(other))):
+    if not abs(defining - other) <= FORM_CHECK_TOL * (n + max(abs(defining), abs(other))):
         raise ConsistencyError(f"generator forms disagree: {defining!r} vs {other!r}")
-    return defining, corrected, rate
+    return _finite((defining, corrected, rate), "generator")
 
 
 def generator_apply(params: CbiParams | DerivedQuantities, f: TestFunction, x) -> float:
@@ -237,7 +235,9 @@ def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) 
     x = _point(dq, x, "x")
     hess = np.asarray(f.hessian(x), dtype=float)
     grad = np.asarray(f.gradient(x), dtype=float)
-    return _diffusion_term(dq, x, hess) + float(dq.beta_tilde @ grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x: _finite reports it
+        return _finite(_diffusion_term(dq, x, hess) + float(dq.beta_tilde @ grad),
+                       "scaled-generator limit")
 
 
 def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction,

@@ -40,7 +40,9 @@ it is), and hands the model on to what it calls. It reads a point (x, z,
 lam, x0) through `_point`: length d (else DimensionError), entries finite
 and >= 0 (`_vector`; only on R_+^d is E exp(-<lam, X_t>) in (0, 1]); a
 horizon t through `_horizon`: finite, >= 0; a scale n through `_scale`:
-an integer, not a bool, from 1 to the largest float.
+an integer, not a bool, from 1 to the largest float. A result that could
+leave the float range passes `_finite` once: a non-finite entry of it is
+a NumericRangeError.
 """
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     measures = (*params.mu, params.nu)
     sizes = [len(m.weights) for m in measures]
     Z, W = np.zeros((sum(sizes), d)), np.zeros((d + 1, sum(sizes)))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it just below
         big_c, k = np.zeros((d, d, d)), np.arange(d)
         big_c[k, k, k] = 2.0 * params.c
         btilde, beta_tilde, drift = params.B, params.beta, np.empty((d + 1, d))
@@ -152,13 +154,8 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
             zz = (Z[:, :, None] * Z[:, None, :]).reshape(-1, d * d)
             for C, w, own in zip(big_c, W, owned):  # the one dot np.tensordot makes
                 C += np.dot(w[own][None], zz[own]).reshape(d, d)
-        entries = np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde, big_c.ravel()])
-        total = entries.sum()
-    # finite entries have a finite sum unless the sum itself overflows, so
-    # the entrywise check runs only on a non-finite sum
-    if not math.isfinite(total) and not np.isfinite(entries).all():
-        raise NumericRangeError("derived quantities (btilde, beta_tilde, C_k, kappa) "
-                                "overflowed the floating-point range")
+    _finite(np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde, big_c.ravel()]),
+            "derived quantities (btilde, beta_tilde, C_k, kappa)")
     # no copy: each array is new or the read-only B or beta of `params`
     for a in (btilde, beta_tilde, big_c, drift, Z, W):
         a.setflags(write=False)
@@ -199,12 +196,20 @@ def _scale(n) -> int:
     return int(n)
 
 
+def _finite(value, what: str):
+    """value if every entry is finite, else a NumericRangeError naming what."""
+    if not np.isfinite(value).all():
+        raise NumericRangeError(f"{what} overflowed the floating-point range")
+    return value
+
+
 def mean(params: CbiParams | DerivedQuantities, x: np.ndarray, t: float) -> np.ndarray:
     """E(X_t | X_0 = x) = exp(t btilde) x + int_0^t exp(u btilde) beta_tilde du."""
     dq = derive(params)
     x, t = _point(dq, x, "x"), _horizon(t)
     flow, integral = matops.exp_and_integral_vec(dq.btilde, dq.beta_tilde, t)
-    return flow @ x + integral
+    with np.errstate(over="ignore"):  # a huge x: _finite reports it
+        return _finite(flow @ x + integral, "mean")
 
 
 def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray,
@@ -220,5 +225,6 @@ def variance_no_immigration(params: CbiParams | DerivedQuantities, z: np.ndarray
     z, t = _point(dq, z, "z"), _horizon(t)
     if np.any(dq.params.beta != 0) or dq.params.nu.natoms:
         raise ValueError("variance_no_immigration requires beta = 0 and an empty nu")
-    V = matops.branching_integral(dq.btilde, dq.big_c, z, t)
-    return 0.5 * (V + V.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge z: _finite reports it
+        V = matops.branching_integral(dq.btilde, dq.big_c, z, t)
+        return _finite(0.5 * (V + V.T), "variance")

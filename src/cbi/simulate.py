@@ -34,8 +34,9 @@ embedded on the ray spanned by u_right. That diffusion is itself a
 one-type CBI (`limit_ray`), so all three run through one Euler kernel.
 
 Each public simulate_* checks the start cfg.x0 against the model's d once,
-on entry. A run whose grid- and path-sized arrays would exceed MAX_BYTES is
-refused with ValueError before any of them is allocated.
+on entry, and a start it forms (n x0, <u_left, x0>) for the float range
+(NumericRangeError). A run whose grid- and path-sized arrays would exceed
+MAX_BYTES is refused with ValueError before any of them is allocated.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import numpy as np
 from . import moments
 from .errors import ClassificationError
 from .model import CbiParams
-from .moments import DerivedQuantities, _point, _scale, _vector
+from .moments import DerivedQuantities, _finite, _point, _scale, _vector
 
 #: Steps per randomness window (fixed so stream layout never depends on batching).
 WINDOW = 1024
@@ -366,8 +367,9 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     m_of_t = np.floor(float(n) * times + 1e-9).astype(int)
     base_idx = np.minimum(np.round(m_of_t / h).astype(int), K_base)
     record_idx, take = np.unique(base_idx, return_inverse=True)
-    base_states, _ = _simulate_grid(dq, float(n) * x0, K_base, h,
-                                    cfg.seed, cfg.n_paths, record_idx)
+    with np.errstate(over="ignore"):  # a huge x0: _finite reports it
+        start = _finite(float(n) * x0, "start n * x0")
+    base_states, _ = _simulate_grid(dq, start, K_base, h, cfg.seed, cfg.n_paths, record_idx)
     return [SamplePath(times=times, states=states_p)
             for states_p in base_states[:, take] / float(n)]
 
@@ -405,8 +407,9 @@ def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
     d = dq.params.d
     K, h = _grid(cfg.horizon, cfg.dt)
     _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * (1 + d), K + 1)
-    scalars, _ = _simulate_grid(ray, [float(dq.perron.u_left @ x0)], K, h,
-                                cfg.seed, cfg.n_paths, np.arange(K + 1))
+    with np.errstate(over="ignore"):  # a huge x0: _finite reports it
+        start = _finite(float(dq.perron.u_left @ x0), "start <u_left, x0>")
+    scalars, _ = _simulate_grid(ray, [start], K, h, cfg.seed, cfg.n_paths, np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
     # a path's states are np.outer(its scalar, u_right): the same elementwise products
     return [SamplePath(times=times, states=states_p, scalar=scalar_p[:, 0])

@@ -1,28 +1,37 @@
-"""The argument rules of `moments`, read by every public function.
+"""The argument rules of `moments`, read by every public function, and the
+result rule at the ends of their domain.
 
 A point (x, z, lam, x0) must have length d (else DimensionError) and
 finite entries >= 0; a horizon t must be finite and >= 0; a scale n must
 be an integer, not a bool, between 1 and the largest float. Each refusal
 is a ValueError naming the argument. One table lists every function that
-reads such an argument, with a call that takes it as v.
+reads such an argument, with a call that takes it as v. The same tables,
+fed huge and subnormal values inside the domain, must return finite
+numbers or refuse with a documented error, never warn.
 """
 import math
+import re
+import sys
 
+import numpy as np
 import pytest
 
-from cbi.affine import (laplace_transform, phi, psi, solve_v, v_hessian_fd, v_hessian_limit,
-                        v_jacobian_fd, v_jacobian_limit)
-from cbi.errors import CbiError, DimensionError
-from cbi.generators import (discrete_gen_exp, discrete_gen_limit, discrete_gen_table,
-                            drift_convergence_criterion, exp_convergence_criterion,
-                            generator_apply, scaled_gen_apply, scaled_gen_limit)
+from cbi import affine
+from cbi.affine import (VSolution, laplace_transform, phi, psi, solve_v, v_hessian_fd,
+                        v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
+from cbi.errors import (CbiError, ClassificationError, ConsistencyError, DimensionError,
+                        NumericRangeError, SolverError)
+from cbi.generators import (ConvergenceTable, discrete_gen_exp, discrete_gen_limit,
+                            discrete_gen_table, drift_convergence_criterion,
+                            exp_convergence_criterion, generator_apply, scaled_gen_apply,
+                            scaled_gen_limit)
 from cbi.model import CbiParams
 from cbi.moments import mean, variance_no_immigration
-from cbi.simulate import (PathConfig, simulate_cbi, simulate_limit_diffusion,
+from cbi.simulate import (PathConfig, SamplePath, simulate_cbi, simulate_limit_diffusion,
                           simulate_scaled_step)
-from cbi.testfunctions import bump
+from cbi.testfunctions import TestFunction, bump
 
-from conftest import make_d2_critical, make_fix_a
+from conftest import make_d2_critical, make_fix_a, make_jump_d2
 
 #: critical and irreducible (the limit diffusion runs) and without
 #: immigration (the variance is defined)
@@ -140,3 +149,94 @@ def test_calls_that_once_returned_numbers_are_refused():
 def test_bump_at_a_point_of_the_wrong_length_is_a_dimension_error():
     with pytest.raises(DimensionError, match=r"^point has shape \(1,\); the bump's center"):
         bump([0.0, 0.0], 1.0).value([0.5])
+
+
+#: irreducible and without immigration as MODEL, but supercritical:
+#: exp(btilde) has spectral radius e^2, so its mean overflows from a huge start
+SUPERCRITICAL = CbiParams.no_jumps(c=[1.0, 1.0], beta=[0.0, 0.0], B=[[1.0, 1.0], [1.0, 1.0]])
+#: in-domain values at the ends of the float range: huge, where products,
+#: squares and sums overflow, and subnormal
+EXTREME_POINTS = {"1e154": [1e154, 1e154], "1e300": [1e300, 0.5], "1e308": [1e308, 1e308],
+                  "subnormal": [5e-324, 1.0]}
+EXTREME_HORIZONS = {"1e154": 1e154, "1e300": 1e300, "1e308": 1e308, "subnormal": 5e-324}
+EXTREME_SCALES = {"1e154": 10**154, "2**1023": 2**1023,
+                  "largest-float": int(sys.float_info.max)}
+
+
+def _numbers(result):
+    """Every float a public result holds, as one flat list."""
+    if isinstance(result, (list, tuple)):
+        return [e for r in result for e in _numbers(r)]
+    if isinstance(result, (ConvergenceTable, VSolution, SamplePath)):
+        return _numbers([v for v in vars(result).values() if not isinstance(v, (str, dict))])
+    if isinstance(result, (bool, np.bool_)) or result is None:
+        return []
+    return np.ravel(np.asarray(result, dtype=float)).tolist()
+
+
+@pytest.fixture(params=["critical", "supercritical"])
+def model(request, monkeypatch):
+    """The tables' calls read MODEL when they run: swap in each model. A
+    Riccati solve to a huge horizon stops at MAX_STEPS, after seconds at
+    the default cap: a lower cap stops it sooner."""
+    monkeypatch.setattr(affine, "MAX_STEPS", 1000)
+    if request.param == "supercritical":
+        monkeypatch.setitem(globals(), "MODEL", SUPERCRITICAL)
+    return request.param
+
+
+@pytest.mark.parametrize("name,call,v", _table(POINTS, EXTREME_POINTS)
+                         + [pytest.param(None, *p.values, id=p.id)
+                            for p in _table(HORIZONS, EXTREME_HORIZONS)
+                            + _table(SCALES, EXTREME_SCALES)])
+def test_in_domain_extremes_return_finite_numbers_or_a_documented_refusal(model, name, call, v):
+    """A NumericRangeError or SolverError exits 3, a ValueError 64; the
+    RuntimeWarning filter of pyproject.toml turns a numpy warning into a
+    failure. Only the limit diffusion refuses the supercritical model."""
+    try:
+        result = call(v)
+    except (NumericRangeError, SolverError, ValueError):
+        return
+    except ClassificationError:
+        assert model == "supercritical" and name == "x0"
+        return
+    assert all(math.isfinite(e) for e in _numbers(result))
+
+
+FAR = bump([1e308, 1e308], 1.0)  # nonzero curvature at a huge x
+#: (the result as its message names it, a call that overflows it); each
+#: warned and returned a non-finite number or a wrong verdict, or let the
+#: kernel refuse its first step
+OVERFLOWS = [
+    ("mean", lambda: mean(CbiParams.no_jumps(c=[1.0], beta=[1.0], B=[[1.0]]), [1e308], 1.0)),
+    ("phi(lam)", lambda: phi(make_fix_a(), [1e300])),
+    ("variance", lambda: variance_no_immigration(
+        CbiParams.no_jumps(c=[1.0], beta=[0.0], B=[[0.0]]), [1e308], 1)),
+    ("n x", lambda: scaled_gen_apply(make_fix_a(), 10, bump([0], 1), [1e308])),
+    ("generator", lambda: generator_apply(make_jump_d2(), FAR, [1e308, 1e308])),
+    ("scaled-generator limit", lambda: scaled_gen_limit(make_jump_d2(), FAR, [1e308, 1e308])),
+    ("<btilde x, grad f(x)>", lambda: drift_convergence_criterion(
+        SUPERCRITICAL, F, [1e308, 1e308])),
+    ("start n * x0", lambda: simulate_scaled_step(make_fix_a(), 2, _cfg([1e308]))),
+    ("start <u_left, x0>", lambda: simulate_limit_diffusion(make_d2_critical(),
+                                                            _cfg([1e308, 1e308]))),
+]
+
+
+@pytest.mark.parametrize("what,call", [pytest.param(*case, id=case[0]) for case in OVERFLOWS])
+def test_result_beyond_the_float_range_is_refused(what, call):
+    with pytest.raises(NumericRangeError,
+                       match=f"^{re.escape(what)} overflowed the floating-point range$"):
+        call()
+
+
+def test_psi_is_finite_where_phi_overflows():
+    # psi(lam) = <beta, lam> here; it once warned of phi's overflow
+    assert psi(make_fix_a(), [1e300]) == 1e300
+
+
+def test_generator_forms_that_are_nan_are_refused():
+    nan_curvature = TestFunction(value=lambda x: 0.0, gradient=lambda x: np.zeros(1),
+                                 hessian=lambda x: np.full((1, 1), math.nan))
+    with pytest.raises(ConsistencyError, match="^generator forms disagree: nan vs nan$"):
+        generator_apply(make_fix_a(), nan_curvature, [1.0])  # returned nan

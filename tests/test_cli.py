@@ -313,6 +313,27 @@ def test_overflowing_state_exits_64_without_csv(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command,params,extra,what", [
+    # the n = 10 row was a NaN cell, exit 0
+    ("cgen", "fix_a", ["--x=1e308", "--bump-radius=1"], "n x"),
+    # the kernel refused its first step: exit 64, "decrease dt"
+    ("simulate-scaled", "fix_a", ["--x=1e308", "--n", "2"], "start n * x0"),
+    ("simulate-limit", "d2", ["--x=1e308,1e308"], "start <u_left, x0>"),
+])
+def test_start_or_result_beyond_the_float_range_exits_3_without_output(
+        fix_a_file, d2_file, tmp_path, capsys, command, params, extra, what):
+    out_csv = tmp_path / "out.csv"
+    argv = [command, "--params", {"fix_a": fix_a_file, "d2": d2_file}[params], *extra,
+            "--out", str(out_csv)]
+    if command != "cgen":
+        argv += ["--t", "1", "--dt", "0.5", "--n-paths", "2"]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"solver error: {what} overflowed the floating-point range\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["laplace", "--t", "1", "--x", "a", "--lambda", "1"],
      "--x must be comma-separated decimals: could not convert string to float: 'a'"),

@@ -9,12 +9,14 @@ exit code, never an exception, and `validate` only reports: it never
 exits 3 or 64. Huge d is covered by
 test_cli.py::test_huge_d_document_exits_2_with_report.
 
-The argument flags (--x, --lambda, --bump-center, --t, --n, --n-list)
-are drawn from sane values, the edges of their domain (-1, 0, nan, inf,
-1e308, integers beyond the float range) and junk text, with vectors one
-entry short, right or one entry long. The CLI only parses them and the
-library checks them, so every run must end in a documented exit code,
-never an exception, and a run that fails writes no file.
+The argument flags (--x, --lambda, --bump-center, --bump-radius, --t,
+--n, --n-list) are drawn from sane values, the edges of their domain (-1,
+0, nan, inf, 1e308, integers beyond the float range) and junk text, with
+vectors one entry short, right or one entry long; the simulations run two
+paths of two steps. The CLI only parses them and the library checks them,
+so every run must end in a documented exit code, never an exception; a
+run that fails writes no file, and one that succeeds no NaN or infinite
+number.
 """
 import contextlib
 import io
@@ -26,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cbi import cli
 
-from conftest import make_fix_a, make_jump_d2, write_params
+from conftest import make_d2_critical, make_fix_a, make_jump_d2, write_params
 
 DOCUMENTED = {0, 2, 3, 64, 65, 66}
 
@@ -110,6 +112,9 @@ entries = rarely(st.floats(0.1, 3.0).map(repr),
                  st.one_of(st.sampled_from(["-1", "0", "nan", "inf", "1e308"]), TEXT), odds=4)
 #: --t is kept where no solve runs long
 horizons = st.sampled_from(["0.5", "1", "0", "nan", "inf", "-1"])
+radii = rarely(st.sampled_from(["0.5", "1", "3"]),
+               st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e154", "1e-160"]), TEXT),
+               odds=4)
 scales = rarely(st.sampled_from(["1", "10", "1000"]),
                 st.one_of(st.sampled_from(["0", "-1", "2.5", str(10**300), str(10**400)]), TEXT),
                 odds=4)
@@ -129,17 +134,21 @@ ARG_COMMANDS = {
     "vsolve": (("--t", "--lambda"), False),
     "dgen": (("--n", "--x", "--lambda"), False),
     "prop31": (("--x", "--lambda", "--n-list"), True),
-    "cgen": (("--x", "--n-list", "--bump-center"), True),
+    "cgen": (("--x", "--n-list", "--bump-center", "--bump-radius"), True),
+    "simulate-scaled": (("--n", "--t", "--x"), True),
+    "simulate-limit": (("--t", "--x"), True),
 }
+#: the simulations' fixed flags: two paths, and two steps at --t 1
+SIMULATION = ["--n-paths", "2", "--dt", "0.5"]
 
 
 @st.composite
 def argument_runs(draw):
     """(command, params name, argv after --params, writes a CSV)."""
-    name, d = draw(st.sampled_from([("fix_a", 1), ("jump_d2", 2)]))
+    name, d = draw(st.sampled_from([("fix_a", 1), ("jump_d2", 2), ("d2_critical", 2)]))
     command = draw(st.sampled_from(sorted(ARG_COMMANDS)))
     flags, writes = ARG_COMMANDS[command]
-    values = {"--t": horizons, "--n": scales, "--n-list": n_lists}
+    values = {"--t": horizons, "--n": scales, "--n-list": n_lists, "--bump-radius": radii}
     argv = [f"{flag}={draw(values.get(flag, vectors(d)))}" for flag in flags]
     return command, name, argv, writes
 
@@ -147,7 +156,8 @@ def argument_runs(draw):
 @pytest.fixture(scope="module")
 def params_files(tmp_path_factory):
     work = tmp_path_factory.mktemp("params")
-    for name, make in (("fix_a", make_fix_a), ("jump_d2", make_jump_d2)):
+    for name, make in (("fix_a", make_fix_a), ("jump_d2", make_jump_d2),
+                       ("d2_critical", make_d2_critical)):
         write_params(make(), work / f"{name}.json")
     return work
 
@@ -164,11 +174,33 @@ def params_files(tmp_path_factory):
 @example(run=("prop31", "fix_a", ["--x=2", "--lambda=1e308", "--n-list=10,1000"], True))
 @example(run=("prop31", "fix_a", ["--x=1e308", "--lambda=0.15", "--n-list=10,1000"], True))
 @example(run=("cgen", "fix_a", ["--x=0.15", "--n-list=10", "--bump-center=1e308"], True))
+# a start or a result beyond the float range: once a NaN cell at exit 0, or
+# the kernel's exit 64 ("decrease dt"), each after a RuntimeWarning
+@example(run=("cgen", "fix_a", ["--x=1e308", "--n-list=10,100", "--bump-radius=1"], True))
+@example(run=("simulate-scaled", "fix_a", ["--n=2", "--t=1", "--x=1e308"], True))
+@example(run=("simulate-limit", "d2_critical", ["--t=1", "--x=1e308,1e308"], True))
 def test_argument_flags_end_in_documented_exit_codes(params_files, run):
     command, name, argv, writes = run
     out = params_files / "out.csv"
     out.unlink(missing_ok=True)
-    code = run_quietly([command, "--params", str(params_files / f"{name}.json"), *argv,
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run([command, "--params", str(params_files / f"{name}.json"), *argv,
+                        *(SIMULATION if command.startswith("simulate") else []),
                         *(["--out", str(out)] if writes else [])])
     assert code in DOCUMENTED
     assert code == 0 or not out.exists()
+    if code == 0:
+        cells = [] if not stdout.getvalue() else _numbers(json.loads(stdout.getvalue()))
+        if writes:  # a table of numbers under a header
+            cells += [float(c) for row in out.read_text().splitlines()[1:] for c in row.split(",")]
+        assert all(math.isfinite(c) for c in cells)
+
+
+def _numbers(report):
+    """Every float of a parsed JSON report (json reads NaN and Infinity)."""
+    if isinstance(report, dict):
+        report = list(report.values())
+    if isinstance(report, list):
+        return [n for value in report for n in _numbers(value)]
+    return [report] if isinstance(report, float) else []
