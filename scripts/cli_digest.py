@@ -13,11 +13,11 @@ branching branching_jump of tests/conftest.py whose Riccati solve rejects
 (d = 0), 64 (a missing flag, a single simulated path, a state that
 overflows, a negative lambda, a scale beyond the floating-point range),
 65 (malformed JSON, a non-integer d), 66 (a start state and a bump
-center of the wrong dimension) and 3 (a scaled-generator point n x, a
-scaled start n x0 and a limit start <u_left, x0> beyond the
-floating-point range). The library decides which arguments are refused
-and which results are out of range; the last six lines run its rules
-through the CLI.
+center of the wrong dimension) and 3 (a scaled-generator point n x, the
+square of cgen's default bump radius, a scaled start n x0 and a limit
+start <u_left, x0> beyond the floating-point range). The library decides
+which arguments are refused and which results are out of range; the last
+seven lines run its rules through the CLI.
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -133,6 +133,8 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit3:overflowing-scaled-point",
                  ["cgen", "--params", "fix_a.json", "--x=1e308", "--bump-radius=1"],
                  "cgen_overflow.csv"))
+    cmds.append(("exit3:overflowing-default-bump-radius",
+                 ["cgen", "--params", "fix_a.json", "--x=1e154"], "cgen_default_radius.csv"))
     tiny_run = ["--t", "1", "--dt", "0.5", "--n-paths", "2"]
     cmds.append(("exit3:overflowing-scaled-start",
                  ["simulate-scaled", "--params", "fix_a.json", "--x=1e308", "--n", "2",

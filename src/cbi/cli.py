@@ -217,6 +217,8 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
         args.bump_center = np.zeros(dq.params.d)
     if args.bump_radius is None:
         args.bump_radius = 2.0 * (1.0 + float(np.max(np.abs(x))))
+        # derived, not given: beyond the float range it is exit 3, not a usage error
+        moments._finite(args.bump_radius * args.bump_radius, "default bump radius squared")
     f = bump(args.bump_center, args.bump_radius, args.bump_amplitude)
     limit = generators.scaled_gen_limit(dq, f, x)
     rows = []

@@ -19,15 +19,17 @@ Reproducibility: each path owns a counter-based Philox stream (Salmon et
 al. 2011) whose key is SeedSequence(entropy=seed, spawn_key=(path index,))
 .generate_state(2, uint64), so results are bit-identical across runs and
 independent of path batching. The keys of a block of paths are hashed at
-once (`_philox_keys`), and one Philox serves the block: each path's stream
-is a saved state that is set before the path draws and saved after. Per
-window of 1024 steps a path draws its normals (steps, d), then its uniforms
-(steps, A), one per step and atom in the atom table's order, both
-step-major; the stream is read nowhere else. Jump counts use exact
-inverse-CDF Poisson sampling from those uniforms, one call per step for all
-paths and atoms.
+once (`_philox_keys`): numpy's SeedSequence(seed).pool, the seed already
+mixed, takes in each path index and is hashed out here. One Philox serves
+the block: each path's stream is a saved state that is set before the path
+draws and saved after. Per window of 1024 steps a path draws its normals
+(steps, d), then its uniforms (steps, A), one per step and atom in the atom
+table's order, both step-major; the stream is read nowhere else. Jump
+counts use exact inverse-CDF Poisson sampling from those uniforms, one call
+per step for all paths and atoms.
 
-Also provided: the step-scaled chain t -> X_{floor(nt)} / n and, for
+Also provided: the step-scaled chain t -> X_{floor(nt)} / n, whose base
+grid divides one unit of time so that every X_m is a grid state, and, for
 critical irreducible models, the limiting scalar squared-Bessel-type
 diffusion dY = <u_left, beta_tilde> dt + sqrt(<cbar u_left, u_left> Y^+) dW
 embedded on the ray spanned by u_right. That diffusion is itself a
@@ -113,51 +115,28 @@ def _philox_keys(seed: int, p0: int, p1: int) -> np.ndarray:
     """The Philox keys SeedSequence(entropy=seed, spawn_key=(p,))
     .generate_state(2, np.uint64) of the paths p0 <= p < p1, shape (P, 2).
 
-    This is numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit
-    words. The seed's words, zero-padded to the pool of four, are mixed once
-    as Python ints. The path index, the last entropy word, is then mixed in
-    for the whole block at once as a uint64 array held to 32 bits (its
-    wrap-around mod 2**64 keeps every word mod 2**32). Indices of 2**32 and
-    up would take a second spawn-key word and are refused.
+    numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words starts
+    from the pool that SeedSequence(seed) mixed, its hash constant advanced
+    past numpy's hashmix calls: four per seed word, counting at least four
+    words. The path index, the last entropy word, is mixed into each pool word
+    for the whole block at once, then the pool is hashed out, as uint64
+    arrays held to 32 bits (wrap-around mod 2**64 keeps each word mod 2**32).
+    Indices of 2**32 and up would take a second spawn-key word and are refused.
     """
     if p1 > 2**32:
         raise ValueError(f"path index {p1 - 1} is not below 2**32")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (4 - len(words))
-    hash_a = 0x43b0d7e5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = hash_a * 0x931e8875 & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in [*words[4:], np.arange(p0, p1, dtype=np.uint64)]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hash_b = 0x8b51f9dd
-    state = []
-    for word in pool:
-        word = word ^ hash_b
-        hash_b = hash_b * 0x58f38ded & _MASK32
-        word = word * hash_b & _MASK32
-        state.append(word ^ word >> 16)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    calls = 4 * max(4, -(-seed.bit_length() // 32))
+    hash_a = np.array([0x43b0d7e5 * pow(0x931e8875, calls + i, 2**32) & _MASK32
+                       for i in range(5)], dtype=np.uint64)
+    hash_b = np.array([0x8b51f9dd * pow(0x58f38ded, i, 2**32) & _MASK32
+                       for i in range(5)], dtype=np.uint64)
+    word = (np.arange(p0, p1, dtype=np.uint64)[:, None] ^ hash_a[:4]) * hash_a[1:] & _MASK32
+    pool = (0xca01f9dd * np.random.SeedSequence(seed).pool.astype(np.uint64)
+            - 0x4973f715 * (word ^ word >> 16)) & _MASK32
+    pool ^= pool >> 16
+    state = (pool ^ hash_b[:4]) * hash_b[1:] & _MASK32
+    state ^= state >> 16
+    return np.stack([state[:, 0] | state[:, 1] << 32, state[:, 2] | state[:, 3] << 32], axis=1)
 
 
 def _check_intensity(mean_max) -> None:
@@ -342,6 +321,8 @@ def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list
 def scaled_last_index(n: int, horizon: float) -> int:
     """M = floor(n T): the base chain's last state in the step-scaled chain
     on [0, T] is X_M."""
+    if not math.isfinite(n * horizon):
+        raise ValueError(f"horizon {horizon} scaled by n = {n} overflows the step count")
     return int(math.floor(n * horizon + 1e-9))
 
 
@@ -350,14 +331,17 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     """Simulate the step-scaled chain t -> X_{floor(nt)} / n on [0, horizon].
 
     cfg.x0 is the *scaled* start, so the base chain starts at n * x0 and
-    runs to horizon n * T with step cfg.dt; the emitted path is the
-    piecewise-constant scaled step function on the output grid. The
-    emitted jump_log is empty (the path is a derived step function).
+    runs floor(n T) units of time (`scaled_last_index`) with cfg.dt rounded
+    to divide one unit, so that every X_m is a state of its grid; the
+    emitted path is the piecewise-constant scaled step function on the
+    output grid. The emitted jump_log is empty (the path is a derived step
+    function).
     """
     n = _scale(n)
     dq = moments.derive(params)
     x0 = _point(dq, cfg.x0, "x0")
-    K_base, h = _grid(n * cfg.horizon, cfg.dt)
+    per_unit, h = _grid(1.0, cfg.dt)
+    K_base = scaled_last_index(n, cfg.horizon) * per_unit
     K_out, _ = _grid(cfg.horizon, cfg.dt)
     # base states recorded at, and scaled states returned on, the output grid
     _check_size(cfg.n_paths, 2 * cfg.n_paths * (K_out + 1) * dq.params.d,
@@ -365,8 +349,9 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     times = np.linspace(0.0, cfg.horizon, K_out + 1)
     # linspace ends at the horizon itself, so m_of_t ends at scaled_last_index
     m_of_t = np.floor(float(n) * times + 1e-9).astype(int)
-    base_idx = np.minimum(np.round(m_of_t / h).astype(int), K_base)
-    record_idx, take = np.unique(base_idx, return_inverse=True)
+    m_values, take = np.unique(m_of_t, return_inverse=True)
+    # as Python ints: per_unit may pass int64 when no unit is reached (n T < 1)
+    record_idx = [m * per_unit for m in m_values.tolist()]
     with np.errstate(over="ignore"):  # a huge x0: _finite reports it
         start = _finite(float(n) * x0, "start n * x0")
     base_states, _ = _simulate_grid(dq, start, K_base, h, cfg.seed, cfg.n_paths, record_idx)
@@ -422,8 +407,10 @@ def paths_to_csv(paths: list[SamplePath], out: TextIO) -> None:
     Each cell is Python's `repr` of the float (the shortest string that
     round-trips), so `float(cell)` returns the stored value exactly and the
     bytes are stable. A time grid is formatted once for the run of paths
-    that share it; each path is one write.
+    that share it; each path is one write. An empty list is refused.
     """
+    if not paths:
+        raise ValueError("no paths to write")
     d = paths[0].states.shape[1]
     out.write("path_id,t," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
     grid = heads = None

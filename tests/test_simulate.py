@@ -69,7 +69,9 @@ def test_path_config_keeps_an_integer_seed_as_int(seed):
     assert type(cfg.seed) is int and cfg.seed == int(seed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5])
+# up to seven 32-bit seed words: past the fourth, each advances numpy's hash constant
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5,
+                                  2**160 + 9, 2**200 + 7])
 def test_philox_keys_match_seed_sequence(seed):
     # whole blocks from 0 and from offsets, up to the last one-word path index
     for p0, p1 in [(0, 40), (5, 6), (1000, 1007), (2**31 - 3, 2**31 + 3), (2**32 - 4, 2**32)]:
@@ -94,6 +96,9 @@ def test_philox_keys_refuse_a_two_word_path_index(fix_a):
                                          n_paths=10**12)),
     lambda p: simulate_scaled_step(p, 10**9, PathConfig(x0=[1.0], horizon=1.0, dt=0.5,
                                                         seed=0, n_paths=1)),
+    # n T itself overflows
+    lambda p: simulate_scaled_step(p, 10**300, PathConfig(x0=[1.0], horizon=1e10, dt=0.5,
+                                                          seed=0, n_paths=1)),
     lambda p: simulate_limit_diffusion(p, PathConfig(x0=[1.0], horizon=1e6, dt=1e-6,
                                                      seed=0, n_paths=1)),
     lambda p: simulate_cbi(p, PathConfig(x0=[1.0], horizon=1e300, dt=1e-300, seed=0,
@@ -289,12 +294,31 @@ def test_streams_match_loop_oracle_on_limit_and_scaled(d2_critical, jump_mixed):
                               50, 1e-2, cfg.seed, cfg.n_paths)
     for p, path in enumerate(simulate_limit_diffusion(d2_critical, cfg)):
         assert_close(path.scalar, ray[p, :, 0], 1e-12, "limit scalar")
-    # n = 3 on [0, 0.5]: the base chain runs 15 steps of 0.1 from 3 x0
+    # n = 3 on [0, 0.5]: the base chain runs floor(1.5) = 1 unit, 10 steps of 0.1, from 3 x0
     cfg = PathConfig(x0=[1.0], horizon=0.5, dt=0.1, seed=12, n_paths=4)
-    base, _ = euler_paths_loop(jump_mixed, 3 * cfg.x0, 15, 0.1, cfg.seed, cfg.n_paths)
+    base, _ = euler_paths_loop(jump_mixed, 3 * cfg.x0, 10, 0.1, cfg.seed, cfg.n_paths)
     for p, path in enumerate(simulate_scaled_step(jump_mixed, 3, cfg)):
         take = 10 * np.floor(3 * path.times + 1e-9).astype(int)
         assert_close(path.states, base[p, take] / 3, 1e-12, "scaled chain")
+
+
+def test_scaled_chain_reads_its_base_chain_at_integer_times(jump_mixed):
+    # dt = 0.3 divides one unit as h = 1/3, so X_1 and X_2 are base steps 3 and 6;
+    # rounded to divide n T = 2.5 instead, h was 0.3125 and X_1, X_2 were
+    # read at times 0.9375 and 1.875
+    cfg = PathConfig(x0=[1.0], horizon=0.5, dt=0.3, seed=7, n_paths=3)
+    base, _ = euler_paths_loop(jump_mixed, 5 * cfg.x0, 6, 1 / 3, cfg.seed, cfg.n_paths)
+    for p, path in enumerate(simulate_scaled_step(jump_mixed, 5, cfg)):
+        assert np.array_equal(path.times, [0.0, 0.25, 0.5])
+        assert_close(path.states, base[p, [0, 3, 6]] / 5, 1e-12, "scaled chain")
+
+
+@pytest.mark.parametrize("horizon,dt,K_out", [(0.5, 0.1, 5), (1e-300, 1e-301, 10)])
+def test_scaled_chain_before_its_first_step_is_the_start(jump_mixed, horizon, dt, K_out):
+    # n T < 1: the base chain takes no step, however many steps one unit would take
+    cfg = PathConfig(x0=[1.0], horizon=horizon, dt=dt, seed=0, n_paths=2)
+    for path in simulate_scaled_step(jump_mixed, 1, cfg):
+        assert np.array_equal(path.states, np.ones((K_out + 1, 1)))
 
 
 # --- trajectory structure ------------------------------------------------------
@@ -511,6 +535,11 @@ def test_csv_export_stable_and_wellformed(fix_a):
     lines = buf1.getvalue().strip().split("\n")
     assert lines[0] == "path_id,t,x_1"
     assert len(lines) == 1 + 2 * len(paths[0].times)
+
+
+def test_csv_export_refuses_no_paths():
+    with pytest.raises(ValueError, match="no paths to write"):
+        paths_to_csv([], io.StringIO())
 
 
 def _csv(paths):
