@@ -13,11 +13,12 @@ branching branching_jump of tests/conftest.py whose Riccati solve rejects
 (d = 0), 64 (a missing flag, a single simulated path, a state that
 overflows, a negative lambda, a scale beyond the floating-point range),
 65 (malformed JSON, a non-integer d), 66 (a start state and a bump
-center of the wrong dimension) and 3 (a scaled-generator point n x, the
+center of the wrong dimension), 3 (a scaled-generator point n x, the
 square of cgen's default bump radius, a scaled start n x0 and a limit
-start <u_left, x0> beyond the floating-point range). The library decides
-which arguments are refused and which results are out of range; the last
-seven lines run its rules through the CLI.
+start <u_left, x0> beyond the floating-point range) and 73 (an --out file
+in a directory that does not exist). The library decides which arguments
+are refused and which results are out of range; the seven lines before
+the exit-73 one run its rules through the CLI.
 All commands run in-process from one fresh working directory with
 relative file names, so the output does not depend on where the script
 runs. Each line is
@@ -142,6 +143,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit3:overflowing-limit-start",
                  ["simulate-limit", "--params", "d2_critical.json", "--x=1e308,1e308",
                   *tiny_run], "simulate_limit_overflow.csv"))
+    cmds.append(("exit73:missing-out-directory",
+                 ["simulate", "--params", "fix_a.json", "--x", "1", *tiny_run],
+                 "no_such_dir/paths.csv"))
     return cmds
 
 

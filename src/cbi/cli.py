@@ -19,7 +19,8 @@ B, nu, mu):
 Exit codes: 0 success, 2 validation/classification failure, 3 solver
 failure, 64 usage error or unknown command, 65 unreadable or malformed
 params JSON, 66 dimension mismatch (the library's DimensionError, a
---bump-center's included). The CLI only parses flag values: the library
+--bump-center's included), 73 an --out file that cannot be created or
+written (sysexits EX_CANTCREAT). The CLI only parses flag values: the library
 checks points, horizons and scales. `_COMMANDS` is the one list of each
 command's flags, required and optional: a command accepts only those, its
 required ones are checked once the model is derived, and every JSON report
@@ -48,6 +49,7 @@ EXIT_SOLVER = 3
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 EXIT_DIMENSION = 66
+EXIT_CANTCREAT = 73
 
 
 class _UsageError(Exception):
@@ -55,6 +57,10 @@ class _UsageError(Exception):
 
 
 class _InputError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -151,10 +157,21 @@ def _emit(command: str, config: dict, result: dict) -> int:
     return EXIT_OK if result.get("admissible", True) else EXIT_VALIDATION
 
 
+def _write_out(path: str, write) -> None:
+    """Open the --out file and hand it to write(fh). A file that cannot be
+    created or written is an _OutputError; what was written stays, since
+    --out may name a device such as /dev/full."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(args, header: str, rows: list[str]) -> None:
     text = header + "\n" + "\n".join(rows) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
@@ -251,8 +268,7 @@ def _report_paths(args, paths, ends: np.ndarray, reference: np.ndarray) -> dict:
     """Write the paths CSV once every number of the report is computed
     (a failed run leaves no file); the report's result."""
     summary = _moment_summary(ends, reference)
-    with open(args.out, "w") as fh:
-        simulate.paths_to_csv(paths, fh)
+    _write_out(args.out, lambda fh: simulate.paths_to_csv(paths, fh))
     return {"csv": args.out, "moment_check": summary}
 
 
@@ -337,6 +353,9 @@ def run(argv: list[str]) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except DimensionError as exc:
         print(f"dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

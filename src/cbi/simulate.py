@@ -406,19 +406,28 @@ def paths_to_csv(paths: list[SamplePath], out: TextIO) -> None:
 
     Each cell is Python's `repr` of the float (the shortest string that
     round-trips), so `float(cell)` returns the stored value exactly and the
-    bytes are stable. A time grid is formatted once for the run of paths
-    that share it; each path is one write. An empty list is refused.
+    bytes are stable. A time grid is formatted once, for the run of paths
+    that share it, into a template of rows `<id>,<repr(t)>` followed by d
+    `,%r` cells (`%r` is `repr`); each path is one write of that template
+    with its id filled in and its states as the cells. An empty list, or a
+    path whose state rows do not match its times or whose width is not the
+    first path's, is refused before anything is written.
     """
     if not paths:
         raise ValueError("no paths to write")
-    d = paths[0].states.shape[1]
+    d = np.shape(paths[0].states)[-1]
+    for pid, path in enumerate(paths):
+        if np.shape(path.states) != (len(path.times), d):
+            raise ValueError(f"path {pid}: states of shape {np.shape(path.states)}, not one row "
+                             f"per time and the header's {d} columns ({len(path.times)}, {d})")
     out.write("path_id,t," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")
-    grid = heads = None
+    cells = ",%r" * d + "\n"
+    grid = template = None
     for pid, path in enumerate(paths):
         if path.times is not grid:
             grid = path.times
-            heads = [f"{t!r}," for t in np.asarray(grid, dtype=float).tolist()]
-        lead = f"{pid},"
-        rows = np.asarray(path.states, dtype=float).tolist()
-        out.write("".join([lead + head + ",".join(map(repr, row)) + "\n"
-                           for head, row in zip(heads, rows)]))
+            # NUL marks the id: no float repr holds it, nor a '%'
+            template = "".join([f"\0,{t!r}{cells}"
+                                for t in np.asarray(grid, dtype=float).tolist()])
+        states = np.asarray(path.states, dtype=float).ravel().tolist()
+        out.write(template.replace("\0", str(pid)) % tuple(states))

@@ -557,6 +557,35 @@ def test_exit_codes_for_bad_input(fix_a_file, tmp_path, capsys):
     assert code == 66  # x has wrong dimension
 
 
+_OUT_COMMANDS = {
+    "prop31": ["--lambda", "1", "--n-list", "10,100"],
+    "cgen": ["--n-list", "1"],
+    **{command: ["--t", "0.1", "--dt", "0.05", "--n-paths", "2", *n]
+       for command, n in _SIM_N.items()},
+}
+
+
+@pytest.mark.parametrize("target", [
+    "directory", "missing-directory",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                       reason="no /dev/full")),
+])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_unwritable_out_exits_73(fix_a_file, tmp_path, capsys, command, target):
+    out = {"directory": tmp_path, "missing-directory": tmp_path / "no_such_dir" / "o.csv",
+           "/dev/full": "/dev/full"}[target]
+    code = cli.run([command, "--params", fix_a_file, "--x", "1", *_OUT_COMMANDS[command],
+                    "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 73 and captured.out == ""
+    assert captured.err.startswith(f"output error: cannot write {str(out)!r}: ")
+    assert len(captured.err.splitlines()) == 1
+    if target == "/dev/full":  # never unlinked
+        assert os.path.exists("/dev/full") and not os.path.isfile("/dev/full")
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fix_a.json"]
+
+
 #: The flags each command accepts besides --params.
 COMMAND_FLAGS = {
     "validate": set(),

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -549,10 +550,25 @@ def _csv(paths):
 
 
 def test_csv_matches_per_cell_reference_on_simulations(jump_d2, d2_critical):
-    cfg = PathConfig(x0=[1.0, 0.5], horizon=0.2, dt=1e-2, seed=5, n_paths=4)
+    # 12 paths give two-digit path ids; the last run has 1100 steps
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=0.2, dt=1e-2, seed=5, n_paths=12)
+    long_cfg = PathConfig(x0=[1.0, 0.5], horizon=1.1, dt=1e-3, seed=6, n_paths=2)
     for paths in (simulate_cbi(jump_d2, cfg), simulate_scaled_step(d2_critical, 3, cfg),
-                  simulate_limit_diffusion(d2_critical, cfg)):
+                  simulate_limit_diffusion(d2_critical, cfg), simulate_cbi(jump_d2, long_cfg)):
         assert _csv(paths) == paths_csv_per_cell(paths)
+
+
+@pytest.mark.parametrize("states", [np.ones((5, 2)), np.ones((3, 3)), np.ones(3)])
+def test_csv_export_refuses_malformed_paths_before_writing(states):
+    # more rows than times (zip would drop two), a width the header lacks, 1-d states
+    good = simulate.SamplePath(times=np.linspace(0.0, 1.0, 4), states=np.ones((4, 2)))
+    bad = simulate.SamplePath(times=np.linspace(0.0, 1.0, 3), states=states)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(
+            f"path 1: states of shape {states.shape}, not one row per time and the "
+            f"header's 2 columns (3, 2)")):
+        paths_to_csv([good, bad, good], buf)
+    assert buf.getvalue() == ""
 
 
 def test_csv_matches_per_cell_reference_on_edge_floats():
