@@ -11,7 +11,8 @@ raw(n) / n has not settled by n = 1000, one `vsolve` run on the pure
 branching branching_jump of tests/conftest.py whose Riccati solve rejects
 2 of its 67 step attempts, plus commands that exit 2
 (d = 0), 64 (a missing flag, a single simulated path, a state that
-overflows, a negative lambda, a scale beyond the floating-point range),
+overflows, a negative lambda, a scale beyond the floating-point range,
+and, last, an empty --out),
 65 (malformed JSON, a non-integer d), 66 (a start state and a bump
 center of the wrong dimension), 3 (a scaled-generator point n x, the
 square of cgen's default bump radius, a scaled start n x0 and a limit
@@ -146,6 +147,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit73:missing-out-directory",
                  ["simulate", "--params", "fix_a.json", "--x", "1", *tiny_run],
                  "no_such_dir/paths.csv"))
+    # an empty --out is a usage error before the params file is read
+    cmds.append(("exit64:empty-out",
+                 ["prop31", "--params", "fix_a.json", "--x", "1", "--lambda", "1"], ""))
     return cmds
 
 

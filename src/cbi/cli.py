@@ -17,11 +17,12 @@ B, nu, mu):
     simulate-limit   limiting ray diffusion paths (CSV) + moment summary
 
 Exit codes: 0 success, 2 validation/classification failure, 3 solver
-failure, 64 usage error or unknown command, 65 unreadable or malformed
-params JSON, 66 dimension mismatch (the library's DimensionError, a
---bump-center's included), 73 an --out file that cannot be created or
-written (sysexits EX_CANTCREAT). The CLI only parses flag values: the library
-checks points, horizons and scales. `_COMMANDS` is the one list of each
+failure, 64 usage error or unknown command (an empty --out included, before
+the params file is read), 65 unreadable or malformed params JSON, 66
+dimension mismatch (the library's DimensionError, a --bump-center's
+included), 73 an --out file that cannot be created or written (sysexits
+EX_CANTCREAT). The CLI only parses flag values: the library checks points,
+horizons and scales. `_COMMANDS` is the one list of each
 command's flags, required and optional: a command accepts only those, its
 required ones are checked once the model is derived, and every JSON report
 embeds them, resolved, so a run is reproducible from the report alone; CSV
@@ -322,8 +323,11 @@ def run(argv: list[str]) -> int:
         args = _PARSER.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (see --help)")
-        params = _load_params(args.params)
         handler, required, optional = _COMMANDS[args.command]
+        # an empty path names no file, for every command that writes one
+        if "--out" in (*required, *optional) and args.out == "":
+            raise _UsageError(f"--out must name a file, got '' for {args.command}")
+        params = _load_params(args.params)
         model = params
         if args.command != "validate":
             try:

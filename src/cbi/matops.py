@@ -15,7 +15,9 @@ two broadcast products and each block matrix is assigned into a zeroed
 array: np.kron's and np.block's values bit for bit, without their
 per-call cost. Every exponential is one `mat_exp`: scaling and squaring
 with the degree-13 Pade approximant (Higham, SIAM J. Matrix Anal. Appl.
-26(4), 2005, Algorithm 2.3).
+26(4), 2005, Algorithm 2.3). Only that algorithm's degree-13 branch is
+implemented; its branches of degree m = 3, 5, 7 and 9 for a small ||A||_1
+are not used, so a tiny block pays the full degree-13 assembly.
 """
 from __future__ import annotations
 
@@ -56,6 +58,8 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t*A) by scaling and squaring with the degree-13 Pade approximant
     (Higham, SIMAX 26(4), 2005, Algorithm 2.3): X = tA / 2^s with
     ||X||_1 <= theta_13, r_13(X) from one linear solve, then s squarings.
+    Only the degree-13 branch runs, whatever ||tA||_1: the algorithm's
+    m = 3, 5, 7, 9 branches are not used.
 
     For essentially non-negative A and t >= 0 the result is entrywise
     >= 0 (up to roundoff).

@@ -15,11 +15,19 @@ One walk over the admissibility rules (`admissibility_violations`) lists
 the violations: `moments.derive` asks it for them alone, which needs only
 each measure's admissibility integral, while `validate` also has it
 record every measure's mass and norm tails and the moment-order flags.
+The walk checks the atoms on one stacked table (`_atom_table`, the one
+that `moments.derive` reads): points Z of shape (A, d) and weights, the
+atoms of mu_1, ..., mu_d and then of nu, with one slice per measure. A few
+whole-table reductions decide that every atom passes every rule; only
+when one fails is each measure checked on its own slice, so a message is
+formatted only for a failed check and keeps its measure's place. Each
+integral is one dot over its measure's slice of per-atom terms.
 All types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -146,6 +154,24 @@ class ValidationReport:
     violations: list[str]
 
 
+def _atom_table(measures) -> tuple[np.ndarray | None, np.ndarray | None, list[slice]]:
+    """The atoms of `measures` stacked in the order given: points Z of shape
+    (A, d), weights of shape (A,) and each measure's slice of them. Without
+    atoms there is nothing to stack: Z and the weights are None.
+
+    `moments.derive` stacks mu_1, ..., mu_d, then nu, and so does the walk,
+    with an empty measure in place of a malformed one. Only measures with
+    atoms are stacked, so an empty one's point width is never read."""
+    spans, start = [], 0
+    for m in measures:
+        spans.append(slice(start, start := start + len(m.weights)))
+    if not start:
+        return None, None, spans
+    filled = [m for m in measures if len(m.weights)]
+    return (np.concatenate([m.points for m in filled]),
+            np.concatenate([m.weights for m in filled]), spans)
+
+
 def admissibility_violations(params: CbiParams, integrals: dict[str, float] | None = None,
                              order_ok: dict[int, bool] | None = None) -> list[str]:
     """Every violated admissibility condition of `params`, in a fixed order:
@@ -168,84 +194,106 @@ def admissibility_violations(params: CbiParams, integrals: dict[str, float] | No
         return violations
 
     # the entries of c, beta and B in one array: every entry finite, and
-    # each one >= 0 except on the diagonal of B
-    parts = (("c", params.c, (d,)), ("beta", params.beta, (d,)), ("B", params.B, (d, d)))
-    shaped = [a.ravel() for _, a, shape in parts if a.shape == shape]
-    X = np.concatenate(shaped) if shaped else np.zeros(0)
-    finite = np.isfinite(X)
-    if params.B.shape == (d, d):
-        X[len(X) - d * d::d + 1] = 0.0
-    signed = X >= 0
-    if not (len(shaped) == 3 and finite.all() and signed.all()):
-        start = 0
-        for label, a, shape in parts:
+    # each one >= 0 except on the diagonal of B; only when one fails is
+    # each part looked at on its own, for the messages
+    c, beta, B = params.c, params.beta, params.B
+    X = None
+    if c.shape == beta.shape == (d,) and B.shape == (d, d):
+        X = np.concatenate((c, beta, B.ravel()))
+        finite = np.isfinite(X).all()
+        X[2 * d::d + 1] = 0.0  # B's diagonal
+    if X is None or not (finite and 0 <= X.min()):
+        for label, a, shape in (("c", c, (d,)), ("beta", beta, (d,)), ("B", B, (d, d))):
             if a.shape != shape:
                 violations.append(f"B must be {d}x{d}, got shape {a.shape}" if label == "B"
                                   else f"{label} must have length d={d}, got shape {a.shape}")
-                continue
-            seg, start = slice(start, start + a.size), start + a.size
-            if not finite[seg].all():
+            elif not np.isfinite(a).all():
                 violations.append(f"{label} has non-finite entries")
-            elif signed[seg].all():
-                pass
             elif label != "B":
-                violations.append(f"{label} must be componentwise >= 0")
+                if (a < 0).any():
+                    violations.append(f"{label} must be componentwise >= 0")
             else:
                 off = a - np.diag(np.diag(a))
-                i, j = np.unravel_index(np.argmin(off), off.shape)
-                violations.append(
-                    f"B not essentially non-negative: entry ({i + 1},{j + 1}) = {a[i, j]} < 0")
+                if (off < 0).any():
+                    i, j = np.unravel_index(np.argmin(off), off.shape)
+                    violations.append(
+                        f"B not essentially non-negative: entry ({i + 1},{j + 1}) = {a[i, j]} < 0")
 
     if len(params.mu) != d:
         violations.append(f"mu must contain exactly d={d} measures, got {len(params.mu)}")
 
-    # nu, then mu_1, ..., mu_d: each measure's structure, then its own
-    # admissibility integral (and, for a report, its mass and norm tails);
-    # nu gates moment orders 1, 2 and 4, each mu_i orders 2 and 4. Atom
-    # integrals of huge but finite atoms overflow to inf, which is reported
+    # The well-formed measures' atoms in one table, mu_1, ..., mu_d, then nu,
+    # so spans[i] is the slice of walk index i = -1, 0, ..., d - 1. Only
+    # when an atom fails a rule is each measure checked on its own slice,
+    # for the messages. Each atom's term of its admissibility integral is
+    # formed on the whole table; a failed measure's terms are never read.
+    # Huge but finite atoms overflow an integral to inf, which is reported
     # as a violation or a failed moment order, not as a numpy warning.
-    with np.errstate(over="ignore"):
-        for i, m in enumerate((params.nu, *params.mu), start=-1):
+    measures = (*params.mu, params.nu)
+    faults = []  # what is malformed in each measure's shapes, if anything
+    for m in measures:
+        mw, mz = m.weights, m.points
+        if mw.ndim != 1:
+            faults.append(f"atom weights must be numbers, got shape {mw.shape}")
+        elif mz.ndim != 2 or (len(mw) and mz.shape[1] != d):  # an empty one's width is never read
+            faults.append(f"atom points must lie in R^{d}, got shape {mz.shape}")
+        elif len(mw) != len(mz):
+            faults.append(f"{len(mw)} weights but {len(mz)} points")
+        else:
+            faults.append(None)
+    if any(faults):
+        measures = [JumpMeasure.empty(1) if f else m for f, m in zip(faults, measures)]
+    Z, w, spans = _atom_table(measures)
+    clean = True
+    # a jump-free model does no atom arithmetic
+    with np.errstate(over="ignore", invalid="ignore") if w is not None else nullcontext():
+        if w is not None:
+            r = np.sqrt(np.add.reduce(Z * Z, axis=1))  # |z| of each atom
+            # weights in (0, inf), coordinates in [0, inf), |z| > 0; a NaN
+            # fails every comparison
+            clean = bool(0 < w.min() and w.max() < math.inf and 0 <= Z.min()
+                         and Z.max() < math.inf and r.min() > 0)
+            # 1 ^ |z| on nu, |z| ^ |z|^2 + sum_{j != i} z_j on mu_i
+            other = Z.sum(axis=1)
+            for i, s in enumerate(spans[:min(d, len(params.mu))]):
+                other[s] -= Z[s, i]
+            terms = np.minimum(r, r**2) + other
+            terms[spans[-1]] = np.minimum(1.0, r[spans[-1]])
+
+        # nu, then mu_1, ..., mu_d: each measure's structure, then its own
+        # admissibility integral (and, for a report, its mass and norm
+        # tails); nu gates moment orders 1, 2 and 4, each mu_i orders 2 and 4
+        for i in range(-1, len(params.mu)):
             name, own = ("nu", "min_1_norm") if i < 0 else (f"mu[{i + 1}]", "admissibility")
-            w, z, r = m.weights, m.points, None
-            failed = len(violations)
-            if w.ndim != 1:
-                violations.append(f"{name}: atom weights must be numbers, got shape {w.shape}")
-            elif z.ndim != 2 or (len(w) and z.shape[1] != d):
-                violations.append(f"{name}: atom points must lie in R^{d}, got shape {z.shape}")
-            elif len(w) != len(z):
-                violations.append(f"{name}: {len(w)} weights but {len(z)} points")
-            elif len(w):  # the width of an empty measure's points is never read
-                r = np.sqrt(np.add.reduce(z * z, axis=1))  # |z| of each atom
-                if not (np.isfinite(w).all() and np.isfinite(z).all()):
+            s, failed = spans[i], len(violations)
+            if faults[i]:
+                violations.append(f"{name}: {faults[i]}")
+            elif not clean and s.start < s.stop:
+                if not (np.isfinite(w[s]).all() and np.isfinite(Z[s]).all()):
                     violations.append(f"{name}: non-finite atom data")
-                if (w <= 0).any():
-                    bad = int(np.argmax(w <= 0))
-                    violations.append(f"{name}: atom {bad + 1} has non-positive weight {w[bad]}")
-                if (z < 0).any():
+                if (w[s] <= 0).any():
+                    bad = int(np.argmax(w[s] <= 0))
+                    violations.append(
+                        f"{name}: atom {bad + 1} has non-positive weight {w[s][bad]}")
+                if (Z[s] < 0).any():
                     violations.append(
                         f"{name}: atom point with negative coordinate (support must be in R_+^d)")
-                if (r == 0).any():
+                if (r[s] == 0).any():
                     violations.append(
                         f"{name}: atom at the origin is outside U_d = R_+^d \\ {{0}}")
-            if len(violations) > failed:  # a malformed measure has no integrals
+            if len(violations) > failed:  # a failed measure has no integrals
                 if order_ok is not None:
                     for k in ((1, 2, 4) if i < 0 else (2, 4)):
                         order_ok[k] = False
                 continue
             # an empty measure's integrals are 0 without any numpy sum
-            if r is None:
-                own_val = 0.0
-            elif i < 0:
-                own_val = float(w @ np.minimum(1.0, r))
-            else:
-                other = z.sum(axis=1) - z[:, i] if i < d else z.sum(axis=1)
-                own_val = float(w @ (np.minimum(r, r**2) + other))
+            empty = s.start == s.stop
+            own_val = 0.0 if empty else float(w[s] @ terms[s])
             if integrals is not None:
-                integrals[f"{name}.mass"] = 0.0 if r is None else float(w.sum())
+                integrals[f"{name}.mass"] = 0.0 if empty else float(w[s].sum())
                 integrals[f"{name}.{own}"] = own_val
                 for k in (1, 2, 4):
-                    tail = 0.0 if r is None else float(w @ (r**k * (r >= 1.0)))
+                    tail = 0.0 if empty else float(w[s] @ (r[s]**k * (r[s] >= 1.0)))
                     integrals[f"{name}.norm{k}_tail"] = tail
                     if i < 0 or k > 1:
                         order_ok[k] &= math.isfinite(tail)

@@ -22,10 +22,12 @@ depends only on the branching data (B, mu, c), never on beta or nu. It is
 decided once per model, on the first read of `.classification`: `derive`
 does not classify, so a call that never asks pays for no eigenvalues.
 
-Every atom integral reads one table that `derive` builds: atom_points Z,
-shape (A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in
-its own order; row i < d of atom_weights W, shape (d+1, A), holds mu_i's
-weights, row d holds nu's, and every other entry is 0. So beta_tilde =
+Every atom integral reads one table, stacked by `model._atom_table` for
+the admissibility walk and for `derive` alike: atom_points Z, shape
+(A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in its
+own order; row i < d of atom_weights W, shape (d+1, A), holds mu_i's
+weights on mu_i's slice of the columns, row d holds nu's, and every other
+entry is 0. Each C_k sums over mu_k's slice alone. So beta_tilde =
 beta + W[d] Z. A jump-free model's table is empty (A = 0). Through the same
 row, (x, 1) M is the process drift and M the linear part of (-phi; psi)
 (affine duality; Duffie, Filipovic & Schachermayer 2003).
@@ -56,7 +58,7 @@ import numpy as np
 from . import matops
 from .errors import DimensionError, InadmissibleError, NumericRangeError
 from .matops import PerronPair, SpectralSummary
-from .model import CbiParams, _frozen, admissibility_violations
+from .model import CbiParams, _atom_table, _frozen, admissibility_violations
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -135,25 +137,25 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
         raise InadmissibleError(violations)
     d = params.d
 
-    measures = (*params.mu, params.nu)
-    sizes = [len(m.weights) for m in measures]
-    Z, W = np.zeros((sum(sizes), d)), np.zeros((d + 1, sum(sizes)))
+    Z, w, spans = _atom_table((*params.mu, params.nu))
+    if Z is None:  # a jump-free model: an empty table
+        Z = np.zeros((0, d))
+    W = np.zeros((d + 1, len(Z)))
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it just below
-        big_c, k = np.zeros((d, d, d)), np.arange(d)
-        big_c[k, k, k] = 2.0 * params.c
+        big_c = np.zeros((d, d, d))
+        big_c.ravel()[::d * d + d + 1] = 2.0 * params.c  # the entries (k, k, k)
         btilde, beta_tilde, drift = params.B, params.beta, np.empty((d + 1, d))
         drift[:d], drift[d] = params.B.T, params.beta  # M in C order: BLAS rounds by layout
         if len(Z):  # a jump-free model does no atom arithmetic
-            np.concatenate([m.points.reshape(-1, d) for m in measures], out=Z)
-            W[np.repeat(np.arange(d + 1), sizes), np.arange(len(Z))] = \
-                np.concatenate([m.weights for m in measures])
-            owned = W[:d] > 0
-            btilde = btilde + (W[:d] @ np.maximum(Z - owned.T, 0.0)).T
-            drift[k, k] -= np.diagonal(W[:d] @ np.minimum(1.0, Z))  # kappa
+            for i, s in enumerate(spans):
+                W[i, s] = w[s]
+            W_mu = W[:d]
+            btilde = btilde + (W_mu @ np.maximum(Z - (W_mu > 0).T, 0.0)).T
+            drift.ravel()[:d * d:d + 1] -= np.diagonal(W_mu @ np.minimum(1.0, Z))  # kappa
             beta_tilde = beta_tilde + W[d] @ Z
             zz = (Z[:, :, None] * Z[:, None, :]).reshape(-1, d * d)
-            for C, w, own in zip(big_c, W, owned):  # the one dot np.tensordot makes
-                C += np.dot(w[own][None], zz[own]).reshape(d, d)
+            for C, s in zip(big_c, spans):  # the one dot np.tensordot makes
+                C += np.dot(w[s][None], zz[s]).reshape(d, d)
     _finite(np.concatenate([btilde.ravel(), drift.ravel(), beta_tilde, big_c.ravel()]),
             "derived quantities (btilde, beta_tilde, C_k, kappa)")
     # no copy: each array is new or the read-only B or beta of `params`

@@ -51,6 +51,20 @@ def make_jump_d3() -> CbiParams:
                                     (0.31, [0.59, 0.23, 0.17])])))
 
 
+
+def make_many_atoms() -> CbiParams:
+    """d=3, subcritical, with 40 atoms in every measure drawn from a fixed
+    seed: each measure's atom sum runs past the block width of a BLAS dot
+    kernel, so a sum that a blocked kernel splits differently shows."""
+    rng = np.random.default_rng(2029)
+
+    def measure():
+        return JumpMeasure(rng.uniform(0.001, 0.02, 40), rng.uniform(0.0, 1.5, (40, 3)))
+
+    return CbiParams(d=3, c=[0.3, 0.2, 0.5], beta=[0.1, 0.4, 0.2],
+                     B=[[-2.0, 0.3, 0.1], [0.2, -1.8, 0.4], [0.1, 0.3, -2.2]],
+                     nu=measure(), mu=(measure(), measure(), measure()))
+
 def make_branching_jump() -> CbiParams:
     """Pure branching (no immigration) with a jump atom."""
     return CbiParams(
@@ -100,6 +114,11 @@ def jump_d2() -> CbiParams:
 def jump_d3() -> CbiParams:
     return make_jump_d3()
 
+
+
+@pytest.fixture
+def many_atoms() -> CbiParams:
+    return make_many_atoms()
 
 @pytest.fixture
 def branching_jump() -> CbiParams:

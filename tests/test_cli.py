@@ -586,6 +586,20 @@ def test_unwritable_out_exits_73(fix_a_file, tmp_path, capsys, command, target):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fix_a.json"]
 
 
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_empty_out_exits_64_before_reading_params(tmp_path, capsys, command):
+    # an empty --out names no file: one usage error, the same for every
+    # command that takes --out, before the (here missing) params file is read
+    missing = str(tmp_path / "no_params.json")
+    code = cli.run([command, "--params", missing, "--x", "1", *_OUT_COMMANDS[command],
+                    "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"usage error: --out must name a file, got '' for {command}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 #: The flags each command accepts besides --params.
 COMMAND_FLAGS = {
     "validate": set(),

@@ -10,7 +10,7 @@ from cbi.errors import InadmissibleError
 from cbi.model import CbiParams, JumpMeasure, validate
 from cbi.moments import derive
 
-from conftest import make_fix_a, make_jump_d2, make_jump_mixed, write_params
+from conftest import make_fix_a, make_jump_d2, make_jump_mixed, make_many_atoms, write_params
 
 
 def test_trivial_no_jump_model_is_admissible():
@@ -102,18 +102,18 @@ def test_validation_is_deterministic():
 
 
 def test_integrals_match_loop_oracle():
-    params = make_jump_d2()
-    rep = validate(params)
-    # independent plain-Python summation over atoms
-    tail1 = sum(w * np.linalg.norm(z) for w, z in zip(params.nu.weights, params.nu.points)
-                if np.linalg.norm(z) >= 1.0)
-    assert rep.computed_integrals["nu.norm1_tail"] == pytest.approx(tail1, rel=1e-14, abs=0.0)
-    for i, m in enumerate(params.mu):
-        adm = sum(w * (min(np.linalg.norm(z), np.linalg.norm(z) ** 2)
-                       + sum(z[j] for j in range(params.d) if j != i))
-                  for w, z in zip(m.weights, m.points))
-        assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == pytest.approx(adm, rel=1e-14, abs=0.0)
-
+    for params in (make_jump_d2(), make_many_atoms()):
+        rep = validate(params)
+        # independent plain-Python summation over atoms
+        tail1 = sum(w * np.linalg.norm(z) for w, z in zip(params.nu.weights, params.nu.points)
+                    if np.linalg.norm(z) >= 1.0)
+        assert rep.computed_integrals["nu.norm1_tail"] == pytest.approx(tail1, rel=1e-14, abs=0.0)
+        for i, m in enumerate(params.mu):
+            adm = sum(w * (min(np.linalg.norm(z), np.linalg.norm(z) ** 2)
+                           + sum(z[j] for j in range(params.d) if j != i))
+                      for w, z in zip(m.weights, m.points))
+            assert rep.computed_integrals[f"mu[{i + 1}].admissibility"] == \
+                pytest.approx(adm, rel=1e-14, abs=0.0)
 
 @pytest.mark.parametrize("which", ["nu", "mu"])
 def test_empty_measure_of_any_point_width_is_the_empty_measure(which):
@@ -164,6 +164,32 @@ def test_violations_list_each_measure_in_turn():
     assert list(rep.computed_integrals) == [
         "mu[1].mass", "mu[1].admissibility",
         "mu[1].norm1_tail", "mu[1].norm2_tail", "mu[1].norm4_tail"]
+
+
+
+def test_violations_keep_measure_order_across_kinds_of_flaw():
+    # one tuple, three kinds of flaw: a numeric one in nu, a malformed point
+    # width in mu[1] and an overflowing admissibility integral in mu[2];
+    # validate's report and derive's error list them in the walk's order
+    params = CbiParams(d=2, c=[1.0, 1.0], beta=[0.0, 0.0], B=[[-1.0, 0.0], [0.0, -1.0]],
+                       nu=JumpMeasure.from_atoms([(0.5, [np.nan, 1.0])]),
+                       mu=(JumpMeasure(weights=[0.3], points=[[0.1, 0.2, 0.3]]),
+                           JumpMeasure.from_atoms([(1e10, [0.0, 1e300])])))
+    expected = [
+        "nu: non-finite atom data",
+        "mu[1]: atom points must lie in R^2, got shape (1, 3)",
+        "mu[2]: admissibility integral is not finite",
+    ]
+    rep = validate(params)
+    assert rep.violations == expected
+    assert rep.moment_order_ok == {1: False, 2: False, 4: False}
+    assert list(rep.computed_integrals) == [
+        "mu[2].mass", "mu[2].admissibility",
+        "mu[2].norm1_tail", "mu[2].norm2_tail", "mu[2].norm4_tail"]
+    assert rep.computed_integrals["mu[2].admissibility"] == np.inf
+    with pytest.raises(InadmissibleError) as exc:
+        derive(params)
+    assert exc.value.violations == expected
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))

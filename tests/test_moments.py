@@ -38,12 +38,12 @@ def test_derive_d2_critical_fixture(d2_critical):
     assert_close(dq.perron.u_left, [1.0, 1.0], 1e-12)
 
 
-def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3):
+def test_derive_btilde_beta_tilde_with_atoms(jump_d2, jump_d3, many_atoms):
     def atoms(m):
         return zip(m.weights, m.points)
 
     # manual single-entry checks against the defining sums
-    for params in (jump_d2, jump_d3):
+    for params in (jump_d2, jump_d3, many_atoms):
         dq = derive(params)
         d = params.d
         for i in range(d):
