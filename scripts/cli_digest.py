@@ -120,6 +120,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
                  ["simulate", "--params", "fix_a.json", "--x", "1", "--t", "1", "--n-paths", "1"],
                  "simulate_single_path.csv"))
     cmds.append(("exit2:zero-d", ["validate", "--params", "d_zero.json"], None))
+    cmds.append(("exit2:huge-d", ["validate", "--params", "d_huge.json"], None))
     # c x overflows at step 2 and a negative normal gives -inf
     cmds.append(("exit64:overflowing-state",
                  ["simulate", "--params", "overflow.json", "--x", "1", "--t", "1", "--dt", "0.1",
@@ -165,6 +166,7 @@ def main() -> int:
         Path("broken.json").write_text("{not json")
         Path("d_not_integer.json").write_text(json.dumps({**FIXTURES["d2_critical"], "d": 2.5}))
         Path("d_zero.json").write_text(json.dumps({**FIXTURES["fix_a"], "d": 0}))
+        Path("d_huge.json").write_text(json.dumps({**FIXTURES["fix_a"], "d": 10**20}))
         Path("overflow.json").write_text(json.dumps({**FIXTURES["fix_a"], "c": [1e300],
                                                      "beta": [0.0]}))
         Path("branching_jump.json").write_text(json.dumps(

@@ -71,10 +71,10 @@ class JumpMeasure:
         return cls(np.zeros(0), np.zeros((0, dim)))
 
     @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[float, Sequence[float]]], dim: int | None = None) -> "JumpMeasure":
+    def from_atoms(cls, atoms: Iterable[tuple[float, Sequence[float]]]) -> "JumpMeasure":
         atoms = list(atoms)
         if not atoms:
-            return cls.empty(dim if dim is not None else 1)
+            return cls.empty(1)
         w = np.array([a[0] for a in atoms], dtype=float)
         z = np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float)
         return cls(w, z)
@@ -136,11 +136,15 @@ class CbiParams:
             # int() would truncate 2.7 and read true as 1
             if type(d) is not int:
                 raise ValueError(f"d must be an integer, got {d!r}")
-            nu_raw = data.get("nu", [])
-            mu_raw = data.get("mu", ())
-            nu = JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in nu_raw], dim=d)
-            mu = tuple(JumpMeasure.from_atoms([(a["weight"], a["z"]) for a in lst], dim=d)
-                       for lst in mu_raw)
+
+            def measure(raw):
+                # an empty measure is left to __post_init__, which sizes it
+                # by c: the document's d may be no array dimension at all
+                atoms = [(a["weight"], a["z"]) for a in raw]
+                return JumpMeasure.from_atoms(atoms) if atoms else None
+
+            nu = measure(data.get("nu", []))
+            mu = tuple(measure(lst) for lst in data.get("mu", ()))
             return cls(d=d, c=data["c"], beta=data["beta"], B=data["B"], nu=nu, mu=mu)
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed parameter document: {exc!r}") from exc

@@ -26,7 +26,9 @@ draws and saved after. Per window of 1024 steps a path draws its normals
 (steps, d), then its uniforms (steps, A), one per step and atom in the atom
 table's order, both step-major; the stream is read nowhere else. Jump
 counts use exact inverse-CDF Poisson sampling from those uniforms, one call
-per step for all paths and atoms.
+per step for all paths and atoms; it compares every uniform with e^{-mean}
+and walks the CDF only for those that reach it, so the walk scales with the
+jumps, not the atoms.
 
 Also provided: the step-scaled chain t -> X_{floor(nt)} / n, whose base
 grid divides one unit of time so that every X_m is a grid state, and, for
@@ -150,9 +152,11 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     """Exact inverse-CDF Poisson sampling driven by uniforms in [0, 1).
 
     Vectorized over elements; `mean` broadcasts against `u`. Means above
-    100 are rejected (`_check_intensity`). An element whose cdf saturates
-    in floating point below its u stops at its own cutoff
-    10 max(1, mean) + 201, whatever the other elements' means.
+    100 are rejected (`_check_intensity`). The cdf is walked, one scalar walk
+    each, only for the elements whose u reaches pmf(0) = e^{-mean}; the rest
+    count 0. An element whose cdf saturates in floating point below its u
+    stops at its own cutoff 10 max(1, mean) + 201, whatever the other
+    elements' means.
     """
     u = np.asarray(u, dtype=float)
     mean_arr = np.asarray(mean, dtype=float)
@@ -164,24 +168,18 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     _check_intensity(np.fmax.reduce(mean_arr, axis=None))
     pmf = np.exp(-mean_arr)
     counts = np.zeros(u.shape, dtype=np.int64)
-    positive = u >= pmf
-    if not positive.any():  # the common case at small rate*dt
-        return counts
-    # walk the cdf of the positive counts only
-    u, mean_arr, pmf = u[positive], mean_arr[positive], pmf[positive]
-    cdf = pmf
-    k_max = 10 * np.maximum(1.0, mean_arr) + 200
-    count = np.zeros(u.shape, dtype=np.int64)
-    pending = np.ones(u.shape, dtype=bool)
-    k = 0
-    while pending.any():
-        k += 1
-        pmf = pmf * mean_arr / k
-        cdf = cdf + pmf
-        count[pending] = k
+    positive = np.flatnonzero(u >= pmf)
+    # Python float arithmetic is numpy's elementwise float64 arithmetic, bit
+    # for bit; pmf(0) comes from np.exp, which may differ from math.exp
+    for i, ui, m, pmf_k in zip(positive.tolist(), u.flat[positive].tolist(),
+                               mean_arr.flat[positive].tolist(), pmf.flat[positive].tolist()):
+        cdf, k, k_max = pmf_k, 0, 10 * max(1.0, m) + 200
         # past its cutoff an element's cdf has saturated (tail mass ~ 0)
-        pending &= (u >= cdf) & (k <= k_max)
-    counts[positive] = count
+        while ui >= cdf and k <= k_max:
+            k += 1
+            pmf_k = pmf_k * m / k
+            cdf = cdf + pmf_k
+        counts.flat[i] = k
     return counts
 
 
@@ -197,6 +195,10 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     truncated straight into its (P, d) slab of a block, any other into one
     scratch array. Once the start is truncated the state is its own positive
     part, since np.maximum(., 0.0) is idempotent bit for bit.
+
+    A jump step takes the (P, A) counts of a block from one
+    `poisson_from_uniform` call, which walks the CDF only where a uniform
+    reaches e^{-mean}, and logs only the nonzero counts it finds.
     """
     params = dq.params
     d = params.d
@@ -206,6 +208,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     # (x, 1) W[:, a] h; the intensity cap holds per source, a row of W
     W, Z = dq.atom_weights, dq.atom_points
     A, Wh = len(Z), W * h
+    M_x, Wh_x = M[:d], Wh[:d]  # the rows that multiply x
     nu_rate, type_rates = W[d].sum() * h, W[:d].sum(axis=1) * h
     labels = ["immigration" if i == d else f"branching-{i + 1}"
               for i in W.argmax(axis=0).tolist()]
@@ -232,9 +235,13 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
         if rec_slot[0] >= 0:
             states_rec[rec_slot[0], p0:p1] = x
         scratch = np.maximum(x, 0.0, out=x)
-        # every operand of the step as a (P, d) array, so that each ufunc runs flat
+        # every operand of the step as a (P, d) or (P, A) array, so that each
+        # ufunc runs flat: a broadcast operand costs a few us per call
         beta, c2 = np.tile(M[d], (P, 1)), np.tile(2.0 * params.c, (P, 1))
+        h_tile, zero = np.full((P, d), h), np.zeros((P, d))
+        nu_mean, rates = np.tile(Wh[d], (P, 1)), np.tile(type_rates, (P, 1))
         x_new, noise, mean = np.empty((P, d)), np.empty((P, d)), np.empty((P, A))
+        source_mean = np.empty((P, d))
         normals = np.empty((P, min(WINDOW, K), d))
         uniforms = np.empty((P, min(WINDOW, K), A))
 
@@ -253,9 +260,9 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
             for kw in range(width):
                 k = w0 + kw
                 # x_new = (x + h * (beta + x @ M[:d])) + sqrt(c2 * x) * (sqrt_h * normal)
-                np.matmul(x, M[:d], out=x_new)
+                np.matmul(x, M_x, out=x_new)
                 np.add(beta, x_new, out=x_new)
-                np.multiply(h, x_new, out=x_new)
+                np.multiply(h_tile, x_new, out=x_new)
                 np.add(x, x_new, out=x_new)
                 np.multiply(c2, x, out=noise)
                 np.sqrt(noise, out=noise)
@@ -263,15 +270,18 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 np.add(x_new, noise, out=x_new)
 
                 if A:
-                    _check_intensity(max(nu_rate, np.fmax.reduce(x * type_rates, axis=None)))
-                    np.matmul(x, Wh[:d], out=mean)
-                    np.add(mean, Wh[d], out=mean)
+                    np.multiply(x, rates, out=source_mean)
+                    _check_intensity(max(nu_rate, np.fmax.reduce(source_mean, axis=None)))
+                    np.matmul(x, Wh_x, out=mean)
+                    np.add(mean, nu_mean, out=mean)
                     counts = poisson_from_uniform(uniforms[:, kw], mean)
-                    hit_paths, hit_atoms = np.nonzero(counts)
-                    if len(hit_paths):
+                    hits = np.flatnonzero(counts)
+                    if len(hits):
+                        # dense: the row sum over a path's atoms fixes the bits
                         x_new += counts @ Z
-                        for pj, a, n in zip((p0 + hit_paths).tolist(), hit_atoms.tolist(),
-                                            counts[hit_paths, hit_atoms].tolist()):
+                        rows, atoms = np.divmod(hits, A)
+                        for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(),
+                                            counts.flat[hits].tolist()):
                             jump_logs[pj] += [((k + 1) * h, labels[a], Z[a])] * n
 
                 # before truncation, which would turn -inf into 0; a finite sum
@@ -281,7 +291,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
                 slot = rec_slot[k + 1]
                 x = states_rec[slot, p0:p1] if slot >= 0 else scratch
-                np.maximum(x_new, 0.0, out=x)
+                np.maximum(x_new, zero, out=x)
 
     return states_rec.transpose(1, 0, 2), jump_logs
 

@@ -252,6 +252,23 @@ def test_zero_d_document_exits_2_with_report(tmp_path, capsys):
     assert json.loads(out)["result"]["violations"] == ["d must be a positive integer, got 0"]
 
 
+@pytest.mark.parametrize("d,violations", [
+    (10**20, [f"c must have length d={10**20}, got shape (1,)",
+              f"beta must have length d={10**20}, got shape (1,)",
+              f"B must be {10**20}x{10**20}, got shape (1, 1)",
+              f"mu must contain exactly d={10**20} measures, got 1"]),
+    (-3, ["d must be a positive integer, got -3"]),
+])
+def test_d_that_is_no_array_dimension_exits_2_with_report(tmp_path, capsys, d, violations):
+    # the empty measures are sized by c, so numpy never sees this d
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": d, "c": [1.0], "beta": [0.0], "B": [[0.0]],
+                                "nu": [], "mu": [[]]}))
+    code, out = run_cli(capsys, ["validate", "--params", str(path)])
+    assert code == 2
+    assert json.loads(out)["result"]["violations"] == violations
+
+
 HUGE = str(10**400)
 
 

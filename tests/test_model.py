@@ -228,6 +228,17 @@ def test_from_dict_rejects_malformed_document():
                              "nu": [{"w": 1.0}], "mu": [[]]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"d": 10**20, "c": [1.0], "beta": [0.0], "B": [[0.0]], "nu": [], "mu": [[]]},
+    {"d": -3, "c": [1.0], "beta": [0.0], "B": [[0.0]], "mu": [[]]},
+    {"d": 1, "c": 1.0, "beta": 0.0, "B": 0.0, "mu": [[]]},
+])
+def test_from_dict_sizes_empty_measures_by_c(doc):
+    params = CbiParams.from_dict(doc)
+    assert params.nu.points.shape == (0, 1)
+    assert [m.points.shape for m in params.mu] == [(0, 1)]
+
+
 def test_params_are_immutable():
     params = make_jump_mixed()
     with pytest.raises(ValueError):

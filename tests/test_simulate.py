@@ -152,6 +152,24 @@ def test_poisson_inversion_matches_cdf_oracle():
             assert ui < scipy.stats.poisson.cdf(ki, mi) + 1e-15
 
 
+def test_poisson_inversion_on_a_block_matches_cdf_oracle():
+    # a (4, 6) block of uniforms against one broadcast row of means: zero
+    # counts (all of the mean-0 column), walks of several terms, and one
+    # element whose cdf saturates below its u and stops at its own cutoff
+    mean = np.array([0.0, 1e-3, 0.05, 0.01, 1.3, 7.0])
+    u = np.linspace(0.0, 0.999, 24).reshape(4, 6)
+    u[2, 3] = np.nextafter(1.0, 0.0)
+    counts = poisson_from_uniform(u, mean)
+    assert counts.shape == u.shape and counts.dtype == np.int64
+    assert not counts[:, 0].any() and (counts[:, 1:] == 0).any() and (counts > 1).any()
+    assert counts[2, 3] == 211
+    for (i, j), k in np.ndenumerate(counts):
+        if (i, j) != (2, 3):
+            if k > 0:
+                assert scipy.stats.poisson.cdf(k - 1, mean[j]) <= u[i, j]
+            assert u[i, j] < scipy.stats.poisson.cdf(k, mean[j]) + 1e-15
+
+
 @pytest.mark.parametrize("shape", [(6,), (3, 4)])
 def test_poisson_all_zero_counts_keep_shape_and_dtype(shape):
     # every u below exp(-mean): the early return must still be u-shaped int64
@@ -244,6 +262,22 @@ def test_streams_match_loop_oracle_with_many_sources(jump_d3, horizon, dt, K):
     if dt == 0.1:  # the coarse step has paths that jump from two sources in one step
         assert any(len({source for t, source, _ in log if t == t0}) > 1
                    for log in logs for t0, _, _ in log)
+
+
+def test_streams_match_loop_oracle_with_many_atoms(many_atoms):
+    # 160 atoms: the jump step finds the few that jump among P x 160 counts
+    cfg = PathConfig(x0=[1.0, 0.5, 1.5], horizon=10.0, dt=0.2, seed=21, n_paths=8)
+    logs = _assert_matches_loop_oracle(many_atoms, simulate_cbi(many_atoms, cfg), cfg.x0,
+                                       50, 0.2, cfg.seed)
+    atoms_per_step = [{} for _ in logs]
+    for step_atoms, log in zip(atoms_per_step, logs):
+        for t, source, z in log:
+            step_atoms.setdefault(t, set()).add((source, tuple(z.tolist())))
+    # one path with two or more atoms in a step: the dense row sum of counts @ Z
+    assert any(len(atoms) > 1 for step_atoms in atoms_per_step for atoms in step_atoms.values())
+    # and a step in which no path jumps at all
+    assert set(range(1, 51)) - {round(t / 0.2) for step_atoms in atoms_per_step
+                                for t in step_atoms}
 
 
 def test_streams_match_loop_oracle_across_windows(d2_critical):
