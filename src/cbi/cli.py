@@ -21,12 +21,13 @@ failure, 64 usage error or unknown command (an empty --out included, before
 the params file is read), 65 unreadable or malformed params JSON, 66
 dimension mismatch (the library's DimensionError, a --bump-center's
 included), 73 an --out file that cannot be created or written (sysexits
-EX_CANTCREAT). The CLI only parses flag values: the library checks points,
-horizons and scales. `_COMMANDS` is the one list of each
-command's flags, required and optional: a command accepts only those, its
-required ones are checked once the model is derived, and every JSON report
-embeds them, resolved, so a run is reproducible from the report alone; CSV
-output is byte-stable for a fixed config and seed.
+EX_CANTCREAT). `_FAILURES` is the one list of these failure exits. The
+CLI only parses flag values: the library checks points, horizons and
+scales. `_COMMANDS` is the one list of each command's flags, required and
+optional: a command accepts only those, its required ones are checked once
+the model is derived, and every JSON report embeds them, resolved, so a
+run is reproducible from the report alone; CSV output is byte-stable for
+a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -53,10 +54,6 @@ EXIT_DIMENSION = 66
 EXIT_CANTCREAT = 73
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _InputError(Exception):
     pass
 
@@ -67,7 +64,7 @@ class _OutputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes ours
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _integers(text: str) -> tuple[int, ...]:
@@ -128,7 +125,7 @@ def _vec(text: str, flag: str) -> np.ndarray:
     try:
         return np.array([float(s) for s in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise _UsageError(f"{flag} must be comma-separated decimals: {exc}") from exc
+        raise ValueError(f"{flag} must be comma-separated decimals: {exc}") from exc
 
 
 def _key(flag: str) -> str:
@@ -252,7 +249,7 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
 
 def _path_config(args) -> simulate.PathConfig:
     if args.n_paths < 2:  # the moment check's standard error needs two paths
-        raise _UsageError(f"--n-paths must be at least 2, got {args.n_paths}")
+        raise ValueError(f"--n-paths must be at least 2, got {args.n_paths}")
     return simulate.PathConfig(x0=args.x, horizon=args.t, dt=args.dt,
                                seed=args.seed, n_paths=args.n_paths)
 
@@ -316,17 +313,27 @@ _COMMANDS = {
 }
 #: built once; each parse_args call starts from a fresh namespace
 _PARSER = _build_parser()
+#: (exception types, stderr prefix, exit code): `run` takes the first row
+#: that matches, so DimensionError precedes ValueError, and re-raises the rest.
+_FAILURES = (
+    (_InputError, "input error", EXIT_INPUT),
+    (_OutputError, "output error", EXIT_CANTCREAT),
+    (DimensionError, "dimension mismatch", EXIT_DIMENSION),
+    (ClassificationError, "classification error", EXIT_VALIDATION),
+    ((SolverError, NumericRangeError, ConsistencyError), "solver error", EXIT_SOLVER),
+    (ValueError, "usage error", EXIT_USAGE),
+)
 
 
 def run(argv: list[str]) -> int:
     try:
         args = _PARSER.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a command is required (see --help)")
+            raise ValueError("a command is required (see --help)")
         handler, required, optional = _COMMANDS[args.command]
         # an empty path names no file, for every command that writes one
         if "--out" in (*required, *optional) and args.out == "":
-            raise _UsageError(f"--out must name a file, got '' for {args.command}")
+            raise ValueError(f"--out must name a file, got '' for {args.command}")
         params = _load_params(args.params)
         model = params
         if args.command != "validate":
@@ -337,7 +344,7 @@ def run(argv: list[str]) -> int:
                              {"admissible": False, "violations": exc.violations})
         for flag in required:
             if getattr(args, _dest(flag)) is None:
-                raise _UsageError(f"{flag} is required for {args.command}")
+                raise ValueError(f"{flag} is required for {args.command}")
         flags = (*required, *optional)
         for flag in flags:
             dest = _dest(flag)
@@ -351,27 +358,12 @@ def run(argv: list[str]) -> int:
         return _emit(args.command, {"params_file": args.params,
                                     **{_key(f): getattr(args, _dest(f))
                                        for f in flags if f != "--out"}}, result)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
-    except DimensionError as exc:
-        print(f"dimension mismatch: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except ClassificationError as exc:
-        print(f"classification error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SolverError, NumericRangeError, ConsistencyError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, prefix, code in _FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def main() -> None:

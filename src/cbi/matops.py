@@ -183,8 +183,9 @@ def exp_and_integral_vec(A: np.ndarray, w_vec: np.ndarray,
 
 def branching_integral(A: np.ndarray, big_c, z: np.ndarray, t: float) -> np.ndarray:
     """V(t; z) = sum_l int_0^t [exp(uA) z]_l exp((t-u)A) C_l exp((t-u)A)^T du
-    from one (d^2 + d)-square block exponential."""
+    from one (d^2 + d)-square block exponential; big_c holds the C_l as one
+    (d, d, d) array or as a sequence of d matrices."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = len(A)
-    vec_c = np.stack([np.ravel(C) for C in big_c], axis=1)
+    vec_c = np.reshape(big_c, (d, d * d)).T
     return (_block_exp(_kron_sum(A), vec_c, A, t)[:d * d, d * d:] @ np.ravel(z)).reshape(d, d)

@@ -15,9 +15,9 @@ One walk over the admissibility rules (`admissibility_violations`) lists
 the violations: `moments.derive` asks it for them alone, which needs only
 each measure's admissibility integral, while `validate` also has it
 record every measure's mass and norm tails and the moment-order flags.
-The walk checks the atoms on one stacked table (`_atom_table`, the one
-that `moments.derive` reads): points Z of shape (A, d) and weights, the
-atoms of mu_1, ..., mu_d and then of nu, with one slice per measure. A few
+The walk stacks the atoms once (`_atom_table`) and hands the table to
+`moments.derive`: points Z of shape (A, d) and weights, the atoms of
+mu_1, ..., mu_d and then of nu, with one slice per measure. A few
 whole-table reductions decide that every atom passes every rule; only
 when one fails is each measure checked on its own slice, so a message is
 formatted only for a failed check and keeps its measure's place. Each
@@ -163,9 +163,9 @@ def _atom_table(measures) -> tuple[np.ndarray | None, np.ndarray | None, list[sl
     (A, d), weights of shape (A,) and each measure's slice of them. Without
     atoms there is nothing to stack: Z and the weights are None.
 
-    `moments.derive` stacks mu_1, ..., mu_d, then nu, and so does the walk,
-    with an empty measure in place of a malformed one. Only measures with
-    atoms are stacked, so an empty one's point width is never read."""
+    The walk stacks mu_1, ..., mu_d, then nu, with an empty measure in
+    place of a malformed one, and hands the table to `moments.derive`. Only
+    measures with atoms are stacked, so an empty one's width is never read."""
     spans, start = [], 0
     for m in measures:
         spans.append(slice(start, start := start + len(m.weights)))
@@ -177,9 +177,10 @@ def _atom_table(measures) -> tuple[np.ndarray | None, np.ndarray | None, list[sl
 
 
 def admissibility_violations(params: CbiParams, integrals: dict[str, float] | None = None,
-                             order_ok: dict[int, bool] | None = None) -> list[str]:
-    """Every violated admissibility condition of `params`, in a fixed order:
-    the one walk over the rules that `validate` and `derive` share.
+                             order_ok: dict[int, bool] | None = None) -> tuple:
+    """Every violated admissibility condition of `params`, in a fixed order,
+    and the atom table (Z, w, spans) it checked (none for a bad `d`): the
+    one walk over the rules that `validate` and `derive` share.
 
     The rules need only each measure's admissibility integral. Given
     `integrals` and `order_ok` (validate's report), the walk also records
@@ -195,7 +196,7 @@ def admissibility_violations(params: CbiParams, integrals: dict[str, float] | No
         violations.append(f"d must be a positive integer, got {d!r}")
         if order_ok is not None:
             order_ok.update({1: False, 2: False, 4: False})
-        return violations
+        return violations, (None, None, [])
 
     # the entries of c, beta and B in one array: every entry finite, and
     # each one >= 0 except on the diagonal of B; only when one fails is
@@ -304,7 +305,7 @@ def admissibility_violations(params: CbiParams, integrals: dict[str, float] | No
             if not math.isfinite(own_val):
                 violations.append("nu: integral of 1 ^ |z| is not finite" if i < 0
                                   else f"{name}: admissibility integral is not finite")
-    return violations
+    return violations, (Z, w, spans)
 
 
 def validate(params: CbiParams) -> ValidationReport:
@@ -317,7 +318,7 @@ def validate(params: CbiParams) -> ValidationReport:
     """
     integrals: dict[str, float] = {}
     order_ok = {1: True, 2: True, 4: True}
-    violations = admissibility_violations(params, integrals, order_ok)
+    violations, _ = admissibility_violations(params, integrals, order_ok)
     return ValidationReport(
         admissible=not violations,
         moment_order_ok={k: bool(v) for k, v in order_ok.items()},

@@ -22,8 +22,8 @@ depends only on the branching data (B, mu, c), never on beta or nu. It is
 decided once per model, on the first read of `.classification`: `derive`
 does not classify, so a call that never asks pays for no eigenvalues.
 
-Every atom integral reads one table, stacked by `model._atom_table` for
-the admissibility walk and for `derive` alike: atom_points Z, shape
+Every atom integral reads one table, stacked once by the admissibility
+walk, which hands it to `derive`: atom_points Z, shape
 (A, d), stacks the atoms of mu_1, ..., mu_d and then of nu, each in its
 own order; row i < d of atom_weights W, shape (d+1, A), holds mu_i's
 weights on mu_i's slice of the columns, row d holds nu's, and every other
@@ -58,7 +58,7 @@ import numpy as np
 from . import matops
 from .errors import DimensionError, InadmissibleError, NumericRangeError
 from .matops import PerronPair, SpectralSummary
-from .model import CbiParams, _atom_table, _frozen, admissibility_violations
+from .model import CbiParams, _frozen, admissibility_violations
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -82,12 +82,13 @@ class DerivedQuantities:
     atom_points Z (A, d) and atom_weights W (d+1, A) are the atom table:
     the atoms of mu_1, ..., mu_d, then of nu; row i < d of W holds mu_i's
     weights, row d nu's, every other entry is 0; A = 0 without jumps.
-    drift_table M (d+1, d) is B^T - diag kappa over beta: drift (x, 1) M."""
+    drift_table M (d+1, d) is B^T - diag kappa over beta: drift (x, 1) M.
+    big_c (d, d, d) is one read-only array, the C_k stacked in type order."""
 
     params: CbiParams
     btilde: np.ndarray
     beta_tilde: np.ndarray
-    big_c: tuple[np.ndarray, ...]
+    big_c: np.ndarray
     drift_table: np.ndarray
     atom_points: np.ndarray
     atom_weights: np.ndarray
@@ -132,12 +133,10 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     """
     if isinstance(params, DerivedQuantities):
         return params
-    violations = admissibility_violations(params)
+    violations, (Z, w, spans) = admissibility_violations(params)
     if violations:
         raise InadmissibleError(violations)
     d = params.d
-
-    Z, w, spans = _atom_table((*params.mu, params.nu))
     if Z is None:  # a jump-free model: an empty table
         Z = np.zeros((0, d))
     W = np.zeros((d + 1, len(Z)))
@@ -162,7 +161,7 @@ def derive(params: CbiParams | DerivedQuantities) -> DerivedQuantities:
     for a in (btilde, beta_tilde, big_c, drift, Z, W):
         a.setflags(write=False)
     return DerivedQuantities(params=params, btilde=btilde, beta_tilde=beta_tilde,
-                             big_c=tuple(big_c), drift_table=drift,
+                             big_c=big_c, drift_table=drift,
                              atom_points=Z, atom_weights=W)
 
 

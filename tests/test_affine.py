@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbi import moments
+from cbi import affine, moments
 from cbi.affine import (MIN_RTOL, laplace_transform, phi, psi, solve_v, v_hessian_fd,
                         v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
+from cbi.errors import SolverError
 from cbi.model import CbiParams, JumpMeasure
 
 from conftest import assert_close, make_jump_d2, make_jump_mixed
@@ -129,6 +130,17 @@ def test_solve_v_rejects_bad_input(fix_a):
         solve_v(fix_a, 1.0, [1.0], tol=0.5 * MIN_RTOL)
     assert solve_v(fix_a, 1.0, [1.0], tol=MIN_RTOL).v_final[0] \
         == pytest.approx(0.5, rel=1e-13, abs=0.0)
+
+
+def test_solve_v_refuses_undershoot_beyond_clip_budget(monkeypatch):
+    # the 1-d logistic's 203-step solve to t = 1e3 at lam = 1 clips 8.19e-11
+    # of negative undershoot in all: within the default budget, beyond 1e-11
+    logistic = CbiParams.no_jumps(c=[1.0], beta=[1.0], B=[[-1.0]])
+    assert solve_v(logistic, 1e3, [1.0]).solver_stats["clip_total"] > 1e-11
+    monkeypatch.setattr(affine, "CLIP_BUDGET", 1e-11)
+    with pytest.raises(SolverError, match=re.escape(
+            "negative undershoot 8.192e-11 exceeds clip budget 1.0e-11")):
+        solve_v(logistic, 1e3, [1.0])
 
 
 def test_solve_v_nonnegative_at_every_horizon(jump_d2):

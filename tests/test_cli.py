@@ -511,6 +511,30 @@ def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
     assert captured.err.startswith("solver error: ") and "100 steps" in captured.err
 
 
+def test_clip_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch):
+    # the 1-d logistic's 203-step solve to t = 1e3 at lam = 1 clips
+    # 8.19e-11 of negative undershoot in all: more than a budget of 1e-11
+    path = tmp_path / "logistic.json"
+    path.write_text(json.dumps({"d": 1, "c": [1.0], "beta": [1.0], "B": [[-1.0]]}))
+    monkeypatch.setattr(affine, "CLIP_BUDGET", 1e-11)
+    code = cli.run(["vsolve", "--params", str(path), "--t", "1e3", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("solver error: negative undershoot 8.192e-11 exceeds clip "
+                            "budget 1.0e-11\n")
+
+
+def test_unmatched_exception_propagates(fix_a_file, monkeypatch):
+    # only the exceptions that a row of _FAILURES names become an exit code:
+    # a programming error in a handler is not swallowed
+    def broken(args, dq):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "derive", (broken, (), ()))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        cli.run(["derive", "--params", fix_a_file])
+
+
 def test_vsolve_far_horizon_exits_0(fix_a_file, capsys):
     # with the psi-integral under step control the critical solve's steps
     # grow geometrically: t = 1e20 ends in 327 steps

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbi import affine, cli, generators, matops, moments, simulate
+from cbi import affine, cli, generators, matops, model, moments, simulate
 from cbi.errors import ClassificationError, InadmissibleError, NumericRangeError, SolverError
 from cbi.model import CbiParams, JumpMeasure, validate
 from cbi.moments import CRITICAL
@@ -128,6 +128,22 @@ def admissibility_walks(monkeypatch):
 
     monkeypatch.setattr(moments, "admissibility_violations", counting)
     return calls
+
+
+def test_derive_stacks_the_atom_table_once(monkeypatch):
+    # the admissibility walk stacks the table and hands it to derive: a
+    # counter on every binding of model._atom_table sees one stack
+    calls = []
+    inner = model._atom_table
+
+    def counting(measures):
+        calls.append(measures)
+        return inner(measures)
+
+    for module in (model, moments):
+        monkeypatch.setattr(module, "_atom_table", counting, raising=False)
+    moments.derive(make_jump_d2())
+    assert len(calls) == 1
 
 
 def _prop31_cli(tmp_path):
