@@ -5,15 +5,16 @@ tests/conftest.py (the six of ALL_FIXTURES, the degenerate-critical one
 and the 40-atoms-per-measure many_atoms): validate, derive's arrays (the
 C_k included) and its spectral quantities, the matrix functions on
 btilde, the mean at four times, the pure-branching covariance, phi, psi,
-a one- and a two-column Riccati solve with their solver stats, the
-transform, the Jacobian and Hessian limits and probes, the discrete and
-scaled generators on e_lam and on a bump, and each simulation (states,
-scalars and jump logs) at two seeds and two sizes with the CSV of one of
-them. Two runs cross wider boundaries of the Euler kernel: one of 1250
-steps on jump_d3, over two randomness windows of 1024 steps, and one of
-100 paths on many_atoms, over two path blocks of at most 71. The
-exception types are covered by the refusals that a call on these models
-raises: its line hashes the type's name and the message.
+a one- and a two-column Riccati solve with their solver stats, at t = 1
+and at t = 0 (no step taken), the transform, the Jacobian and Hessian
+limits and probes, the discrete and scaled generators on e_lam and on a
+bump, and each simulation (states, scalars and jump logs) at two seeds
+and two sizes with the CSV of one of them. Two runs cross wider
+boundaries of the Euler kernel: one of 1250 steps on jump_d3, over two
+randomness windows of 1024 steps, and one of 100 paths on many_atoms,
+over two path blocks of at most 71. The exception types are covered by
+the refusals that a call on these models raises: its line hashes the
+type's name and the message.
 
 Each line is
 
@@ -134,6 +135,8 @@ def digest_model(name: str, params) -> None:
     _line(f"psi:{name}", cbi.psi(dq, lam))
     _line(f"solve_v:{name}", cbi.solve_v(dq, 1.0, lam))
     _line(f"solve_v:{name}:two-columns", cbi.solve_v(dq, 1.0, np.stack([lam, 3.0 * lam], axis=1)))
+    _line(f"solve_v:{name}:t0", cbi.solve_v(dq, 0.0, lam),
+          cbi.solve_v(dq, 0.0, np.stack([lam, 3.0 * lam], axis=1)))
     _line(f"laplace_transform:{name}", cbi.laplace_transform(dq, 1.0, x, lam))
     _line(f"v_jacobian_limit:{name}", cbi.v_jacobian_limit(dq, 0.5))
     _line(f"v_jacobian_fd:{name}", cbi.v_jacobian_fd(dq, 0.5))

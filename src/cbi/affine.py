@@ -299,7 +299,8 @@ class VSolution:
 
     v_final clips tiny negative solver undershoot to 0; solve_v fails when
     any column's undershoot, summed over the solver's step ends, exceeds
-    CLIP_BUDGET.
+    CLIP_BUDGET. At t = 0 no step is taken: v_final is lam through the same
+    clip (a -0.0 reads 0.0), and the psi-integral, counts and clip_total are 0.
     """
 
     v_final: np.ndarray
@@ -332,23 +333,19 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     m = lam.size // d
     lone = lam.ndim == 1
 
-    if t == 0:
-        stats = {"steps": 0, "nfev": 0, "rejected": 0,
-                 "clip_total": 0.0 if lone else np.zeros(m), "rtol": rtol, "atol": atol}
-        return VSolution(v_final=lam.copy(), psi_integral=0.0 if lone else np.zeros(m),
-                         solver_stats=stats)
-
-    # A diverging trial step is rejected through its non-finite error
-    # estimate; the step then shrinks, or the solve fails below.
-    with np.errstate(all="ignore"):
-        y, steps, nfev, rejected, clip = _dormand_prince(
-            _riccati_rhs(dq), np.vstack([lam.reshape(d, m), np.zeros(m)]), float(t),
-            rtol, atol)
-    if not np.all(np.isfinite(y)):
-        raise SolverError("Riccati solve produced non-finite state")
-    if np.any(clip > CLIP_BUDGET):
-        raise SolverError(
-            f"negative undershoot {clip.max():.3e} exceeds clip budget {CLIP_BUDGET:.1e}")
+    y = np.vstack([lam.reshape(d, m), np.zeros(m)])  # the start, and the result at t = 0
+    steps, nfev, rejected, clip = 0, 0, 0, np.zeros(m)
+    if t > 0:
+        # A diverging trial step is rejected through its non-finite error
+        # estimate; the step then shrinks, or the solve fails below.
+        with np.errstate(all="ignore"):
+            y, steps, nfev, rejected, clip = _dormand_prince(_riccati_rhs(dq), y, float(t),
+                                                             rtol, atol)
+        if not np.all(np.isfinite(y)):
+            raise SolverError("Riccati solve produced non-finite state")
+        if np.any(clip > CLIP_BUDGET):
+            raise SolverError(
+                f"negative undershoot {clip.max():.3e} exceeds clip budget {CLIP_BUDGET:.1e}")
 
     stats = {"steps": steps, "nfev": nfev, "rejected": rejected,
              "clip_total": float(clip[0]) if lone else clip, "rtol": rtol, "atol": atol}

@@ -254,20 +254,15 @@ def _path_config(args) -> simulate.PathConfig:
                                seed=args.seed, n_paths=args.n_paths)
 
 
-def _moment_summary(states_end: np.ndarray, reference: np.ndarray) -> dict:
-    emp = states_end.mean(axis=0)
-    se = states_end.std(axis=0, ddof=1) / np.sqrt(len(states_end))
-    return {"empirical_mean": emp, "reference_mean": reference,
-            "standard_error": se,
-            "within_3se": bool(np.all(np.abs(emp - reference) <= 3.0 * se + 1e-12))}
-
-
 def _report_paths(args, paths, ends: np.ndarray, reference: np.ndarray) -> dict:
-    """Write the paths CSV once every number of the report is computed
-    (a failed run leaves no file); the report's result."""
-    summary = _moment_summary(ends, reference)
+    """The report's result, the end states' mean checked against reference to
+    3 standard errors; the CSV is written last, so a failed run leaves no file."""
+    emp = ends.mean(axis=0)
+    se = ends.std(axis=0, ddof=1) / np.sqrt(len(ends))
+    check = {"empirical_mean": emp, "reference_mean": reference, "standard_error": se,
+             "within_3se": bool(np.all(np.abs(emp - reference) <= 3.0 * se + 1e-12))}
     _write_out(args.out, lambda fh: simulate.paths_to_csv(paths, fh))
-    return {"csv": args.out, "moment_check": summary}
+    return {"csv": args.out, "moment_check": check}
 
 
 def _cmd_simulate(args, dq: DerivedQuantities) -> dict:

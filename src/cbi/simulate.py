@@ -97,9 +97,9 @@ class PathConfig:
 class SamplePath:
     """One simulated path on a fixed grid; states are componentwise >= 0.
 
-    jump_log records (time, source, atom table row) per jump, with source
-    "immigration" or "branching-i" (1-based type) and as time the right
-    endpoint of the jump's step; within a step it follows the atom order.
+    jump_log holds (time, source, point) per jump, in atom order within a
+    step: the step's right end, "immigration" or "branching-i" (1-based
+    type), and the atom's table row, one read-only array for all its jumps.
     For the limiting diffusion, `scalar` carries the 1-d path whose ray
     embedding is in `states`.
     """
@@ -186,10 +186,11 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
 # an overflowing state is refused below by the kernel's own ValueError
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
-                   seed: int, n_paths: int, record_idx: np.ndarray):
+                   seed: int, n_paths: int, record_idx: np.ndarray | list[int]):
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
 
-    Returns the states at the distinct grid indices `record_idx`, shape
+    Returns the states at the distinct grid indices `record_idx`, which
+    start with 0 (the start is always recorded), shape
     (n_paths, len(record_idx), d), and per-path jump logs. The states are a
     path-major view of a step-major buffer: a recorded step's new state is
     truncated straight into its (P, d) slab of a block, any other into one
@@ -210,10 +211,9 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     A, Wh = len(Z), W * h
     M_x, Wh_x = M[:d], Wh[:d]  # the rows that multiply x
     nu_rate, type_rates = W[d].sum() * h, W[:d].sum(axis=1) * h
-    labels = ["immigration" if i == d else f"branching-{i + 1}"
-              for i in W.argmax(axis=0).tolist()]
+    sources = [("immigration" if i == d else f"branching-{i + 1}", Z[a])
+               for a, i in enumerate(W.argmax(axis=0).tolist())]
 
-    record_idx = np.asarray(record_idx, dtype=int)
     rec_slot = np.full(K + 1, -1)
     rec_slot[record_idx] = np.arange(len(record_idx))
 
@@ -232,8 +232,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                     "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
                    for key in _philox_keys(seed, p0, p1).tolist()]
         x = np.tile(x0, (P, 1))
-        if rec_slot[0] >= 0:
-            states_rec[rec_slot[0], p0:p1] = x
+        states_rec[0, p0:p1] = x
         scratch = np.maximum(x, 0.0, out=x)
         # every operand of the step as a (P, d) or (P, A) array, so that each
         # ufunc runs flat: a broadcast operand costs a few us per call
@@ -280,9 +279,10 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                         # dense: the row sum over a path's atoms fixes the bits
                         x_new += counts @ Z
                         rows, atoms = np.divmod(hits, A)
+                        t = (k + 1) * h
                         for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(),
                                             counts.flat[hits].tolist()):
-                            jump_logs[pj] += [((k + 1) * h, labels[a], Z[a])] * n
+                            jump_logs[pj] += [(t, *sources[a])] * n
 
                 # before truncation, which would turn -inf into 0; a finite sum
                 # has only finite terms, and one that overflows is checked exactly

@@ -117,6 +117,30 @@ def test_solve_v_t_zero(jump_mixed):
     assert sol.psi_integral == 0.0
 
 
+def test_solve_v_t_zero_is_lam_on_the_path_of_every_t(jump_d2, monkeypatch):
+    # t = 0 assembles its VSolution where every t does, with no solver step
+    def no_solve(*args):
+        raise AssertionError("_dormand_prince called at t = 0")
+
+    monkeypatch.setattr(affine, "_dormand_prince", no_solve)
+    lam = np.array([0.7, 1.2])
+    for block in (lam, np.stack([lam, 3.0 * lam], axis=1)):
+        sol = solve_v(jump_d2, 0.0, block)
+        zero = 0.0 if block.ndim == 1 else np.zeros(2)
+        assert np.array_equal(sol.v_final, block) and sol.v_final.shape == block.shape
+        assert not np.shares_memory(sol.v_final, block)
+        assert type(sol.psi_integral) is type(zero) and np.array_equal(sol.psi_integral, zero)
+        stats = sol.solver_stats
+        assert (stats["steps"], stats["nfev"], stats["rejected"]) == (0, 0, 0)
+        assert type(stats["clip_total"]) is type(zero)
+        assert np.array_equal(stats["clip_total"], zero)
+
+
+def test_solve_v_t_zero_clips_a_negative_zero(fix_a):
+    # v_final at t = 0 passes the clip of every t, so -0.0 reads 0.0
+    assert not np.signbit(solve_v(fix_a, 0.0, [-0.0]).v_final).any()
+
+
 def test_solve_v_rejects_bad_input(fix_a):
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -395,6 +395,25 @@ def test_states_nonnegative_and_jump_log_structure(jump_mixed):
     assert "immigration" in seen_sources
 
 
+def test_jump_log_shares_each_atoms_point_and_each_steps_time(jump_d3):
+    # one (source, point) pair per atom and one time per step, made once
+    dq = moments.derive(jump_d3)
+    cfg = PathConfig(x0=[1.0, 0.5, 0.25], horizon=1.0, dt=0.01, seed=3, n_paths=20)
+    points, times, steps_of_atom, atoms_of_step = {}, {}, {}, {}
+    for pid, path in enumerate(simulate_cbi(dq, cfg)):
+        for t, source, z in path.jump_log:
+            atom = (source, z.tobytes())
+            assert points.setdefault(atom, z) is z
+            assert times.setdefault(t, t) is t
+            steps_of_atom.setdefault(atom, set()).add(t)
+            atoms_of_step.setdefault(t, set()).add((pid, atom))
+    assert all(not z.flags.writeable and np.shares_memory(z, dq.atom_points)
+               for z in points.values())
+    # not vacuous: an atom jumps at several steps, a step has several jumps
+    assert max(map(len, steps_of_atom.values())) > 1
+    assert max(map(len, atoms_of_step.values())) > 1
+
+
 # --- moment consistency ----------------------------------------------------------
 
 def test_mean_matches_formula_fix_a(fix_a):
