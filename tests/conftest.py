@@ -37,7 +37,7 @@ def make_jump_d2() -> CbiParams:
 def make_jump_d3() -> CbiParams:
     """d=3, subcritical, with three or more atoms in every measure: every
     atom sum adds several terms, so a change in summation order shows.
-    The same model is jump_d3 in scripts/cli_digest.py."""
+    scripts/digest.py runs it as jump_d3 in the library and the CLI lines."""
     return CbiParams(
         d=3, c=[0.4, 0.25, 0.55], beta=[0.3, 0.1, 0.2],
         B=[[-1.3, 0.3, 0.2], [0.4, -1.1, 0.1], [0.2, 0.35, -1.2]],
