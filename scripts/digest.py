@@ -21,11 +21,12 @@ Riccati solve with their solver stats, at t = 1 and at t = 0 (no step
 taken), the transform, the Jacobian and Hessian limits and probes, the
 discrete and scaled generators on e_lam and on a bump, and each simulation
 (states, scalars and jump logs) at two seeds and two sizes with the CSV of
-one of them. Two runs cross wider boundaries of the Euler kernel: one of
-1250 steps on jump_d3, over two randomness windows of 1024 steps, and one
-of 100 paths on many_atoms, over two path blocks of at most 71. The last
-four lines are refusals, one per exception type a call on these models
-raises.
+one of them. Three runs cross wider boundaries of the Euler kernel: one of
+1250 steps on jump_d3, over two randomness windows of 1024 steps, one of
+100 paths on many_atoms, over two path blocks of at most 71, and one of 70
+paths and 1100 steps on jump_d2, over five staging chunks of at most 16
+paths and two windows. The last four lines are refusals, one per exception
+type a call on these models raises.
 
 CLI lines, `cbi <command>:<case> exit=<code> stdout=<digest>
 stderr=<digest> out=<digest or ->`: every subcommand on six parameter
@@ -39,8 +40,8 @@ flag, a single simulated path, a state that overflows, a negative lambda,
 an n beyond the floating-point range and, last, an empty --out), 65
 (malformed JSON, a non-integer d), 66 (a start state and a bump center of
 the wrong dimension), 3 (a scaled-generator point n x, the square of
-cgen's default bump radius, a scaled start n x0 and a limit start
-<u_left, x0> beyond the floating-point range) and 73 (an --out file in a
+cgen's default bump radius, a scaled start n x0, a limit start
+<u_left, x0> and a first Euler step beyond the floating-point range) and 73 (an --out file in a
 directory that does not exist). The commands run in-process from one
 fresh working directory with relative file names, so the output does not
 depend on where the script runs.
@@ -292,6 +293,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit3:overflowing-limit-start",
                  ["simulate-limit", "--params", "d2_critical.json", "--x=1e308,1e308",
                   *tiny_run], "simulate_limit_overflow.csv"))
+    cmds.append(("exit3:overflowing-first-step",
+                 ["simulate", "--params", "fix_a.json", "--x=1e308", *tiny_run],
+                 "simulate_first_step_overflow.csv"))
     cmds.append(("exit73:missing-out-directory",
                  ["simulate", "--params", "fix_a.json", "--x", "1", *tiny_run],
                  "no_such_dir/paths.csv"))
@@ -337,6 +341,8 @@ def main() -> int:
         make_jump_d3(), cbi.PathConfig(x0=x0, horizon=0.5, dt=4e-4, seed=3, n_paths=20)))
     _line("simulate_cbi:many_atoms:two-blocks", lambda: cbi.simulate_cbi(
         make_many_atoms(), cbi.PathConfig(x0=x0, horizon=0.5, dt=0.01, seed=3, n_paths=100)))
+    _line("simulate_cbi:jump_d2:chunks-and-windows", lambda: cbi.simulate_cbi(
+        make_jump_d2(), cbi.PathConfig(x0=x0[:2], horizon=1.1, dt=1e-3, seed=3, n_paths=70)))
     _line("refusal:inadmissible", lambda: cbi.derive(_inadmissible()), may_refuse=True)
     _line("refusal:dimension", lambda: cbi.mean(make_fix_a(), [1.0, 2.0], 1.0), may_refuse=True)
     _line("refusal:numeric-range", lambda: cbi.mean(make_fix_a(), [1e308], 1e308),

@@ -24,11 +24,15 @@ mixed, takes in each path index and is hashed out here. One Philox serves
 the block: each path's stream is a saved state that is set before the path
 draws and saved after. Per window of 1024 steps a path draws its normals
 (steps, d), then its uniforms (steps, A), one per step and atom in the atom
-table's order, both step-major; the stream is read nowhere else. Jump
-counts use exact inverse-CDF Poisson sampling from those uniforms, one call
-per step for all paths and atoms; it compares every uniform with e^{-mean}
-and walks the CDF only for those that reach it, so the walk scales with the
-jumps, not the atoms.
+table's order, both step-major; the stream is read nowhere else. The draws
+land in a path-major staging buffer of STAGE paths, and one copy per
+staging chunk moves them into the block's step-major buffers (steps, paths,
+d) and (steps, paths, A), so that each step reads all paths' normals, and
+all their uniforms, as one contiguous slab; the layout moves no draw. Jump
+counts use exact inverse-CDF Poisson sampling from those uniforms, one
+comparison per step for all paths and atoms of every uniform with
+e^{-mean}; the CDF is walked only for those that reach it, so the walk
+scales with the jumps, not the atoms.
 
 Also provided: the step-scaled chain t -> X_{floor(nt)} / n, whose base
 grid divides one unit of time so that every X_m is a grid state, and, for
@@ -39,8 +43,11 @@ one-type CBI (`limit_ray`), so all three run through one Euler kernel.
 
 Each public simulate_* checks the start cfg.x0 against the model's d once,
 on entry, and a start it forms (n x0, <u_left, x0>) for the float range
-(NumericRangeError). A run whose grid- and path-sized arrays would exceed
-MAX_BYTES is refused with ValueError before any of them is allocated.
+(NumericRangeError). A first Euler step that leaves the float range does so
+whatever dt is, so it is refused as the start's (NumericRangeError); a
+later one asks for a smaller dt (ValueError). A run whose grid- and
+path-sized arrays would exceed MAX_BYTES is refused with ValueError before
+any of them is allocated.
 """
 from __future__ import annotations
 
@@ -57,7 +64,11 @@ from .moments import DerivedQuantities, _finite, _point, _scale, _vector
 
 #: Steps per randomness window (fixed so stream layout never depends on batching).
 WINDOW = 1024
-#: Upper bound on simultaneously held random draws (per path block).
+#: Paths whose windows are drawn into the path-major staging buffer, then
+#: copied at once into a block's step-major window buffers.
+STAGE = 16
+#: Upper bound on the random draws a path block holds in its step-major
+#: window buffers; its staging buffer holds at most STAGE paths' windows more.
 DRAW_BUDGET = 12_000_000
 #: Upper bound on the estimated bytes of a run's arrays sized by its grid or
 #: path count (see `_check_size`); a larger run is refused up front.
@@ -169,18 +180,32 @@ def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
     pmf = np.exp(-mean_arr)
     counts = np.zeros(u.shape, dtype=np.int64)
     positive = np.flatnonzero(u >= pmf)
+    counts.flat[positive] = _poisson_walk(u.flat[positive], mean_arr.flat[positive],
+                                          pmf.flat[positive])
+    return counts
+
+
+def _poisson_walk(u: np.ndarray, mean: np.ndarray, pmf0: np.ndarray) -> list[int]:
+    """The inverse-CDF Poisson counts, each at least 1, of uniforms u that
+    reach their pmf(0) = e^{-mean}, pmf0; 1-d arrays of one length."""
+    counts = []
     # Python float arithmetic is numpy's elementwise float64 arithmetic, bit
     # for bit; pmf(0) comes from np.exp, which may differ from math.exp
-    for i, ui, m, pmf_k in zip(positive.tolist(), u.flat[positive].tolist(),
-                               mean_arr.flat[positive].tolist(), pmf.flat[positive].tolist()):
+    for ui, m, pmf_k in zip(u.tolist(), mean.tolist(), pmf0.tolist()):
         cdf, k, k_max = pmf_k, 0, 10 * max(1.0, m) + 200
         # past its cutoff an element's cdf has saturated (tail mass ~ 0)
         while ui >= cdf and k <= k_max:
             k += 1
             pmf_k = pmf_k * m / k
             cdf = cdf + pmf_k
-        counts.flat[i] = k
+        counts.append(k)
     return counts
+
+
+def _void_rows(a: np.ndarray) -> np.ndarray:
+    """A view of a C-contiguous array without its last axis: each row along
+    that axis is one void element of the same bytes."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
 
 
 # an overflowing state is refused below by the kernel's own ValueError
@@ -197,9 +222,16 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     scratch array. Once the start is truncated the state is its own positive
     part, since np.maximum(., 0.0) is idempotent bit for bit.
 
-    A jump step takes the (P, A) counts of a block from one
-    `poisson_from_uniform` call, which walks the CDF only where a uniform
-    reaches e^{-mean}, and logs only the nonzero counts it finds.
+    Each path draws its window (module docstring) into a staging buffer of
+    STAGE paths, path-major as the stream lays them out; one copy per
+    staging chunk moves them into the block's step-major (steps, P, d)
+    normals and (steps, P, A) uniforms, so that a step reads each as one
+    contiguous (P, d) or (P, A) slab.
+
+    A jump step compares the step's uniforms with e^{-mean} in place and
+    walks the CDF (`_poisson_walk`, as `poisson_from_uniform` does) only for
+    the uniforms that reach it, each of which counts at least 1: those are
+    the jumps it logs.
     """
     params = dq.params
     d = params.d
@@ -240,21 +272,32 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
         h_tile, zero = np.full((P, d), h), np.zeros((P, d))
         nu_mean, rates = np.tile(Wh[d], (P, 1)), np.tile(type_rates, (P, 1))
         x_new, noise, mean = np.empty((P, d)), np.empty((P, d)), np.empty((P, A))
-        source_mean = np.empty((P, d))
-        normals = np.empty((P, min(WINDOW, K), d))
-        uniforms = np.empty((P, min(WINDOW, K), A))
+        source_mean, pmf0 = np.empty((P, d)), np.empty((P, A))
+        reach, counts = np.empty((P, A), dtype=bool), np.zeros((P, A), dtype=np.int64)
+        # the staging copies run on views that make one step's d (or A) draws
+        # a single void element: a plain transposing copy runs d-long loops
+        chunk, steps = min(STAGE, P), min(WINDOW, K)
+        stage_n, normals = np.empty((chunk, steps, d)), np.empty((steps, P, d))
+        stage_u, uniforms = np.empty((chunk, steps, A)), np.empty((steps, P, A))
+        copies = [(_void_rows(normals), _void_rows(stage_n))]
+        if A:
+            copies.append((_void_rows(uniforms), _void_rows(stage_u)))
 
         for w0 in range(0, K, WINDOW):
             width = min(WINDOW, K - w0)
             keep = w0 + WINDOW < K  # a later window reads on from here
-            for pj in range(P):
-                bitgen.state = streams[pj]
-                rng.standard_normal(out=normals[pj, :width])
-                if A:
-                    rng.random(out=uniforms[pj, :width])
-                if keep:
-                    streams[pj] = bitgen.state
-            np.multiply(normals[:, :width], sqrt_h, out=normals[:, :width])
+            for c0 in range(0, P, chunk):
+                c1 = min(c0 + chunk, P)
+                for pj in range(c0, c1):
+                    bitgen.state = streams[pj]
+                    rng.standard_normal(out=stage_n[pj - c0, :width])
+                    if A:
+                        rng.random(out=stage_u[pj - c0, :width])
+                    if keep:
+                        streams[pj] = bitgen.state
+                for window, stage in copies:
+                    np.copyto(window[:width, c0:c1], stage[:c1 - c0, :width].T)
+            np.multiply(normals[:width], sqrt_h, out=normals[:width])
 
             for kw in range(width):
                 k = w0 + kw
@@ -265,7 +308,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 np.add(x, x_new, out=x_new)
                 np.multiply(c2, x, out=noise)
                 np.sqrt(noise, out=noise)
-                np.multiply(noise, normals[:, kw], out=noise)
+                np.multiply(noise, normals[kw], out=noise)
                 np.add(x_new, noise, out=x_new)
 
                 if A:
@@ -273,21 +316,31 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                     _check_intensity(max(nu_rate, np.fmax.reduce(source_mean, axis=None)))
                     np.matmul(x, Wh_x, out=mean)
                     np.add(mean, nu_mean, out=mean)
-                    counts = poisson_from_uniform(uniforms[:, kw], mean)
-                    hits = np.flatnonzero(counts)
+                    # poisson_from_uniform, whose cap and sign checks the cap per
+                    # source implies (an atom's mean is >= 0, one rounded product
+                    # no larger than its source's); a uniform below e^{-mean}
+                    # counts 0, any other at least 1
+                    np.negative(mean, out=pmf0)
+                    np.exp(pmf0, out=pmf0)
+                    hits = np.flatnonzero(np.greater_equal(uniforms[kw], pmf0, out=reach))
                     if len(hits):
+                        n_jumps = _poisson_walk(np.take(uniforms[kw], hits), np.take(mean, hits),
+                                                np.take(pmf0, hits))
+                        np.put(counts, hits, n_jumps)
                         # dense: the row sum over a path's atoms fixes the bits
                         x_new += counts @ Z
+                        np.put(counts, hits, 0)
                         rows, atoms = np.divmod(hits, A)
                         t = (k + 1) * h
-                        for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(),
-                                            counts.flat[hits].tolist()):
+                        for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(), n_jumps):
                             jump_logs[pj] += [(t, *sources[a])] * n
 
                 # before truncation, which would turn -inf into 0; a finite sum
                 # has only finite terms, and one that overflows is checked exactly
                 if (not math.isfinite(np.add.reduce(x_new, axis=None))
                         and not np.isfinite(x_new).all()):
+                    if k == 0:  # whatever dt is: the start itself is too large
+                        _finite(x_new, "the first Euler step from the start")
                     raise ValueError(f"non-finite state at step {k + 1}; decrease dt")
                 slot = rec_slot[k + 1]
                 x = states_rec[slot, p0:p1] if slot >= 0 else scratch

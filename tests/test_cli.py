@@ -336,6 +336,8 @@ def test_overflowing_state_exits_64_without_csv(tmp_path, capsys):
     # the kernel refused its first step: exit 64, "decrease dt"
     ("simulate-scaled", "fix_a", ["--x=1e308", "--n", "2"], "start n * x0"),
     ("simulate-limit", "d2", ["--x=1e308,1e308"], "start <u_left, x0>"),
+    # c x overflows at step 1 whatever dt is: it was exit 64, "decrease dt"
+    ("simulate", "fix_a", ["--x=1e308"], "the first Euler step from the start"),
     # the default radius 2 (1 + max |x|) is derived, not given: it was a usage
     # error (exit 64) naming a radius the user never passed
     ("cgen", "fix_a", ["--x=1e154"], "default bump radius squared"),

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from cbi import affine, moments, simulate
-from cbi.errors import ClassificationError
+from cbi.errors import ClassificationError, NumericRangeError
 from cbi.model import CbiParams, JumpMeasure
 from cbi.simulate import (PathConfig, paths_to_csv, poisson_from_uniform,
                           simulate_cbi, simulate_limit_diffusion,
@@ -123,6 +123,15 @@ def test_overflowing_state_is_refused_before_truncation(seed):
     params = CbiParams.no_jumps(c=[1e300], beta=[0.0], B=[[0.0]])
     with pytest.raises(ValueError, match="non-finite state at step 2; decrease dt"):
         simulate_cbi(params, PathConfig(x0=[1.0], horizon=1.0, dt=0.1, seed=seed, n_paths=3))
+
+
+@pytest.mark.parametrize("dt", [0.5, 1e-3])
+def test_first_step_beyond_the_float_range_names_the_start(dt):
+    # c x overflows at step 1 whatever dt is: the start is too large, not dt
+    params = CbiParams.no_jumps(c=[1.0], beta=[1.0], B=[[1.0]])
+    with pytest.raises(NumericRangeError, match="^the first Euler step from the start "
+                                                "overflowed the floating-point range$"):
+        simulate_cbi(params, PathConfig(x0=[1e308], horizon=1.0, dt=dt, seed=0, n_paths=2))
 
 
 def test_finite_state_whose_sum_overflows_is_not_refused():
@@ -320,6 +329,52 @@ def test_scaled_and_limit_paths_agree_across_blocks(kind, jump_d2, d2_critical, 
     for a, b in zip(whole, blocked, strict=True):
         assert np.array_equal(a.states, b.states)
         assert a.scalar is None if kind == "scaled" else np.array_equal(a.scalar, b.scalar)
+
+
+def _default_and_staged_by_three(run, monkeypatch):
+    """run() with the default staging, then with staging chunks of 3 paths."""
+    default = run()
+    monkeypatch.setattr(simulate, "STAGE", 3)
+    return default, run()
+
+
+#: seven paths, staged 3 + 3 + 1, over 1100 > WINDOW steps: the saved stream
+#: states cross a window inside a staging chunk
+_STAGED = PathConfig(x0=[1.0, 0.5], horizon=1.1, dt=1e-3, seed=17, n_paths=7)
+
+
+@pytest.mark.parametrize("model", ["jump_d2", "d2_critical"])
+def test_staging_chunks_across_windows_match_default_and_loop_oracle(model, request,
+                                                                     monkeypatch):
+    params = request.getfixturevalue(model)
+    default, staged = _default_and_staged_by_three(lambda: simulate_cbi(params, _STAGED),
+                                                   monkeypatch)
+    for a, b in zip(default, staged, strict=True):
+        assert np.array_equal(a.states, b.states)
+        assert len(a.jump_log) == len(b.jump_log)
+        for (t, source, z), (bt, bsource, bz) in zip(a.jump_log, b.jump_log):
+            assert (t, source) == (bt, bsource) and np.array_equal(z, bz)
+    logs = _assert_matches_loop_oracle(params, staged, _STAGED.x0, 1100, 1e-3, _STAGED.seed)
+    assert (sum(map(len, logs)) > 0) == (model == "jump_d2")
+
+
+def test_staging_chunks_across_windows_on_scaled_and_limit(jump_d2, d2_critical, monkeypatch):
+    (scaled, limit), (scaled_3, limit_3) = _default_and_staged_by_three(
+        lambda: (simulate_scaled_step(jump_d2, 2, _STAGED),
+                 simulate_limit_diffusion(d2_critical, _STAGED)), monkeypatch)
+    for a, b in zip(scaled + limit, scaled_3 + limit_3, strict=True):
+        assert np.array_equal(a.states, b.states)
+        assert a.scalar is None if b.scalar is None else np.array_equal(a.scalar, b.scalar)
+    # n = 2 on [0, 1.1]: the base chain runs 2 units, 2000 steps of 1e-3, from 2 x0
+    base, _ = euler_paths_loop(jump_d2, 2 * _STAGED.x0, 2000, 1e-3, _STAGED.seed, 7)
+    for p, path in enumerate(scaled_3):
+        take = 1000 * np.floor(2 * path.times + 1e-9).astype(int)
+        assert_close(path.states, base[p, take] / 2, 1e-12, "scaled chain")
+    dq = moments.derive(d2_critical)
+    start = float(dq.perron.u_left @ _STAGED.x0)
+    ray, _ = euler_paths_loop(simulate.limit_ray(dq).params, [start], 1100, 1e-3, _STAGED.seed, 7)
+    for p, path in enumerate(limit_3):
+        assert_close(path.scalar, ray[p, :, 0], 1e-12, "limit scalar")
 
 
 def test_streams_match_loop_oracle_on_limit_and_scaled(d2_critical, jump_mixed):
