@@ -67,8 +67,8 @@ WINDOW = 1024
 #: Paths whose windows are drawn into the path-major staging buffer, then
 #: copied at once into a block's step-major window buffers.
 STAGE = 16
-#: Upper bound on the random draws a path block holds in its step-major
-#: window buffers; its staging buffer holds at most STAGE paths' windows more.
+#: Upper bound on the random draws a path block holds: its step-major window
+#: buffers plus its staging buffer of min(STAGE, paths) windows.
 DRAW_BUDGET = 12_000_000
 #: Upper bound on the estimated bytes of a run's arrays sized by its grid or
 #: path count (see `_check_size`); a larger run is refused up front.
@@ -159,32 +159,6 @@ def _check_intensity(mean_max) -> None:
         raise ValueError(f"per-step jump intensity {mean_max:.3g} too large; decrease dt")
 
 
-def poisson_from_uniform(u: np.ndarray, mean) -> np.ndarray:
-    """Exact inverse-CDF Poisson sampling driven by uniforms in [0, 1).
-
-    Vectorized over elements; `mean` broadcasts against `u`. Means above
-    100 are rejected (`_check_intensity`). The cdf is walked, one scalar walk
-    each, only for the elements whose u reaches pmf(0) = e^{-mean}; the rest
-    count 0. An element whose cdf saturates in floating point below its u
-    stops at its own cutoff 10 max(1, mean) + 201, whatever the other
-    elements' means.
-    """
-    u = np.asarray(u, dtype=float)
-    mean_arr = np.asarray(mean, dtype=float)
-    if mean_arr.shape != u.shape:
-        mean_arr = np.broadcast_to(mean_arr, u.shape)
-    # fmin/fmax skip NaN means, as the elementwise comparisons did
-    if np.fmin.reduce(mean_arr, axis=None) < 0:
-        raise ValueError("Poisson mean must be >= 0")
-    _check_intensity(np.fmax.reduce(mean_arr, axis=None))
-    pmf = np.exp(-mean_arr)
-    counts = np.zeros(u.shape, dtype=np.int64)
-    positive = np.flatnonzero(u >= pmf)
-    counts.flat[positive] = _poisson_walk(u.flat[positive], mean_arr.flat[positive],
-                                          pmf.flat[positive])
-    return counts
-
-
 def _poisson_walk(u: np.ndarray, mean: np.ndarray, pmf0: np.ndarray) -> list[int]:
     """The inverse-CDF Poisson counts, each at least 1, of uniforms u that
     reach their pmf(0) = e^{-mean}, pmf0; 1-d arrays of one length."""
@@ -229,9 +203,8 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     contiguous (P, d) or (P, A) slab.
 
     A jump step compares the step's uniforms with e^{-mean} in place and
-    walks the CDF (`_poisson_walk`, as `poisson_from_uniform` does) only for
-    the uniforms that reach it, each of which counts at least 1: those are
-    the jumps it logs.
+    walks the CDF (`_poisson_walk`) only for the uniforms that reach it,
+    each of which counts at least 1: those are the jumps it logs.
     """
     params = dq.params
     d = params.d
@@ -252,7 +225,14 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     states_rec = np.empty((len(record_idx), n_paths, d))
     jump_logs: list[list] = [[] for _ in range(n_paths)]
 
-    block = max(1, int(DRAW_BUDGET / (WINDOW * (d + A))))
+    # a block of P paths holds P + min(STAGE, P) windows
+    fit = int(DRAW_BUDGET / (WINDOW * (d + A)))
+    block = max(1, fit - STAGE, fit // 2)
+    # one set of window buffers for the first, largest, block; a smaller last
+    # block uses their first paths, so one block's draws are held at a time
+    paths, steps = min(block, n_paths), min(WINDOW, K)
+    stage_n, all_normals = np.empty((min(STAGE, paths), steps, d)), np.empty((steps, paths, d))
+    stage_u, all_uniforms = np.empty((min(STAGE, paths), steps, A)), np.empty((steps, paths, A))
 
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
@@ -276,9 +256,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
         reach, counts = np.empty((P, A), dtype=bool), np.zeros((P, A), dtype=np.int64)
         # the staging copies run on views that make one step's d (or A) draws
         # a single void element: a plain transposing copy runs d-long loops
-        chunk, steps = min(STAGE, P), min(WINDOW, K)
-        stage_n, normals = np.empty((chunk, steps, d)), np.empty((steps, P, d))
-        stage_u, uniforms = np.empty((chunk, steps, A)), np.empty((steps, P, A))
+        chunk, normals, uniforms = min(STAGE, P), all_normals[:, :P], all_uniforms[:, :P]
         copies = [(_void_rows(normals), _void_rows(stage_n))]
         if A:
             copies.append((_void_rows(uniforms), _void_rows(stage_u)))
@@ -316,10 +294,9 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                     _check_intensity(max(nu_rate, np.fmax.reduce(source_mean, axis=None)))
                     np.matmul(x, Wh_x, out=mean)
                     np.add(mean, nu_mean, out=mean)
-                    # poisson_from_uniform, whose cap and sign checks the cap per
-                    # source implies (an atom's mean is >= 0, one rounded product
-                    # no larger than its source's); a uniform below e^{-mean}
-                    # counts 0, any other at least 1
+                    # the cap per source caps each atom (an atom's mean is >= 0, one
+                    # rounded product no larger than its source's); a uniform below
+                    # e^{-mean} counts 0, any other at least 1
                     np.negative(mean, out=pmf0)
                     np.exp(pmf0, out=pmf0)
                     hits = np.flatnonzero(np.greater_equal(uniforms[kw], pmf0, out=reach))

@@ -167,6 +167,15 @@ def test_solve_v_refuses_undershoot_beyond_clip_budget(monkeypatch):
         solve_v(logistic, 1e3, [1.0])
 
 
+def test_solve_v_refuses_undershoot_beyond_the_default_clip_budget():
+    # the same logistic's solve to t = 1e5 clips 8.92e-9, within the default
+    # 1e-8; to t = 1.2e5 it clips past it, and the message names the budget
+    logistic = CbiParams.no_jumps(c=[1.0], beta=[1.0], B=[[-1.0]])
+    with pytest.raises(SolverError, match=re.escape(
+            "negative undershoot 1.071e-08 exceeds clip budget 1.0e-08")):
+        solve_v(logistic, 1.2e5, [1.0])
+
+
 def test_solve_v_nonnegative_at_every_horizon(jump_d2):
     for s in np.linspace(0.0, 2.0, 37):
         sol = solve_v(jump_d2, s, [3.0, 0.5])

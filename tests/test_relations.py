@@ -18,6 +18,16 @@ and the classification is unchanged.
 Splitting atoms: each atom (w, z) of a jump measure as two atoms (w/2, z)
 is the same measure, so derive's btilde, beta_tilde, C_k and drift table
 and the transform agree to rounding.
+
+Scaling space by a: a X is the CBI with c and beta times a, every atom z
+at a z, each mu_i's weights divided by a (nu's kept), and B's diagonal
+moved so that the compensated drift B^T - diag kappa, kappa_i =
+int (1 ^ z_i) mu_i(dz), is unchanged. Then phi_a(u) = phi(a u) / a and
+psi_a(u) = psi(a u): v_a(t, lam) = v(t, a lam) / a, the transform from a x
+at lam is the original's from x at a lam, the mean from a x is a times the
+original's, and C_k is a C_k. At a = 2 a jump-free model is c and beta
+doubled, on which the Euler kernel's arithmetic doubles exactly: its states
+from 2 x0 are bit-identical to twice the original's.
 """
 import numpy as np
 import pytest
@@ -142,3 +152,49 @@ def test_splitting_atoms_keeps_the_law(name):
         _close(getattr(dq_split, field), getattr(dq, field), 1e-15)
     # 8.6e-16 measured (jump_d3)
     _close(laplace_transform(dq_split, 1.0, x, lam), laplace_transform(dq, 1.0, x, lam), 1e-13)
+
+
+def _space_scaled(params: CbiParams, a: float) -> CbiParams:
+    """The law of a X: c and beta times a, atoms at a z, mu_i's weights over a,
+    and B's diagonal moved by kappa - kappa_a (module docstring)."""
+    def kappa(mu) -> np.ndarray:
+        return np.array([m.weights @ np.minimum(1.0, m.points[:, i]) for i, m in enumerate(mu)])
+
+    mu = tuple(JumpMeasure(m.weights / a, a * m.points) for m in params.mu)
+    return CbiParams(d=params.d, c=a * params.c, beta=a * params.beta,
+                     B=params.B - np.diag(kappa(params.mu) - kappa(mu)),
+                     nu=JumpMeasure(params.nu.weights, a * params.nu.points), mu=mu)
+
+
+@pytest.mark.parametrize("name", ["fix_a", "d2_critical"])
+def test_space_scaling_doubles_a_jump_free_model_exactly(name):
+    params = MODELS[name]()
+    d = params.d
+    doubled = _space_scaled(params, 2.0)
+    assert doubled.c.tolist() == (2 * params.c).tolist() and doubled.B.tolist() == params.B.tolist()
+    x0, lam = np.array([1.0, 0.5][:d]), np.array([0.7, 1.2][:d])
+    cfg = PathConfig(x0=x0, horizon=1.0, dt=0.01, seed=3, n_paths=50)
+    twice = PathConfig(x0=2 * x0, horizon=1.0, dt=0.01, seed=3, n_paths=50)
+    for p, q in zip(simulate_cbi(params, cfg), simulate_cbi(doubled, twice), strict=True):
+        assert q.states.tobytes() == (2 * p.states).tobytes()
+    # 3.2e-14 measured (d2_critical): the step control sees v and v / 2
+    _close(solve_v(doubled, 1.0, lam).v_final, solve_v(params, 1.0, 2 * lam).v_final / 2, 3e-13)
+
+
+@pytest.mark.parametrize("name", ["jump_mixed", "jump_d2", "jump_d3", "branching_jump",
+                                  "many_atoms"])
+def test_space_scaling_moves_atoms_to_twice_their_points(name):
+    params = MODELS[name]()
+    d = params.d
+    x, lam = np.array([1.0, 0.5, 0.25][:d]), np.array([0.7, 1.2, 0.4][:d])
+    dq, dq_2 = derive(params), derive(_space_scaled(params, 2.0))
+    # 1.8e-16 measured (many_atoms)
+    _close(dq_2.drift_table[:d], dq.drift_table[:d], 1e-15)
+    _close(dq_2.drift_table[d], 2 * dq.drift_table[d], 1e-15)
+    _close(dq_2.big_c, 2 * dq.big_c, 1e-15)
+    for t in (0.3, 1.0):
+        # 7.7e-14 and 9.4e-15 measured (many_atoms at t = 1), 1.5e-16 for the mean
+        _close(solve_v(dq_2, t, lam).v_final, solve_v(dq, t, 2 * lam).v_final / 2, 1e-12)
+        _close(laplace_transform(dq_2, t, 2 * x, lam), laplace_transform(dq, t, x, 2 * lam),
+               1e-13)
+        _close(mean(dq_2, 2 * x, t), 2 * mean(dq, x, t), 1e-15)

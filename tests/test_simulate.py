@@ -10,9 +10,8 @@ import scipy.stats
 from cbi import affine, moments, simulate
 from cbi.errors import ClassificationError, NumericRangeError
 from cbi.model import CbiParams, JumpMeasure
-from cbi.simulate import (PathConfig, paths_to_csv, poisson_from_uniform,
-                          simulate_cbi, simulate_limit_diffusion,
-                          simulate_scaled_step)
+from cbi.simulate import (PathConfig, _check_intensity, _poisson_walk, paths_to_csv,
+                          simulate_cbi, simulate_limit_diffusion, simulate_scaled_step)
 
 from conftest import assert_close
 from ref_oracles import euler_paths_loop, paths_csv_per_cell
@@ -150,11 +149,23 @@ def test_scaled_step_and_limit_diffusion_refuse_bad_arguments(fix_a, d2_critical
         simulate_limit_diffusion(d2_critical, cfg)
 
 
+def _kernel_counts(u: np.ndarray, mean) -> np.ndarray:
+    """The Euler kernel's jump counts of uniforms u at means `mean` (which
+    broadcasts against u): 0 below e^{-mean}, and `_poisson_walk` on exactly
+    the uniforms that reach it."""
+    mean = np.broadcast_to(np.asarray(mean, dtype=float), u.shape)
+    pmf0 = np.exp(-mean)
+    reach = u >= pmf0
+    counts = np.zeros(u.shape, dtype=np.int64)
+    counts[reach] = _poisson_walk(u[reach], mean[reach], pmf0[reach])
+    return counts
+
+
 def test_poisson_inversion_matches_cdf_oracle():
     u = np.linspace(0.0, 0.999999, 41)
     # scalar means, and one array mean that holds zeros
     for mean in (0.0, 1e-4, 0.05, 1.3, 7.0, np.tile([0.0, 2.5, 0.0, 1e-3, 0.7], 9)[:41]):
-        counts = poisson_from_uniform(u, mean)
+        counts = _kernel_counts(u, mean)
         for ui, ki, mi in zip(u, counts, np.broadcast_to(mean, u.shape)):
             if ki > 0:
                 assert scipy.stats.poisson.cdf(ki - 1, mi) <= ui
@@ -168,8 +179,7 @@ def test_poisson_inversion_on_a_block_matches_cdf_oracle():
     mean = np.array([0.0, 1e-3, 0.05, 0.01, 1.3, 7.0])
     u = np.linspace(0.0, 0.999, 24).reshape(4, 6)
     u[2, 3] = np.nextafter(1.0, 0.0)
-    counts = poisson_from_uniform(u, mean)
-    assert counts.shape == u.shape and counts.dtype == np.int64
+    counts = _kernel_counts(u, mean)
     assert not counts[:, 0].any() and (counts[:, 1:] == 0).any() and (counts > 1).any()
     assert counts[2, 3] == 211
     for (i, j), k in np.ndenumerate(counts):
@@ -179,40 +189,30 @@ def test_poisson_inversion_on_a_block_matches_cdf_oracle():
             assert u[i, j] < scipy.stats.poisson.cdf(k, mean[j]) + 1e-15
 
 
-@pytest.mark.parametrize("shape", [(6,), (3, 4)])
-def test_poisson_all_zero_counts_keep_shape_and_dtype(shape):
-    # every u below exp(-mean): the early return must still be u-shaped int64
-    u = np.full(shape, 0.5)
-    for mean in (1e-3, np.full(shape, 1e-3)):
-        counts = poisson_from_uniform(u, mean)
-        assert counts.shape == shape and counts.dtype == np.int64
-        assert not counts.any()
-
-
 def test_poisson_saturated_count_depends_on_its_own_mean_only():
     # the cdf of mean 0.01 saturates below the largest double under 1, so the
     # walk stops at the element's cutoff 10 * max(1, 0.01) + 200, plus one
     u = np.nextafter(1.0, 0.0)
-    alone = poisson_from_uniform(np.array([u]), 0.01)
-    assert alone.tolist() == [211]
-    for others in ([60.0], [0.5, 99.0], [0.0]):
-        counts = poisson_from_uniform(np.array([u] + [0.5] * len(others)), [0.01, *others])
-        assert counts[0] == 211
-    counts = poisson_from_uniform(np.full((2, 3), u), [[0.01, 60.0, 0.01], [90.0, 0.01, 0.01]])
-    assert counts[0, 0] == counts[0, 2] == counts[1, 1] == counts[1, 2] == 211
+    for means in ([0.01], [0.01, 60.0], [0.5, 0.01, 99.0], [90.0, 0.01, 0.01, 5.0]):
+        mean = np.array(means)
+        counts = _poisson_walk(np.full(len(mean), u), mean, np.exp(-mean))
+        assert [k for k, m in zip(counts, means) if m == 0.01] == [211] * means.count(0.01)
 
 
 def test_poisson_rejects_huge_mean():
+    _check_intensity(100.0)  # the cap itself is allowed
     with pytest.raises(ValueError, match=r"^per-step jump intensity 200 too large; decrease dt$"):
-        poisson_from_uniform(np.array([0.5]), 200.0)
-    with pytest.raises(ValueError, match=r"^Poisson mean must be >= 0$"):
-        poisson_from_uniform(np.array([0.5, 0.5]), [0.1, -1e-3])
+        _check_intensity(200.0)
 
 
 def test_too_large_intensity_reports_the_largest_mean_past_a_nan():
-    # fmax skips the NaN mean that max would report
+    # mu_1's weights sum past the float range, so at x_1 = 0 its step mean is
+    # 0 * inf = NaN; fmax skips it and reports mu_2's 150, where max would not
+    params = CbiParams(d=2, c=[0.0, 0.0], beta=[0.0, 0.0], B=[[0.0, 0.0], [0.0, 0.0]],
+                       mu=(JumpMeasure.from_atoms([(1e308, [1e-150, 0.0])] * 2),
+                           JumpMeasure.from_atoms([(1500.0, [0.0, 1.0])])))
     with pytest.raises(ValueError, match=r"^per-step jump intensity 150 too large; decrease dt$"):
-        poisson_from_uniform(np.array([0.5, 0.5]), [math.nan, 150.0])
+        simulate_cbi(params, PathConfig(x0=[0.0, 1.0], horizon=0.2, dt=0.1, seed=0, n_paths=2))
 
 
 def test_too_large_intensity_reports_the_largest_mean_over_sources():
@@ -300,8 +300,9 @@ def test_streams_match_loop_oracle_across_windows(d2_critical):
 def test_streams_match_loop_oracle_across_blocks(jump_d2, monkeypatch):
     cfg = PathConfig(x0=[1.0, 0.5], horizon=2.0, dt=1e-2, seed=11, n_paths=5)
     whole = simulate_cbi(jump_d2, cfg)
-    # d = 2 normals and four atoms per step: two paths per block, three blocks
-    monkeypatch.setattr(simulate, "DRAW_BUDGET", 2 * simulate.WINDOW * (2 + 4))
+    # d = 2 normals and four atoms per step: two paths per block plus their
+    # two staging paths, three blocks
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", (2 + 2) * simulate.WINDOW * (2 + 4))
     blocked = simulate_cbi(jump_d2, cfg)
     logs = _assert_matches_loop_oracle(jump_d2, blocked, cfg.x0, 200, 1e-2, cfg.seed)
     assert sum(map(len, logs)) > 0
@@ -320,7 +321,8 @@ def test_scaled_and_limit_paths_agree_across_blocks(kind, jump_d2, d2_critical, 
         # the one-type ray diffusion: 1100 steps of one normal
         run, draws = lambda: simulate_limit_diffusion(d2_critical, cfg), 1
     whole = run()
-    monkeypatch.setattr(simulate, "DRAW_BUDGET", 3 * simulate.WINDOW * draws)
+    # three paths per block plus their three staging paths
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", (3 + 3) * simulate.WINDOW * draws)
     blocks, keys = [], simulate._philox_keys
     monkeypatch.setattr(simulate, "_philox_keys",
                         lambda seed, p0, p1: blocks.append(p1 - p0) or keys(seed, p0, p1))
@@ -329,6 +331,24 @@ def test_scaled_and_limit_paths_agree_across_blocks(kind, jump_d2, d2_critical, 
     for a, b in zip(whole, blocked, strict=True):
         assert np.array_equal(a.states, b.states)
         assert a.scalar is None if kind == "scaled" else np.array_equal(a.scalar, b.scalar)
+
+
+def test_blocks_hold_their_draws_within_the_budget(jump_d2, monkeypatch):
+    # 64 windows of d + A = 6 draws: 48 paths per block plus 16 staging paths.
+    # Three blocks over one 1024-step window: a block's windows and staging,
+    # or a second block's beside the first's, would exceed the budget
+    budget = 64 * simulate.WINDOW * (2 + 4)
+    monkeypatch.setattr(simulate, "DRAW_BUDGET", budget)
+    cfg = PathConfig(x0=[1.0, 0.5], horizon=1.024, dt=1e-3, seed=5, n_paths=120)
+    tracemalloc.start()
+    try:
+        paths = simulate_cbi(jump_d2, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 120
+    # 8 bytes a draw, and 1.07 times that measured above what the run returns
+    assert peak - held < 1.25 * 8 * budget
 
 
 def _default_and_staged_by_three(run, monkeypatch):
