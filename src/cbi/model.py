@@ -73,8 +73,6 @@ class JumpMeasure:
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, Sequence[float]]]) -> "JumpMeasure":
         atoms = list(atoms)
-        if not atoms:
-            return cls.empty(1)
         w = np.array([a[0] for a in atoms], dtype=float)
         z = np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float)
         return cls(w, z)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,3 +142,24 @@ def assert_close(a, b, tol, msg=""):
     b = np.asarray(b, float)
     err = float(np.max(np.abs(a - b)))
     assert err <= tol, f"{msg} max|diff| = {err:.3e} > {tol:.1e}"
+
+
+def mc_z(samples, exact) -> float:
+    """The largest |column mean - exact| over the columns of `samples`
+    (axis 0 runs over the n paths, any further axes index the columns), in
+    units of the column's sample standard error std(ddof=1) / sqrt(n). In
+    the normal limit a correct column fails a 3-SE gate, `mc_z(...) <= 3`,
+    for 0.27 % of seeds (two-sided), so k columns fail it at up to k times that."""
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return float(np.max(np.abs(samples.mean(axis=0) - exact) / se))
+
+
+def mc_var_z(samples, exact) -> float:
+    """|sample variance - exact| of the 1-d `samples`, in units of its
+    fourth-moment standard error sqrt((m4 - s2^2) / n), with s2 the
+    ddof=1 variance and m4 the fourth central sample moment. In the normal
+    limit a correct variance fails a 3-SE gate, `mc_var_z(...) <= 3`, for
+    0.27 % of seeds (two-sided)."""
+    s2 = samples.var(ddof=1)
+    m4 = np.mean((samples - samples.mean()) ** 4)
+    return float(abs(s2 - exact) / math.sqrt(max(m4 - s2**2, 0.0) / len(samples)))

@@ -6,7 +6,8 @@ formula over scipy's expm (production reads them off one block
 exponential, and computes every exponential with its own Pade-13
 `mat_exp`, which shares no code with scipy's), the Riccati solution with its psi-integral by scipy's RK45
 with psi taken at v clipped to R_+^d (production integrates psi at the
-unclipped state with its own stepper), phi and both forms of psi re-derived from
+unclipped state with its own stepper) and the two-time joint transform from two
+such solves, phi and both forms of psi re-derived from
 raw atom data with explicit Python loops, and irreducibility from scipy's
 strongly connected components (production squares a boolean reachability
 matrix), and the paths CSV cell by cell with float() and repr on every
@@ -149,6 +150,17 @@ def v_with_psi_state(params, t, lam, rtol=1e-12, atol=1e-14):
                     method="RK45", rtol=rtol, atol=atol)
     assert sol.success
     return sol.y[:d, -1], float(sol.y[d, -1])
+
+
+def joint_laplace_two_times(params, x, t1, t2, lam1, lam2):
+    """E_x exp(-<lam1, X_t1> - <lam2, X_t2>) for 0 < t1 < t2, by the Markov
+    property at t1 and the affine transform over each leg: with
+    mu = lam1 + v(t2 - t1, lam2), it is exp(-<x, v(t1, mu)>
+    - int_0^t1 psi(v(s, mu)) ds - int_0^(t2-t1) psi(v(s, lam2)) ds), each
+    leg solved backwards by `v_with_psi_state`."""
+    v2, psi2 = v_with_psi_state(params, t2 - t1, lam2)
+    v1, psi1 = v_with_psi_state(params, t1, np.asarray(lam1, float) + v2)
+    return math.exp(-float(np.asarray(x, float) @ v1) - psi1 - psi2)
 
 
 def dop853_loop(rhs, y0, t_end, rtol, atol):

@@ -19,7 +19,7 @@ from cbi.simulate import PathConfig, simulate_cbi
 from cbi.testfunctions import bump
 
 from conftest import (make_branching_jump, make_d2_critical, make_fix_a,
-                      make_jump_d2, make_jump_d3, make_jump_mixed)
+                      make_jump_d2, make_jump_d3, make_jump_mixed, mc_z)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -154,29 +154,6 @@ def test_criterion_7_generator_two_form_identity():
             f"max |defining - compensated| over 100 triples = {worst:.3e} (<=1e-10)")
 
 
-def _max_mean_dev(ends: np.ndarray, reference: np.ndarray) -> float:
-    se = ends.std(axis=0, ddof=1) / math.sqrt(len(ends))
-    return float(np.max(np.abs(ends.mean(axis=0) - reference) / se))
-
-
-def _max_cov_dev(ends: np.ndarray, reference: np.ndarray) -> float:
-    centered = ends - ends.mean(axis=0)
-    prods = centered[:, :, None] * centered[:, None, :]  # per-path outer products
-    emp = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / math.sqrt(len(ends))
-    return float(np.max(np.abs(emp - reference) / se))
-
-
-def _max_laplace_dev(params, ends: np.ndarray, x0, probes) -> float:
-    worst = 0.0
-    for lam in probes:
-        emp = np.exp(-(ends @ np.atleast_1d(lam)))
-        ref = affine.laplace_transform(params, 1.0, x0, lam)
-        se = emp.std(ddof=1) / math.sqrt(len(emp))
-        worst = max(worst, abs(emp.mean() - ref) / se)
-    return worst
-
-
 def test_criterion_8_monte_carlo_consistency():
     start = time.perf_counter()
     ok = True
@@ -193,11 +170,12 @@ def test_criterion_8_monte_carlo_consistency():
         cfg = PathConfig(x0=x0, horizon=1.0, dt=dt, seed=2025 + idx, n_paths=n_paths)
         ends = np.array([p.states[-1] for p in simulate_cbi(params, cfg)])
 
-        dev = _max_mean_dev(ends, moments.mean(params, x0, 1.0))
+        dev = mc_z(ends, moments.mean(params, x0, 1.0))
         ok &= dev <= 3.0
         details.append(f"{name} mean {dev:.2f}se")
 
-        dev = _max_laplace_dev(params, ends, x0, probes)
+        refs = [affine.laplace_transform(params, 1.0, x0, lam) for lam in probes]
+        dev = mc_z(np.exp(-(ends @ np.transpose(probes))), refs)
         ok &= dev <= 3.0
         details.append(f"{name} laplace(5) {dev:.2f}se")
 
@@ -205,7 +183,9 @@ def test_criterion_8_monte_carlo_consistency():
         cfg_z = PathConfig(x0=x0, horizon=1.0, dt=dt, seed=2100 + idx,
                            n_paths=n_paths)
         z_ends = np.array([p.states[-1] for p in simulate_cbi(pure, cfg_z)])
-        dev = _max_cov_dev(z_ends, moments.variance_no_immigration(pure, x0, 1.0))
+        centered = z_ends - z_ends.mean(axis=0)
+        prods = centered[:, :, None] * centered[:, None, :]  # per-path outer products
+        dev = mc_z(prods, moments.variance_no_immigration(pure, x0, 1.0))
         ok &= dev <= 3.0
         details.append(f"{name} variance {dev:.2f}se")
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import re
@@ -13,8 +14,8 @@ from cbi.model import CbiParams, JumpMeasure
 from cbi.simulate import (PathConfig, _check_intensity, _poisson_walk, paths_to_csv,
                           simulate_cbi, simulate_limit_diffusion, simulate_scaled_step)
 
-from conftest import assert_close
-from ref_oracles import euler_paths_loop, paths_csv_per_cell
+from conftest import ALL_FIXTURES, assert_close, make_fix_a, mc_var_z, mc_z
+from ref_oracles import euler_paths_loop, joint_laplace_two_times, paths_csv_per_cell
 
 
 def _ends(paths):
@@ -494,17 +495,13 @@ def test_jump_log_shares_each_atoms_point_and_each_steps_time(jump_d3):
 def test_mean_matches_formula_fix_a(fix_a):
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=7, n_paths=2000)
     ends = _ends(simulate_cbi(fix_a, cfg))[:, 0]
-    ref = moments.mean(fix_a, [1.0], 1.0)[0]
-    se = ends.std(ddof=1) / math.sqrt(len(ends))
-    assert abs(ends.mean() - ref) <= 3 * se
+    assert mc_z(ends, moments.mean(fix_a, [1.0], 1.0)[0]) <= 3
 
 
 def test_mean_matches_formula_with_jumps(jump_mixed):
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=3, n_paths=1500)
     ends = _ends(simulate_cbi(jump_mixed, cfg))[:, 0]
-    ref = moments.mean(jump_mixed, [1.0], 1.0)[0]
-    se = ends.std(ddof=1) / math.sqrt(len(ends))
-    assert abs(ends.mean() - ref) <= 3 * se
+    assert mc_z(ends, moments.mean(jump_mixed, [1.0], 1.0)[0]) <= 3
 
 
 def test_atom_jump_counts_are_independent_poisson():
@@ -530,22 +527,16 @@ def test_atom_jump_counts_are_independent_poisson():
 def test_laplace_matches_transform(fix_a):
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=11, n_paths=2000)
     ends = _ends(simulate_cbi(fix_a, cfg))[:, 0]
-    for lam in (0.3, 1.0, 3.0):
-        emp = np.exp(-lam * ends)
-        ref = affine.laplace_transform(fix_a, 1.0, [1.0], [lam])
-        se = emp.std(ddof=1) / math.sqrt(len(emp))
-        assert abs(emp.mean() - ref) <= 3 * se
+    lams = (0.3, 1.0, 3.0)
+    refs = [affine.laplace_transform(fix_a, 1.0, [1.0], [lam]) for lam in lams]
+    assert mc_z(np.exp(-np.outer(ends, lams)), refs) <= 3
 
 
 def test_variance_matches_formula_no_immigration():
     params = CbiParams.no_jumps(c=[1.0], beta=[0.0], B=[[0.0]])
     cfg = PathConfig(x0=[1.0], horizon=1.0, dt=1e-3, seed=5, n_paths=3000)
     ends = _ends(simulate_cbi(params, cfg))[:, 0]
-    ref = moments.variance_no_immigration(params, [1.0], 1.0)[0, 0]
-    s2 = ends.var(ddof=1)
-    m4 = np.mean((ends - ends.mean()) ** 4)
-    se = math.sqrt(max(m4 - s2**2, 0.0) / len(ends))
-    assert abs(s2 - ref) <= 3 * se
+    assert mc_var_z(ends, moments.variance_no_immigration(params, [1.0], 1.0)[0, 0]) <= 3
 
 
 def test_halving_dt_within_one_se(fix_a):
@@ -557,6 +548,54 @@ def test_halving_dt_within_one_se(fix_a):
     e_c = _ends(simulate_cbi(fix_a, coarse))[:, 0]
     se = math.sqrt(e_f.var(ddof=1) / len(e_f) + e_c.var(ddof=1) / len(e_c))
     assert abs(e_f.mean() - e_c.mean()) <= se
+
+
+# --- path law at two times ---------------------------------------------------------
+
+_X0, _T1, _T2 = [1.0, 0.5], 0.5, 1.0
+_LAM1, _LAM2 = np.array([0.8, 0.4]), np.array([0.5, 1.0])
+
+
+def test_joint_transform_oracle_matches_fix_a_closed_form():
+    # v = lam / (1 + lam t) and int_0^t psi(v) ds = log(1 + lam t) on fix_a
+    params = make_fix_a()
+    for x, t1, t2, lam1, lam2 in [(1.0, 0.5, 1.0, 0.8, 0.5), (2.0, 0.3, 1.7, 0.1, 3.0),
+                                  (0.5, 1.2, 1.5, 2.0, 0.4)]:
+        mu = lam1 + lam2 / (1 + lam2 * (t2 - t1))
+        exact = math.exp(-x * mu / (1 + mu * t1)) / ((1 + mu * t1) * (1 + lam2 * (t2 - t1)))
+        got = joint_laplace_two_times(params, [x], t1, t2, [lam1], [lam2])
+        assert_close(got, exact, 1e-10 * exact, f"joint transform at {t1}, {t2}")
+
+
+@functools.cache
+def _two_time_states(name):
+    """The states at t1 and t2 of 10 000 simulate_cbi paths of fixture
+    `name` from x = (1, .5) in steps of 2e-3, shape (n_paths, 2, d)."""
+    cfg = PathConfig(x0=_X0, horizon=_T2, dt=2e-3, seed=15, n_paths=10000)
+    paths = simulate_cbi(ALL_FIXTURES[name](), cfg)
+    take = [round(t / cfg.dt) for t in (_T1, _T2)]
+    assert np.array_equal(paths[0].times[take], [_T1, _T2])
+    return np.array([p.states[take] for p in paths])
+
+
+def _two_time_z(name, states):
+    emp = np.exp(-(states[:, 0] @ _LAM1 + states[:, 1] @ _LAM2))
+    return mc_z(emp, joint_laplace_two_times(ALL_FIXTURES[name](), _X0, _T1, _T2,
+                                             _LAM1, _LAM2))
+
+
+@pytest.mark.parametrize("name", ["jump_d2", "d2_critical"])
+def test_two_time_law_matches_the_joint_transform(name):
+    assert _two_time_z(name, _two_time_states(name)) <= 3
+
+
+@pytest.mark.parametrize("name", ["jump_d2", "d2_critical"])
+def test_two_time_gate_fails_on_paths_permuted_at_t1(name):
+    # pairing each X_t2 with another path's X_t1 keeps both marginal laws
+    # and breaks the joint one
+    states = _two_time_states(name).copy()
+    states[:, 0] = states[np.random.default_rng(0).permutation(len(states)), 0]
+    assert _two_time_z(name, states) > 3
 
 
 # --- scaled step process -----------------------------------------------------------
@@ -575,9 +614,7 @@ def test_scaled_step_n1_resamples_base_path(jump_mixed):
 def test_scaled_step_mean_fix_a(fix_a):
     # from a zero start the critical scalar model has E X^(n)_1 = 1 for all n
     cfg = PathConfig(x0=[0.0], horizon=1.0, dt=5e-3, seed=2, n_paths=400)
-    ends = _ends(simulate_scaled_step(fix_a, 50, cfg))[:, 0]
-    se = ends.std(ddof=1) / math.sqrt(len(ends))
-    assert abs(ends.mean() - 1.0) <= 3 * se
+    assert mc_z(_ends(simulate_scaled_step(fix_a, 50, cfg))[:, 0], 1.0) <= 3
 
 
 def test_scaled_step_direction_aligns_with_perron(d2_critical):
@@ -636,20 +673,15 @@ def test_limit_diffusion_moments_fix_a(fix_a):
     # dY = dt + sqrt(2 Y^+) dW from 0: E Y_1 = 1, Var Y_1 = 1
     cfg = PathConfig(x0=[0.0], horizon=1.0, dt=1e-3, seed=14, n_paths=3000)
     ends = np.array([p.scalar[-1] for p in simulate_limit_diffusion(fix_a, cfg)])
-    se = ends.std(ddof=1) / math.sqrt(len(ends))
-    assert abs(ends.mean() - 1.0) <= 3 * se
-    s2 = ends.var(ddof=1)
-    m4 = np.mean((ends - ends.mean()) ** 4)
-    se_var = math.sqrt(max(m4 - s2**2, 0.0) / len(ends))
-    assert abs(s2 - 1.0) <= 3 * se_var
+    assert mc_z(ends, 1.0) <= 3
+    assert mc_var_z(ends, 1.0) <= 3
 
 
 def test_limit_diffusion_d2_drift(d2_critical):
     # <u_left, beta_tilde> = 1 and <cbar u_left, u_left> = 2 here
     cfg = PathConfig(x0=[0.0, 0.0], horizon=1.0, dt=1e-3, seed=15, n_paths=1500)
     ends = np.array([p.scalar[-1] for p in simulate_limit_diffusion(d2_critical, cfg)])
-    se = ends.std(ddof=1) / math.sqrt(len(ends))
-    assert abs(ends.mean() - 1.0) <= 3 * se
+    assert mc_z(ends, 1.0) <= 3
 
 
 # --- CSV export -----------------------------------------------------------------
