@@ -41,8 +41,9 @@ an n beyond the floating-point range and, last, an empty --out), 65
 (malformed JSON, a non-integer d), 66 (a start state and a bump center of
 the wrong dimension), 3 (a scaled-generator point n x, the square of
 cgen's default bump radius, a scaled start n x0, a limit start
-<u_left, x0> and a first Euler step beyond the floating-point range) and 73 (an --out file in a
-directory that does not exist). The commands run in-process from one
+<u_left, x0>, a first Euler step beyond the floating-point range and a
+lambda of 1e154, whose Riccati solve has no finite first step) and 73 (an
+--out file in a directory that does not exist). The commands run in-process from one
 fresh working directory with relative file names, so the output does not
 depend on where the script runs.
 
@@ -296,6 +297,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("exit3:overflowing-first-step",
                  ["simulate", "--params", "fix_a.json", "--x=1e308", *tiny_run],
                  "simulate_first_step_overflow.csv"))
+    cmds.append(("exit3:huge-lambda",
+                 ["vsolve", "--params", "d2_critical.json", "--t", "1", "--lambda", "1e154,1e154"],
+                 None))
     cmds.append(("exit73:missing-out-directory",
                  ["simulate", "--params", "fix_a.json", "--x", "1", *tiny_run],
                  "no_such_dir/paths.csv"))

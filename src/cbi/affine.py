@@ -42,11 +42,15 @@ one tolerance, tol: its relative tolerance is tol and its absolute one
 tol * 1e-2. It controls each step's local error, not v's global error: on
 d2_critical at t = 100, v at the default tol is up to 7.0e-9 relative
 (70 rtol) off a tol = 1e-13 solve (README), the transform 4.8e-11. A
-solve allocates its buffers once, a stage array and two state buffers
-that swap on every accepted step, and every stage and right-hand side
-writes into them; nothing is kept from one solve to the next. A solve
-that needs more than MAX_STEPS accepted steps fails. Each column keeps
-its own clip budget.
+solve allocates its buffers once: a stage array, a stage argument, two
+state buffers and two |y| buffers that swap on every accepted step, the
+error norm's buffers, and the scratch block of its own right-hand side;
+every stage, right-hand side and error norm writes into them, so an
+accepted step allocates no array, and nothing is kept from one solve to
+the next. A lam so large that the first-step rule's scaled slope
+overflows, from about 9.5e143 on each entry at c = (1, 1) and the default
+tol, is refused before the first step; a solve that needs more than
+MAX_STEPS accepted steps fails. Each column keeps its own clip budget.
 
 The small-lam limits of the first two lam-derivatives of v are available
 in closed form,
@@ -145,18 +149,33 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[..., np.ndarray]:
     with a zero column appended (M Y[:d] would round differently), c has a 0
     in row d, and Z, W are the model's atom table (`atom_points`,
     `atom_weights`). Row d of Y enters no right-hand side. The callable
-    writes the result into `out`, a (d+1, m) array, when one is given."""
+    writes the result into `out`, a (d+1, m) array, when one is given.
+
+    The callable forms c Y^2 and the atom term in a scratch block of its
+    own, a (d+1, m) array for either term and an (atoms, m) one for
+    exp(-Z V) - 1, made again only when Y's width m changes; build one
+    callable per solve, so that the block goes with the solve."""
     d = dq.params.d
     L = np.zeros((d + 1, d + 1))
     L[:, :d] = dq.drift_table
     c = np.append(dq.params.c, 0.0)[:, None]
     minus_z, W = -dq.atom_points, dq.atom_weights
+    has_atoms = len(minus_z) > 0
+    term = expo = np.empty((0, 0))
 
     def rhs(Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.dot(L, Y, out=out)
-        out -= c * Y * Y
-        if len(minus_z):
-            out -= np.dot(W, np.expm1(np.dot(minus_z, Y[:-1])))
+        nonlocal term, expo
+        if Y.shape != term.shape:
+            term, expo = np.empty(Y.shape), np.empty((len(minus_z), Y.shape[1]))
+        out = L.dot(Y, out=out)
+        np.multiply(c, Y, out=term)
+        term *= Y
+        out -= term
+        if has_atoms:
+            minus_z.dot(Y[:-1], out=expo)
+            np.expm1(expo, out=expo)
+            W.dot(expo, out=term)
+            out -= term
         return out
 
     return rhs
@@ -200,15 +219,6 @@ def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_end: float, rtol: float
     return min(float(np.minimum(100 * h0, h1).min()), t_end)
 
 
-def _col_sumsq(z_flat: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Sum of squares of each column of z / scale -> (m,), where z_flat is
-    a flattened block of scale's shape (rows, m), overwritten."""
-    z = z_flat.reshape(scale.shape)
-    z /= scale
-    z *= z
-    return np.add.reduce(z, axis=0)
-
-
 def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
                     atol: float) -> tuple[np.ndarray, int, int, int, np.ndarray]:
     """Integrate Y' = rhs(Y) from Y(0) = y0, a (d+1, m) block whose last row
@@ -218,25 +228,48 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
     The solve works in buffers of its own, allocated once: the stage array
     K, whose row s holds stage s's slopes (row 0 the slope at the step's
     start, the last row the slope at its end, which an accepted step copies
-    to row 0 for the next), a stage argument, and two state buffers that
-    swap on every accepted step. Each stage argument is scipy's
-    y + dot(K[:s].T, a) * h, in the same order of operations.
+    to row 0 for the next), a stage argument, two state buffers and their
+    two |y| buffers that swap on every accepted step, and the error norm's
+    scale, estimates, squared norms and per-column ratio. Each stage
+    argument is scipy's y + dot(K[:s].T, a) * h, and each error term
+    scipy's, in the same order of operations, up to operands of + and *
+    swapped, which IEEE arithmetic leaves bit for bit.
 
     Returns Y(t_end), the numbers of accepted steps, rhs evaluations and
     rejected step attempts, and each column's negative undershoot of its
     first d rows summed over the accepted step ends, shape (m,). Raises
-    SolverError when t_end is not reached within MAX_STEPS accepted steps.
+    SolverError when the first-step rule gives no finite step or t_end is
+    not reached within MAX_STEPS accepted steps.
     """
     rows, m = y0.shape
     K = np.empty((len(_E5), rows, m))
     K_flat = K.reshape(len(K), -1)
     stages = [(K_flat[:s].T, a, K[s]) for s, a in enumerate(_A, start=1)]
-    y, y_new, arg = np.empty((3, rows, m))
+    K_first, K_last, K_bulk, K_all = K[0], K[-1], K_flat[:-1].T, K_flat.T
+    y, y_new = np.empty((2, rows, m))
+    y_flat, y_new_flat = y.reshape(-1), y_new.reshape(-1)
+    arg, abs_y, abs_new, scale = np.empty((4, rows, m))
+    arg_flat = arg.reshape(-1)
+    # the two error estimates side by side, their squared norms and the
+    # per-column error
+    err = np.empty((2, rows, m))
+    estimates = tuple(zip((_E5, _E3), err.reshape(2, -1)))
+    sumsq, ratio, nonzero = np.empty((2, m)), np.empty(m), np.empty(m, dtype=bool)
+    e5, e3 = sumsq
     y[...] = y0
-    arg_flat, err_flat = arg.reshape(-1), np.empty(y0.size)
-    rhs(y, out=K[0])
-    h_abs = _initial_step(rhs, y, K[0], t_end, rtol, atol)
-    abs_y = np.abs(y)
+    rhs(y, out=K_first)
+    h_abs = _initial_step(rhs, y, K_first, t_end, rtol, atol)
+    # the rule's scaled slope beyond the float range gives a NaN step (a
+    # step of 0 goes on from the minimum step, as in scipy)
+    if math.isnan(h_abs):
+        raise SolverError(f"Riccati solve failed: lam's largest entry {y0[:-1].max():.6g} "
+                          "gives no finite first step size (the scaled right-hand side "
+                          "overflows the floating-point range)")
+    np.abs(y, out=abs_y)
+    # the step's scalars as 0-d arrays: numpy multiplies by one of them
+    # faster than by a Python float, with the same bits
+    h_0d, rtol, atol, hundredth, n_rows, zero = (np.array(float(v)) for v in
+                                                 (0, rtol, atol, 0.01, rows, 0))
     steps, nfev, rejected = 0, 2, 0
     clip = np.zeros(m)
     t = 0.0
@@ -252,25 +285,39 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
                 raise SolverError("Riccati solve failed: required step size is less "
                                   "than the spacing of floating-point numbers")
             t_new = min(t + h_abs, t_end)
-            h = t_new - t
+            h = h_0d[()] = t_new - t
             for K_s, a, k in stages:
-                np.dot(K_s, a, out=arg_flat)
-                arg *= h
+                K_s.dot(a, out=arg_flat)
+                arg *= h_0d
                 arg += y
                 rhs(arg, out=k)
-            np.dot(K_flat[:-1].T, _B, out=y_new.reshape(-1))
-            y_new *= h
+            K_bulk.dot(_B, out=y_new_flat)
+            y_new *= h_0d
             y_new += y
-            rhs(y_new, out=K[-1])
+            rhs(y_new, out=K_last)
             nfev += len(_A) + 1
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            # scale = atol + max(|y|, |y_new|) * rtol
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
             # DOP853's error |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) (d+1)) per
             # column, from the squared norms of the two scaled estimates; 0
             # where e5 is 0 (a NaN from a diverging trial stays NaN)
-            e5, e3 = (_col_sumsq(np.dot(K_flat.T, e, out=err_flat), scale) for e in (_E5, _E3))
-            error = float(np.divide(h * e5, np.sqrt((e5 + 0.01 * e3) * rows),
-                                    out=np.zeros(m), where=e5 != 0).max())
+            for e, estimate in estimates:
+                K_all.dot(e, out=estimate)
+            err /= scale
+            err *= err
+            np.add.reduce(err, axis=1, out=sumsq)
+            np.not_equal(e5, zero, out=nonzero)
+            e3 *= hundredth
+            e3 += e5
+            e3 *= n_rows
+            np.sqrt(e3, out=e3)
+            e5 *= h_0d
+            ratio.fill(0.0)
+            np.divide(e5, e3, out=ratio, where=nonzero)
+            error = float(np.maximum.reduce(ratio))
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -279,11 +326,14 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             step_rejected = True
             rejected += 1
-        K[0] = K[-1]
-        t, y, y_new, abs_y = t_new, y_new, y, abs_new
+        K_first[...] = K_last
+        t = t_new
+        y, y_new, abs_y, abs_new = y_new, y, abs_new, abs_y
+        y_flat, y_new_flat = y_new_flat, y_flat
         steps += 1
-        if y[:-1].min() < 0:
-            clip -= np.minimum(y[:-1], 0.0).sum(axis=0)
+        v = y[:-1]
+        if np.minimum.reduce(v, axis=None) < 0:
+            clip -= np.minimum(v, 0.0).sum(axis=0)
     return y, steps, nfev, rejected, clip
 
 
@@ -333,7 +383,8 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
     m = lam.size // d
     lone = lam.ndim == 1
 
-    y = np.vstack([lam.reshape(d, m), np.zeros(m)])  # the start, and the result at t = 0
+    y = np.zeros((d + 1, m))  # the start, and the result at t = 0
+    y[:d] = lam.reshape(d, m)
     steps, nfev, rejected, clip = 0, 0, 0, np.zeros(m)
     if t > 0:
         # A diverging trial step is rejected through its non-finite error

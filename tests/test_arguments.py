@@ -240,3 +240,18 @@ def test_generator_forms_that_are_nan_are_refused():
                                  hessian=lambda x: np.full((1, 1), math.nan))
     with pytest.raises(ConsistencyError, match="^generator forms disagree: nan vs nan$"):
         generator_apply(make_fix_a(), nan_curvature, [1.0])  # returned nan
+
+
+@pytest.mark.parametrize("lam", [1e144, 1e154])
+def test_huge_lambda_refusal_names_the_largest_entry(lam):
+    # (c lam / rtol)^2 summed over rows overflows in the first-step rule,
+    # which then gives no finite step: the solve is refused before its
+    # first step, naming lam's largest entry
+    message = f"lam's largest entry {lam:.6g} gives no finite first step size"
+    with pytest.raises(SolverError, match=re.escape(message)):
+        laplace_transform(MODEL, 1.0, GOOD, [lam, lam])
+
+
+def test_lambda_below_the_refusal_still_solves():
+    assert laplace_transform(MODEL, 1.0, GOOD, [1e140, 1e140]) == pytest.approx(0.2231302,
+                                                                              abs=1e-6)

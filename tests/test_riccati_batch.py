@@ -231,6 +231,48 @@ def test_overflowing_rhs_fails_without_warnings(fix_a, lam):
         solve_v(fix_a, 1.0, np.array([[1.0, lam]]))
 
 
+@pytest.mark.parametrize("name", ["fix_a", "jump_d2", "jump_d3"])
+def test_rhs_scratch_block_gives_the_bytes_of_a_fresh_evaluation(name):
+    # the right-hand side forms its terms in a scratch block it keeps
+    # between calls and makes again when the width changes: written into
+    # out or returned fresh, at widths 1 and 3 called alternately, the
+    # bytes are those of L Y - c Y^2 - W expm1(-Z V) formed with fresh
+    # temporaries in the same order
+    dq = moments.derive(ALL_FIXTURES[name]())
+    d = dq.params.d
+    L = np.hstack([dq.drift_table, np.zeros((d + 1, 1))])
+    c = np.append(dq.params.c, 0.0)[:, None]
+    rhs = affine._riccati_rhs(dq)
+    rng = np.random.default_rng(5)
+    blocks = {m: rng.uniform(0.0, 3.0, (d + 1, m)) for m in (1, 3)}
+    fresh = {m: np.dot(L, Y) - c * Y * Y for m, Y in blocks.items()}
+    if len(dq.atom_points):
+        for m, Y in blocks.items():
+            fresh[m] -= np.dot(dq.atom_weights, np.expm1(np.dot(-dq.atom_points, Y[:-1])))
+    for m in (1, 3, 1, 3, 3, 1):
+        out = np.empty_like(blocks[m])
+        assert rhs(blocks[m], out=out) is out
+        assert out.tobytes() == fresh[m].tobytes()
+        assert rhs(blocks[m]).tobytes() == fresh[m].tobytes()
+
+
+@pytest.mark.parametrize("name", ["fix_a", "jump_d2", "jump_d3"])
+def test_block_lone_column_block_solves_repeat_bytes(name):
+    dq = moments.derive(ALL_FIXTURES[name]())
+    d = dq.params.d
+    block = np.linspace(0.2, 2.0, 3 * d).reshape(d, 3)
+
+    def solved(lam):
+        sol = solve_v(dq, 1.0, lam)
+        return (sol.v_final.tobytes(), np.asarray(sol.psi_integral).tobytes(),
+                {key: np.asarray(value).tobytes() for key, value in sol.solver_stats.items()})
+
+    first = solved(block)
+    lone = solved(block[:, 1])
+    assert solved(block) == first
+    assert solved(block[:, 1]) == lone
+
+
 def test_probes_and_tables_make_one_solve_each(monkeypatch):
     calls = []
 
