@@ -139,7 +139,7 @@ _E3 = np.append(_B - np.array([0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.733846
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 
 
-def _riccati_rhs(dq: DerivedQuantities) -> Callable[..., np.ndarray]:
+def _riccati_rhs(dq: DerivedQuantities, m: int) -> Callable[..., np.ndarray]:
     """The right-hand side of the Riccati system with the psi-integral as
     row d, on a (d+1, m) block Y of columns (v; int psi):
 
@@ -152,24 +152,21 @@ def _riccati_rhs(dq: DerivedQuantities) -> Callable[..., np.ndarray]:
     writes the result into `out`, a (d+1, m) array, when one is given.
 
     The callable forms c Y^2 and the atom term in a scratch block of its
-    own, a (d+1, m) array for either term and an (atoms, m) one for
-    exp(-Z V) - 1, made again only when Y's width m changes; build one
-    callable per solve, so that the block goes with the solve."""
+    own, made here for blocks of width m: a (d+1, m) array for either term
+    and an (atoms, m) one for exp(-Z V) - 1. A solve builds one callable
+    for its block, so that the scratch goes with the solve."""
     d = dq.params.d
     L = np.zeros((d + 1, d + 1))
     L[:, :d] = dq.drift_table
     c = np.append(dq.params.c, 0.0)[:, None]
     minus_z, W = -dq.atom_points, dq.atom_weights
     has_atoms = len(minus_z) > 0
-    term = expo = np.empty((0, 0))
+    term, expo = np.empty((d + 1, m)), np.empty((len(minus_z), m))
 
     def rhs(Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        nonlocal term, expo
-        if Y.shape != term.shape:
-            term, expo = np.empty(Y.shape), np.empty((len(minus_z), Y.shape[1]))
         out = L.dot(Y, out=out)
         np.multiply(c, Y, out=term)
-        term *= Y
+        np.multiply(term, Y, out=term)
         out -= term
         if has_atoms:
             minus_z.dot(Y[:-1], out=expo)
@@ -185,7 +182,7 @@ def _mechanisms(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.nd
     """(-phi(lam); psi(lam)), the Riccati right-hand side at one point lam."""
     dq = moments.derive(params)
     with np.errstate(over="ignore", invalid="ignore"):  # phi and psi pass _finite
-        return _riccati_rhs(dq)(np.append(_point(dq, lam, "lam"), 0.0)[:, None])[:, 0]
+        return _riccati_rhs(dq, 1)(np.append(_point(dq, lam, "lam"), 0.0)[:, None])[:, 0]
 
 
 def phi(params: CbiParams | DerivedQuantities, lam: np.ndarray) -> np.ndarray:
@@ -390,7 +387,7 @@ def solve_v(params: CbiParams | DerivedQuantities, t: float, lam: np.ndarray, *,
         # A diverging trial step is rejected through its non-finite error
         # estimate; the step then shrinks, or the solve fails below.
         with np.errstate(all="ignore"):
-            y, steps, nfev, rejected, clip = _dormand_prince(_riccati_rhs(dq), y, float(t),
+            y, steps, nfev, rejected, clip = _dormand_prince(_riccati_rhs(dq, m), y, float(t),
                                                              rtol, atol)
         if not np.all(np.isfinite(y)):
             raise SolverError("Riccati solve produced non-finite state")

@@ -90,7 +90,6 @@ _FLAGS = {
     "--dt": {"type": float, "default": 1e-3},
     "--n-paths": {"type": int, "default": 100},
     "--bump-radius": {"type": float},
-    "--bump-amplitude": {"type": float, "default": 1.0},
 }
 
 
@@ -234,7 +233,7 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
         args.bump_radius = 2.0 * (1.0 + float(np.max(np.abs(x))))
         # derived, not given: beyond the float range it is exit 3, not a usage error
         moments._finite(args.bump_radius * args.bump_radius, "default bump radius squared")
-    f = bump(args.bump_center, args.bump_radius, args.bump_amplitude)
+    f = bump(args.bump_center, args.bump_radius)
     limit = generators.scaled_gen_limit(dq, f, x)
     rows = []
     for n in args.n_list:  # never empty, so drift_rate is bound
@@ -300,8 +299,7 @@ _COMMANDS = {
     "laplace": (_cmd_laplace, ("--t", "--x", "--lambda"), ("--tol",)),
     "dgen": (_cmd_dgen, ("--n", "--x", "--lambda"), ()),
     "prop31": (_cmd_prop31, ("--x", "--lambda"), ("--n-list", "--out")),
-    "cgen": (_cmd_cgen, ("--x",), ("--n-list", "--bump-center", "--bump-radius",
-                                   "--bump-amplitude", "--out")),
+    "cgen": (_cmd_cgen, ("--x",), ("--n-list", "--bump-center", "--bump-radius", "--out")),
     "simulate": (_cmd_simulate, ("--out", "--t", "--x"), _SIM_OPTIONAL),
     "simulate-scaled": (_cmd_simulate_scaled, ("--n", "--out", "--t", "--x"), _SIM_OPTIONAL),
     "simulate-limit": (_cmd_simulate_limit, ("--out", "--t", "--x"), _SIM_OPTIONAL),

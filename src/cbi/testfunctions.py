@@ -3,8 +3,8 @@
 Generator evaluation needs C^2 functions with compact support and exact
 derivatives. The built-in family consists of radial smooth bumps
 
-    f(x) = a * exp( -1 / (1 - |(x - x0)/R|^2) )   for |x - x0| < R,
-    f(x) = 0                                       otherwise,
+    f(x) = exp( -1 / (1 - |(x - x0)/R|^2) )   for |x - x0| < R,
+    f(x) = 0                                   otherwise,
 
 with analytic gradients and Hessians. Evaluations outside the support are
 valid and return 0, so jump displacements x + z may leave the support
@@ -36,8 +36,8 @@ class TestFunction:
     __test__ = False  # not a pytest collection target
 
 
-def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
-    """Radial smooth bump of the given amplitude on the ball |x - center| < radius."""
+def bump(center, radius: float) -> TestFunction:
+    """Radial smooth bump on the ball |x - center| < radius, exp(-1) at its center."""
     x0 = np.atleast_1d(np.asarray(center, dtype=float))
     if not np.all(np.isfinite(x0)):  # an infinite center leaves nothing in the support
         raise ValueError(f"center must be finite, got {x0.tolist()}")
@@ -46,42 +46,37 @@ def bump(center, radius: float, amplitude: float = 1.0) -> TestFunction:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if not np.finfo(float).tiny <= R * R < np.inf:  # the derivatives divide by R^2
         raise ValueError(f"radius {R:.6g} squared leaves the normal floating-point range")
-    a = float(amplitude)
-    if not np.isfinite(a):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
     d, center_entries = len(x0), x0.tolist()
 
-    def _at(x) -> tuple[np.ndarray, float]:
-        """x as a point of length d, and s = |(x - center) / radius|^2, taken
-        as inf off the cube |x_i - center_i| < radius: f is 0 there, and s
-        could overflow."""
+    def _at(x) -> tuple[np.ndarray, float, float | None]:
+        """x as a point of length d, s = |(x - center) / radius|^2 and f(x) =
+        exp(-1/(1-s)), or None where f is 0: where 1 - s <= _EDGE, and off
+        the cube |x_i - center_i| < radius, where s, which could overflow,
+        reads inf."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (d,):
             raise DimensionError(f"point has shape {x.shape}; the bump's center has length {d}")
         if any(abs(p - c) >= R for p, c in zip(x.tolist(), center_entries)):
-            return x, np.inf
+            return x, np.inf, None
         u = (x - x0) / R
-        return x, float(u @ u)
+        s = float(u @ u)
+        return x, s, None if s >= 1.0 - _EDGE else np.exp(-1.0 / (1.0 - s))
 
     def value(x) -> float:
-        s = _at(x)[1]
-        if s >= 1.0 - _EDGE:
-            return 0.0
-        return a * np.exp(-1.0 / (1.0 - s))
+        g = _at(x)[2]
+        return 0.0 if g is None else g
 
     def gradient(x) -> np.ndarray:
-        x, s = _at(x)
-        if s >= 1.0 - _EDGE:
+        x, s, g = _at(x)
+        if g is None:
             return np.zeros(d)
-        g = a * np.exp(-1.0 / (1.0 - s))
-        gp = -g / (1.0 - s) ** 2          # d/ds of a*exp(-1/(1-s))
+        gp = -g / (1.0 - s) ** 2          # d/ds of exp(-1/(1-s))
         return gp * (2.0 / R**2) * (x - x0)
 
     def hessian(x) -> np.ndarray:
-        x, s = _at(x)
-        if s >= 1.0 - _EDGE:
+        x, s, g = _at(x)
+        if g is None:
             return np.zeros((d, d))
-        g = a * np.exp(-1.0 / (1.0 - s))
         gp = -g / (1.0 - s) ** 2
         gpp = g * (2.0 * s - 1.0) / (1.0 - s) ** 4
         u = (2.0 / R**2) * (x - x0)

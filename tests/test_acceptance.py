@@ -16,7 +16,7 @@ from cbi.generators import (VERDICT_CONVERGES, VERDICT_DIVERGES, _generator_form
 from cbi.matops import is_irreducible, perron_vectors, spectral
 from cbi.model import CbiParams
 from cbi.simulate import PathConfig, simulate_cbi
-from cbi.testfunctions import bump
+from cbi.testfunctions import TestFunction, bump
 
 from conftest import (make_branching_jump, make_d2_critical, make_fix_a,
                       make_jump_d2, make_jump_d3, make_jump_mixed, mc_z)
@@ -137,6 +137,13 @@ def test_criterion_6_derivative_limits():
             f"FD second-derivative error = {hess_err:.3e} (<=1e-4)")
 
 
+def _scaled(f: TestFunction, height: float) -> TestFunction:
+    """height * f, with its gradient and Hessian."""
+    return TestFunction(value=lambda x: height * f.value(x),
+                        gradient=lambda x: height * f.gradient(x),
+                        hessian=lambda x: height * f.hessian(x))
+
+
 def test_criterion_7_generator_two_form_identity():
     makers = (make_fix_a, make_d2_critical, make_jump_mixed, make_jump_d2,
               make_branching_jump, make_jump_d3)
@@ -145,8 +152,8 @@ def test_criterion_7_generator_two_form_identity():
     for trial in range(100):
         params = makers[trial % len(makers)]()
         d = params.d
-        f = bump(rng.uniform(0.0, 1.0, size=d), float(rng.uniform(1.0, 3.0)),
-                 float(rng.uniform(0.5, 2.0)))
+        unit = bump(rng.uniform(0.0, 1.0, size=d), float(rng.uniform(1.0, 3.0)))
+        f = _scaled(unit, float(rng.uniform(0.5, 2.0)))
         x = rng.uniform(0.0, 1.5, size=d)
         defining, corrected, rate = _generator_forms(moments.derive(params), f, x, 1.0)
         worst = max(worst, abs(defining - (corrected + rate)))

@@ -176,6 +176,16 @@ def test_solve_v_refuses_undershoot_beyond_the_default_clip_budget():
         solve_v(logistic, 1.2e5, [1.0])
 
 
+def test_solve_v_refuses_a_step_below_the_float_spacing():
+    # v' = v from lam = 1 is e^t: at t = 700 it is 1.01e304, and on the way
+    # to t = 710 the step control asks for a step below the spacing of t
+    growth = CbiParams.no_jumps(c=[0.0], beta=[0.0], B=[[1.0]])
+    assert solve_v(growth, 700.0, [1.0]).v_final[0] == pytest.approx(math.exp(700.0), rel=1e-7)
+    with pytest.raises(SolverError, match="^Riccati solve failed: required step size is less "
+                                          "than the spacing of floating-point numbers$"):
+        solve_v(growth, 710.0, [1.0])
+
+
 def test_solve_v_nonnegative_at_every_horizon(jump_d2):
     for s in np.linspace(0.0, 2.0, 37):
         sol = solve_v(jump_d2, s, [3.0, 0.5])

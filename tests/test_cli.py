@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cbi import affine, cli
+from cbi import affine, cli, moments
 from cbi.model import CbiParams
 
 from conftest import (make_d2_critical, make_degenerate_critical, make_fix_a, make_jump_mixed,
@@ -448,8 +450,6 @@ def test_non_finite_vector_flag_exits_64(fix_a_file, capsys, command, extra):
 @pytest.mark.parametrize("command,extra", [
     ("cgen", ["--x", "1", "--bump-radius", "nan"]),
     ("cgen", ["--x", "1", "--bump-radius", "inf"]),  # a constant, no compact support
-    ("cgen", ["--x", "1", "--bump-amplitude", "nan"]),
-    ("cgen", ["--x", "1", "--bump-amplitude", "inf"]),
     ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "nan"]),
     ("vsolve", ["--t", "1", "--lambda", "1", "--tol", "inf"]),
     ("laplace", ["--t", "1", "--x", "1", "--lambda", "1", "--tol", "inf"]),
@@ -511,6 +511,36 @@ def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
     assert code == 3 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("solver error: ") and "100 steps" in captured.err
+
+
+def test_riccati_step_below_the_float_spacing_exits_3(tmp_path, capsys):
+    # v' = v from lam = 1 grows as e^t, and the solve to t = 710 fails when
+    # its step falls below the spacing of t's floats
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps({"d": 1, "c": [0.0], "beta": [0.0], "B": [[1.0]]}))
+    code = cli.run(["vsolve", "--params", str(path), "--t", "710", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("solver error: Riccati solve failed: required step size is less "
+                            "than the spacing of floating-point numbers\n")
+
+
+def test_eigenvalue_failure_exits_3_while_the_mean_is_computed(d2_file, capsys, monkeypatch):
+    # an eigenvalue solver that fails raises on the first read of the
+    # classification, not inside derive: `cbi derive` exits 3 on it, and
+    # the mean of the same model, which reads no eigenvalue, still returns
+    mean = moments.mean(make_d2_critical(), [1.0, 0.5], 1.0)
+
+    def fail(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code = cli.run(["derive", "--params", d2_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("solver error: eigenvalue computation did not converge: "
+                            "Eigenvalues did not converge\n")
+    assert np.array_equal(moments.mean(make_d2_critical(), [1.0, 0.5], 1.0), mean)
 
 
 def test_clip_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch):
@@ -651,26 +681,45 @@ COMMAND_FLAGS = {
     "laplace": {"--t", "--x", "--lambda", "--tol"},
     "dgen": {"--n", "--x", "--lambda"},
     "prop31": {"--x", "--lambda", "--n-list", "--out"},
-    "cgen": {"--x", "--n-list", "--bump-center", "--bump-radius", "--bump-amplitude",
-             "--out"},
+    "cgen": {"--x", "--n-list", "--bump-center", "--bump-radius", "--out"},
     "simulate": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out"},
     "simulate-limit": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out"},
     "simulate-scaled": {"--t", "--x", "--dt", "--n-paths", "--seed", "--out", "--n"},
 }
-ALL_FLAGS = set().union(*COMMAND_FLAGS.values()) | {"--quad-order"}
+ALL_FLAGS = set().union(*COMMAND_FLAGS.values()) | {"--quad-order", "--bump-amplitude"}
 
 
 def test_each_command_accepts_only_its_own_flags(fix_a_file, capsys):
     # every foreign flag is a usage error before the params file is read (so
     # `dgen --tol`, `derive --seed`), abbreviations (`simulate --n` for
-    # --n-paths) and the removed --quad-order included
-    assert sum(len(f) + 1 for f in COMMAND_FLAGS.values()) == 49
+    # --n-paths) and the removed --quad-order and --bump-amplitude included
+    assert sum(len(f) + 1 for f in COMMAND_FLAGS.values()) == 48
     for command, own in COMMAND_FLAGS.items():
         for flag in sorted(ALL_FLAGS - own):
             code = cli.run([command, "--params", fix_a_file, flag, "1"])
             err = capsys.readouterr().err
             assert code == 64, (command, flag)
             assert err.startswith("usage error: unrecognized arguments"), (command, flag)
+
+
+def _readme_flags(cell: str) -> tuple[str, ...]:
+    """A README table cell's flags: its first `...` group, or none."""
+    return () if cell == "none" else tuple(re.match(r"`([^`]+)`", cell).group(1).split())
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    # each command in one row, with its required flags in the order they
+    # are checked and its optional flags, as _COMMANDS lists them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            commands, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+            for command in re.findall(r"`([^`]+)`", commands):
+                assert command not in table, command
+                table[command] = (_readme_flags(required), _readme_flags(optional))
+    assert table == {command: (required, optional)
+                     for command, (_, required, optional) in cli._COMMANDS.items()}
 
 
 def test_config_echoes_only_what_the_command_reads(fix_a_file, tmp_path, capsys):

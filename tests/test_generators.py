@@ -94,21 +94,24 @@ def test_bump_vanishes_outside_support():
         assert_close(f.hessian(x), [[0.0]], 0.0)
 
 
-@pytest.mark.parametrize("radius,amplitude", [
-    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1e300, 1.0), (1e-300, 1.0),
-    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
-])
-def test_bump_rejects_non_finite_or_non_positive_radius_and_non_finite_amplitude(
-        radius, amplitude):
+def test_bump_is_exp_minus_one_at_its_center():
+    f = bump([0.5, -1.0], 2.0)
+    assert f.value([0.5, -1.0]) == math.exp(-1.0)
+    assert np.array_equal(f.gradient([0.5, -1.0]), [0.0, 0.0])
+    assert np.array_equal(f.hessian([0.5, -1.0]), -math.exp(-1.0) * (2.0 / 4.0) * np.eye(2))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e300, 1e-300])
+def test_bump_rejects_non_finite_or_non_positive_radius(radius):
     # an infinite radius is a constant without compact support; the
     # derivatives divide by radius^2, which must stay a normal float
     with pytest.raises(ValueError):
-        bump([0.5], radius, amplitude)
+        bump([0.5], radius)
 
 
 @pytest.mark.parametrize("make_f,d,points", [
     (lambda: bump([0.5], 1.5), 1, [[0.1], [0.7], [1.4]]),
-    (lambda: bump([0.3, 0.3], 2.0, amplitude=0.8), 2, [[0.1, 0.2], [1.0, 0.5]]),
+    (lambda: bump([0.3, 0.3], 2.0), 2, [[0.1, 0.2], [1.0, 0.5]]),
     (lambda: _linear_bump([0.0, 0.0], 2.0, [0.5, -0.2]), 2, [[0.3, 0.4], [1.0, 0.1]]),
     (lambda: _plateau(1.0, 2.0, 2), 2, [[1.1, 0.5], [0.9, 0.9]]),
 ])
@@ -333,6 +336,25 @@ def test_scaled_gen_n1_equals_generator(jump_mixed):
     x = [0.7]
     assert scaled_gen_apply(jump_mixed, 1, f, x)[0] == pytest.approx(
         generator_apply(jump_mixed, f, x), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("height", [2.0, 0.25])
+def test_scaled_gen_columns_are_linear_in_f(height):
+    # every cgen column scales with f, so a bump needs no height of its
+    # own: a power-of-two height scales each column bit for bit
+    makers = (make_fix_a, make_d2_critical, make_jump_d2, make_jump_d3)
+    for make_params in makers:
+        params = make_params()
+        d = params.d
+        f = bump(np.full(d, 0.3), 2.0)
+        g = TestFunction(value=lambda x: height * f.value(x),
+                         gradient=lambda x: height * f.gradient(x),
+                         hessian=lambda x: height * f.hessian(x))
+        x = np.linspace(0.2, 0.9, d)
+        for n in (1, 10, 1000):
+            assert scaled_gen_apply(params, n, g, x) == tuple(
+                height * v for v in scaled_gen_apply(params, n, f, x))
+        assert scaled_gen_limit(params, g, x) == height * scaled_gen_limit(params, f, x)
 
 
 def test_scaled_gen_rejects_n_below_one(jump_mixed):

@@ -90,8 +90,8 @@ def assert_matches_dop853_loop(params, t, lam, tol):
     d = dq.params.d
     block = lam.reshape(d, -1)
     y, steps, nfev, rejected, clip = dop853_loop(
-        affine._riccati_rhs(dq), np.vstack([block, np.zeros(block.shape[1])]), t, tol,
-        tol * 1e-2)
+        affine._riccati_rhs(dq, block.shape[1]), np.vstack([block, np.zeros(block.shape[1])]),
+        t, tol, tol * 1e-2)
     sol = solve_v(dq, t, lam, tol=tol)
     assert np.array_equal(sol.v_final, np.clip(y[:d], 0.0, None).reshape(lam.shape))
     assert np.array_equal(sol.psi_integral, y[d] if lam.ndim == 2 else y[d, 0])
@@ -233,16 +233,16 @@ def test_overflowing_rhs_fails_without_warnings(fix_a, lam):
 
 @pytest.mark.parametrize("name", ["fix_a", "jump_d2", "jump_d3"])
 def test_rhs_scratch_block_gives_the_bytes_of_a_fresh_evaluation(name):
-    # the right-hand side forms its terms in a scratch block it keeps
-    # between calls and makes again when the width changes: written into
-    # out or returned fresh, at widths 1 and 3 called alternately, the
-    # bytes are those of L Y - c Y^2 - W expm1(-Z V) formed with fresh
+    # the right-hand side forms its terms in a scratch block of the width
+    # it was built for, kept between calls: with one callable per width,
+    # called in turn at widths 1 and 3, written into out or returned fresh,
+    # the bytes are those of L Y - c Y^2 - W expm1(-Z V) formed with fresh
     # temporaries in the same order
     dq = moments.derive(ALL_FIXTURES[name]())
     d = dq.params.d
     L = np.hstack([dq.drift_table, np.zeros((d + 1, 1))])
     c = np.append(dq.params.c, 0.0)[:, None]
-    rhs = affine._riccati_rhs(dq)
+    rhs = {m: affine._riccati_rhs(dq, m) for m in (1, 3)}
     rng = np.random.default_rng(5)
     blocks = {m: rng.uniform(0.0, 3.0, (d + 1, m)) for m in (1, 3)}
     fresh = {m: np.dot(L, Y) - c * Y * Y for m, Y in blocks.items()}
@@ -251,9 +251,9 @@ def test_rhs_scratch_block_gives_the_bytes_of_a_fresh_evaluation(name):
             fresh[m] -= np.dot(dq.atom_weights, np.expm1(np.dot(-dq.atom_points, Y[:-1])))
     for m in (1, 3, 1, 3, 3, 1):
         out = np.empty_like(blocks[m])
-        assert rhs(blocks[m], out=out) is out
+        assert rhs[m](blocks[m], out=out) is out
         assert out.tobytes() == fresh[m].tobytes()
-        assert rhs(blocks[m]).tobytes() == fresh[m].tobytes()
+        assert rhs[m](blocks[m]).tobytes() == fresh[m].tobytes()
 
 
 @pytest.mark.parametrize("name", ["fix_a", "jump_d2", "jump_d3"])
