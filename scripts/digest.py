@@ -203,7 +203,6 @@ def library_section(name: str, params: cbi.CbiParams) -> None:
     _line(f"discrete_gen_exp:{name}",
           lambda: [cbi.discrete_gen_exp(dq, n, x, lam) for n in (1, 10, 1000)])
     _line(f"discrete_gen_limit:{name}", lambda: cbi.discrete_gen_limit(dq, x, lam))
-    _line(f"exp_convergence_criterion:{name}", lambda: cbi.exp_convergence_criterion(dq, x, lam))
     _line(f"discrete_gen_table:{name}", lambda: cbi.discrete_gen_table(dq, x, lam))
     f = _line(f"bump:{name}", lambda: cbi.bump(np.zeros(d), 2.0 * (1.0 + float(x.max()))),
               show=lambda g: _digest([(g.value(p), g.gradient(p), g.hessian(p))
@@ -213,8 +212,6 @@ def library_section(name: str, params: cbi.CbiParams) -> None:
         _line(f"scaled_gen_apply:{name}:n{n}", lambda: cbi.scaled_gen_apply(dq, n, f, x),
               may_refuse=True)
     _line(f"scaled_gen_limit:{name}", lambda: cbi.scaled_gen_limit(dq, f, x))
-    _line(f"drift_convergence_criterion:{name}",
-          lambda: cbi.drift_convergence_criterion(dq, f, x))
 
     for t, dt, n_paths in SIZES:
         for seed in SEEDS:

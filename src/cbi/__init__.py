@@ -17,9 +17,8 @@ from .affine import (VSolution, laplace_transform, phi, psi, solve_v, v_hessian_
                      v_hessian_limit, v_jacobian_fd, v_jacobian_limit)
 from .testfunctions import TestFunction, bump
 from .generators import (ConvergenceTable, discrete_gen_exp, discrete_gen_limit,
-                         discrete_gen_table, drift_convergence_criterion,
-                         exp_convergence_criterion, generator_apply,
-                         scaled_gen_apply, scaled_gen_limit)
+                         discrete_gen_table, generator_apply, scaled_gen_apply,
+                         scaled_gen_limit)
 from .simulate import (PathConfig, SamplePath, paths_to_csv, simulate_cbi,
                        simulate_limit_diffusion, simulate_scaled_step)
 

@@ -235,8 +235,8 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
     Returns Y(t_end), the numbers of accepted steps, rhs evaluations and
     rejected step attempts, and each column's negative undershoot of its
     first d rows summed over the accepted step ends, shape (m,). Raises
-    SolverError when the first-step rule gives no finite step or t_end is
-    not reached within MAX_STEPS accepted steps.
+    SolverError when the first-step rule gives no finite step, a step falls
+    below the spacing of t or t_end is not reached in MAX_STEPS steps.
     """
     rows, m = y0.shape
     K = np.empty((len(_E5), rows, m))
@@ -279,8 +279,9 @@ def _dormand_prince(rhs, y0: np.ndarray, t_end: float, rtol: float,
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # a NaN step fails here too
-                raise SolverError("Riccati solve failed: required step size is less "
-                                  "than the spacing of floating-point numbers")
+                raise SolverError("Riccati solve failed: required step size is less than "
+                                  f"the spacing of floating-point numbers at t = {t:.6g} of "
+                                  f"{t_end:.6g}, where v's largest entry is {y[:-1].max():.6g}")
             t_new = min(t + h_abs, t_end)
             h = h_0d[()] = t_new - t
             for K_s, a, k in stages:

@@ -220,8 +220,8 @@ def _cmd_prop31(args, dq: DerivedQuantities) -> dict | None:
             for n, raw, corr, gap in zip(table.n_values, table.raw,
                                          table.corrected, table.gaps)]
     _write_csv(args, "n,raw,corrected,limit,gap", rows)
-    return {"verdict": table.verdict, "fitted_slope": table.fitted_slope,
-            "limit": table.limit_formula, "csv": args.out} if args.out else None
+    return {"verdict": table.verdict, "limit": table.limit_formula,
+            "csv": args.out} if args.out else None
 
 
 def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
@@ -242,7 +242,7 @@ def _cmd_cgen(args, dq: DerivedQuantities) -> dict | None:
                     f"{float(limit)!r},{float(abs(corrected - limit))!r}")
     _write_csv(args, "n,scaled,drift_term,corrected,limit,gap", rows)
     return {"limit": limit, "drift_rate": drift_rate,
-            "converges_uncorrected": generators.drift_convergence_criterion(dq, f, x),
+            "converges_uncorrected": abs(drift_rate) <= generators.CRITERION_TOL,
             "csv": args.out} if args.out else None
 
 

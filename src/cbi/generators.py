@@ -20,10 +20,10 @@ n <btilde x, grad f(x)> converges to the squared-Bessel-type limit
 
     1/2 sum_i x_i sum_{k,l} (C_i)_{k,l} f''_{k,l}(x) + <beta_tilde, grad f(x)>,
 
-and converges without correction iff <btilde x, grad f(x)> = 0. The
-corrected value is summed without that O(n) term: jump-free it is the limit
-up to rounding at every n; a jump model adds a Taylor remainder whose
-rounding grows like n^2 eps.
+and converges without correction iff <btilde x, grad f(x)> = 0, the rate
+scaled_gen_apply returns. The corrected value is summed without that O(n)
+term: jump-free it is the limit up to rounding at every n; a jump model adds
+a Taylor remainder whose rounding grows like n^2 eps.
 
 The generator at scale n, n (A f_n)(n x) with f_n(y) = f(y / n), reads f
 and its derivatives at x and f at x + z / n; n = 1 is the generator. Its
@@ -61,8 +61,8 @@ VERDICT_DIVERGES = "diverges-linearly"
 class ConvergenceTable:
     """Per-n raw and corrected discrete-generator values against the limit,
     with the gaps |corrected - limit|. The verdict is the convergence
-    criterion; fitted_slope, the mean of raw(n) / n over the top half of the
-    n, estimates -correction_rate, the slope of a diverging raw sequence."""
+    criterion, decided exactly; a diverging raw sequence's slope, the limit
+    of raw(n) / n, is exp(-<lam, exp(btilde) x>) - exp(-<lam, x>)."""
 
     n_values: tuple[int, ...]
     raw: np.ndarray
@@ -70,7 +70,6 @@ class ConvergenceTable:
     limit_formula: float
     gaps: np.ndarray
     verdict: str
-    fitted_slope: float
 
 
 def _discrete_gen(dq: DerivedQuantities, n: np.ndarray, x: np.ndarray,
@@ -122,21 +121,14 @@ def _exp_criterion(dq: DerivedQuantities, x: np.ndarray, lam: np.ndarray) -> tup
     return abs(a - b) <= CRITERION_TOL * max(1.0, abs(a), abs(b)), float(np.exp(-a) - np.exp(-b))
 
 
-def exp_convergence_criterion(params: CbiParams | DerivedQuantities, x, lam) -> bool:
-    """Whether the raw discrete-generator sequence on e_lam converges:
-    <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL, relative above 1."""
-    dq = moments.derive(params)
-    return _exp_criterion(dq, _point(dq, x, "x"), _point(dq, lam, "lam"))[0]
-
-
 def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
                        n_list: tuple[int, ...] = DEFAULT_N_LIST) -> ConvergenceTable:
     """Tabulate raw(n), corrected(n) and the limit, with a verdict.
 
     corrected(n) = raw(n) + n (exp(-<lam,x>) - exp(-<lam, exp(btilde) x>)).
-    The verdict is the convergence criterion, as exp_convergence_criterion
-    reads it: "converges" when <lam, x> = <lam, exp(btilde) x>, otherwise
-    "diverges-linearly", with raw(n) / n tending to -correction_rate.
+    The verdict is the convergence criterion: "converges" when
+    <lam, x> = <lam, exp(btilde) x> within CRITERION_TOL, relative above 1,
+    otherwise "diverges-linearly", with raw(n) / n tending to -correction_rate.
     """
     n_values = tuple(_scale(n) for n in n_list)
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -153,8 +145,7 @@ def discrete_gen_table(params: CbiParams | DerivedQuantities, x, lam,
 
     return ConvergenceTable(n_values=n_values, raw=raw, corrected=corrected,
                             limit_formula=limit, gaps=np.abs(corrected - limit),
-                            verdict=VERDICT_CONVERGES if converges else VERDICT_DIVERGES,
-                            fitted_slope=float((raw / n)[len(n) // 2:].mean()))
+                            verdict=VERDICT_CONVERGES if converges else VERDICT_DIVERGES)
 
 
 def _drift_rate(dq: DerivedQuantities, grad: np.ndarray, x: np.ndarray) -> float:
@@ -238,12 +229,3 @@ def scaled_gen_limit(params: CbiParams | DerivedQuantities, f: TestFunction, x) 
     with np.errstate(over="ignore", invalid="ignore"):  # a huge x: _finite reports it
         return _finite(_diffusion_term(dq, x, hess) + float(dq.beta_tilde @ grad),
                        "scaled-generator limit")
-
-
-def drift_convergence_criterion(params: CbiParams | DerivedQuantities, f: TestFunction,
-                                x) -> bool:
-    """Whether the scaled generator sequence converges without correction:
-    <btilde x, grad f(x)> = 0 within CRITERION_TOL."""
-    dq = moments.derive(params)
-    x = _point(dq, x, "x")
-    return abs(_drift_rate(dq, np.asarray(f.gradient(x), dtype=float), x)) <= CRITERION_TOL

@@ -185,12 +185,13 @@ def _void_rows(a: np.ndarray) -> np.ndarray:
 # an overflowing state is refused below by the kernel's own ValueError
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
-                   seed: int, n_paths: int, record_idx: np.ndarray | list[int]):
+                   seed: int, n_paths: int, record_idx: np.ndarray | list[int],
+                   jump_logs: list[list] | None = None) -> np.ndarray:
     """Shared full-truncation Euler grid kernel, vectorized over path blocks.
 
-    Returns the states at the distinct grid indices `record_idx`, which
-    start with 0 (the start is always recorded), shape
-    (n_paths, len(record_idx), d), and per-path jump logs. The states are a
+    Returns the states at the grid indices `record_idx` (distinct, from 0:
+    the start is always recorded), shape (n_paths, len(record_idx), d), and
+    fills each path's list of jump_logs, if given. The states are a
     path-major view of a step-major buffer: a recorded step's new state is
     truncated straight into its (P, d) slab of a block, any other into one
     scratch array. Once the start is truncated the state is its own positive
@@ -223,7 +224,6 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
     rec_slot[record_idx] = np.arange(len(record_idx))
 
     states_rec = np.empty((len(record_idx), n_paths, d))
-    jump_logs: list[list] = [[] for _ in range(n_paths)]
 
     # a block of P paths holds P + min(STAGE, P) windows
     fit = int(DRAW_BUDGET / (WINDOW * (d + A)))
@@ -307,10 +307,11 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                         # dense: the row sum over a path's atoms fixes the bits
                         x_new += counts @ Z
                         np.put(counts, hits, 0)
-                        rows, atoms = np.divmod(hits, A)
-                        t = (k + 1) * h
-                        for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(), n_jumps):
-                            jump_logs[pj] += [(t, *sources[a])] * n
+                        if jump_logs is not None:
+                            rows, atoms = np.divmod(hits, A)
+                            t = (k + 1) * h
+                            for pj, a, n in zip((p0 + rows).tolist(), atoms.tolist(), n_jumps):
+                                jump_logs[pj] += [(t, *sources[a])] * n
 
                 # before truncation, which would turn -inf into 0; a finite sum
                 # has only finite terms, and one that overflows is checked exactly
@@ -323,7 +324,7 @@ def _simulate_grid(dq: DerivedQuantities, x0: np.ndarray, K: int, h: float,
                 x = states_rec[slot, p0:p1] if slot >= 0 else scratch
                 np.maximum(x_new, zero, out=x)
 
-    return states_rec.transpose(1, 0, 2), jump_logs
+    return states_rec.transpose(1, 0, 2)
 
 
 def _grid(horizon: float, dt: float) -> tuple[int, float]:
@@ -351,8 +352,8 @@ def simulate_cbi(params: CbiParams | DerivedQuantities, cfg: PathConfig) -> list
     x0 = _point(dq, cfg.x0, "x0")
     K, h = _grid(cfg.horizon, cfg.dt)
     _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * dq.params.d, K + 1)
-    states, logs = _simulate_grid(dq, x0, K, h, cfg.seed, cfg.n_paths,
-                                  np.arange(K + 1))
+    logs = [[] for _ in range(cfg.n_paths)]
+    states = _simulate_grid(dq, x0, K, h, cfg.seed, cfg.n_paths, np.arange(K + 1), logs)
     times = np.linspace(0.0, cfg.horizon, K + 1)
     return [SamplePath(times=times, states=states_p, jump_log=tuple(log))
             for states_p, log in zip(states, logs)]
@@ -394,7 +395,7 @@ def simulate_scaled_step(params: CbiParams | DerivedQuantities, n: int,
     record_idx = [m * per_unit for m in m_values.tolist()]
     with np.errstate(over="ignore"):  # a huge x0: _finite reports it
         start = _finite(float(n) * x0, "start n * x0")
-    base_states, _ = _simulate_grid(dq, start, K_base, h, cfg.seed, cfg.n_paths, record_idx)
+    base_states = _simulate_grid(dq, start, K_base, h, cfg.seed, cfg.n_paths, record_idx)
     return [SamplePath(times=times, states=states_p)
             for states_p in base_states[:, take] / float(n)]
 
@@ -434,7 +435,7 @@ def simulate_limit_diffusion(params: CbiParams | DerivedQuantities,
     _check_size(cfg.n_paths, cfg.n_paths * (K + 1) * (1 + d), K + 1)
     with np.errstate(over="ignore"):  # a huge x0: _finite reports it
         start = _finite(float(dq.perron.u_left @ x0), "start <u_left, x0>")
-    scalars, _ = _simulate_grid(ray, [start], K, h, cfg.seed, cfg.n_paths, np.arange(K + 1))
+    scalars = _simulate_grid(ray, [start], K, h, cfg.seed, cfg.n_paths, np.arange(K + 1))
     times = np.linspace(0.0, cfg.horizon, K + 1)
     # a path's states are np.outer(its scalar, u_right): the same elementwise products
     return [SamplePath(times=times, states=states_p, scalar=scalar_p[:, 0])

@@ -178,11 +178,14 @@ def test_solve_v_refuses_undershoot_beyond_the_default_clip_budget():
 
 def test_solve_v_refuses_a_step_below_the_float_spacing():
     # v' = v from lam = 1 is e^t: at t = 700 it is 1.01e304, and on the way
-    # to t = 710 the step control asks for a step below the spacing of t
+    # to t = 710 the step control asks for a step below the spacing of t;
+    # the message names where the solve stopped and how far v had grown
     growth = CbiParams.no_jumps(c=[0.0], beta=[0.0], B=[[1.0]])
     assert solve_v(growth, 700.0, [1.0]).v_final[0] == pytest.approx(math.exp(700.0), rel=1e-7)
-    with pytest.raises(SolverError, match="^Riccati solve failed: required step size is less "
-                                          "than the spacing of floating-point numbers$"):
+    with pytest.raises(SolverError, match="^" + re.escape(
+            "Riccati solve failed: required step size is less than the spacing of "
+            "floating-point numbers at t = 706.195 of 710, where v's largest entry is "
+            "4.97431e+306") + "$"):
         solve_v(growth, 710.0, [1.0])
 
 

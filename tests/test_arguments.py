@@ -22,8 +22,7 @@ from cbi.affine import (VSolution, laplace_transform, phi, psi, solve_v, v_hessi
 from cbi.errors import (CbiError, ClassificationError, ConsistencyError, DimensionError,
                         NumericRangeError, SolverError)
 from cbi.generators import (ConvergenceTable, discrete_gen_exp, discrete_gen_limit,
-                            discrete_gen_table, drift_convergence_criterion,
-                            exp_convergence_criterion, generator_apply, scaled_gen_apply,
+                            discrete_gen_table, generator_apply, scaled_gen_apply,
                             scaled_gen_limit)
 from cbi.model import CbiParams
 from cbi.moments import mean, variance_no_immigration
@@ -57,14 +56,11 @@ POINTS = [
     ("discrete_gen_exp", "lam", lambda v: discrete_gen_exp(MODEL, 10, GOOD, v)),
     ("discrete_gen_limit", "x", lambda v: discrete_gen_limit(MODEL, v, GOOD)),
     ("discrete_gen_limit", "lam", lambda v: discrete_gen_limit(MODEL, GOOD, v)),
-    ("exp_convergence_criterion", "x", lambda v: exp_convergence_criterion(MODEL, v, GOOD)),
-    ("exp_convergence_criterion", "lam", lambda v: exp_convergence_criterion(MODEL, GOOD, v)),
     ("discrete_gen_table", "x", lambda v: discrete_gen_table(MODEL, v, GOOD, (10, 100))),
     ("discrete_gen_table", "lam", lambda v: discrete_gen_table(MODEL, GOOD, v, (10, 100))),
     ("generator_apply", "x", lambda v: generator_apply(MODEL, F, v)),
     ("scaled_gen_apply", "x", lambda v: scaled_gen_apply(MODEL, 10, F, v)),
     ("scaled_gen_limit", "x", lambda v: scaled_gen_limit(MODEL, F, v)),
-    ("drift_convergence_criterion", "x", lambda v: drift_convergence_criterion(MODEL, F, v)),
     ("simulate_cbi", "x0", lambda v: simulate_cbi(MODEL, _cfg(v))),
     ("simulate_scaled_step", "x0", lambda v: simulate_scaled_step(MODEL, 2, _cfg(v))),
     ("simulate_limit_diffusion", "x0", lambda v: simulate_limit_diffusion(MODEL, _cfg(v))),
@@ -215,8 +211,7 @@ OVERFLOWS = [
     ("n x", lambda: scaled_gen_apply(make_fix_a(), 10, bump([0], 1), [1e308])),
     ("generator", lambda: generator_apply(make_jump_d2(), FAR, [1e308, 1e308])),
     ("scaled-generator limit", lambda: scaled_gen_limit(make_jump_d2(), FAR, [1e308, 1e308])),
-    ("<btilde x, grad f(x)>", lambda: drift_convergence_criterion(
-        SUPERCRITICAL, F, [1e308, 1e308])),
+    ("<btilde x, grad f(x)>", lambda: generator_apply(SUPERCRITICAL, F, [1e308, 1e308])),
     ("start n * x0", lambda: simulate_scaled_step(make_fix_a(), 2, _cfg([1e308]))),
     ("start <u_left, x0>", lambda: simulate_limit_diffusion(make_d2_critical(),
                                                             _cfg([1e308, 1e308]))),

@@ -126,6 +126,19 @@ def test_cgen_csv(fix_a_file, tmp_path, capsys):
     assert float(last[5]) < 1e-6  # no jumps: scaled generator equals its limit
 
 
+def test_cgen_off_the_ray_does_not_converge_uncorrected(d2_file, tmp_path, capsys):
+    out_csv = tmp_path / "cgen.csv"
+    code, out = run_cli(capsys, ["cgen", "--params", d2_file, "--x", "0.6,0.2",
+                                 "--bump-center", "0.4,0.4", "--bump-radius", "1.8",
+                                 "--n-list", "1,10,100", "--out", str(out_csv)])
+    assert code == 0
+    report = json.loads(out)["result"]
+    assert report["converges_uncorrected"] is False  # btilde x != 0 off the Perron ray
+    rows = [line.split(",") for line in out_csv.read_text().strip().split("\n")[1:]]
+    # the CSV's drift_term column is n times the rate the report names
+    assert [float(r[2]) for r in rows] == [n * report["drift_rate"] for n in (1, 10, 100)]
+
+
 def test_simulate_writes_csv_and_summary(fix_a_file, tmp_path, capsys):
     out_csv = tmp_path / "paths.csv"
     code, out = run_cli(capsys, ["simulate", "--params", fix_a_file, "--t", "0.5",
@@ -447,6 +460,74 @@ def test_non_finite_vector_flag_exits_64(fix_a_file, capsys, command, extra):
     assert captured.err.startswith(f"usage error: {name} must be ") and "finite" in captured.err
 
 
+_SIM_FLAGS = ["--t", "0.1", "--dt", "0.05", "--n-paths", "2"]
+#: every vector flag of every command on the d = 2 model, with the flags the
+#: command needs besides --params and that flag, and the start of the
+#: library's message when the vector has the wrong length
+_VECTOR_FLAGS = {
+    ("vsolve", "--lambda"): (["--t", "1"], "lam must have "),
+    ("laplace", "--x"): (["--t", "1", "--lambda", "1,1"], "x must have "),
+    ("laplace", "--lambda"): (["--t", "1", "--x", "1,1"], "lam must have "),
+    ("dgen", "--x"): (["--n", "10", "--lambda", "1,1"], "x must have "),
+    ("dgen", "--lambda"): (["--n", "10", "--x", "1,1"], "lam must have "),
+    ("prop31", "--x"): (["--lambda", "1,1", "--out"], "x must have "),
+    ("prop31", "--lambda"): (["--x", "1,1", "--out"], "lam must have "),
+    ("cgen", "--x"): (["--out"], "x must have "),
+    # the center is read where the bump first meets the point x
+    ("cgen", "--bump-center"): (["--x", "1,1", "--out"], "point has shape (2,); the bump's "),
+    ("simulate", "--x"): ([*_SIM_FLAGS, "--out"], "x0 must have "),
+    ("simulate-scaled", "--x"): ([*_SIM_FLAGS, "--n", "2", "--out"], "x0 must have "),
+    ("simulate-limit", "--x"): ([*_SIM_FLAGS, "--out"], "x0 must have "),
+}
+
+
+def _run_without_output(tmp_path, capsys, argv):
+    """Run argv with --out, where it is last, naming a file under tmp_path;
+    the run must print nothing and leave no file. Returns the exit code and
+    stderr."""
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "out.csv")]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d2.json"]
+    return code, captured.err
+
+
+@pytest.mark.parametrize("value", ["1", "1,1,1"], ids=["short", "long"])
+@pytest.mark.parametrize("command,flag", sorted(_VECTOR_FLAGS))
+def test_vector_flag_of_the_wrong_length_exits_66_without_output(d2_file, tmp_path, capsys,
+                                                                 command, flag, value):
+    extra, message = _VECTOR_FLAGS[command, flag]
+    code, err = _run_without_output(tmp_path, capsys,
+                                    [command, "--params", d2_file, f"{flag}={value}", *extra])
+    assert code == 66
+    assert len(err.splitlines()) == 1 and err.startswith(f"dimension mismatch: {message}")
+
+
+@pytest.mark.parametrize("value", ["-1,1", "nan,1", "inf,1"], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("command", ["vsolve", "laplace", "dgen", "prop31"])
+def test_lambda_outside_the_state_space_exits_64_without_output(d2_file, tmp_path, capsys,
+                                                                command, value):
+    extra, _ = _VECTOR_FLAGS[command, "--lambda"]
+    code, err = _run_without_output(tmp_path, capsys,
+                                    [command, "--params", d2_file, f"--lambda={value}", *extra])
+    got = [float(s) for s in value.split(",")]
+    assert code == 64
+    assert err == f"usage error: lam must be a finite vector with entries >= 0, got {got}\n"
+
+
+@pytest.mark.parametrize("t", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["vsolve", "laplace"])
+def test_horizon_outside_the_domain_exits_64_without_output(d2_file, tmp_path, capsys,
+                                                            command, t):
+    extra = {"vsolve": ["--lambda", "1,1"], "laplace": ["--x", "1,1", "--lambda", "1,1"]}
+    code, err = _run_without_output(tmp_path, capsys,
+                                    [command, "--params", d2_file, f"--t={t}", *extra[command]])
+    assert code == 64
+    assert err == f"usage error: time must be finite and >= 0, got {float(t)!r}\n"
+
+
 @pytest.mark.parametrize("command,extra", [
     ("cgen", ["--x", "1", "--bump-radius", "nan"]),
     ("cgen", ["--x", "1", "--bump-radius", "inf"]),  # a constant, no compact support
@@ -515,14 +596,16 @@ def test_riccati_step_cap_exits_3(fix_a_file, capsys, monkeypatch):
 
 def test_riccati_step_below_the_float_spacing_exits_3(tmp_path, capsys):
     # v' = v from lam = 1 grows as e^t, and the solve to t = 710 fails when
-    # its step falls below the spacing of t's floats
+    # its step falls below the spacing of t's floats, at t = 706.195 with v
+    # still finite
     path = tmp_path / "growth.json"
     path.write_text(json.dumps({"d": 1, "c": [0.0], "beta": [0.0], "B": [[1.0]]}))
     code = cli.run(["vsolve", "--params", str(path), "--t", "710", "--lambda", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == ("solver error: Riccati solve failed: required step size is less "
-                            "than the spacing of floating-point numbers\n")
+                            "than the spacing of floating-point numbers at t = 706.195 of "
+                            "710, where v's largest entry is 4.97431e+306\n")
 
 
 def test_eigenvalue_failure_exits_3_while_the_mean_is_computed(d2_file, capsys, monkeypatch):

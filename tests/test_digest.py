@@ -1,6 +1,7 @@
 """scripts/digest.py prints a line for every call, also for one that raises."""
 import contextlib
 import importlib.util
+import inspect
 import io
 from pathlib import Path
 
@@ -33,6 +34,13 @@ def _section(digest) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def unpatched(digest) -> dict[str, str]:
     return _section(digest)
+
+
+def test_every_exported_function_has_a_library_line(unpatched):
+    # the docstring's promise: a line for every function that cbi exports
+    exported = {name for name, obj in vars(cbi).items()
+                if not name.startswith("_") and inspect.isfunction(obj)}
+    assert exported - {label.split(":")[0] for label in unpatched} == set()
 
 
 def _boom(*args, **kwargs):

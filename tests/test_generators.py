@@ -8,9 +8,8 @@ from scipy.linalg import expm, null_space
 from cbi import moments
 from cbi.affine import laplace_transform
 from cbi.errors import ConsistencyError
-from cbi.generators import (DEFAULT_N_LIST, VERDICT_CONVERGES, VERDICT_DIVERGES,
+from cbi.generators import (CRITERION_TOL, DEFAULT_N_LIST, VERDICT_CONVERGES, VERDICT_DIVERGES,
                             discrete_gen_exp, discrete_gen_limit, discrete_gen_table,
-                            drift_convergence_criterion, exp_convergence_criterion,
                             generator_apply, scaled_gen_apply, scaled_gen_limit)
 from cbi.matops import mat_exp
 from cbi.model import CbiParams, JumpMeasure
@@ -224,8 +223,9 @@ def test_table_d2_off_ray_diverges(d2_critical):
     a = float(lam @ (mat_exp(d2_critical.B, 1.0) @ x))
     b = float(lam @ x)
     exact_slope = math.exp(-a) - math.exp(-b)
-    assert tab.fitted_slope == pytest.approx(exact_slope, rel=0.10, abs=0.0)
-    assert abs(tab.fitted_slope) <= abs(a - b) * math.exp(-min(a, b)) * 1.01
+    slope = tab.raw[-1] / tab.n_values[-1]
+    assert slope == pytest.approx(exact_slope, rel=0.10, abs=0.0)
+    assert abs(slope) <= abs(a - b) * math.exp(-min(a, b)) * 1.01
     # corrected sequence still converges to the limit
     assert tab.gaps[-1] < 1e-3
 
@@ -268,7 +268,6 @@ def test_table_verdict_is_the_criterion_on_draws(make_params):
         cases += [(10.0 ** rng.uniform(-1, 8) * np.abs(u), rng.uniform(0.1, 2.0, d), True)
                   for _ in range(15)]
     for x, lam, on in cases:
-        assert exp_convergence_criterion(dq, x, lam) == on, (x, lam)
         for n_list in (DEFAULT_N_LIST, (10, 100, 1000)):
             tab = discrete_gen_table(dq, x, lam, n_list)
             assert (tab.verdict == VERDICT_CONVERGES) == on, (x, lam, n_list, tab.raw)
@@ -277,12 +276,15 @@ def test_table_verdict_is_the_criterion_on_draws(make_params):
 
 
 def test_exp_criterion(fix_a, d2_critical):
-    assert exp_convergence_criterion(fix_a, [2.0], [1.0])
-    assert exp_convergence_criterion(d2_critical, [0.5, 0.5], [1.0, 0.0])
+    def verdict(params, x, lam):
+        return discrete_gen_table(params, x, lam).verdict
+
+    assert verdict(fix_a, [2.0], [1.0]) == VERDICT_CONVERGES
+    assert verdict(d2_critical, [0.5, 0.5], [1.0, 0.0]) == VERDICT_CONVERGES
     # on the Perron ray at every scale: the tolerance is relative above 1
     for scale in (10.0, 1e6, 1e8):
-        assert exp_convergence_criterion(d2_critical, [scale / 2, scale / 2], [0.3, 0.9])
-    assert not exp_convergence_criterion(d2_critical, [1.0, 0.0], [1.0, 0.0])
+        assert verdict(d2_critical, [scale / 2, scale / 2], [0.3, 0.9]) == VERDICT_CONVERGES
+    assert verdict(d2_critical, [1.0, 0.0], [1.0, 0.0]) == VERDICT_DIVERGES
 
 
 # --- full generator -----------------------------------------------------------
@@ -435,14 +437,11 @@ _WRONG_LENGTH = {
     "discrete_gen_exp lam": lambda p: discrete_gen_exp(p, 10, [0.5, 0.5], [1.0]),
     "discrete_gen_limit x": lambda p: discrete_gen_limit(p, [0.5, 0.5, 0.5], [1.0, 1.0]),
     "discrete_gen_limit lam": lambda p: discrete_gen_limit(p, [0.5, 0.5], [1.0]),
-    "exp_convergence_criterion x": lambda p: exp_convergence_criterion(p, [0.5], [1.0, 1.0]),
-    "exp_convergence_criterion lam": lambda p: exp_convergence_criterion(p, [0.5, 0.5], [1.0]),
     "discrete_gen_table x": lambda p: discrete_gen_table(p, [0.5], [1.0, 1.0]),
     "discrete_gen_table lam": lambda p: discrete_gen_table(p, [0.5, 0.5], [1.0]),
     "generator_apply": lambda p: generator_apply(p, F2, [0.5]),
     "scaled_gen_apply": lambda p: scaled_gen_apply(p, 10, F2, [0.5, 0.5, 0.5]),
     "scaled_gen_limit": lambda p: scaled_gen_limit(p, F2, [[0.5, 0.5]]),
-    "drift_convergence_criterion": lambda p: drift_convergence_criterion(p, F2, [0.5]),
     "mean x": lambda p: moments.mean(p, [0.5], 1.0),
     "mean 2-D x": lambda p: moments.mean(p, [[1.0, 2.0], [3.0, 4.0]], 1.0),
     "variance_no_immigration z": lambda p: moments.variance_no_immigration(p, [0.5] * 3, 1.0),
@@ -469,9 +468,12 @@ def test_generator_entry_points_check_lengths_against_d(name, d2_critical):
 
 
 def test_drift_criterion(fix_a, d2_critical):
+    def converges(params, f, x):  # the rate <btilde x, grad f(x)> within CRITERION_TOL
+        return abs(scaled_gen_apply(params, 1, f, x)[2]) <= CRITERION_TOL
+
     f = bump([0.5], 1.5)
-    assert drift_convergence_criterion(fix_a, f, [0.8])  # btilde = 0
+    assert converges(fix_a, f, [0.8])  # btilde = 0
     f2 = bump([0.4, 0.4], 1.8)
     # on the ray, btilde x = 0 exactly for the two-cycle matrix
-    assert drift_convergence_criterion(d2_critical, f2, [0.5, 0.5])
-    assert not drift_convergence_criterion(d2_critical, f2, [0.6, 0.2])
+    assert converges(d2_critical, f2, [0.5, 0.5])
+    assert not converges(d2_critical, f2, [0.6, 0.2])

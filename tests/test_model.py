@@ -71,6 +71,21 @@ def test_malformed_measure_is_a_violation(measures, message):
     assert message in rep.violations
 
 
+def test_scalar_points_are_one_atom_in_r1():
+    def model(nu):
+        return CbiParams(d=1, c=[1.0], beta=[0.5], B=[[-1.0]], nu=nu,
+                         mu=(JumpMeasure.from_atoms([(0.3, [1.5])]),))
+
+    scalar = JumpMeasure(weights=[0.5], points=2.0)
+    assert scalar.points.shape == (1, 1)
+    got, want = derive(model(scalar)), derive(model(JumpMeasure.from_atoms([(0.5, [2.0])])))
+    for name in ("btilde", "beta_tilde", "big_c", "drift_table", "atom_points", "atom_weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    rep = validate(model(JumpMeasure(weights=[1.0, 1.0], points=1.0)))
+    assert "nu: 2 weights but 1 points" in rep.violations
+
+
 @pytest.mark.parametrize("d", [2.7, True, 2.0])
 def test_non_integer_d_is_a_violation(d):
     n = 1 if d is True else 2

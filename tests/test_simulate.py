@@ -662,9 +662,10 @@ def test_limit_diffusion_is_the_ray_cbi_on_the_kernel(d2_critical):
     assert_close(ray.params.beta, [1.0], 1e-14, "ray beta = <u_left, beta_tilde>")
     assert_close(ray.params.c, [1.0], 1e-14, "ray c = <cbar u_left, u_left> / 2")
     K = 50
-    scalars, logs = simulate._simulate_grid(ray, [float(dq.perron.u_left @ cfg.x0)], K,
-                                            cfg.horizon / K, cfg.seed, cfg.n_paths,
-                                            np.arange(K + 1))
+    logs = [[] for _ in range(cfg.n_paths)]
+    scalars = simulate._simulate_grid(ray, [float(dq.perron.u_left @ cfg.x0)], K,
+                                      cfg.horizon / K, cfg.seed, cfg.n_paths,
+                                      np.arange(K + 1), logs)
     paths = simulate_limit_diffusion(d2_critical, cfg)
     for p, path in enumerate(paths):
         assert np.array_equal(path.scalar, scalars[p, :, 0])
